@@ -427,11 +427,8 @@ def run_loop_train(repeats: int = 1000) -> dict:
     from fsst_like_ray.sources.tokens import tokens_table
     from fsst_like_ray.stages.encode import list_buffers
 
-    from fsst_like_ray.codecs.fsst import (
-        TRAIN_SAMPLE_BYTES,
-        _sample_rows,
-        gather_rows,
-    )
+    from fsst_like_ray.codecs.bitutil import gather_rows
+    from fsst_like_ray.codecs.fsst import TRAIN_SAMPLE_BYTES, _sample_rows
 
     t = tokens_table(256, seed=42)
     values, offsets = list_buffers(t["tokens"])
@@ -439,7 +436,8 @@ def run_loop_train(repeats: int = 1000) -> dict:
     raw_bo = offsets * 4
     # same bounded sample-gather the codec trains on (the reference's LOOP
     # times production table construction, not an uncapped corpus-wide train)
-    data, bo = gather_rows(raw, raw_bo, _sample_rows(raw_bo, TRAIN_SAMPLE_BYTES))
+    rows = _sample_rows(raw_bo, TRAIN_SAMPLE_BYTES)
+    data, bo = gather_rows(raw, raw_bo[rows], np.diff(raw_bo)[rows])
     fsstlib.train(data, bo)  # warm
     t0 = time.time()
     for _ in range(repeats):

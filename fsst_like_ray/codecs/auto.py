@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bitutil import gather_rows
+
 
 def _sample(
     values: np.ndarray,
@@ -47,13 +49,7 @@ def _sample(
         take = (counts * max_tokens // max(sampled, 1)).astype(np.int64)
         take[(counts > 0) & (take == 0)] = 1
         counts = np.minimum(counts, take)
-    so = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=so[1:])
-    out = np.empty(int(so[-1]), dtype=values.dtype)
-    for k, r in enumerate(rows):
-        s = offsets[r]
-        out[so[k] : so[k + 1]] = values[s : s + counts[k]]
-    return out, so
+    return gather_rows(values, offsets[rows], counts)
 
 
 # train-heavy estimators (symbol-table training per estimate) are SCREENED:
@@ -119,24 +115,28 @@ def select_codec(
             screen_cache.get(name) if screen_cache is not None else None
         )
         ewstate = getattr(CODECS[name], "estimate_with_state", None)
+        from_cache = False
         if cached is not None and ewstate is not None:
             try:
                 estimates[name], states[name] = ewstate(
                     pv, po, cached,
                     full_tokens=full_tokens, full_rows=full_rows,
                 )
+                from_cache = True
             except Exception:
-                cached = None
-        if cached is None or ewstate is None:
+                pass
+        if not from_cache:
             run(name, pv, po)
             if screen_cache is not None and states.get(name):
                 screen_cache[name] = states[name]
         if estimates[name] <= SCREEN_SLACK * best_cheap and (
-            len(po) - 1 < len(so) - 1 or po[-1] < so[-1]
+            from_cache or len(po) - 1 < len(so) - 1 or po[-1] < so[-1]
         ):
             # contender: replace the screen figure with the full-sample
             # estimate (the screen only ever skips work, never fidelity
-            # for a codec that might win)
+            # for a codec that might win). A screen on a sibling window's
+            # cached table always re-runs, even when the screen sample is
+            # the whole sample: its state was trained on another window
             run(name, sv, so)
     best = min(estimates, key=lambda n: (estimates[n], n))
     return best, estimates, states[best]

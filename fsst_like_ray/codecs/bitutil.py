@@ -155,3 +155,22 @@ def gather_segments(buf, src_base, seg_nbytes) -> np.ndarray:
     row_of_byte = np.repeat(np.arange(len(seg_nbytes)), seg_nbytes)
     within = np.arange(total, dtype=np.int64) - np.repeat(so[:-1], seg_nbytes)
     return np.ascontiguousarray(buf[src_base[row_of_byte] + within])
+
+
+def gather_rows(
+    values: np.ndarray, starts: np.ndarray, lens: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``values[starts[i] : starts[i] + lens[i]]`` over every
+    i → (flat array of ``values``' dtype, int64 offsets): the one row
+    gather behind training samples, selector samples and payload subsets.
+    Moves bytes with :func:`gather_segments`, so any fixed-width dtype
+    works."""
+    v = np.ascontiguousarray(values)
+    lens = np.asarray(lens, dtype=np.int64)
+    off = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=off[1:])
+    w = v.dtype.itemsize
+    flat = gather_segments(
+        v.view(np.uint8), np.asarray(starts, dtype=np.int64) * w, lens * w
+    )
+    return flat.view(v.dtype), off

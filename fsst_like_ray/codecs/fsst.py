@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import Codec
+from .bitutil import gather_rows
 from .. import fsstlib
 
 # 32 KiB: with the held-out estimate keeping selection honest, halving the
@@ -38,29 +39,13 @@ def _sample_rows(byte_offsets: np.ndarray, target: int) -> np.ndarray:
     return np.arange(0, n_rows, stride)
 
 
-def gather_rows(
-    data: np.ndarray, byte_offsets: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate the given rows into a dense (sample, offsets) pair —
-    the one sample-gather used by train, the held-out estimate, and the
-    LOOP micro-bench (a drifted copy would bench a different workload
-    than production training)."""
-    counts = np.diff(byte_offsets)[rows]
-    so = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=so[1:])
-    sample = np.empty(int(so[-1]), dtype=np.uint8)
-    for k, r in enumerate(rows):  # bounded by sample size, not block size
-        sample[so[k] : so[k + 1]] = data[byte_offsets[r] : byte_offsets[r + 1]]
-    return sample, so
-
-
 class FsstCodec(Codec):
     name = "fsst"
 
     def train(self, values, offsets):
         data, bo = _byte_view(values, offsets)
         rows = _sample_rows(bo, TRAIN_SAMPLE_BYTES)
-        sample, so = gather_rows(data, bo, rows)
+        sample, so = gather_rows(data, bo[rows], np.diff(bo)[rows])
         table = fsstlib.train(sample, so)
         return table.serialize()
 
@@ -127,7 +112,7 @@ class FsstCodec(Codec):
             held = rows[rows % train_stride != 0]
             if held.size:
                 rows = held
-        sample, so = gather_rows(data, bo, rows)
+        sample, so = gather_rows(data, bo[rows], np.diff(bo)[rows])
         table = fsstlib.SymbolTable.deserialize(state)
         buf, _ = fsstlib.encode(sample, so, table)
         sampled = int(so[-1])

@@ -5,8 +5,13 @@ symbols of ≤8 bytes via iterative sample→parse→count→merge generations; 
 greedily longest-match-first with code 255 as a 2-byte escape for bytes no
 symbol covers; decode is pure table expansion. Format constants mirror the
 reference (≤255 symbols × ≤8 B, escape literal = 2 B — reference:
-sketch.cc:95, src/FsstWrapper.cpp:131-136), but the implementation here is a
-new, fully vectorized NumPy design:
+sketch.cc:95, src/FsstWrapper.cpp:131-136).
+
+Training, encode and decode run in the C kernels of
+:mod:`fsst_like_ray.native` when they load (training is one native call
+covering every generation). This module keeps a vectorized NumPy
+implementation of all three as the fallback and as the reference the
+kernels are tested against, bit for bit:
 
 - match lengths for all positions at once via sliding 8-byte little-endian
   grams + per-length sorted-key binary search;
@@ -31,6 +36,7 @@ ESCAPE = 255
 MAX_SYMBOLS = 255  # codes 0..254; 255 is the escape marker
 MAX_SYMBOL_LEN = 8
 SEGMENT = 256  # greedy parse restarts every SEGMENT bytes within a row
+TRAIN_GENERATIONS = 5
 
 
 class SymbolTable:
@@ -107,26 +113,22 @@ class SymbolTable:
                 self.keys_by_len[l] = sgr[seg0:seg1]
                 self.codes_by_len[l] = order[seg0:seg1].astype(np.uint8)
         # O(1) short-symbol lookup on the first 2 bytes (g2 = b0 + 256*b1):
-        # len-1 symbols fill their whole [*, b0] column, len-2 overwrite exact
-        # cells → one gather resolves the longest 1-2 byte match
-        self.short_code = np.full((256, 256), ESCAPE, dtype=np.uint8)
-        self.short_len = np.zeros((256, 256), dtype=np.uint8)
-        if n:
-            one = np.flatnonzero(lens == 1)
-            if one.size:  # distinct symbols → distinct single bytes
-                b0 = self.sym_bytes[one, 0]
-                self.short_code[:, b0] = one.astype(np.uint8)[None, :]
-                self.short_len[:, b0] = 1
-            two = np.flatnonzero(lens == 2)
-            if two.size:
-                self.short_code[
-                    self.sym_bytes[two, 1], self.sym_bytes[two, 0]
-                ] = two.astype(np.uint8)
-                self.short_len[
-                    self.sym_bytes[two, 1], self.sym_bytes[two, 0]
-                ] = 2
-        self.short_code = self.short_code.reshape(-1)
-        self.short_len = self.short_len.reshape(-1)
+        # len-1 symbols fill their whole [*, b0] column — so every row b1 is
+        # the same 256-entry row, tiled — and len-2 overwrite exact cells →
+        # one gather resolves the longest 1-2 byte match
+        code_row = np.full(256, ESCAPE, dtype=np.uint8)
+        len_row = np.zeros(256, dtype=np.uint8)
+        one = np.flatnonzero(lens == 1)  # distinct symbols → distinct bytes
+        code_row[self.sym_bytes[one, 0]] = one
+        len_row[self.sym_bytes[one, 0]] = 1
+        self.short_code = np.tile(code_row, 256)
+        self.short_len = np.tile(len_row, 256)
+        two = np.flatnonzero(lens == 2)
+        g2 = self.sym_bytes[two, 0] + 256 * self.sym_bytes[two, 1].astype(
+            np.int64
+        )
+        self.short_code[g2] = two
+        self.short_len[g2] = 2
         # distinct 3-byte prefixes of symbols of length ≥3 — the candidate
         # filter for long matches. lut3 is a direct-address 2^24 byte table
         # (prefix → prefix id + 1, 0 = no long symbol): one gather replaces a
@@ -512,30 +514,31 @@ def escaped_literal_bitmap(
     return out.tobytes()
 
 
-def train(
-    data: np.ndarray,
-    offsets: np.ndarray,
-    generations: int = 5,
-    max_symbols: int = MAX_SYMBOLS,
-) -> SymbolTable:
-    """Iterative sample→parse→count→merge symbol-table construction.
+def train(data: np.ndarray, offsets: np.ndarray) -> SymbolTable:
+    """Iterative sample→parse→count→merge symbol-table construction over
+    TRAIN_GENERATIONS generations, at most MAX_SYMBOLS symbols.
 
     Gain = count × length ("apparent gain", FSST paper §4). Candidates each
     generation: symbols/literals emitted by the current parse plus concatenations
     of adjacent emitted symbols ≤8 bytes. Fully deterministic (ties broken by
-    gram value)."""
+    (length, gram value)).
+
+    Runs as one C call when the native kernels are loaded; the NumPy loop
+    below is the fallback and the reference the C trainer is tested
+    against (identical symbols in identical code order)."""
     data = np.ascontiguousarray(data, dtype=np.uint8)
     table = SymbolTable([])
     if data.size == 0:
         return table
     from . import native
 
+    if native.lib is not None:
+        return SymbolTable(
+            native.train(data, offsets, TRAIN_GENERATIONS, MAX_SYMBOLS)
+        )
     g8 = _grams8(data)
-    for _gen in range(generations):
-        if native.lib is not None:
-            pos, ml = native.parse(data, offsets, table)
-        else:
-            pos, ml, _code = _parse(data, offsets, table)
+    for _gen in range(TRAIN_GENERATIONS):
+        pos, ml, _code = _parse(data, offsets, table)
         eff_len = np.maximum(ml, 1)
         mask_for = lambda l: (
             np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -547,10 +550,11 @@ def train(
         masks = np.array([mask_for(l) for l in range(0, 9)], dtype=np.uint64)
         singles_g = g8[pos] & masks[lens_arr]
         singles_l = lens_arr
-        # pair candidates: adjacent emitted positions in the same segment
+        # pair candidates: positionally adjacent emitted symbols (a pair
+        # may span a segment or row boundary)
         nxt_pos = pos[1:]
         cur_pos = pos[:-1]
-        contig = cur_pos + eff_len[:-1] == nxt_pos  # no segment gap between them
+        contig = cur_pos + eff_len[:-1] == nxt_pos
         pair_len = eff_len[:-1] + eff_len[1:]
         okp = contig & (pair_len <= MAX_SYMBOL_LEN)
         pairs_g = g8[cur_pos[okp]] & masks[pair_len[okp]]
@@ -583,7 +587,7 @@ def train(
             thresh = np.partition(gain, len(gain) - 1024)[len(gain) - 1024]
             keep = np.flatnonzero(gain >= thresh)
             ug, ul, gain = ug[keep], ul[keep], gain[keep]
-        sel = np.lexsort((ug, ul, -gain))[:max_symbols]
+        sel = np.lexsort((ug, ul, -gain))[:MAX_SYMBOLS]
         symbols = [
             int(ug[i]).to_bytes(8, "little")[: int(ul[i])] for i in sel
         ]

@@ -1,10 +1,12 @@
-"""Optional C acceleration for the FSST hot loops.
+"""Optional C acceleration for the FSST hot loops: symbol-table training,
+encode and decode, plus the LIKE scan and integer-codec kernels.
 
 Compiled at import time from ``fsstkern.c`` with the system C compiler into
 a content-addressed ``.so`` under the temp dir (no installs, no network;
 concurrent workers build to a pid-suffixed temp file and ``os.replace`` it
-atomically). When no compiler is available ``lib`` is None and
-:mod:`fsst_like_ray.fsstlib` keeps its pure-NumPy path — both paths produce
+atomically). When the build or load fails, ``lib`` is None, ``build_error``
+says why, a RuntimeWarning is issued once per process, and callers such as
+:mod:`fsst_like_ray.fsstlib` run their pure-NumPy path — both paths produce
 bit-identical output (asserted in tests/test_native.py).
 """
 
@@ -15,6 +17,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -47,8 +50,10 @@ def _build():
     l.fsst_decode.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                               ctypes.c_void_p, ctypes.c_void_p,
                               ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    l.fsst_parse.restype = ctypes.c_int64
-    l.fsst_parse.argtypes = l.fsst_encode.argtypes
+    l.fsst_train.restype = ctypes.c_int64
+    l.fsst_train.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                             ctypes.c_int, ctypes.c_int, ctypes.c_void_p,
+                             ctypes.c_void_p]
     l.pack_rows.restype = None
     l.pack_rows.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                             ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p]
@@ -97,10 +102,36 @@ def _build():
     return l
 
 
-try:  # pragma: no cover - environment dependent
-    lib = _build()
-except Exception:  # no compiler / sandboxed exec — NumPy fallback
-    lib = None
+lib = None
+build_error: str | None = None  # why ``lib`` is None; None once it loaded
+_warned = False
+
+
+def _load() -> None:
+    """Build and load the kernels into ``lib``. On failure (no compiler,
+    a compile error, a sandbox that forbids exec or dlopen) ``lib`` stays
+    None, ``build_error`` keeps the reason, and the first failure in the
+    process warns that the slower NumPy fallback is running."""
+    global lib, build_error, _warned
+    try:
+        lib, build_error = _build(), None
+    except (OSError, subprocess.CalledProcessError, AttributeError) as e:
+        lib = None
+        build_error = f"{type(e).__name__}: {e}"
+        stderr = getattr(e, "stderr", None)
+        if stderr:
+            build_error += "\n" + stderr.decode(errors="replace").strip()
+        if not _warned:
+            _warned = True
+            warnings.warn(
+                "fsst_like_ray.native: C kernels unavailable, running the "
+                f"NumPy fallback: {build_error}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+
+_load()
 
 
 def _ptr(a: np.ndarray):
@@ -108,35 +139,36 @@ def _ptr(a: np.ndarray):
 
 
 def _prep(table):
-    """C-ready lookup arrays for a SymbolTable (cheap: ≤255 symbols)."""
-    from .. import fsstlib
-
+    """C-ready lookup arrays for a SymbolTable (cheap: ≤255 symbols): the
+    len-1 code table, then the ≥3-byte symbols grouped by 3-byte-prefix id
+    (their prefix's index in ``long_prefixes``, as ``lut3`` maps it),
+    longest first — group pid is ``[pfx_start[pid], pfx_start[pid + 1])``."""
     len1 = np.full(256, 255, dtype=np.uint8)
     if 1 in table.keys_by_len:
-        for k, c in zip(table.keys_by_len[1], table.codes_by_len[1]):
-            len1[int(k)] = c
-    npfx = len(table.long_prefixes)
-    has_len = np.zeros(max(npfx, 1), dtype=np.uint8)
-    for l in range(3, fsstlib.MAX_SYMBOL_LEN + 1):
-        if npfx:
-            has_len |= table.prefix_has_len[l].astype(np.uint8) << (l - 1)
-    keys_parts, codes_parts, key_off = [], [], np.zeros(10, dtype=np.int64)
-    for l in range(9):
-        k = table.keys_by_len.get(l)
-        if k is not None and l >= 3:
-            keys_parts.append(k)
-            codes_parts.append(table.codes_by_len[l])
-        key_off[l + 1] = key_off[l] + (len(k) if (k is not None and l >= 3) else 0)
-    keys = (
-        np.concatenate(keys_parts) if keys_parts else np.zeros(0, dtype=np.uint64)
+        len1[table.keys_by_len[1].astype(np.int64)] = table.codes_by_len[1]
+    lengths = [l for l in sorted(table.keys_by_len) if l >= 3]
+    grams = np.concatenate(
+        [table.keys_by_len[l] for l in lengths] + [np.zeros(0, np.uint64)]
     )
-    codes = (
-        np.concatenate(codes_parts) if codes_parts else np.zeros(0, dtype=np.uint8)
+    codes = np.concatenate(
+        [table.codes_by_len[l] for l in lengths] + [np.zeros(0, np.uint8)]
     )
+    lens = np.concatenate(
+        [np.full(len(table.keys_by_len[l]), l, np.int64) for l in lengths]
+        + [np.zeros(0, np.int64)]
+    )
+    pids = np.searchsorted(table.long_prefixes, grams & np.uint64(0xFFFFFF))
+    order = np.lexsort((-lens, pids))
+    pfx_start = np.searchsorted(
+        pids[order], np.arange(len(table.long_prefixes) + 1)
+    ).astype(np.uint8)
     lut3 = table.lut3
     if lut3 is None:
         lut3 = np.zeros(1, dtype=np.uint8)  # has_long is False ⇒ never read
-    return len1, has_len, keys, codes, key_off, lut3
+    return (
+        len1, lut3, pfx_start, np.ascontiguousarray(grams[order]),
+        lens[order].astype(np.uint8), np.ascontiguousarray(codes[order]),
+    )
 
 
 def encode(data: np.ndarray, offsets: np.ndarray, table):
@@ -149,13 +181,13 @@ def encode(data: np.ndarray, offsets: np.ndarray, table):
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     out = np.empty(2 * n + 8, dtype=np.uint8)
     po = np.empty(n_rows + 1, dtype=np.int64)
-    len1, has_len, keys, codes, key_off, lut3 = _prep(table)
+    len1, lut3, pfx_start, grams, lens, codes = _prep(table)
     has_long = int(lut3.size > 1)
     total = lib.fsst_encode(
         _ptr(data), _ptr(offsets), n_rows,
         _ptr(table.short_code), _ptr(table.short_len), _ptr(len1),
-        has_long, _ptr(lut3), _ptr(has_len),
-        _ptr(keys), _ptr(codes), _ptr(key_off),
+        has_long, _ptr(lut3), _ptr(pfx_start),
+        _ptr(grams), _ptr(lens), _ptr(codes),
         _ptr(out), _ptr(po),
     )
     return out[:total], po
@@ -259,25 +291,34 @@ def varint_decode(buf, payload_offsets, offsets, n_values):
     return vals
 
 
-def parse(data: np.ndarray, offsets: np.ndarray, table):
-    """Native twin of fsstlib._parse limited to (positions, match lengths) —
-    what training needs; codes are not materialized."""
-    n = int(data.size)
-    n_rows = len(offsets) - 1
+def train(data: np.ndarray, offsets: np.ndarray, generations: int,
+          max_symbols: int) -> list[bytes]:
+    """Native twin of fsstlib.train's NumPy generations: the trained
+    symbols in code order (see fsstkern.c fsst_train)."""
     data = np.ascontiguousarray(data, dtype=np.uint8)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    pos = np.empty(n + 1, dtype=np.int64)
-    ml = np.empty(n + 1, dtype=np.uint8)
-    len1, has_len, keys, codes, key_off, lut3 = _prep(table)
-    has_long = int(lut3.size > 1)
-    total = lib.fsst_parse(
-        _ptr(data), _ptr(offsets), n_rows,
-        _ptr(table.short_code), _ptr(table.short_len), _ptr(len1),
-        has_long, _ptr(lut3), _ptr(has_len),
-        _ptr(keys), _ptr(codes), _ptr(key_off),
-        _ptr(pos), _ptr(ml),
+    if len(offsets) < 2:
+        return []
+    # the kernel reads data[offsets[0]:offsets[-1]] and counts in 32 bits
+    if (
+        offsets[0] < 0
+        or offsets[-1] > data.size
+        or offsets[-1] - offsets[0] >= 1 << 32
+        or (np.diff(offsets) < 0).any()
+    ):
+        raise ValueError("fsst train: offsets do not partition the data")
+    grams = np.zeros(max_symbols, dtype=np.uint64)
+    lens = np.zeros(max_symbols, dtype=np.uint8)
+    n = lib.fsst_train(
+        _ptr(data), _ptr(offsets), len(offsets) - 1, generations,
+        max_symbols, _ptr(grams), _ptr(lens),
     )
-    return pos[:total], ml[:total].astype(np.int64)
+    if n == -2:
+        raise ValueError(f"fsst train: max_symbols {max_symbols} not in 1..255")
+    if n < 0:
+        raise MemoryError("fsst train: out of memory")
+    raw = grams[:n].tobytes()
+    return [raw[8 * i : 8 * i + l] for i, l in enumerate(lens[:n].tolist())]
 
 
 def like_prefilter(

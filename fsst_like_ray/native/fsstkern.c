@@ -1,16 +1,19 @@
-/* Scalar C kernels for the FSST hot loops (encode parse + decode expand).
+/* Scalar C kernels for the FSST hot loops (symbol-table training, encode
+ * parse, decode expand) and the codec and LIKE-scan kernels below them.
  *
  * Semantics are EXACTLY the NumPy implementation in fsstlib.py (greedy
  * longest-symbol match, 2-byte escape, parse restarts every SEGMENT bytes
  * and at row bounds; reference format constants per sketch.cc:95,
- * src/FsstWrapper.cpp:131-136). The Python wrapper asserts bit-identical
- * output against the NumPy path in tests.
+ * src/FsstWrapper.cpp:131-136). Tests assert bit-identical output against
+ * the NumPy path.
  *
  * Built at import time with the system cc (-O3); NumPy remains the
  * fallback when no compiler is present.
  */
 
+#include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define ESCAPE 255
@@ -37,24 +40,69 @@ static inline uint64_t load8(const uint8_t *p) {
     return v;
 }
 
-/* Encode rows[data, offsets] with a prepared table.
- *  short_code/short_len: 65536-entry tables on the first two bytes
+/* Lookup structures of one symbol table, shared by the encoder and the
+ * trainer:
+ *  short_code/short_len: 65536-entry tables on the first two bytes; only
+ *    cells with short_len 2 (a length-2 symbol) are read
  *  len1_code: 256-entry table (code of the length-1 symbol, 255 = none)
- *  lut3: 2^24 table, 3-byte prefix -> prefix id + 1 (0 = no long symbol)
- *  has_len: per prefix id, bit (l-1) set if a symbol of length l exists
- *  keys/codes: per length 3..8, sorted little-endian grams + their codes,
- *    flattened; key_off[l] .. key_off[l+1] is length l's range
- * data needs NO tail padding (gram loads near the end are tail-safe).
- * out must hold 2 * total bytes; out_po has n_rows + 1 slots.
+ *  long_grams/long_lens/long_codes: the symbols of >= 3 bytes grouped by
+ *    3-byte-prefix id, longest first within a group; group pid is
+ *    [pfx_start[pid], pfx_start[pid + 1]) (the caller maps a prefix to
+ *    its id) */
+typedef struct {
+    const uint8_t *short_code, *short_len, *len1_code, *pfx_start;
+    const uint64_t *long_grams;
+    const uint8_t *long_lens, *long_codes;
+} lookup_t;
+
+static inline uint64_t len_mask(int l)
+{
+    return l >= 8 ? ~0ULL : (1ULL << (8 * l)) - 1;
+}
+
+/* Longest symbol that matches the little-endian gram g8 within cap
+ * (1..8) bytes, where pid1 is the id + 1 of g8's 3-byte prefix (0 = no
+ * symbol of >= 3 bytes starts with it, or cap < 3): returns its length
+ * (0 = none, an escape) and stores its code in *code. */
+static inline int longest_match(const lookup_t *t, uint64_t g8, int cap,
+                                int pid1, int *code)
+{
+    if (pid1) {
+        const int end = t->pfx_start[pid1];
+        for (int i = t->pfx_start[pid1 - 1]; i < end; i++) {
+            const int l = t->long_lens[i];
+            if (l <= cap && (g8 & len_mask(l)) == t->long_grams[i]) {
+                *code = t->long_codes[i];
+                return l;
+            }
+        }
+    }
+    /* 1-2 byte match via the direct tables */
+    const uint16_t g2 = (uint16_t)g8;
+    if (cap >= 2 && t->short_len[g2] == 2) {
+        *code = t->short_code[g2];
+        return 2;
+    }
+    *code = t->len1_code[(uint8_t)g8];
+    return *code != ESCAPE;
+}
+
+/* Encode rows[data, offsets] with a prepared table (see lookup_t; lut3 is
+ * the 2^24 direct-address table 3-byte prefix -> prefix id + 1, read only
+ * when has_long). data needs NO tail padding (gram loads near the end are
+ * tail-safe). out must hold 2 * total bytes; out_po has n_rows + 1 slots.
  * Returns total output bytes. */
 int64_t fsst_encode(
     const uint8_t *data, const int64_t *offsets, int64_t n_rows,
     const uint8_t *short_code, const uint8_t *short_len,
     const uint8_t *len1_code,
-    int64_t has_long, const uint8_t *lut3, const uint8_t *has_len,
-    const uint64_t *keys, const uint8_t *codes, const int64_t *key_off,
+    int64_t has_long, const uint8_t *lut3, const uint8_t *pfx_start,
+    const uint64_t *long_grams, const uint8_t *long_lens,
+    const uint8_t *long_codes,
     uint8_t *out, int64_t *out_po)
 {
+    const lookup_t t = {short_code, short_len, len1_code, pfx_start,
+                        long_grams, long_lens, long_codes};
     int64_t o = 0;
     const int64_t total = offsets[n_rows];
     out_po[0] = 0;
@@ -68,59 +116,13 @@ int64_t fsst_encode(
             const int64_t rem64 = seg_end - p;
             const int cap = rem64 < 8 ? (int)rem64 : 8;
             const uint64_t g8 = load8_safe(data, p, total);
-            int best_len = 0;
-            int best_code = ESCAPE;
-            /* 1-2 byte match via the direct tables */
-            {
-                const uint16_t g2 = (uint16_t)g8;
-                const int sl = short_len[g2];
-                if (sl && sl <= cap) {
-                    best_len = sl;
-                    best_code = short_code[g2];
-                } else if (sl > cap && cap >= 1) {
-                    const int c1 = len1_code[(uint8_t)g8];
-                    if (c1 != ESCAPE) {
-                        best_len = 1;
-                        best_code = c1;
-                    }
-                }
-            }
-            /* >=3 byte match via prefix filter + per-length binary search */
-            if (has_long && cap >= 3) {
-                const uint32_t g3 = (uint32_t)(g8 & 0xFFFFFF);
-                const int pid1 = lut3[g3];
-                if (pid1) {
-                    const uint8_t mask = has_len[pid1 - 1];
-                    const int lmax = cap;
-                    for (int l = lmax; l >= 3; l--) {
-                        if (l <= best_len)
-                            break;
-                        if (!(mask & (uint8_t)(1u << (l - 1))))
-                            continue;
-                        const uint64_t key =
-                            l < 8 ? (g8 & ((1ULL << (8 * l)) - 1)) : g8;
-                        int64_t lo = key_off[l], hi = key_off[l + 1] - 1;
-                        while (lo <= hi) {
-                            const int64_t mid = (lo + hi) >> 1;
-                            const uint64_t k = keys[mid];
-                            if (k == key) {
-                                best_len = l;
-                                best_code = codes[mid];
-                                lo = hi + 2; /* found */
-                            } else if (k < key) {
-                                lo = mid + 1;
-                            } else {
-                                hi = mid - 1;
-                            }
-                        }
-                        if (best_len == l)
-                            break;
-                    }
-                }
-            }
-            if (best_len > 0) {
-                out[o++] = (uint8_t)best_code;
-                p += best_len;
+            const int pid1 =
+                has_long && cap >= 3 ? lut3[(uint32_t)(g8 & 0xFFFFFF)] : 0;
+            int code;
+            const int len = longest_match(&t, g8, cap, pid1, &code);
+            if (len > 0) {
+                out[o++] = (uint8_t)code;
+                p += len;
             } else {
                 out[o++] = ESCAPE;
                 out[o++] = data[p];
@@ -132,17 +134,207 @@ int64_t fsst_encode(
     return o;
 }
 
-int64_t fsst_parse(
-    const uint8_t *data, const int64_t *offsets, int64_t n_rows,
-    const uint8_t *short_code, const uint8_t *short_len,
-    const uint8_t *len1_code,
-    int64_t has_long, const uint8_t *lut3, const uint8_t *has_len,
-    const uint64_t *keys, const uint8_t *codes, const int64_t *key_off,
-    int64_t *out_pos, uint8_t *out_len)
+/* ---- symbol-table training (fsstlib.train) -----------------------------
+ * Each generation parses the rows with the current table and counts
+ * (gram, len) candidates: every emitted symbol (an escape counts as a
+ * 1-byte symbol) and every concatenation of two adjacent emitted symbols
+ * of <= 8 bytes. Adjacency is positional (pos + len == next pos), so a
+ * pair may span a row or segment boundary. The next table is the
+ * max_symbols candidates of highest gain = count * len, ties broken by
+ * (len, gram), in that order. Bit-identical to the NumPy generations in
+ * fsstlib.train (asserted in tests/test_native.py).
+ *
+ * The parse counts by emitted id (code, or 256 + byte for an escape) in
+ * dense arrays, as the FSST paper's counters do; only the distinct ids and
+ * id pairs are then merged by (gram, len), since different pairs (or a
+ * pair and a symbol) can spell the same candidate. */
+
+#define MAX_SYMBOLS 255
+#define MAX_SYMBOL_LEN 8
+#define N_IDS 512
+#define PREFIX_SLOTS 1024 /* > 2 * MAX_SYMBOLS prefixes: short probes */
+
+/* (gram, len) -> count: the distinct candidates are appended to cands[]
+ * in first-seen order, and slots[] (open addressing) holds an index + 1
+ * into it, 0 = empty. The ranking then reads cands[] in order. */
+typedef struct {
+    uint64_t gram;
+    uint32_t cnt;
+    uint8_t len;
+} cand_t;
+
+typedef struct {
+    int32_t *slots;
+    cand_t *cands;
+    int64_t cap, n;
+} counter_t;
+
+/* Empty c with room for n entries at load <= 1/2, reallocating only when
+ * it has less. Returns -1 out of memory (c is then empty, capacity 0). */
+static int counter_reset(counter_t *c, int64_t n)
 {
-    int64_t o = 0;
+    int64_t cap = 1024;
+    while (cap < 2 * n)
+        cap <<= 1;
+    c->n = 0;
+    if (cap > c->cap) {
+        free(c->slots);
+        free(c->cands);
+        c->slots = malloc((size_t)cap * sizeof *c->slots);
+        c->cands = malloc((size_t)cap / 2 * sizeof *c->cands);
+        c->cap = c->slots && c->cands ? cap : 0;
+        if (!c->cap)
+            return -1;
+    }
+    memset(c->slots, 0, (size_t)c->cap * sizeof *c->slots);
+    return 0;
+}
+
+static inline void counter_add(counter_t *c, uint64_t gram, int len,
+                               uint32_t cnt)
+{
+    const int64_t mask = c->cap - 1;
+    uint64_t h = (gram ^ ((uint64_t)len * 0xD6E8FEB86659FD93ULL)) *
+                 0x9E3779B97F4A7C15ULL;
+    for (int64_t s = (int64_t)((h ^ (h >> 29)) & (uint64_t)mask);;
+         s = (s + 1) & mask) {
+        const int32_t i = c->slots[s];
+        if (!i) {
+            const cand_t fresh = {gram, cnt, (uint8_t)len};
+            c->cands[c->n] = fresh;
+            c->slots[s] = (int32_t)++c->n;
+            return;
+        }
+        cand_t *e = &c->cands[i - 1];
+        if (e->gram == gram && e->len == len) {
+            e->cnt += cnt;
+            return;
+        }
+    }
+}
+
+typedef struct {
+    int64_t gain;
+    uint64_t gram;
+    int len;
+} ranked_t;
+
+/* Per-thread training scratch, allocated on a thread's first call and
+ * freed when the thread exits: short_len, count1 and count2 are all zero
+ * again when a call returns (cleared cell by cell after use), so no call
+ * pays for clearing or page-faulting megabytes.
+ *  short_*, len1_code, pfx_start, long_*: storage behind a lookup_t
+ *  prefix_slots: the trainer's prefix -> id map, an open-addressing set
+ *    of (prefix << 8 | id + 1), 0 = empty. It stays in L1, where the
+ *    encoder's 2^24 direct-address table would spread a small sample's
+ *    lookups over 16 MB.
+ *  count1[id], count2[id1 * N_IDS + id2]: one generation's counts;
+ *    pairs[] lists the count2 cells in use */
+typedef struct {
+    uint8_t short_code[1 << 16], short_len[1 << 16], len1_code[256];
+    uint8_t pfx_start[MAX_SYMBOLS + 1];
+    uint64_t long_grams[MAX_SYMBOLS];
+    uint8_t long_lens[MAX_SYMBOLS], long_codes[MAX_SYMBOLS];
+    uint32_t prefix_slots[PREFIX_SLOTS];
+    int n_prefixes;
+    uint32_t count1[N_IDS];
+    uint32_t count2[N_IDS * N_IDS];
+    int32_t pairs[N_IDS * N_IDS + 1]; /* + 1: count_ids writes one ahead */
+    int64_t n_pairs;
+    counter_t merged;
+    ranked_t heap[MAX_SYMBOLS];
+} train_t;
+
+static inline uint32_t prefix_slot(uint32_t p3)
+{
+    return (p3 * 0x9E3779B1u) >> 22; /* 10 bits: PREFIX_SLOTS */
+}
+
+/* id + 1 of the 3-byte prefix p3, 0 = none */
+static inline int prefix_id(const train_t *T, uint32_t p3)
+{
+    for (uint32_t s = prefix_slot(p3);; s = (s + 1) & (PREFIX_SLOTS - 1)) {
+        const uint32_t e = T->prefix_slots[s];
+        if (!e || e >> 8 == p3)
+            return (int)(e & 0xFF);
+    }
+}
+
+/* Build the lookup structures of symbols (grams[c], lens[c]), c < n:
+ * len-1 and len-2 symbols go to the direct tables, longer ones are grouped
+ * under their 3-byte prefix, longest first. short_len must be all zero on
+ * entry (see clear_short). */
+static lookup_t build_lookup(train_t *T, const uint64_t *grams,
+                             const uint8_t *lens, int n)
+{
+    memset(T->len1_code, ESCAPE, sizeof T->len1_code);
+    memset(T->prefix_slots, 0, sizeof T->prefix_slots);
+    for (int c = 0; c < n; c++) {
+        if (lens[c] == 1)
+            T->len1_code[grams[c] & 0xFF] = (uint8_t)c;
+        if (lens[c] == 2) {
+            T->short_code[grams[c] & 0xFFFF] = (uint8_t)c;
+            T->short_len[grams[c] & 0xFFFF] = 2;
+        }
+    }
+    /* prefix ids in first-seen order, then a counting sort by id, with
+     * codes visited longest first so each group comes out longest first */
+    int pid_of[MAX_SYMBOLS], n_long = 0;
+    T->n_prefixes = 0;
+    memset(T->pfx_start, 0, sizeof T->pfx_start);
+    for (int c = 0; c < n; c++) {
+        if (lens[c] < 3)
+            continue;
+        const uint32_t p3 = (uint32_t)(grams[c] & 0xFFFFFF);
+        int pid1 = prefix_id(T, p3);
+        if (!pid1) {
+            uint32_t s = prefix_slot(p3);
+            while (T->prefix_slots[s])
+                s = (s + 1) & (PREFIX_SLOTS - 1);
+            pid1 = ++T->n_prefixes;
+            T->prefix_slots[s] = p3 << 8 | (uint32_t)pid1;
+        }
+        pid_of[c] = pid1 - 1;
+        T->pfx_start[pid1]++;
+        n_long++;
+    }
+    for (int pid = 0; pid < T->n_prefixes; pid++)
+        T->pfx_start[pid + 1] += T->pfx_start[pid];
+    uint8_t fill[MAX_SYMBOLS + 1];
+    memcpy(fill, T->pfx_start, sizeof fill);
+    for (int l = MAX_SYMBOL_LEN; l >= 3 && n_long; l--)
+        for (int c = 0; c < n; c++) {
+            if (lens[c] != l)
+                continue;
+            const int i = fill[pid_of[c]]++;
+            T->long_grams[i] = grams[c];
+            T->long_lens[i] = (uint8_t)l;
+            T->long_codes[i] = (uint8_t)c;
+        }
+    const lookup_t t = {T->short_code, T->short_len, T->len1_code,
+                        T->pfx_start, T->long_grams, T->long_lens,
+                        T->long_codes};
+    return t;
+}
+
+/* Reset the short_len cells build_lookup set for the same symbols, so
+ * no generation pays a 64 KB clear */
+static void clear_short(train_t *T, const uint64_t *grams,
+                        const uint8_t *lens, int n)
+{
+    for (int c = 0; c < n; c++)
+        if (lens[c] == 2)
+            T->short_len[grams[c] & 0xFFFF] = 0;
+}
+
+/* One generation's parse, counting emitted ids and adjacent id pairs */
+static void count_ids(const uint8_t *data, const int64_t *offsets,
+                      int64_t n_rows, train_t *T, const lookup_t *t)
+{
     const int64_t total = offsets[n_rows];
-    (void)0;
+    const int has_long = T->n_prefixes > 0;
+    int64_t prev_end = -1;
+    int prev_id = 0, prev_len = 0;
     for (int64_t r = 0; r < n_rows; r++) {
         int64_t p = offsets[r];
         const int64_t row_end = offsets[r + 1];
@@ -153,66 +345,176 @@ int64_t fsst_parse(
             const int64_t rem64 = seg_end - p;
             const int cap = rem64 < 8 ? (int)rem64 : 8;
             const uint64_t g8 = load8_safe(data, p, total);
-            int best_len = 0;
-            int best_code = ESCAPE;
-            /* 1-2 byte match via the direct tables */
-            {
-                const uint16_t g2 = (uint16_t)g8;
-                const int sl = short_len[g2];
-                if (sl && sl <= cap) {
-                    best_len = sl;
-                    best_code = short_code[g2];
-                } else if (sl > cap && cap >= 1) {
-                    const int c1 = len1_code[(uint8_t)g8];
-                    if (c1 != ESCAPE) {
-                        best_len = 1;
-                        best_code = c1;
-                    }
-                }
-            }
-            /* >=3 byte match via prefix filter + per-length binary search */
-            if (has_long && cap >= 3) {
-                const uint32_t g3 = (uint32_t)(g8 & 0xFFFFFF);
-                const int pid1 = lut3[g3];
-                if (pid1) {
-                    const uint8_t mask = has_len[pid1 - 1];
-                    const int lmax = cap;
-                    for (int l = lmax; l >= 3; l--) {
-                        if (l <= best_len)
-                            break;
-                        if (!(mask & (uint8_t)(1u << (l - 1))))
-                            continue;
-                        const uint64_t key =
-                            l < 8 ? (g8 & ((1ULL << (8 * l)) - 1)) : g8;
-                        int64_t lo = key_off[l], hi = key_off[l + 1] - 1;
-                        while (lo <= hi) {
-                            const int64_t mid = (lo + hi) >> 1;
-                            const uint64_t k = keys[mid];
-                            if (k == key) {
-                                best_len = l;
-                                best_code = codes[mid];
-                                lo = hi + 2; /* found */
-                            } else if (k < key) {
-                                lo = mid + 1;
-                            } else {
-                                hi = mid - 1;
-                            }
-                        }
-                        if (best_len == l)
-                            break;
-                    }
-                }
-            }
-            out_pos[o] = p;
-            out_len[o] = (uint8_t)best_len;
-            o++;
-            p += best_len > 0 ? best_len : 1;
+            const int pid1 = has_long && cap >= 3
+                                 ? prefix_id(T, (uint32_t)(g8 & 0xFFFFFF))
+                                 : 0;
+            int id;
+            int len = longest_match(t, g8, cap, pid1, &id);
+            /* an escape counts as a 1-byte symbol; the counting below is
+             * branch-free, as whether a pair fits is data-dependent */
+            const int esc = len == 0;
+            id = esc ? 256 + data[p] : id;
+            len += esc;
+            T->count1[id]++;
+            const uint32_t pair =
+                (prev_end == p) & (prev_len + len <= MAX_SYMBOL_LEN);
+            const int32_t cell = prev_id * N_IDS + id;
+            const uint32_t seen = T->count2[cell];
+            T->count2[cell] = seen + pair;
+            T->pairs[T->n_pairs] = cell;
+            T->n_pairs += pair & (seen == 0);
+            prev_end = p + len;
+            prev_id = id;
+            prev_len = len;
+            p += len;
         }
     }
-    return o;
 }
 
+/* Merge the id counts by (gram, len) into T->merged, clearing them. Id
+ * i < n is symbol i of (grams, lens); id 256 + b is the escaped byte b.
+ * Returns -1 out of memory. */
+static int merge_ids(train_t *T, const uint64_t *grams, const uint8_t *lens,
+                     int n)
+{
+    counter_t *c = &T->merged;
+    const int rc = counter_reset(c, T->n_pairs + N_IDS);
+    uint64_t g[N_IDS];
+    int l[N_IDS];
+    for (int id = 0; id < N_IDS; id++) {
+        g[id] = id < n ? grams[id] : (uint64_t)(id - 256);
+        l[id] = id < n ? lens[id] : 1;
+    }
+    for (int id = 0; id < N_IDS; id++) {
+        if (T->count1[id] && !rc)
+            counter_add(c, g[id], l[id], T->count1[id]);
+        T->count1[id] = 0;
+    }
+    for (int64_t i = 0; i < T->n_pairs; i++) {
+        const int32_t cell = T->pairs[i];
+        const int a = cell / N_IDS, b = cell % N_IDS;
+        if (!rc)
+            counter_add(c, g[a] | (g[b] << (8 * l[a])), l[a] + l[b],
+                        T->count2[cell]);
+        T->count2[cell] = 0;
+    }
+    T->n_pairs = 0;
+    return rc;
+}
 
+/* rank order: higher gain first, then shorter, then smaller gram */
+static inline int ranks_before(const ranked_t *a, const ranked_t *b)
+{
+    if (a->gain != b->gain)
+        return a->gain > b->gain;
+    if (a->len != b->len)
+        return a->len < b->len;
+    return a->gram < b->gram;
+}
+
+/* heap[0] is the last-ranked of the kept candidates */
+static void heap_sift_down(ranked_t *heap, int n, int i)
+{
+    for (;;) {
+        int w = i;
+        const int a = 2 * i + 1, b = a + 1;
+        if (a < n && ranks_before(&heap[w], &heap[a]))
+            w = a;
+        if (b < n && ranks_before(&heap[w], &heap[b]))
+            w = b;
+        if (w == i)
+            return;
+        const ranked_t tmp = heap[i];
+        heap[i] = heap[w];
+        heap[w] = tmp;
+        i = w;
+    }
+}
+
+/* The top k (<= MAX_SYMBOLS) merged candidates in rank order into
+ * grams/lens; returns how many. */
+static int top_candidates(train_t *T, int k, uint64_t *grams, uint8_t *lens)
+{
+    const counter_t *c = &T->merged;
+    ranked_t *heap = T->heap;
+    int n = 0;
+    for (int64_t i = 0; i < c->n; i++) {
+        const cand_t *e = &c->cands[i];
+        const ranked_t x = {(int64_t)e->cnt * e->len, e->gram, e->len};
+        if (n < k) {
+            int j = n++; /* sift up */
+            while (j > 0 && ranks_before(&heap[(j - 1) / 2], &x)) {
+                heap[j] = heap[(j - 1) / 2];
+                j = (j - 1) / 2;
+            }
+            heap[j] = x;
+        } else if (ranks_before(&x, &heap[0])) {
+            heap[0] = x;
+            heap_sift_down(heap, n, 0);
+        }
+    }
+    for (int i = n - 1; i > 0; i--) { /* heap sort: last-ranked to the end */
+        const ranked_t last = heap[0];
+        heap[0] = heap[i];
+        heap[i] = last;
+        heap_sift_down(heap, i, 0);
+    }
+    for (int i = 0; i < n; i++) {
+        grams[i] = heap[i].gram;
+        lens[i] = (uint8_t)heap[i].len;
+    }
+    return n;
+}
+
+static pthread_key_t train_key;
+static pthread_once_t train_key_once = PTHREAD_ONCE_INIT;
+
+static void train_free(void *p)
+{
+    train_t *T = p;
+    free(T->merged.slots);
+    free(T->merged.cands);
+    free(T);
+}
+
+static void train_key_init(void)
+{
+    pthread_key_create(&train_key, train_free);
+}
+
+/* Train a symbol table on rows[data, offsets] over `generations`
+ * generations. Writes the symbols in code order as little-endian grams
+ * (zero past the symbol's length) and lengths into max_symbols slots
+ * each. Returns the symbol count, -1 out of memory, or -2 when
+ * max_symbols is not in 1..MAX_SYMBOLS. */
+int64_t fsst_train(const uint8_t *data, const int64_t *offsets,
+                   int64_t n_rows, int generations, int max_symbols,
+                   uint64_t *out_grams, uint8_t *out_lens)
+{
+    if (max_symbols < 1 || max_symbols > MAX_SYMBOLS)
+        return -2;
+    if (n_rows <= 0)
+        return 0;
+    pthread_once(&train_key_once, train_key_init);
+    train_t *T = pthread_getspecific(train_key);
+    if (!T) {
+        T = calloc(1, sizeof *T);
+        if (!T || pthread_setspecific(train_key, T)) {
+            free(T);
+            return -1;
+        }
+    }
+    int n_sym = 0;
+    for (int gen = 0; gen < generations; gen++) {
+        const lookup_t t = build_lookup(T, out_grams, out_lens, n_sym);
+        count_ids(data, offsets, n_rows, T, &t);
+        clear_short(T, out_grams, out_lens, n_sym);
+        if (merge_ids(T, out_grams, out_lens, n_sym))
+            return -1;
+        n_sym = top_candidates(T, max_symbols, out_grams, out_lens);
+    }
+    return n_sym;
+}
 
 /* Decode payloads back to bytes.
  *  sym_bytes: 256 x 8 symbol byte matrix; sym_len: 256 lengths

@@ -50,7 +50,7 @@ import pyarrow.compute as pc
 from .. import fsstlib
 from ..codecs import CODECS
 from ..codecs.auto import select_codec
-from ..codecs.fsst import gather_rows
+from ..codecs.bitutil import gather_rows
 from ..stages.decode import _binary_buffers, _group_indices
 from ..stages.encode import payload_array
 from ..stages.text import string_buffers
@@ -455,7 +455,7 @@ def _sample_bytes(
     take = clipped[rows]
     k = int(np.searchsorted(np.cumsum(take), target)) + 1
     rows, take = rows[:k], take[:k]
-    return _gather_bytes(data, off[rows], take.astype(np.int64))
+    return gather_rows(data, off[rows], take.astype(np.int64))
 
 
 def _empty_payload(n: int) -> pa.Array:
@@ -955,19 +955,6 @@ def _parse_head(r: _Reader):
     return tc, unit, tz, n_block, valid, plain
 
 
-def _gather_bytes(
-    ddata: np.ndarray, starts: np.ndarray, lens: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized multi-row byte gather → (flat bytes, int64 offsets)."""
-    out_off = np.zeros(len(lens) + 1, dtype=np.int64)
-    np.cumsum(lens, out=out_off[1:])
-    tot = int(out_off[-1])
-    if tot == 0:
-        return np.zeros(0, dtype=np.uint8), out_off
-    pos = np.arange(tot, dtype=np.int64) - np.repeat(out_off[:-1], lens)
-    return ddata[np.repeat(starts, lens) + pos], out_off
-
-
 def _binary_from(
     data: np.ndarray, off: np.ndarray, valid_seg: np.ndarray | None
 ) -> pa.Array:
@@ -1144,7 +1131,7 @@ def _decode_segment(
     else:  # S_STRDICT
         _nd, doff, ddata, idx_blk = _strdict_reader(r, n_block)
         idx = _cached_block(env, idx_blk)[rowidx]
-        data, off = _gather_bytes(
+        data, off = gather_rows(
             ddata, doff[idx], (doff[idx + 1] - doff[idx]).astype(np.int64)
         )
         out = _binary_from(data, off, vseg)
@@ -1583,7 +1570,7 @@ def like_scan_mask(
                 gpay = pay_buf[pay_off[lo0] : pay_off[hi0]]
                 gpo = pay_off[lo0 : hi0 + 1] - pay_off[lo0]
             else:
-                gpay, gpo = _gather_bytes(
+                gpay, gpo = gather_rows(
                     pay_buf, pay_off[sel], pay_off[sel + 1] - pay_off[sel]
                 )
 
@@ -1595,7 +1582,7 @@ def like_scan_mask(
                 return bytes(fsstlib.escaped_literal_bitmap(_gpay, _gpo))
 
             def decode_fn(cidx, _gpay=gpay, _gpo=gpo, _table=table):
-                spay, spo = _gather_bytes(
+                spay, spo = gather_rows(
                     _gpay, _gpo[cidx], _gpo[cidx + 1] - _gpo[cidx]
                 )
                 dbuf, dof = fsstlib.decode(spay, spo, _table)
@@ -2094,11 +2081,11 @@ def group_count_batch(batch: pa.Table, column: str) -> pa.Table:
             if scheme == S_FSSTB:
                 table = fsstlib.cached_table(bytes(r.b32()))
                 lens = (pay_off[sel + 1] - pay_off[sel]).astype(np.int64)
-                dense, dpo = _gather_bytes(pay_buf, pay_off[sel], lens)
+                dense, dpo = gather_rows(pay_buf, pay_off[sel], lens)
                 data, off = fsstlib.decode(dense, dpo, table)
             else:  # S_PLAINB
                 lens = (pay_off[sel + 1] - pay_off[sel]).astype(np.int64)
-                data, off = _gather_bytes(pay_buf, pay_off[sel], lens)
+                data, off = gather_rows(pay_buf, pay_off[sel], lens)
             arr = _binary_from(data, off, vmask)
             vc = pc.value_counts(arr.cast(pa.large_binary()))
             for item in vc:
@@ -2194,10 +2181,10 @@ def _group_codes(
             lens = (pay_off[sel + 1] - pay_off[sel]).astype(np.int64)
             if scheme == S_FSSTB:
                 table = fsstlib.cached_table(bytes(r.b32()))
-                dense, dpo = _gather_bytes(pay_buf, pay_off[sel], lens)
+                dense, dpo = gather_rows(pay_buf, pay_off[sel], lens)
                 data, off = fsstlib.decode(dense, dpo, table)
             else:  # S_PLAINB
-                data, off = _gather_bytes(pay_buf, pay_off[sel], lens)
+                data, off = gather_rows(pay_buf, pay_off[sel], lens)
             de = _binary_from(data, off, None).dictionary_encode()
             lut = np.empty(len(de.dictionary), dtype=np.int64)
             for j, v in enumerate(de.dictionary):

@@ -12,6 +12,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import fsstlib
+from ..codecs.bitutil import gather_rows
 
 
 def string_buffers(arr) -> tuple[np.ndarray, np.ndarray]:
@@ -39,13 +40,9 @@ def encode_text_table(
         n_rows = len(offsets) - 1
         stride = max(1, int(np.ceil(data.size / (1 << 16))))
         rows = np.arange(0, n_rows, stride)
-        counts = np.diff(offsets)[rows]
-        so = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=so[1:])
-        sample_data = np.empty(int(so[-1]), dtype=np.uint8)
-        for k, r in enumerate(rows):
-            sample_data[so[k] : so[k + 1]] = data[offsets[r] : offsets[r + 1]]
-        sample_off = so
+        sample_data, sample_off = gather_rows(
+            data, offsets[rows], np.diff(offsets)[rows]
+        )
     table = fsstlib.train(sample_data, sample_off)
     buf, po = fsstlib.encode(data, offsets, table)
     n = batch.num_rows

@@ -124,6 +124,31 @@ def test_selector_picks_sane_codecs():
         _roundtrip(CODECS[name], rows)
 
 
+def test_screen_cache_contender_gets_its_own_table():
+    """A screened codec whose screen ran on a sibling window's cached
+    table is re-estimated on its own window even when that window is no
+    larger than the screen sample — otherwise the sibling's table would be
+    returned as this window's state."""
+    from fsst_like_ray.codecs.auto import SCREEN_TOKENS
+
+    rng = np.random.default_rng(0)
+
+    def window(n_rows, row_len, vocab):
+        v = rng.choice(vocab, size=n_rows * row_len).astype(np.int32)
+        return v, np.arange(n_rows + 1, dtype=np.int64) * row_len
+
+    big = window(200, 200, np.arange(1, 40))
+    small = window(80, 200, np.arange(1, 48))
+    assert big[1][-1] > SCREEN_TOKENS >= small[1][-1]
+    names = ["plain", "fsst"]
+    cache: dict = {}
+    select_codec(*big, names, screen_cache=cache)
+    assert "fsst" in cache
+    got = select_codec(*small, names, screen_cache=cache)
+    assert got == select_codec(*small, names)
+    assert got[0] == "fsst"
+
+
 def test_full_block_estimates_are_calibrated():
     """The selector's FULL-BLOCK estimates must be honest: for realistic
     mixed-content blocks, every codec's estimate lands within 15% of its

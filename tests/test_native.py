@@ -24,9 +24,9 @@ def _numpy_encode(data, off, table):
     return out, out_off[first_emit].astype(np.int64)
 
 
-@pytest.mark.skipif(native.lib is None, reason="no C compiler")
-@pytest.mark.parametrize("seed", range(6))
-def test_native_encode_decode_bit_identical(seed):
+def _random_rows(seed):
+    """(data, offsets): up to 500 rows of 0-399 bytes, in one of three
+    modes by seed: random bytes, a small alphabet with 0xFF, all 0xFF."""
     rng = np.random.default_rng(seed)
     n_rows = int(rng.integers(1, 500))
     lens = rng.integers(0, 400, n_rows)
@@ -42,7 +42,94 @@ def test_native_encode_decode_bit_identical(seed):
         )
     else:
         data = np.full(total, 255, dtype=np.uint8)
-    data = np.ascontiguousarray(data)
+    return np.ascontiguousarray(data), off
+
+
+def _rows(rows):
+    off = np.zeros(len(rows) + 1, dtype=np.int64)
+    off[1:] = np.cumsum([len(r) for r in rows])
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).copy(), off
+
+
+def _trainer_case(case):
+    rng = np.random.default_rng(11)
+    words = [b"merge", b"sort", b"scan", b"the fast key", b"\xffhash"]
+    if case.startswith("random"):
+        return _random_rows(int(case[len("random"):]))
+    if case == "empty":
+        return np.zeros(0, dtype=np.uint8), np.array([0], dtype=np.int64)
+    if case == "one_byte":
+        return _rows([b"x"])
+    if case == "long_rows":  # several 256-byte segment restarts per row
+        return _rows(
+            [b" ".join(rng.choice(words, size=300)) for _ in range(20)]
+        )
+    if case == "empty_rows_between":
+        return _rows([b"", b"merge sort", b"", b"", b"the fast key", b""] * 40)
+    if case == "all_ff_rows":
+        return _rows([b"\xff" * int(n) for n in rng.integers(0, 700, 60)])
+    if case == "int32_tokens":
+        toks = (rng.zipf(1.3, 20_000) % 50_000).astype(np.int32)
+        off = np.arange(0, 20_001, 100, dtype=np.int64)
+        return toks.view(np.uint8), off * 4
+    if case == "pairs_across_rows":  # "ab" occurs only across a row bound
+        return _rows([b"a", b"b"] * 500)
+    if case == "offset_base":  # rows start past the buffer's first byte
+        data, off = _rows([b"junk"] + [b"scan merge"] * 50)
+        return data, off[1:]
+    raise ValueError(case)
+
+
+TRAINER_CASES = [f"random{s}" for s in range(6)] + [
+    "empty", "one_byte", "long_rows", "empty_rows_between", "all_ff_rows",
+    "int32_tokens", "pairs_across_rows", "offset_base",
+]
+
+
+@pytest.mark.skipif(native.lib is None, reason="no C compiler")
+@pytest.mark.parametrize("case", TRAINER_CASES)
+def test_native_train_matches_numpy(case, monkeypatch):
+    """The one-call C trainer and the NumPy generations must produce the
+    same symbols in the same code order — every store byte depends on it —
+    and the C encoder must match the NumPy one under that table."""
+    data, off = _trainer_case(case)
+    table = fsstlib.train(data, off)
+    if data.size:
+        b_c, po_c = native.encode(data, off, table)
+        b_np, po_np = _numpy_encode(data, off, table)
+        assert bytes(b_c) == bytes(b_np)
+        assert np.array_equal(po_c, po_np)
+    monkeypatch.setattr(native, "lib", None)
+    assert table.symbols == fsstlib.train(data, off).symbols
+    if case == "pairs_across_rows":
+        assert b"ab" in table.symbols
+
+
+def test_native_build_failure_is_visible(tmp_path, monkeypatch):
+    """A failed build leaves ``lib`` None (the NumPy fallback), keeps the
+    reason in ``build_error`` and warns once per process, not per load."""
+    import shutil
+
+    bad = tmp_path / "broken.c"
+    bad.write_text("this is not C\n")
+    monkeypatch.setattr(native, "_SRC", str(bad))
+    monkeypatch.setattr(native, "lib", native.lib)
+    monkeypatch.setattr(native, "build_error", native.build_error)
+    monkeypatch.setattr(native, "_warned", False)
+    with pytest.warns(RuntimeWarning, match="NumPy fallback") as rec:
+        native._load()
+        native._load()
+    assert len(rec) == 1
+    assert native.lib is None
+    assert native.build_error
+    if shutil.which("cc"):  # the compiler's own message is kept
+        assert "broken.c" in native.build_error
+
+
+@pytest.mark.skipif(native.lib is None, reason="no C compiler")
+@pytest.mark.parametrize("seed", range(6))
+def test_native_encode_decode_bit_identical(seed):
+    data, off = _random_rows(seed)
     table = fsstlib.train(data, off)
 
     b_np, po_np = _numpy_encode(data, off, table)
