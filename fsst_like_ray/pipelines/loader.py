@@ -4,7 +4,9 @@ The final mile of the engine: a training job consumes the encoded store as
 a stream of token-budgeted batches of WHOLE sequences (fairseq-style
 ``max_tokens`` dynamic batching — documents are never split; splitting to
 fixed length is :mod:`..functions.packing`'s job). Serves BOTH store
-formats through one API: the per-column table store (compress_table) and
+formats through one API: the per-column table store (compress_table),
+whose parts carry seek sidecars with the plain per-row ``n_tok`` (the
+paper's stored row offsets: a position is metadata, never a scan), and
 the flagship encoded-token corpus (compress_dataset), whose plain n_tok
 column makes the planning pass a bare parquet column read. Guarantees:
 
@@ -15,8 +17,10 @@ column makes the planning pass a bare parquet column read. Guarantees:
 - **Fragment-aligned**: batches never cross fragment boundaries, so batch
   counts are per-fragment-local and the global step index is a cumulative
   sum over the manifest — a resume SEEKS: fragments wholly before
-  ``start_step`` are never opened, and the plan pass itself reads ONLY the
-  encoded token-count column (a few bytes per row), never the payloads.
+  ``start_step`` are never opened, and the plan pass reads only the
+  manifest plus the per-row lengths (the seek sidecars of a table store;
+  the parquet ``n_tok`` column of the corpus format and of table stores
+  written before sidecars), never the payloads.
 - **Data-parallel**: ``rank``/``world_size`` shard whole fragments
   round-robin (deterministic by the same fragment order); each rank owns a
   disjoint fragment subset and numbers its own steps 0..N_r. Shard balance
@@ -42,14 +46,16 @@ caller chose the budget; dropping data silently would be worse) — the
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..state.manifest import Manifest
 from .columnar import _encoded_field_names, decode_columns_batch
-from .tablestore import _fragment_parts
+from .tablestore import N_TOK_COL, SOURCE_COL, _fragment_parts, seek_path
 
 
 def _parts_in_order(store_dir: str, frag_key: str, fmt: str) -> list[str]:
@@ -100,15 +106,8 @@ def greedy_boundaries(
     return np.asarray(bounds, dtype=np.int64)
 
 
-def _ordered_fragments(
-    store_dir: str, rank: int, world_size: int, epoch=None
-) -> list:
-    recs = Manifest(store_dir).completed()
-    if not recs:
-        raise FileNotFoundError(
-            f"loader: no committed fragments under {store_dir!r}"
-        )
-    ordered = sorted(recs.values(), key=lambda r: r["fragment"])
+def _ordered_fragments(recs: list, rank: int, world_size: int, epoch=None):
+    ordered = sorted(recs, key=lambda r: r["fragment"])
     ordered = [r for r in ordered if int(r.get("rows", 0)) > 0]
     if epoch is not None:
         from ..functions.shuffle import epoch_key
@@ -125,13 +124,15 @@ def _ordered_fragments(
     return ordered[rank::world_size]
 
 
-def _store_format(store_dir: str) -> str:
+def _store_format(store_dir: str, recs: list) -> str:
     """'table' (compress_table per-column store) or 'corpus' (the flagship
     compress_dataset encoded-token store, whose rows carry their own
-    codec/state/payload and keep n_tok as a PLAIN column — so planning
-    reads it without touching payloads). Detected once from any part's
-    schema."""
-    for rec in Manifest(store_dir).completed().values():
+    codec/state/payload and keep n_tok as a PLAIN column). A seek record
+    settles it without a file open (only table stores write sidecars);
+    otherwise one part's schema decides."""
+    if any(r.get("seek") for r in recs):
+        return "table"
+    for rec in recs:
         parts = _parts_in_order(store_dir, rec["frag_key"], "corpus")
         if parts:
             names = pq.read_schema(parts[0]).names
@@ -169,22 +170,64 @@ def _read_fragment(
     return pa.concat_tables(dec)
 
 
+# sidecars are a few KB: decompressing on the calling thread beats a
+# thread-pool hand-off; without keep_sources only n_tok (field 0) decodes
+_SEEK_READ = {
+    False: pa.ipc.IpcReadOptions(use_threads=False, included_fields=[0]),
+    True: pa.ipc.IpcReadOptions(use_threads=False),
+}
+
+
+def _read_sidecar(path: str, opts) -> pa.Table:
+    # one plain read + an in-memory IPC reader is ~40% cheaper than
+    # opening the file through Arrow's I/O layer
+    with open(path, "rb") as f:
+        buf = pa.py_buffer(f.read())
+    return pa.ipc.open_file(buf, options=opts).read_all()
+
+
+def _read_seek(store_dir: str, rec: dict, with_source: bool) -> pa.Table:
+    """A seek fragment's plan columns from its part sidecars alone. The
+    sidecars must account for exactly the committed rows: a damaged index
+    raises rather than silently becoming a different plan."""
+    parts = _fragment_parts(os.path.join(store_dir, "data"), rec["frag_key"])
+    opts = _SEEK_READ[with_source]
+    t = pa.concat_tables(_read_sidecar(seek_path(p), opts) for p in parts)
+    if t.num_rows != int(rec["rows"]):
+        raise ValueError(
+            f"loader: seek sidecars of fragment {rec['frag_key']} "
+            f"({rec['fragment']!r}) hold {t.num_rows} rows, the manifest "
+            f"records {rec['rows']}"
+        )
+    return t
+
+
+# table stores already warned about planning from parquet (once per store)
+_PARQUET_PLAN_WARNED: set[str] = set()
+
+
 def plan_training_batches(
     store_dir: str,
     batch_tokens: int,
-    n_tok_col: str = "n_tok",
     rank: int = 0,
     world_size: int = 1,
     epoch: tuple[int, int] | None = None,
     batch_rows: int | None = None,
-    parallel: bool | None = None,
     order: str = "store",
     keep_sources: "list[str] | None" = None,
 ) -> list[dict]:
     """The seek index: per owned fragment (in order), the greedy batch
-    boundaries — computed from the encoded ``n_tok_col`` ALONE (plus the
-    plain ``source`` column when ``keep_sources`` filters). Returns
-    [{"frag_key", "fragment", "first_step", "boundaries"}, ...].
+    boundaries — computed from the per-row ``n_tok`` lengths ALONE (plus
+    ``source`` when ``keep_sources`` filters). Returns [{"frag_key",
+    "fragment", "first_step", "boundaries", "params", "format"}, ...].
+
+    One manifest read per call. A table-store fragment committed with
+    ``"seek"`` plans from its parts' seek sidecars (a few bytes per row,
+    no parquet open); other table-store fragments (stores written before
+    sidecars existed) decode ``n_tok`` from the parquet parts, and a
+    RuntimeWarning says so once per store. The corpus format keeps n_tok
+    as a plain parquet column and plans from it. Plans are identical
+    either way.
 
     ``keep_sources``: serve only rows whose ``source`` is in the list —
     the domain-ablation shape (train without one source) WITHOUT
@@ -192,14 +235,6 @@ def plan_training_batches(
     subset per fragment), payloads of dropped rows never decode, and it
     composes with every ``order`` mode (length/shuffle act on the kept
     subset).
-
-    ``parallel``: fan the per-fragment n_tok reads out as Ray tasks (the
-    boundaries are per-fragment-local, so the plan parallelizes perfectly;
-    only (frag_key, boundaries) rows return to the driver). Default None =
-    auto: parallel when a Ray session is live and the rank owns more than
-    32 fragments — at 100 TB the plan is otherwise an O(#fragments)
-    sequential scan standing between a restart and its first batch.
-    Results are bit-identical either way.
 
     ``order``: "store" (default) packs rows in store order; "length"
     stably sorts each fragment's rows by n_tok first, so batches hold
@@ -218,10 +253,14 @@ def plan_training_batches(
         )
     if not 0 <= rank < world_size:
         raise ValueError(f"rank {rank} not in [0, {world_size})")
-    fmt = _store_format(store_dir)
+    all_recs = list(Manifest(store_dir).completed().values())
+    if not all_recs:
+        raise FileNotFoundError(
+            f"loader: no committed fragments under {store_dir!r}"
+        )
+    fmt = _store_format(store_dir, all_recs)
     params = {
         "batch_tokens": batch_tokens,
-        "n_tok_col": n_tok_col,
         "rank": rank,
         "world_size": world_size,
         "epoch": tuple(epoch) if epoch is not None else None,
@@ -231,19 +270,20 @@ def plan_training_batches(
             tuple(sorted(keep_sources)) if keep_sources is not None else None
         ),
     }
-    recs = _ordered_fragments(store_dir, rank, world_size, epoch)
+    recs = _ordered_fragments(all_recs, rank, world_size, epoch)
+    cols = [N_TOK_COL] + ([SOURCE_COL] if keep_sources is not None else [])
 
-    def frag_bounds(frag_key: str):
-        cols = [n_tok_col] + (["source"] if keep_sources is not None else [])
-        frag = _read_fragment(store_dir, frag_key, cols, fmt)
-        nt = frag[n_tok_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def frag_bounds(rec: dict):
+        if rec.get("seek"):
+            frag = _read_seek(store_dir, rec, keep_sources is not None)
+        else:
+            frag = _read_fragment(store_dir, rec["frag_key"], cols, fmt)
+        nt = frag[N_TOK_COL].to_numpy().astype(np.int64)
         row_order = None
         if keep_sources is not None:
-            src = frag["source"]
-            if isinstance(src, pa.ChunkedArray):
-                src = src.combine_chunks()
-            m = pa.compute.is_in(
-                src, value_set=pa.array(sorted(keep_sources))
+            m = pc.is_in(
+                frag[SOURCE_COL].combine_chunks(),
+                value_set=pa.array(sorted(keep_sources)),
             ).to_numpy(zero_copy_only=False)
             row_order = np.flatnonzero(m).astype(np.int64)
             nt = nt[row_order]
@@ -257,57 +297,38 @@ def plan_training_batches(
             seed, ep = epoch if epoch is not None else (0, 0)
             # mix the fragment id into the seed so every fragment gets an
             # independent (but reproducible) permutation
-            fid = int(frag_key, 16) & ((1 << 31) - 1)
+            fid = int(rec["frag_key"], 16) & ((1 << 31) - 1)
             keys = epoch_key(
                 np.arange(len(nt), dtype=np.int64), seed ^ fid, ep
             )
-            sub = np.lexsort(
-                (np.arange(len(nt), dtype=np.int64), keys)
-            ).astype(np.int64)
+            # stable: equal keys keep row order (== lexsort by (key, row))
+            sub = np.argsort(keys, kind="stable").astype(np.int64)
             row_order = sub if row_order is None else row_order[sub]
             nt = nt[sub]
         return greedy_boundaries(nt, batch_tokens, batch_rows), row_order
 
-    if parallel is None or parallel:
-        try:
-            import ray
-
-            ray_ok = ray.is_initialized()
-        except ImportError:
-            ray_ok = False
-        if parallel and not ray_ok:
-            raise RuntimeError(
-                "plan_training_batches(parallel=True) needs a live Ray "
-                "session"
+    if fmt == "table" and not all(r.get("seek") for r in recs):
+        key = os.path.abspath(store_dir)
+        if key not in _PARQUET_PLAN_WARNED:
+            _PARQUET_PLAN_WARNED.add(key)
+            warnings.warn(
+                f"loader: {store_dir!r} has fragments without seek "
+                "sidecars; planning them from the parquet parts (slower). "
+                "Compact or transcode the store to add sidecars.",
+                RuntimeWarning,
+                stacklevel=2,
             )
-        parallel = ray_ok and (parallel or len(recs) > 32)
-    all_bounds: list[np.ndarray]
-    if parallel:
-        import ray
-
-        @ray.remote
-        def chunk_bounds(keys: list[str]):
-            return [frag_bounds(k) for k in keys]
-
-        keys = [r["frag_key"] for r in recs]
-        step_n = max(1, (len(keys) + 127) // 128)  # ≤128 tasks per plan
-        refs = [
-            chunk_bounds.remote(keys[i : i + step_n])
-            for i in range(0, len(keys), step_n)
-        ]
-        all_bounds = [b for chunk in ray.get(refs) for b in chunk]
-    else:
-        all_bounds = [frag_bounds(r["frag_key"]) for r in recs]
-
     plan = []
     step = 0
-    for rec, (bounds, row_order) in zip(recs, all_bounds):
+    for rec in recs:
+        bounds, row_order = frag_bounds(rec)
         ent = {
             "frag_key": rec["frag_key"],
             "fragment": rec["fragment"],
             "first_step": step,
             "boundaries": bounds,
             "params": params,
+            "format": fmt,
         }
         if row_order is not None:
             ent["row_order"] = row_order
@@ -343,7 +364,6 @@ def iter_training_batches(
     batch_tokens: int,
     columns=("doc_id", "tokens"),
     tokens_col: str = "tokens",
-    n_tok_col: str = "n_tok",
     start_step: int = 0,
     rank: int = 0,
     world_size: int = 1,
@@ -360,8 +380,9 @@ def iter_training_batches(
     "tokens" (flat int32), "row_offsets" (int64, len n_rows+1),
     <id column arrays>}``. ``start_step`` resumes mid-stream: fragments
     whose batches all precede it are skipped via the plan (their payloads
-    never decode). Pass a precomputed ``plan`` to skip even the n_tok
-    planning pass on restart.
+    never decode). The store's manifest is read once, by the plan, which
+    also records the store format; pass a precomputed ``plan`` to skip
+    even that on restart.
 
     ``prefetch`` (default on): fragment k+1's read+decode runs on ONE
     background thread while k's batches serve, bounded at one in-flight
@@ -370,8 +391,8 @@ def iter_training_batches(
     are bit-identical with it off."""
     if plan is None:
         plan = plan_training_batches(
-            store_dir, batch_tokens, n_tok_col, rank, world_size, epoch,
-            batch_rows, order=order, keep_sources=keep_sources,
+            store_dir, batch_tokens, rank, world_size, epoch, batch_rows,
+            order=order, keep_sources=keep_sources,
         )
     elif plan:
         # a plan is a pure function of (store, these params): a reused plan
@@ -379,7 +400,6 @@ def iter_training_batches(
         # wrong order or the wrong shard — refuse instead
         want = {
             "batch_tokens": batch_tokens,
-            "n_tok_col": n_tok_col,
             "rank": rank,
             "world_size": world_size,
             "epoch": tuple(epoch) if epoch is not None else None,
@@ -409,7 +429,7 @@ def iter_training_batches(
     cols = list(columns)
     if tokens_col not in cols:
         cols.append(tokens_col)
-    fmt = _store_format(store_dir)
+    fmt = plan[0]["format"] if plan else None
     ents = [
         ent
         for ent in plan

@@ -11,9 +11,15 @@ Layout under ``out_dir``:
   directory per INPUT fragment (resume skips finished fragments
   wholesale), one part per row-group SPEC so a multi-GB fragment
   encodes as many parallel tasks, not one straggler.
+- ``data/frag=<key>/part-<rg0:06d>.seek`` — the part's seek sidecar,
+  written only when the input has an integer ``n_tok`` column: an Arrow
+  IPC file (zstd) holding the plain ``n_tok`` values and, when present,
+  ``source`` as a dictionary column — the per-row lengths the training
+  loader plans from without opening the parquet part (pipelines/loader.py).
 - ``_manifest/<key>.json`` — lineage: input fragment, rows, per-column
   plain/encoded bytes and the scheme histogram, committed atomically
   AFTER the fragment's data is fully written (state/manifest.py).
+  ``"seek": 1`` marks a fragment whose every part has a sidecar.
 
 Each fragment encodes in row-group-sized batches through ONE streaming
 ParquetFile reader and ONE ParquetWriter — peak memory per task is a
@@ -23,11 +29,13 @@ single batch, never the fragment.
 from __future__ import annotations
 
 import base64
+import json
 import os
 import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..state.manifest import Manifest, fragment_key
@@ -64,6 +72,64 @@ _TRI_K = 4
 # negatives) — worst case is the zones-only behavior, never a wrong prune.
 INT_BLOOM_BYTES = (1 << 13) + 8  # +8: never equal to TRI_BLOOM_BYTES
 _INT_K = 4
+
+# Seek sidecar schema: the row-length column the loader plans batches
+# from, and the optional domain column its ``keep_sources`` filters on.
+N_TOK_COL = "n_tok"
+SOURCE_COL = "source"
+
+
+def seek_path(part: str) -> str:
+    """The seek sidecar path of a ``part-*.parquet`` file."""
+    return part[: -len(".parquet")] + ".seek"
+
+
+def _write_seek(part: str, n_tok: list, source: list) -> None:
+    """Write ``part``'s sidecar from per-batch ``n_tok`` chunks and (when
+    the input has one) dictionary-encoded ``source`` chunks, tmp + rename
+    so a crash never leaves a truncated sidecar under the final name."""
+    cols = {N_TOK_COL: pa.chunked_array(n_tok).combine_chunks()}
+    if source:
+        # combine_chunks unifies the per-batch dictionaries
+        cols[SOURCE_COL] = pa.chunked_array(source).combine_chunks()
+    t = pa.table(cols)
+    path = seek_path(part)
+    tmp = path + ".tmp"
+    opts = pa.ipc.IpcWriteOptions(compression="zstd")
+    with pa.ipc.new_file(tmp, t.schema, options=opts) as w:
+        w.write_table(t)
+    os.replace(tmp, path)
+
+
+def _remove_part(part: str) -> None:
+    """Delete a part with its sidecar (and a half-written sidecar)."""
+    for p in (part, seek_path(part), seek_path(part) + ".tmp"):
+        if os.path.exists(p):
+            os.remove(p)
+
+
+def _copy_part(src: str, dst: str) -> bool:
+    """Byte-copy one encoded part (size-verified) and its seek sidecar, if
+    any, under the matching name. Returns whether a sidecar came along."""
+    pairs = [(src, dst)]
+    if os.path.exists(seek_path(src)):
+        pairs.append((seek_path(src), seek_path(dst)))
+    for a, b in pairs:
+        shutil.copy2(a, b)
+        if os.path.getsize(b) != os.path.getsize(a):
+            raise IOError(f"copy size mismatch: {a!r} -> {b!r}")
+    return len(pairs) == 2
+
+
+def _copy_parts(src_data: str, rec: dict, fdir: str) -> bool:
+    """Copy a committed fragment's parts verbatim (same names) into
+    ``fdir``. True when the copy keeps the record's seek guarantee: the
+    source record had ``"seek"`` and every part brought its sidecar."""
+    seek = bool(rec.get("seek"))
+    for part in _fragment_parts(src_data, rec["frag_key"]):
+        dst = os.path.join(fdir, os.path.basename(part))
+        seek = _copy_part(part, dst) and seek
+    return seek
 
 
 def _intkey_accumulate(blooms: dict, t: pa.Table) -> None:
@@ -228,7 +294,9 @@ def _encode_fragment(
     one encoded part file + a stats dict. ``transform`` (optional) maps
     each read batch before encoding — the transcode path passes
     decode_columns_batch so an already-encoded partition re-encodes
-    through the same write/zero-row/cleanup path."""
+    through the same write/zero-row/cleanup path. A table with an integer
+    ``n_tok`` column also gets the part's seek sidecar (``stats["seek"]``
+    says whether it did)."""
     os.makedirs(fdir, exist_ok=True)
     pf = pq.ParquetFile(path)
     writer = None
@@ -238,7 +306,22 @@ def _encode_fragment(
     tri: dict[str, np.ndarray] = {}  # string column -> trigram bloom
     ndv: dict[str, np.ndarray] = {}  # int/string column -> HLL registers
     nulls: dict[str, int] = {}  # column -> null count
+    seek = None  # (n_tok chunks, source chunks) when the input has n_tok
     n_rows = 0
+
+    def add_seek(t: pa.Table) -> None:
+        nonlocal seek
+        if N_TOK_COL not in t.column_names or not pa.types.is_integer(
+            t.schema.field(N_TOK_COL).type
+        ):
+            return
+        if seek is None:
+            seek = ([], [])
+        seek[0].append(t[N_TOK_COL].combine_chunks())
+        if SOURCE_COL in t.column_names:
+            src = pc.dictionary_encode(t[SOURCE_COL])
+            seek[1].append(src.combine_chunks())
+
     try:
         batches = (
             pf.iter_batches(batch_size=batch_rows)
@@ -254,6 +337,7 @@ def _encode_fragment(
                 writer = pq.ParquetWriter(out_path, enc.schema)
             writer.write_table(enc)
             n_rows += t.num_rows
+            add_seek(t)
             for r in columnar_stats_batch(enc).to_pylist():
                 a = acc.setdefault(r["column"], [0, 0, set()])
                 a[0] += int(r["plain_nbytes"])
@@ -272,18 +356,21 @@ def _encode_fragment(
             enc = encode_columns_batch(t, codec_names, spec)
             writer = pq.ParquetWriter(out_path, enc.schema)
             writer.write_table(enc)
+            add_seek(t)
         writer.close()
+        if seek is not None:
+            _write_seek(out_path, *seek)
     except BaseException:
-        # never leave a VALID-LOOKING parquet footer behind a failed
-        # fragment — delete the partial so only the manifest gate decides
-        # what counts as data
+        # never leave a VALID-LOOKING parquet footer (or its sidecar)
+        # behind a failed fragment — delete the partial so only the
+        # manifest gate decides what counts as data
         if writer is not None:
             writer.close()
-        if os.path.exists(out_path):
-            os.remove(out_path)
+        _remove_part(out_path)
         raise
     return {
         "rows": n_rows,
+        "seek": seek is not None,
         "plain_bytes": sum(a[0] for a in acc.values()),
         "encoded_bytes": sum(a[1] for a in acc.values()),
         "columns": {
@@ -337,8 +424,88 @@ _STATS_SCHEMA = pa.schema(
         ("tri_json", pa.string()),
         ("ndv_json", pa.string()),
         ("nulls_json", pa.string()),
+        ("seek", pa.bool_()),
     ]
 )
+
+
+def _empty_stats() -> dict:
+    return {
+        "rows": 0, "plain_bytes": 0, "encoded_bytes": 0,
+        "columns": {}, "zones": {}, "trigrams": {}, "ndv": {},
+        "nulls": {}, "seek": True,
+    }
+
+
+def _add_stats(dst: dict, st: dict) -> None:
+    """Accumulate one part's (or fragment record's) lineage into ``dst``:
+    row/byte sums, zone envelopes, OR-ed blooms, MAX-ed NDV registers and
+    null counts — each merged statistic stays exact. ``seek`` stays true
+    only while every merged part had a sidecar."""
+    dst["rows"] += int(st["rows"])
+    dst["plain_bytes"] += int(st.get("plain_bytes", 0))
+    dst["encoded_bytes"] += int(st.get("encoded_bytes", 0))
+    _merge_column_stats(dst["columns"], st.get("columns") or {})
+    _merge_zones(dst["zones"], st.get("zones") or {})
+    _merge_tri(dst["trigrams"], st.get("trigrams") or {})
+    _merge_ndv(dst["ndv"], st.get("ndv") or {})
+    for c, nc in (st.get("nulls") or {}).items():
+        dst["nulls"][c] = dst["nulls"].get(c, 0) + int(nc)
+    dst["seek"] = dst["seek"] and bool(st.get("seek"))
+
+
+def _stats_row(fragment: str, frag_key: str, stats: dict) -> dict:
+    """A stats dict → one _STATS_SCHEMA row (the per-column dicts travel
+    through Ray Data as JSON)."""
+    return {
+        "fragment": fragment,
+        "frag_key": frag_key,
+        "rows": stats["rows"],
+        "plain_bytes": stats["plain_bytes"],
+        "encoded_bytes": stats["encoded_bytes"],
+        "columns_json": json.dumps(stats["columns"]),
+        "zones_json": json.dumps(stats["zones"]),
+        "tri_json": json.dumps(stats["trigrams"]),
+        "ndv_json": json.dumps(stats["ndv"]),
+        "nulls_json": json.dumps(stats["nulls"]),
+        "seek": stats["seek"],
+    }
+
+
+def _row_stats(r: dict) -> dict:
+    """The inverse of _stats_row, minus the fragment identity."""
+    return {
+        "rows": int(r["rows"]),
+        "plain_bytes": int(r["plain_bytes"]),
+        "encoded_bytes": int(r["encoded_bytes"]),
+        "columns": json.loads(r["columns_json"]),
+        "zones": json.loads(r["zones_json"]),
+        "trigrams": json.loads(r["tri_json"]),
+        "ndv": json.loads(r["ndv_json"]),
+        "nulls": json.loads(r["nulls_json"]),
+        "seek": bool(r["seek"]),
+    }
+
+
+def _stamp_seek(rec: dict) -> dict:
+    """Turn a record's boolean ``seek`` into the manifest flag: ``"seek":
+    1`` when every part of the fragment has a sidecar, else no key (so a
+    store without sidecars keeps its exact records)."""
+    if rec.pop("seek", False):
+        rec["seek"] = 1
+    return rec
+
+
+def _stats_record(r: dict, **lineage) -> dict:
+    """A _STATS_SCHEMA row → the fragment's manifest record."""
+    return _stamp_seek(
+        {
+            "fragment": r["fragment"],
+            "frag_key": r["frag_key"],
+            **_row_stats(r),
+            **lineage,
+        }
+    )
 
 
 def _part_rg0(name: str) -> int:
@@ -381,8 +548,6 @@ class _EncodeSpecsTask:
         self.spec = spec  # small dict; rides the task closure
 
     def __call__(self, ids: pa.Table) -> pa.Table:
-        import json
-
         import ray
 
         specs = ray.get(self.specs_ref)
@@ -400,20 +565,7 @@ class _EncodeSpecsTask:
                 ),
                 part_name=f"part-{s['rg0']:06d}.parquet",
             )
-            rows.append(
-                {
-                    "fragment": s["path"],
-                    "frag_key": s["frag"],
-                    "rows": stats["rows"],
-                    "plain_bytes": stats["plain_bytes"],
-                    "encoded_bytes": stats["encoded_bytes"],
-                    "columns_json": json.dumps(stats["columns"]),
-                    "zones_json": json.dumps(stats["zones"]),
-                    "tri_json": json.dumps(stats["trigrams"]),
-                    "ndv_json": json.dumps(stats["ndv"]),
-                    "nulls_json": json.dumps(stats["nulls"]),
-                }
-            )
+            rows.append(_stats_row(s["path"], s["frag"], stats))
         return pa.Table.from_pylist(rows, schema=_STATS_SCHEMA)
 
 
@@ -432,9 +584,9 @@ def compress_table(
     are never touched again); a fragment whose task died mid-write has no
     manifest record, its partial dir is cleared and rewritten. The rounds
     loop bounds driver-side state by fragments_per_round, never total job
-    size — the same 10^12-scale contract as compress.compress_dataset."""
-    import json
-
+    size — the same 10^12-scale contract as compress.compress_dataset.
+    A fragment whose every spec wrote a seek sidecar commits with
+    ``"seek": 1``."""
     import ray
     import ray.data
 
@@ -504,27 +656,12 @@ def compress_table(
                 {
                     "fragment": r["fragment"],
                     "frag_key": r["frag_key"],
-                    "rows": 0,
-                    "plain_bytes": 0,
-                    "encoded_bytes": 0,
-                    "columns": {},
-                    "zones": {},
-                    "trigrams": {},
-                    "ndv": {},
-                    "nulls": {},
+                    **_empty_stats(),
                     "n_specs": 0,
                 },
             )
-            m["rows"] += int(r["rows"])
-            m["plain_bytes"] += int(r["plain_bytes"])
-            m["encoded_bytes"] += int(r["encoded_bytes"])
+            _add_stats(m, _row_stats(r))
             m["n_specs"] += 1
-            _merge_column_stats(m["columns"], json.loads(r["columns_json"]))
-            _merge_zones(m["zones"], json.loads(r["zones_json"]))
-            _merge_tri(m["trigrams"], json.loads(r["tri_json"]))
-            _merge_ndv(m["ndv"], json.loads(r["ndv_json"]))
-            for c, nc in json.loads(r["nulls_json"]).items():
-                m["nulls"][c] = m["nulls"].get(c, 0) + int(nc)
         # a fragment commits only when EVERY one of its specs reported —
         # iterate EXPECTED so a fragment with zero returned rows raises too
         for key, n_expected in expected.items():
@@ -533,7 +670,7 @@ def compress_table(
                 raise RuntimeError(
                     f"compress_table: fragment {key} missing spec results"
                 )
-            manifest.commit(m)
+            manifest.commit(_stamp_seek(m))
     return manifest.stats()
 
 
@@ -1224,8 +1361,6 @@ def cluster_table_store(
     committed store refuses loudly (use a fresh out_dir); with no
     commits yet it simply re-sorts. ``rows_per_fragment`` bounds output
     fragment size (passed to the sorted parquet writer)."""
-    import json as _json
-
     import ray.data
 
     sorted_dir = os.path.join(out_dir, "_sorted")
@@ -1235,7 +1370,7 @@ def cluster_table_store(
     if os.path.exists(marker):
         with open(marker) as f:
             try:
-                have = _json.load(f)
+                have = json.load(f)
             except ValueError:
                 have = None
         stale = have != want
@@ -1256,7 +1391,7 @@ def cluster_table_store(
             sorted_dir, **wkw
         )
         with open(marker, "w") as f:
-            _json.dump(want, f)
+            json.dump(want, f)
     return compress_table(
         sorted_dir,
         out_dir,
@@ -1755,11 +1890,7 @@ def _transform_fragment(
     else:
         transform = decode_columns_batch
     src_parts = _fragment_parts(src_data, frag_key)
-    stats = {
-        "rows": 0, "plain_bytes": 0, "encoded_bytes": 0,
-        "columns": {}, "zones": {}, "trigrams": {}, "ndv": {},
-        "nulls": {},
-    }
+    stats = _empty_stats()
     written = []
     try:
         for part in src_parts:
@@ -1769,15 +1900,7 @@ def _transform_fragment(
                 transform=transform, part_name=name,
             )
             written.append(os.path.join(fdir, name))
-            stats["rows"] += st["rows"]
-            stats["plain_bytes"] += st["plain_bytes"]
-            stats["encoded_bytes"] += st["encoded_bytes"]
-            _merge_column_stats(stats["columns"], st["columns"])
-            _merge_zones(stats["zones"], st["zones"])
-            _merge_tri(stats["trigrams"], st["trigrams"])
-            _merge_ndv(stats["ndv"], st.get("ndv") or {})
-            for c, nc in st["nulls"].items():
-                stats["nulls"][c] = stats["nulls"].get(c, 0) + int(nc)
+            _add_stats(stats, st)
         if stats["rows"] != expect_rows:
             raise ValueError(
                 f"transcode row mismatch: {stats['rows']} vs lineage "
@@ -1811,8 +1934,7 @@ def _transform_fragment(
             raise ValueError("transcode verify count mismatch")
     except BaseException:
         for w in written:
-            if os.path.exists(w):
-                os.remove(w)
+            _remove_part(w)
         raise
     return stats
 
@@ -1837,8 +1959,6 @@ class _TranscodeTask:
         self.project = project
 
     def __call__(self, ids: pa.Table) -> pa.Table:
-        import json
-
         import ray
 
         recs = ray.get(self.recs_ref)
@@ -1857,20 +1977,7 @@ class _TranscodeTask:
                 derive=self.derive,
                 project=self.project,
             )
-            out.append(
-                {
-                    "fragment": rec["fragment"],
-                    "frag_key": key,
-                    "rows": stats["rows"],
-                    "plain_bytes": stats["plain_bytes"],
-                    "encoded_bytes": stats["encoded_bytes"],
-                    "columns_json": json.dumps(stats["columns"]),
-                    "zones_json": json.dumps(stats["zones"]),
-                    "tri_json": json.dumps(stats["trigrams"]),
-                    "ndv_json": json.dumps(stats["ndv"]),
-                    "nulls_json": json.dumps(stats["nulls"]),
-                }
-            )
+            out.append(_stats_row(rec["fragment"], key, stats))
         return pa.Table.from_pylist(out, schema=_STATS_SCHEMA)
 
 
@@ -2155,37 +2262,24 @@ def compact_table_store(
         fdir = os.path.join(dst_data, f"frag={key}")
         shutil.rmtree(fdir, ignore_errors=True)
         os.makedirs(fdir, exist_ok=True)
-        stats = {
-            "rows": 0, "plain_bytes": 0, "encoded_bytes": 0,
-            "columns": {}, "zones": {}, "trigrams": {}, "ndv": {},
-            "nulls": {},
-        }
+        stats = _empty_stats()
         part_i = 0
         for rec in grp:
             for part in _fragment_parts(src_data, rec["frag_key"]):
                 dstp = os.path.join(fdir, f"part-{part_i:06d}.parquet")
-                shutil.copy2(part, dstp)
-                if os.path.getsize(dstp) != os.path.getsize(part):
-                    raise ValueError(
-                        f"compact copy size mismatch for {part!r}"
-                    )
+                if not _copy_part(part, dstp):
+                    stats["seek"] = False
                 part_i += 1
-            stats["rows"] += int(rec["rows"])
-            stats["plain_bytes"] += int(rec.get("plain_bytes", 0))
-            stats["encoded_bytes"] += int(rec.get("encoded_bytes", 0))
-            _merge_column_stats(stats["columns"], rec.get("columns") or {})
-            _merge_zones(stats["zones"], rec.get("zones") or {})
-            _merge_tri(stats["trigrams"], rec.get("trigrams") or {})
-            _merge_ndv(stats["ndv"], rec.get("ndv") or {})
-            for c, nc in (rec.get("nulls") or {}).items():
-                stats["nulls"][c] = stats["nulls"].get(c, 0) + int(nc)
+            _add_stats(stats, rec)
         dst_manifest.commit(
-            {
-                "fragment": ident,
-                "frag_key": key,
-                **{k: v for k, v in stats.items()},
-                "compacted_from": members,
-            }
+            _stamp_seek(
+                {
+                    "fragment": ident,
+                    "frag_key": key,
+                    **stats,
+                    "compacted_from": members,
+                }
+            )
         )
         merged += 1
         reused += len(grp)
@@ -2221,11 +2315,7 @@ def _filter_fragment(
         return _decode_survivors(b, ~mask if negate else mask, None)
 
     src_parts = _fragment_parts(src_data, frag_key)
-    stats = {
-        "rows": 0, "plain_bytes": 0, "encoded_bytes": 0,
-        "columns": {}, "zones": {}, "trigrams": {}, "ndv": {},
-        "nulls": {},
-    }
+    stats = _empty_stats()
     written = []
     try:
         for part in src_parts:
@@ -2235,15 +2325,7 @@ def _filter_fragment(
                 transform=filt, part_name=name,
             )
             written.append(os.path.join(fdir, name))
-            stats["rows"] += st["rows"]
-            stats["plain_bytes"] += st["plain_bytes"]
-            stats["encoded_bytes"] += st["encoded_bytes"]
-            _merge_column_stats(stats["columns"], st["columns"])
-            _merge_zones(stats["zones"], st["zones"])
-            _merge_tri(stats["trigrams"], st["trigrams"])
-            _merge_ndv(stats["ndv"], st.get("ndv") or {})
-            for c, nc in st["nulls"].items():
-                stats["nulls"][c] = stats["nulls"].get(c, 0) + int(nc)
+            _add_stats(stats, st)
         src_filtered = (
             filt(pa.Table.from_batches([rb]))
             for p in src_parts
@@ -2259,8 +2341,7 @@ def _filter_fragment(
             raise ValueError("filter verify count mismatch")
     except BaseException:
         for w in written:
-            if os.path.exists(w):
-                os.remove(w)
+            _remove_part(w)
         raise
     return stats
 
@@ -2278,8 +2359,6 @@ class _FilterTask:
         self.batch_rows = batch_rows
 
     def __call__(self, ids: pa.Table) -> pa.Table:
-        import json
-
         import ray
 
         recs = ray.get(self.recs_ref)
@@ -2295,20 +2374,7 @@ class _FilterTask:
                 self.engine,
                 self.batch_rows,
             )
-            out.append(
-                {
-                    "fragment": rec["fragment"],
-                    "frag_key": key,
-                    "rows": stats["rows"],
-                    "plain_bytes": stats["plain_bytes"],
-                    "encoded_bytes": stats["encoded_bytes"],
-                    "columns_json": json.dumps(stats["columns"]),
-                    "zones_json": json.dumps(stats["zones"]),
-                    "tri_json": json.dumps(stats["trigrams"]),
-                    "ndv_json": json.dumps(stats["ndv"]),
-                    "nulls_json": json.dumps(stats["nulls"]),
-                }
-            )
+            out.append(_stats_row(rec["fragment"], key, stats))
         return pa.Table.from_pylist(out, schema=_STATS_SCHEMA)
 
 
@@ -2361,8 +2427,6 @@ def filter_table_store(
     skip on re-run; uncommitted partials clear first. ``stats_out``
     receives fragments_dropped / fragments_copied /
     fragments_rewritten."""
-    import json
-
     import ray
     import ray.data
 
@@ -2405,9 +2469,10 @@ def filter_table_store(
             fdir = os.path.join(dst_data, f"frag={rec['frag_key']}")
             shutil.rmtree(fdir, ignore_errors=True)
             os.makedirs(fdir, exist_ok=True)
-            for part in _fragment_parts(src_data, rec["frag_key"]):
-                shutil.copy2(part, os.path.join(fdir, os.path.basename(part)))
-            dst_manifest.commit({**rec, "filtered_from": src_out})
+            seek = _copy_parts(src_data, rec, fdir)
+            dst_manifest.commit(
+                _stamp_seek({**rec, "seek": seek, "filtered_from": src_out})
+            )
             copied += 1
         else:
             rewrite_recs.append(rec)
@@ -2438,21 +2503,7 @@ def filter_table_store(
             .take_all()
         )
         for r in rows:
-            dst_manifest.commit(
-                {
-                    "fragment": r["fragment"],
-                    "frag_key": r["frag_key"],
-                    "rows": int(r["rows"]),
-                    "plain_bytes": int(r["plain_bytes"]),
-                    "encoded_bytes": int(r["encoded_bytes"]),
-                    "columns": json.loads(r["columns_json"]),
-                    "zones": json.loads(r["zones_json"]),
-                    "trigrams": json.loads(r["tri_json"]),
-                    "ndv": json.loads(r["ndv_json"]),
-                    "nulls": json.loads(r["nulls_json"]),
-                    "filtered_from": src_out,
-                }
-            )
+            dst_manifest.commit(_stats_record(r, filtered_from=src_out))
             rewritten += 1
     if stats_out is not None:
         stats_out.update(
@@ -2484,8 +2535,6 @@ def transcode_table_store(
     as compress_table. ``_derive``/``_lineage_tag`` are
     derive_table_store's internals — use that entry point for
     backfills."""
-    import json
-
     import ray
     import ray.data
 
@@ -2530,21 +2579,7 @@ def transcode_table_store(
             .take_all()
         )
         for r in rows:
-            dst_manifest.commit(
-                {
-                    "fragment": r["fragment"],
-                    "frag_key": r["frag_key"],
-                    "rows": int(r["rows"]),
-                    "plain_bytes": int(r["plain_bytes"]),
-                    "encoded_bytes": int(r["encoded_bytes"]),
-                    "columns": json.loads(r["columns_json"]),
-                    "zones": json.loads(r["zones_json"]),
-                    "trigrams": json.loads(r["tri_json"]),
-                    "ndv": json.loads(r["ndv_json"]),
-                    "nulls": json.loads(r["nulls_json"]),
-                    _lineage_tag: src_out,
-                }
-            )
+            dst_manifest.commit(_stats_record(r, **{_lineage_tag: src_out}))
     return dst_manifest.stats()
 
 
@@ -3009,8 +3044,6 @@ class _UpsertTask:
         self.batch_rows = batch_rows
 
     def __call__(self, ids: pa.Table) -> pa.Table:
-        import json
-
         import ray
 
         recs = ray.get(self.recs_ref)
@@ -3034,20 +3067,7 @@ class _UpsertTask:
                 self.batch_rows,
                 negate=True,
             )
-            out.append(
-                {
-                    "fragment": rec["fragment"],
-                    "frag_key": fk,
-                    "rows": stats["rows"],
-                    "plain_bytes": stats["plain_bytes"],
-                    "encoded_bytes": stats["encoded_bytes"],
-                    "columns_json": json.dumps(stats["columns"]),
-                    "zones_json": json.dumps(stats["zones"]),
-                    "tri_json": json.dumps(stats["trigrams"]),
-                    "ndv_json": json.dumps(stats["ndv"]),
-                    "nulls_json": json.dumps(stats["nulls"]),
-                }
-            )
+            out.append(_stats_row(rec["fragment"], fk, stats))
         return pa.Table.from_pylist(out, schema=_STATS_SCHEMA)
 
 
@@ -3088,8 +3108,6 @@ def upsert_table_store(
     must be UNIQUE by key and null-free in the key (both checked);
     string keys are supported but skip the zone prune (zones are
     int-logical), so every fragment rewrites."""
-    import pyarrow.compute as pc
-
     from .columnar import decode_columns_batch
 
     src_manifest = Manifest(src_out)
@@ -3189,8 +3207,6 @@ def _drop_keys_rewrite(
     the rest through the negated compressed-domain IN mask. Returns
     (fragments_copied, fragments_rewritten, rows_dropped) for THIS run
     (already-committed destination fragments skip under resume)."""
-    import json
-
     import ray
     import ray.data
 
@@ -3218,9 +3234,10 @@ def _drop_keys_rewrite(
         fdir = os.path.join(dst_data, f"frag={rec['frag_key']}")
         shutil.rmtree(fdir, ignore_errors=True)
         os.makedirs(fdir, exist_ok=True)
-        for part in _fragment_parts(src_data, rec["frag_key"]):
-            shutil.copy2(part, os.path.join(fdir, os.path.basename(part)))
-        dst_manifest.commit({**rec, "upserted_from": src_out})
+        seek = _copy_parts(src_data, rec, fdir)
+        dst_manifest.commit(
+            _stamp_seek({**rec, "seek": seek, "upserted_from": src_out})
+        )
         copied += 1
 
     src_rows_by_key = {r["frag_key"]: int(r["rows"]) for r in recs}
@@ -3254,21 +3271,7 @@ def _drop_keys_rewrite(
             .take_all()
         )
         for r in rows:
-            dst_manifest.commit(
-                {
-                    "fragment": r["fragment"],
-                    "frag_key": r["frag_key"],
-                    "rows": int(r["rows"]),
-                    "plain_bytes": int(r["plain_bytes"]),
-                    "encoded_bytes": int(r["encoded_bytes"]),
-                    "columns": json.loads(r["columns_json"]),
-                    "zones": json.loads(r["zones_json"]),
-                    "trigrams": json.loads(r["tri_json"]),
-                    "ndv": json.loads(r["ndv_json"]),
-                    "nulls": json.loads(r["nulls_json"]),
-                    "upserted_from": src_out,
-                }
-            )
+            dst_manifest.commit(_stats_record(r, upserted_from=src_out))
             rows_dropped += src_rows_by_key[r["frag_key"]] - int(r["rows"])
             rewritten += 1
     return copied, rewritten, rows_dropped
@@ -3410,17 +3413,11 @@ class _UnionCopyTask:
             src_data, rec, dst_fdir = entries[i]
             shutil.rmtree(dst_fdir, ignore_errors=True)
             os.makedirs(dst_fdir, exist_ok=True)
-            copied = 0
-            for part in _fragment_parts(src_data, rec["frag_key"]):
-                dst = os.path.join(dst_fdir, os.path.basename(part))
-                shutil.copy2(part, dst)
-                if os.path.getsize(dst) != os.path.getsize(part):
-                    raise IOError(f"union copy size mismatch: {dst}")
-                copied += os.path.getsize(dst)
-            out.append({"id": int(i), "bytes": copied})
+            seek = _copy_parts(src_data, rec, dst_fdir)
+            out.append({"id": int(i), "seek": seek})
         return pa.Table.from_pylist(
             out,
-            schema=pa.schema([("id", pa.int64()), ("bytes", pa.int64())]),
+            schema=pa.schema([("id", pa.int64()), ("seek", pa.bool_())]),
         )
 
 
@@ -3540,10 +3537,12 @@ def union_table_store(
             )
             .take_all()
         )
-        ok_ids = {int(r["id"]) for r in rows}
+        seek_by_id = {int(r["id"]): bool(r["seek"]) for r in rows}
         for j, (_d, _r, _f, new_rec) in enumerate(batch):
-            if j in ok_ids:
-                dst_manifest.commit(new_rec)
+            if j in seek_by_id:
+                dst_manifest.commit(
+                    _stamp_seek({**new_rec, "seek": seek_by_id[j]})
+                )
                 copied += 1
     if stats_out is not None:
         stats_out.update(
@@ -3567,8 +3566,9 @@ def vacuum_table_store(
 
     - ORPHAN fragment dirs: ``data/frag=K`` with no committed manifest
       record — a task died between writing parts and the commit;
-    - STRAY files inside committed fragment dirs that don't match the
-      ``part-*.parquet`` reader glob (tmp files, editor droppings).
+    - STRAY files inside committed fragment dirs that are neither a
+      ``part-*.parquet`` part nor the ``part-*.seek`` sidecar of a part
+      that exists (tmp files, editor droppings, orphan sidecars).
 
     ``dry_run=True`` reports without deleting. Returns/``stats_out``:
     orphan_dirs, stray_files, reclaimed_bytes, plus the lists when dry.
@@ -3592,11 +3592,16 @@ def vacuum_table_store(
                         for f in files
                     )
                 continue
-            for f in sorted(os.listdir(full)):
+            names = set(os.listdir(full))
+            keep = {
+                f
+                for f in names
+                if f.startswith("part-") and f.endswith(".parquet")
+            }
+            keep |= {seek_path(f) for f in keep} & names
+            for f in sorted(names - keep):
                 fp = os.path.join(full, f)
-                if os.path.isfile(fp) and not (
-                    f.startswith("part-") and f.endswith(".parquet")
-                ):
+                if os.path.isfile(fp):
                     strays.append(fp)
                     reclaimed += os.path.getsize(fp)
     if not dry_run:

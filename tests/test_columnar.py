@@ -3515,7 +3515,8 @@ def test_delete_keys_table_store(ray_session, tmp_path):
 
 def test_vacuum_table_store(ray_session, tmp_path):
     """GC: orphan fragment dirs (written, never committed) and stray
-    non-part files inside committed dirs go; committed data survives
+    non-part files inside committed dirs go — an orphan seek sidecar
+    too, while a part's own sidecar stays; committed data survives
     byte-for-byte; dry_run only reports."""
     from fsst_like_ray.pipelines.tablestore import (
         compress_table,
@@ -3529,6 +3530,7 @@ def test_vacuum_table_store(ray_session, tmp_path):
             {
                 "id": pa.array(np.arange(500, dtype=np.int64)),
                 "t": pa.array([f"r{i}" for i in range(500)]),
+                "n_tok": pa.array(np.arange(500, dtype=np.int32) % 7),
             }
         ),
         p,
@@ -3548,15 +3550,22 @@ def test_vacuum_table_store(ray_session, tmp_path):
     stray = os.path.join(data, frag_dirs[0], "part-000000.parquet.tmp")
     with open(stray, "wb") as f:
         f.write(b"y" * 100)
+    sidecar = os.path.join(data, frag_dirs[0], "part-000000.seek")
+    assert os.path.exists(sidecar)
+    orphan_seek = os.path.join(data, frag_dirs[0], "part-000001.seek")
+    with open(orphan_seek, "wb") as f:
+        f.write(b"z" * 10)
 
     dry = vacuum_table_store(out, dry_run=True)
-    assert dry["orphan_dirs"] == 1 and dry["stray_files"] == 1
-    assert dry["reclaimed_bytes"] == 1124
+    assert dry["orphan_dirs"] == 1 and dry["stray_files"] == 2
+    assert dry["reclaimed_bytes"] == 1134
     assert os.path.isdir(orphan) and os.path.exists(stray)
+    assert sorted(dry["stray_paths"]) == sorted([stray, orphan_seek])
 
     res = vacuum_table_store(out)
-    assert res["orphan_dirs"] == 1 and res["stray_files"] == 1
+    assert res["orphan_dirs"] == 1 and res["stray_files"] == 2
     assert not os.path.isdir(orphan) and not os.path.exists(stray)
+    assert not os.path.exists(orphan_seek) and os.path.exists(sidecar)
 
     after = read_table_store(out).to_pandas()
     import pandas as pd

@@ -1,5 +1,10 @@
 """Store → training-batch loader (pipelines/loader.py)."""
 
+import json
+import os
+import shutil
+import warnings
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -262,22 +267,6 @@ def test_batch_rows_cap(store):
         greedy_boundaries(np.array([1, 2]), 10, batch_rows=0)
 
 
-def test_parallel_plan_identical(store, ray_session):
-    seq = plan_training_batches(store, BUDGET, parallel=False)
-    par = plan_training_batches(store, BUDGET, parallel=True)
-    assert len(seq) == len(par)
-    for a, b in zip(seq, par):
-        assert a["frag_key"] == b["frag_key"]
-        assert a["first_step"] == b["first_step"]
-        assert np.array_equal(a["boundaries"], b["boundaries"])
-    # a parallel-built plan serves batches interchangeably
-    x = list(iter_training_batches(store, BUDGET, plan=par))
-    y = list(iter_training_batches(store, BUDGET, plan=seq))
-    assert [b["step"] for b in x] == [b["step"] for b in y]
-    for a, b in zip(x, y):
-        assert np.array_equal(a["tokens"], b["tokens"])
-
-
 def test_length_order_reduces_padding(store):
     base = list(iter_training_batches(store, BUDGET))
     bylen = list(iter_training_batches(store, BUDGET, order="length"))
@@ -416,3 +405,217 @@ def test_keep_sources_filters_without_rewrite(store):
                 )
             )
         )
+
+
+def _strip_seek(store, dst):
+    """A copy of ``store`` whose manifest records lack ``"seek"``: the
+    loader plans it from the parquet parts (a pre-sidecar store)."""
+    shutil.copytree(store, dst)
+    mdir = os.path.join(dst, "_manifest")
+    for name in os.listdir(mdir):
+        path = os.path.join(mdir, name)
+        with open(path) as f:
+            rec = json.load(f)
+        rec.pop("seek", None)
+        with open(path, "w") as f:
+            json.dump(rec, f)
+    return dst
+
+
+def _plans_equal(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x["frag_key"] == y["frag_key"]
+        assert x["first_step"] == y["first_step"]
+        assert np.array_equal(x["boundaries"], y["boundaries"])
+        assert ("row_order" in x) == ("row_order" in y)
+        if "row_order" in x:
+            assert np.array_equal(x["row_order"], y["row_order"])
+
+
+def _no_parquet_reads(monkeypatch):
+    def refuse(*a, **k):
+        raise AssertionError("plan opened a parquet file")
+
+    monkeypatch.setattr(pq, "read_table", refuse)
+    monkeypatch.setattr(pq, "read_schema", refuse)
+
+
+def test_compress_writes_seek_sidecars(store):
+    """Every committed fragment of a token store is stamped "seek" and
+    each part has its sidecar: plain n_tok plus dictionary source,
+    row-aligned with the part."""
+    from fsst_like_ray.pipelines.tablestore import (
+        _fragment_parts,
+        seek_path,
+    )
+    from fsst_like_ray.state.manifest import Manifest
+
+    recs = Manifest(store).completed().values()
+    assert recs and all(r["seek"] == 1 for r in recs)
+    for rec in recs:
+        for part in _fragment_parts(os.path.join(store, "data"), rec["frag_key"]):
+            side = pa.ipc.open_file(seek_path(part)).read_all()
+            assert pa.types.is_dictionary(side.schema.field("source").type)
+            dec = pq.read_table(part)
+            assert side.num_rows == dec.num_rows
+
+
+def test_sidecar_plan_equals_parquet_plan(store, tmp_path):
+    legacy = _strip_seek(store, str(tmp_path / "legacy"))
+    keep = [sorted(set(_store_rows(store)["source"].to_pylist()))[0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for order in ("store", "length", "shuffle"):
+            for ks in (None, keep):
+                for rank, ws in ((0, 1), (0, 2), (1, 2)):
+                    for epoch in (None, (7, 1)):
+                        kw = dict(
+                            rank=rank, world_size=ws, epoch=epoch,
+                            order=order, keep_sources=ks,
+                        )
+                        _plans_equal(
+                            plan_training_batches(store, BUDGET, **kw),
+                            plan_training_batches(legacy, BUDGET, **kw),
+                        )
+
+
+def test_sidecar_row_count_mismatch_raises(store, tmp_path):
+    from fsst_like_ray.pipelines.tablestore import (
+        _fragment_parts,
+        seek_path,
+    )
+
+    bad = str(tmp_path / "bad")
+    shutil.copytree(store, bad)
+    plan = plan_training_batches(bad, BUDGET)
+    key = plan[1]["frag_key"]
+    side = seek_path(_fragment_parts(os.path.join(bad, "data"), key)[0])
+    t = pa.ipc.open_file(side).read_all()
+    with pa.ipc.new_file(side, t.schema) as w:
+        w.write_table(t.slice(1))
+    with pytest.raises(ValueError, match=key):
+        plan_training_batches(bad, BUDGET)
+    os.remove(side)
+    with pytest.raises(FileNotFoundError):
+        plan_training_batches(bad, BUDGET)
+
+
+def test_lifecycle_outputs_plan_from_sidecars(
+    store, tmp_path, monkeypatch, ray_session
+):
+    """Compact (renumbered copies), filter (copy and rewrite), union
+    (copies) and upsert (rewrite + appended delta) outputs keep "seek"
+    and plan with no parquet read — the same plan as from parquet."""
+    from fsst_like_ray.pipelines.tablestore import (
+        compact_table_store,
+        filter_table_store,
+        union_table_store,
+        upsert_table_store,
+    )
+    from fsst_like_ray.state.manifest import Manifest
+
+    outs = {}
+    outs["compact"] = str(tmp_path / "compact")
+    compact_table_store(store, outs["compact"], target_rows=1024)
+    outs["filter_copy"] = str(tmp_path / "filter_copy")
+    st = {}
+    filter_table_store(
+        store, outs["filter_copy"], [("range", "n_tok", 0, None)],
+        stats_out=st,
+    )
+    assert st["fragments_copied"] == 3
+    outs["filter_rewrite"] = str(tmp_path / "filter_rewrite")
+    st = {}
+    filter_table_store(
+        store, outs["filter_rewrite"], [("range", "n_tok", None, 300)],
+        stats_out=st,
+    )
+    assert st["fragments_rewritten"] == 3
+    outs["union"] = str(tmp_path / "union")
+    union_table_store([store, outs["filter_rewrite"]], outs["union"])
+    delta = tmp_path / "delta.parquet"
+    pq.write_table(_store_rows(store).slice(0, 5), delta)
+    outs["upsert"] = str(tmp_path / "upsert")
+    upsert_table_store(store, outs["upsert"], str(delta), "doc_id")
+    for name, out in outs.items():
+        recs = Manifest(out).completed().values()
+        assert all(r.get("seek") == 1 for r in recs if r["rows"]), name
+        with monkeypatch.context() as m:
+            _no_parquet_reads(m)
+            plans = [
+                plan_training_batches(out, BUDGET, order=o, epoch=(3, 1))
+                for o in ("store", "shuffle")
+            ]
+        legacy = _strip_seek(out, str(tmp_path / f"{name}_legacy"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for o, plan in zip(("store", "shuffle"), plans):
+                _plans_equal(
+                    plan,
+                    plan_training_batches(
+                        legacy, BUDGET, order=o, epoch=(3, 1)
+                    ),
+                )
+
+
+def test_compress_killed_before_commit_resumes(tmp_path, ray_session):
+    """Parts and sidecars written but never committed are invisible, and
+    a resumed compress rewrites them."""
+    from fsst_like_ray.sources.tokens import write_tokens_parquet
+    from fsst_like_ray.state.manifest import Manifest
+
+    src = str(tmp_path / "tokens")
+    write_tokens_parquet(src, n_rows=1024, seed=3, rows_per_file=512)
+    out = str(tmp_path / "store")
+    orig = Manifest.commit
+
+    def dying(self, record):
+        raise RuntimeError("killed before commit")
+
+    Manifest.commit = dying
+    try:
+        with pytest.raises(RuntimeError, match="killed before commit"):
+            compress_table(src, out)
+    finally:
+        Manifest.commit = orig
+    data = os.path.join(out, "data")
+    frag_dirs = sorted(os.listdir(data))
+    assert frag_dirs
+    for d in frag_dirs:
+        names = os.listdir(os.path.join(data, d))
+        assert "part-000000.seek" in names
+        marker = os.path.join(data, d, "part-000000.seek.stale")
+        open(marker, "w").close()
+    assert Manifest(out).completed() == {}
+    with pytest.raises(FileNotFoundError):
+        plan_training_batches(out, BUDGET)
+    compress_table(src, out)
+    for d in frag_dirs:
+        assert sorted(os.listdir(os.path.join(data, d))) == [
+            "part-000000.parquet", "part-000000.seek",
+        ]
+    fresh = str(tmp_path / "fresh")
+    compress_table(src, fresh)
+    _plans_equal(
+        plan_training_batches(out, BUDGET, order="shuffle", epoch=(1, 1)),
+        plan_training_batches(fresh, BUDGET, order="shuffle", epoch=(1, 1)),
+    )
+
+
+def test_store_without_seek_serves_identically_and_warns_once(
+    store, tmp_path
+):
+    legacy = _strip_seek(store, str(tmp_path / "legacy"))
+    with pytest.warns(RuntimeWarning, match="without seek sidecars"):
+        old = list(iter_training_batches(legacy, BUDGET, order="shuffle"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        again = list(iter_training_batches(legacy, BUDGET, order="shuffle"))
+    new = list(iter_training_batches(store, BUDGET, order="shuffle"))
+    assert len(old) == len(again) == len(new)
+    for a, b, c in zip(old, again, new):
+        assert a["step"] == b["step"] == c["step"]
+        np.testing.assert_array_equal(a["tokens"], c["tokens"])
+        np.testing.assert_array_equal(b["tokens"], c["tokens"])
+        np.testing.assert_array_equal(a["doc_id"], c["doc_id"])
