@@ -553,7 +553,9 @@ def cmd_table_scan(args) -> int:
     zones, then block zone maps); --top K the zone-pruned top-k; --count
     the metadata-first COUNT; --isnull/--notnull the validity-bitmap
     null scan (lineage null counts prune fragments). Prints match count
-    + pruning stats."""
+    + pruning stats, and for the --like/--lo/--hi/null scans the
+    executor that ran them ("driver" or "ray") with the surviving
+    parts' bytes (scan_bytes)."""
     ray = _ray()
     from .pipelines.tablestore import (
         count_table_store,
@@ -671,7 +673,8 @@ def cmd_table_agg(args) -> int:
     compressed-domain GROUP BY (dictionary group keys, cached int
     streams); without it, scalar MIN/MAX/COUNT answer from the manifest
     metadata where lineage allows and SUM scans one column's encoded
-    fields. --distinct folds per-block dictionary entries."""
+    fields. --distinct folds per-block dictionary entries. --group-by
+    prints the pruning stats and the executor with its scan_bytes."""
     ray = _ray()
     from .pipelines.tablestore import (
         agg_table_store,
@@ -721,11 +724,12 @@ def cmd_table_agg(args) -> int:
         t = group_agg_table_store(
             args.store, gb,
             None if aggs else args.column,
-            ops=tuple(args.ops), bucket=bucket, aggs=aggs,
+            ops=tuple(args.ops), bucket=bucket, aggs=aggs, stats_out=stats,
         )
         print(json.dumps({
             "groups": t.num_rows,
             "rows": t.to_pylist() if t.num_rows <= 50 else None,
+            **stats,
             "sec": round(time.time() - t0, 3),
         }, default=str))
     else:

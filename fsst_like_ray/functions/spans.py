@@ -407,6 +407,41 @@ def duplicated_token_span_pairs(
     )
 
 
+def _pack_doc_spans(g: "pa.Table") -> "pa.Table":
+    """One bucket of (doc_id, pos) removals → one (doc_id, "p1,p2,...")
+    row per doc, vectorized across the bucket: lexsort (doc, pos),
+    run-segment, one LargeListArray + binary_join builds every span list.
+    The list offsets are int64, so a bucket past 2^31 removals cannot
+    wrap them."""
+    import pyarrow.compute as pc
+
+    if g.num_rows == 0:
+        return pa.table(
+            {
+                "doc_id": pa.array([], type=pa.int64()),
+                "spans": pa.array([], type=pa.string()),
+            }
+        )
+    dd = g["doc_id"].to_numpy(zero_copy_only=False)
+    pp = g["pos"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((pp, dd))
+    d = dd[order]
+    p = pp[order]
+    starts = np.concatenate(([0], np.flatnonzero(d[1:] != d[:-1]) + 1))
+    bounds = np.concatenate((starts, [len(d)])).astype(np.int64)
+    la = pa.LargeListArray.from_arrays(
+        pa.array(bounds, type=pa.int64()),
+        pa.array(p.astype(np.int64), type=pa.int64()),
+    )
+    joined = pc.binary_join(la.cast(pa.large_list(pa.string())), ",")
+    return pa.table(
+        {
+            "doc_id": pa.array(d[starts], type=pa.int64()),
+            "spans": joined.cast(pa.string()),
+        }
+    )
+
+
 def remove_duplicated_token_spans(
     tokens_ds,
     k: int = 16,
@@ -596,40 +631,7 @@ def remove_duplicated_token_spans(
     # the co-partitioned shuffle join instead (doc_id is an int key)
     from .join import shuffle_hash_join
 
-    def pack_docs_bucket(g: "pa.Table") -> "pa.Table":
-        # vectorized across every doc in the bucket: lexsort (doc, pos),
-        # run-segment, one ListArray + binary_join builds every span list
-        import pyarrow.compute as pc
-
-        if g.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "spans": pa.array([], type=pa.string()),
-                }
-            )
-        dd = g["doc_id"].to_numpy(zero_copy_only=False)
-        pp = g["pos"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((pp, dd))
-        d = dd[order]
-        p = pp[order]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(d[1:] != d[:-1]) + 1)
-        )
-        bounds = np.concatenate((starts, [len(d)])).astype(np.int32)
-        la = pa.ListArray.from_arrays(
-            pa.array(bounds),
-            pa.array(p.astype(np.int64), type=pa.int64()),
-        )
-        joined = pc.binary_join(la.cast(pa.list_(pa.string())), ",")
-        return pa.table(
-            {
-                "doc_id": pa.array(d[starts], type=pa.int64()),
-                "spans": joined.cast(pa.string()),
-            }
-        )
-
-    per_doc = bucketed_group_kernel(removals, "doc_id", pack_docs_bucket)
+    per_doc = bucketed_group_kernel(removals, "doc_id", _pack_doc_spans)
     joined = shuffle_hash_join(
         tokens_ds, per_doc, "doc_id", "doc_id", how="left"
     )

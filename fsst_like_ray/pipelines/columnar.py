@@ -2601,6 +2601,36 @@ def group_agg_batch(
     )
 
 
+def group_agg_part(
+    group_col,
+    agg_col: str | None = None,
+    preds=None,
+    engine: str = "auto",
+    bucket=None,
+    aggs: dict | None = None,
+):
+    """The per-batch GROUP BY kernel as one callable: ``preds`` mask the
+    batch in the compressed domain, then group_multi_agg_batch (``aggs``)
+    or group_agg_batch emits the partials the folds below consume."""
+
+    def part(t: pa.Table) -> pa.Table:
+        mask = predicate_mask(t, preds, engine) if preds else None
+        if aggs:
+            return group_multi_agg_batch(
+                t, group_col, aggs, mask=mask, bucket=bucket
+            )
+        return group_agg_batch(t, group_col, agg_col, mask=mask, bucket=bucket)
+
+    return part
+
+
+def _partials(enc_ds, part):
+    """``part`` over a Dataset's batches → its partial tables."""
+    return enc_ds.map_batches(part, batch_format="pyarrow").iter_batches(
+        batch_format="pyarrow"
+    )
+
+
 def columnar_group_agg(
     enc_ds,
     group_col: str,
@@ -2614,28 +2644,35 @@ def columnar_group_agg(
     int column, computed entirely in the compressed domain: one partial
     row per group per batch crosses the cluster; the driver folds rows
     bounded by group cardinality × batches (small by the groupable-column
-    contract — same contract as columnar_group_count). Output sorts by
-    key; only the REQUESTED aggregates appear, named n_rows / vsum /
-    vmin / vmax (sum raises past int64 rather than wrap). ``preds``
+    contract — same contract as columnar_group_count). ``preds``
     (predicate_scan_batch op tuples) filter rows in the compressed
     domain before any aggregate sees them — GROUP BY ... WHERE without a
     row decode. Int-family group columns key on their int64 logical
-    values (``bucket`` floor-buckets them — time-windowed rollups); the
-    output ``value`` column is then int64. Float aggregate columns fold
-    in float64 (vsum/vmin/vmax come out float64; no overflow check —
-    float sums saturate to inf rather than wrap)."""
+    values (``bucket`` floor-buckets them — time-windowed rollups).
+    Output: fold_group_agg."""
+    part = group_agg_part(group_col, agg_col, preds, engine, bucket)
+    return fold_group_agg(_partials(enc_ds, part), group_col, agg_col, ops)
+
+
+def fold_group_agg(
+    partials,
+    group_col,
+    agg_col: str | None = None,
+    ops=("count", "sum", "min", "max"),
+) -> pa.Table:
+    """Driver fold of group_agg_batch partial tables (any iterable — a
+    Dataset's batches or in-process per-part outputs). Output sorts by
+    key; only the REQUESTED aggregates appear, named n_rows / vsum /
+    vmin / vmax (sum raises past int64 rather than wrap). Int-family
+    keys come out as an int64 ``value`` column; composite keys as one
+    column per group column. Float aggregate columns fold in float64
+    (vsum/vmin/vmax come out float64; no overflow check — float sums
+    saturate to inf rather than wrap)."""
     acc: dict = {}
     text = True
     int_keys = False
     float_mode = False
-
-    def part(t: pa.Table) -> pa.Table:
-        mask = predicate_mask(t, preds, engine) if preds else None
-        return group_agg_batch(t, group_col, agg_col, mask=mask, bucket=bucket)
-
-    for b in enc_ds.map_batches(
-        part, batch_format="pyarrow"
-    ).iter_batches(batch_format="pyarrow"):
+    for b in partials:
         key_name = "ivalue" if "ivalue" in b.column_names else "value"
         int_keys |= key_name == "ivalue"
         flt = "fsum" in b.column_names
@@ -2798,22 +2835,22 @@ def columnar_group_multi_agg(
 ) -> pa.Table:
     """Dataset-level multi-aggregate GROUP BY: one compressed-domain pass
     emits partials for every (column, op) at once; the driver folds
-    (cardinality-bounded contract). Output columns: value, n_rows (always),
-    then ``{op}_{col}`` per requested op — e.g.
-    aggs={"user_id": ("sum", "max")} → sum_user_id, max_user_id. Int
-    sums raise past int64; float sums fold in float64."""
+    (cardinality-bounded contract; output: fold_group_multi_agg)."""
+    part = group_agg_part(group_col, None, preds, engine, bucket, aggs)
+    return fold_group_multi_agg(_partials(enc_ds, part), group_col, aggs)
+
+
+def fold_group_multi_agg(partials, group_col: str, aggs: dict) -> pa.Table:
+    """Driver fold of group_multi_agg_batch partial tables (any
+    iterable). Output columns: value, n_rows (always), then
+    ``{op}_{col}`` per requested op — e.g. aggs={"user_id": ("sum",
+    "max")} → sum_user_id, max_user_id. Int sums raise past int64; float
+    sums fold in float64."""
     acc: dict = {}
     text = True
     int_keys = False
     float_cols: set = set()
-
-    def part(t: pa.Table) -> pa.Table:
-        m = predicate_mask(t, preds, engine) if preds else None
-        return group_multi_agg_batch(t, group_col, aggs, mask=m, bucket=bucket)
-
-    for b in enc_ds.map_batches(
-        part, batch_format="pyarrow"
-    ).iter_batches(batch_format="pyarrow"):
+    for b in partials:
         key_name = "ivalue" if "ivalue" in b.column_names else "value"
         int_keys |= key_name == "ivalue"
         names = set(b.column_names)
@@ -2897,12 +2934,10 @@ def columnar_group_agg_ds(
     combiner overflow at any row count (still raising past int64 in the
     final value). Prefer columnar_group_agg when cardinality is small —
     this path pays an all-to-all shuffle."""
-
-    def part(t: pa.Table) -> pa.Table:
-        mask = predicate_mask(t, preds, engine) if preds else None
-        return group_agg_batch(t, group_col, agg_col, mask=mask, bucket=bucket)
-
-    parts = enc_ds.map_batches(part, batch_format="pyarrow")
+    parts = enc_ds.map_batches(
+        group_agg_part(group_col, agg_col, preds, engine, bucket),
+        batch_format="pyarrow",
+    )
     # callers that know the key kind (the store tier probes the envelope
     # type code) skip the schema() peek, which would execute the partial
     # pipeline once just to read a column name

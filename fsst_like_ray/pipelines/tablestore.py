@@ -73,6 +73,19 @@ _TRI_K = 4
 INT_BLOOM_BYTES = (1 << 13) + 8  # +8: never equal to TRI_BLOOM_BYTES
 _INT_K = 4
 
+# Executor threshold of the store scans (_run_parts), in surviving part
+# file bytes. A Ray Data read → map_batches chain pays a fixed floor F
+# before its first batch returns; the same per-part kernel in the driver
+# pays bytes / R (R: in-driver throughput over part bytes) plus W to wrap
+# its output as a Dataset. On N CPUs Ray takes F + bytes / (R·N), so the
+# driver wins while bytes < (F − W)·R·N/(N−1); the constant is the N→∞
+# bound (F − W)·R, which holds on any cluster width. Measured on a 1-CPU
+# share of a Xeon VM (perfbench query stores, 3 runs): F 234–311 ms
+# (identity chain), W 46–79 ms, R 27.8–31.4 MB/s for LIKE, 30.8–35.1
+# for GROUP BY, 49–55 for COUNT → worst case (234 − 79) ms × 27.8 MB/s
+# = 4.3 MB, rounded down to 4 MiB.
+DRIVER_SCAN_BYTES = 4 << 20
+
 # Seek sidecar schema: the row-length column the loader plans batches
 # from, and the optional domain column its ``keep_sources`` filters on.
 N_TOK_COL = "n_tok"
@@ -797,29 +810,69 @@ def _pruned_parts(out_dir: str, what: str, keep_rec, stats_out):
     return paths, any_parts
 
 
-def _scan_pruned(paths, any_parts, out_cols, read_cols, batch_fn):
-    """Shared tail of the store scans: all-pruned → empty Dataset that
-    keeps the decoded schema projected to ``out_cols`` (zero-row parts
-    preserve the encoded schema); else an encoded read pruned to
-    ``read_cols`` (output + scan columns) + the per-batch scan."""
-    import ray.data
-
-    from .columnar import _encoded_field_names, decode_columns_batch
+def _run_parts(paths, read_cols, fn, stats_out):
+    """One per-part kernel, two executors: ``fn`` runs over each surviving
+    part's encoded fields for ``read_cols`` (logical column names; None
+    reads every field). Parts totalling at most DRIVER_SCAN_BYTES run in
+    this process, part by part, and come back as the list of ``fn``
+    outputs; larger scans keep the Ray read → map_batches chain and come
+    back as its lazy Dataset (_tables iterates either). ``stats_out``
+    records the choice: ``executor`` ("driver"/"ray") and ``scan_bytes``
+    (the surviving parts' file bytes)."""
+    from .columnar import _encoded_field_names
     from .compress import read_parquet_blocks
 
-    if not paths:
-        empty = pq.ParquetFile(any_parts[0]).schema_arrow.empty_table()
-        dec = decode_columns_batch(empty)
-        if out_cols is not None:
-            dec = dec.select(list(out_cols))
-        return ray.data.from_arrow(dec)
-    kw = {}
-    if read_cols is not None:
-        kw["columns"] = _encoded_field_names(
+    nbytes = sum(os.path.getsize(p) for p in paths)
+    driver = nbytes <= DRIVER_SCAN_BYTES
+    if stats_out is not None:
+        stats_out["executor"] = "driver" if driver else "ray"
+        stats_out["scan_bytes"] = nbytes
+    cols = None
+    if paths and read_cols is not None:
+        cols = _encoded_field_names(
             list(pq.read_schema(paths[0]).names), sorted(read_cols)
         )
-    return read_parquet_blocks(paths, **kw).map_batches(
-        batch_fn, batch_format="pyarrow"
+    if driver:
+        return [fn(pq.read_table(p, columns=cols)) for p in paths]
+    return read_parquet_blocks(paths, columns=cols).map_batches(
+        fn, batch_format="pyarrow"
+    )
+
+
+def _tables(out):
+    """_run_parts output → iterable of pyarrow tables."""
+    if isinstance(out, list):
+        return out
+    return out.iter_batches(batch_format="pyarrow")
+
+
+def _empty_decoded(any_parts, out_cols) -> pa.Table:
+    """Zero-row decoded table with a committed part's schema projected to
+    ``out_cols`` (zero-row parts preserve the encoded schema) — the
+    result of a store scan whose every row or fragment was pruned."""
+    from .columnar import decode_columns_batch
+
+    dec = decode_columns_batch(
+        pq.ParquetFile(any_parts[0]).schema_arrow.empty_table()
+    )
+    return dec if out_cols is None else dec.select(list(out_cols))
+
+
+def _scan_pruned(paths, any_parts, out_cols, read_cols, batch_fn, stats_out):
+    """Shared tail of the store scans: ``batch_fn`` over the surviving
+    parts (_run_parts), read pruned to ``read_cols`` (output + scan
+    columns). Returns a Dataset either way: driver outputs wrap in one
+    ``from_arrow`` over their concatenation; no survivors → an empty
+    Dataset that keeps the decoded schema projected to ``out_cols``."""
+    import ray.data
+
+    out = _run_parts(paths, read_cols, batch_fn, stats_out)
+    if not isinstance(out, list):
+        return out
+    return ray.data.from_arrow(
+        pa.concat_tables(out, promote_options="default")
+        if out
+        else _empty_decoded(any_parts, out_cols)
     )
 
 
@@ -842,7 +895,7 @@ def scan_table_store(
     only ever an optimization, never a filter.
 
     ``stats_out`` (optional dict) receives fragments_scanned /
-    fragments_skipped."""
+    fragments_skipped, and executor / scan_bytes (_run_parts)."""
     from .columnar import range_scan_batch
 
     point = (
@@ -868,6 +921,7 @@ def scan_table_store(
         paths, any_parts, columns,
         None if columns is None else set(columns) | {column},
         lambda b: range_scan_batch(b, column, lo=lo, hi=hi, out_columns=columns),
+        stats_out,
     )
 
 
@@ -907,6 +961,7 @@ def like_table_store(
         lambda b: like_scan_batch(
             b, column, pattern, out_columns=columns, engine=engine
         ),
+        stats_out,
     )
 
 
@@ -1063,6 +1118,7 @@ def predicate_scan_table_store(
         lambda b: predicate_scan_batch(
             b, preds, out_columns=columns, engine=engine
         ),
+        stats_out,
     )
 
 
@@ -1085,12 +1141,7 @@ def group_topk_table_store(
     compose (fragment zone/bloom pruning + in-batch masks). Ties at the
     k-th rank break arbitrarily — rank on a unique column when
     deterministic identity matters. Output sorts by (group, rank)."""
-    from .columnar import (
-        _encoded_field_names,
-        group_topk_batch,
-        predicate_mask,
-    )
-    from .compress import read_parquet_blocks
+    from .columnar import group_topk_batch, predicate_mask
 
     need = {group_col, rank_col} | set(columns or ())
     if preds:
@@ -1105,16 +1156,6 @@ def group_topk_table_store(
     out_cols = (
         None if columns is None else sorted(set(columns) | {group_col, rank_col})
     )
-    if not paths:
-        from .columnar import decode_columns_batch
-
-        dec = decode_columns_batch(
-            pq.ParquetFile(any_parts[0]).schema_arrow.empty_table()
-        )
-        return dec if out_cols is None else dec.select(out_cols)
-    cols = _encoded_field_names(
-        list(pq.read_schema(paths[0]).names), sorted(need)
-    )
 
     def part(b: pa.Table) -> pa.Table:
         m = predicate_mask(b, preds, engine) if preds else None
@@ -1122,21 +1163,12 @@ def group_topk_table_store(
             b, group_col, rank_col, k, descending, columns, mask=m
         )
 
-    cands = []
-    for t in (
-        read_parquet_blocks(paths, columns=cols)
-        .map_batches(part, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
-        if t.num_rows:
-            cands.append(t)
+    cands = [
+        t for t in _tables(_run_parts(paths, need, part, stats_out))
+        if t.num_rows
+    ]
     if not cands:
-        from .columnar import decode_columns_batch
-
-        dec = decode_columns_batch(
-            pq.ParquetFile(any_parts[0]).schema_arrow.empty_table()
-        )
-        return dec if out_cols is None else dec.select(out_cols)
+        return _empty_decoded(any_parts, out_cols)
     df = pa.concat_tables(cands).to_pandas()
     df = df.sort_values(
         [group_col, rank_col],
@@ -1161,18 +1193,14 @@ def count_where_table_store(
     from .columnar import predicate_mask
 
     scan_cols, checks = _predicate_checks(preds)
-    paths, any_parts = _pruned_parts(
+    paths, _ = _pruned_parts(
         out_dir,
         "count_where_table_store",
         lambda rec: all(c(rec) for c in checks),
         stats_out,
     )
-    if not paths:
-        return 0
-    ds = _scan_pruned(
+    out = _run_parts(
         paths,
-        any_parts,
-        None,
         scan_cols,
         lambda b: pa.table(
             {
@@ -1182,8 +1210,9 @@ def count_where_table_store(
                 )
             }
         ),
+        stats_out,
     )
-    return sum(int(r["n"]) for r in ds.take_all())
+    return sum(sum(t["n"].to_pylist()) for t in _tables(out))
 
 
 def topk_table_store(
@@ -1702,9 +1731,10 @@ def group_agg_table_store(
     the driver fold only (cardinality-bounded contract)."""
     from .columnar import (
         _encoded_field_names,
-        columnar_group_agg,
         columnar_group_agg_ds,
-        columnar_group_multi_agg,
+        fold_group_agg,
+        fold_group_multi_agg,
+        group_agg_part,
     )
     from .compress import read_parquet_blocks
 
@@ -1732,40 +1762,29 @@ def group_agg_table_store(
     paths, any_parts = _pruned_parts(
         out_dir, "group_agg_table_store", keep, stats_out
     )
-    if not paths:
-        empty = _empty_encoded_ds(any_parts)
-        if aggs:
-            return columnar_group_multi_agg(empty, group_col, aggs)
-        empty_fold = columnar_group_agg_ds if distributed else columnar_group_agg
-        return empty_fold(empty, group_col, agg_col, ops)
-    cols = _encoded_field_names(
-        list(pq.read_schema(paths[0]).names), sorted(need)
-    )
-    enc = read_parquet_blocks(paths, columns=cols)
-    if aggs:
-        return columnar_group_multi_agg(
-            enc, group_col, aggs, preds, engine, bucket
-        )
     if distributed:
+        import ray.data
+
         from .columnar import _STR_FAMILY
 
+        if not paths:
+            empty = pq.read_schema(any_parts[0]).empty_table()
+            return columnar_group_agg_ds(
+                ray.data.from_arrow(empty), group_col, agg_col, ops
+            )
+        cols = _encoded_field_names(
+            list(pq.read_schema(paths[0]).names), sorted(need)
+        )
         return columnar_group_agg_ds(
-            enc, group_col, agg_col, ops, preds, engine, bucket,
+            read_parquet_blocks(paths, columns=cols),
+            group_col, agg_col, ops, preds, engine, bucket,
             int_keys=_column_type_code(paths, group_col) not in _STR_FAMILY,
         )
-    return columnar_group_agg(
-        enc, group_col, agg_col, ops, preds, engine, bucket
-    )
-
-
-def _empty_encoded_ds(any_parts):
-    """Zero-row encoded Dataset carrying a committed part's schema — the
-    all-fragments-pruned result for aggregate scans."""
-    import ray.data
-
-    return ray.data.from_arrow(
-        pq.ParquetFile(any_parts[0]).schema_arrow.empty_table()
-    )
+    part = group_agg_part(group_col, agg_col, preds, engine, bucket, aggs)
+    partials = _tables(_run_parts(paths, need, part, stats_out))
+    if aggs:
+        return fold_group_multi_agg(partials, group_col, aggs)
+    return fold_group_agg(partials, group_col, agg_col, ops)
 
 
 def distinct_table_store(
@@ -1845,6 +1864,7 @@ def sample_table_store(
         columns,
         None if columns is None else {id_col} | set(columns),
         lambda b: sample_scan_batch(b, id_col, rate, seed, columns),
+        stats_out,
     )
 
 

@@ -14,6 +14,7 @@ Layout (``<catalog_dir>/``)::
     v/<n>.json   one immutable version record: {version, store, parent,
                  op, note, rows, encoded_bytes, fragments}
     HEAD         the latest committed version number
+    .head.lock   flock target serializing HEAD's read-compare-write
     stores/      optional managed space for version store dirs (GC only
                  ever deletes under here — never an unmanaged path)
 
@@ -32,6 +33,7 @@ blooms) already lives in each store's own manifest.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import shutil
@@ -91,9 +93,9 @@ def commit_version(
     ``os.link`` (atomic, fails EEXIST if the number is taken), so two
     concurrent committers can never clobber each other's record; the
     loser retries with the next free number. HEAD then only ever moves
-    FORWARD (re-checked right before the rename), so a slow committer
-    publishing version 4 after a faster one published 5 cannot rewind
-    readers."""
+    FORWARD (read, compared and renamed under an ``flock`` on
+    ``.head.lock``), so a slow committer publishing version 4 after a
+    faster one published 5 cannot rewind readers."""
     from ..pipelines.tablestore import store_lineage_rollup
 
     roll = store_lineage_rollup(store_dir)
@@ -126,9 +128,13 @@ def commit_version(
             version += 1
         finally:
             os.unlink(tmp)
-    # move HEAD forward only — never rewind past a concurrent committer
-    if (head_version(catalog_dir) or 0) < version:
-        _atomic_write(_head_path(catalog_dir), str(version))
+    # move HEAD forward only — never rewind past a concurrent committer:
+    # the read-compare-write holds an exclusive lock, so a slower
+    # committer can't overwrite a newer HEAD between its read and rename
+    with open(os.path.join(catalog_dir, ".head.lock"), "w") as lk:
+        fcntl.flock(lk, fcntl.LOCK_EX)
+        if (head_version(catalog_dir) or 0) < version:
+            _atomic_write(_head_path(catalog_dir), str(version))
     return version
 
 

@@ -113,6 +113,58 @@ def test_concurrent_committers_never_clobber(catalog):
     assert head_version(catalog) == v  # HEAD moved forward to the max
 
 
+def test_concurrent_committer_processes_never_rewind_head(catalog, tmp_path):
+    """Three processes commit into one catalog at once, each sleeping a
+    random few ms between HEAD's compare and its rename (the race
+    window). HEAD, polled throughout, never decreases, every claimed
+    number is distinct, and HEAD ends at the highest version."""
+    import subprocess
+    import sys
+    import time
+
+    import fsst_like_ray
+
+    store1 = resolve(catalog, 1)["store"]
+    cat = str(tmp_path / "cat")
+    script = (
+        "import random, sys, time\n"
+        "from fsst_like_ray.state import catalog as c\n"
+        "write = c._atomic_write\n"
+        "def slow(path, text):\n"
+        "    time.sleep(random.random() * 0.005)\n"
+        "    write(path, text)\n"
+        "c._atomic_write = slow\n"
+        "for _ in range(15):\n"
+        "    print(c.commit_version(sys.argv[1], sys.argv[2], op='race'))\n"
+    )
+    root = os.path.dirname(os.path.dirname(fsst_like_ray.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script, cat, store1],
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        for _ in range(3)
+    ]
+    seen = []
+    deadline = time.monotonic() + 120
+    while any(p.poll() is None for p in procs):
+        assert time.monotonic() < deadline, "committers did not finish"
+        h = head_version(cat)
+        if h is not None:
+            seen.append(h)
+        time.sleep(0.001)
+    claimed = []
+    for p in procs:
+        out, _ = p.communicate(timeout=10)
+        assert p.returncode == 0
+        claimed.extend(int(v) for v in out.split())
+    assert sorted(claimed) == list(range(1, 46))
+    assert seen == sorted(seen), "HEAD rewound"
+    assert head_version(cat) == 45
+
+
 def test_prune_reclaims_only_managed_unreferenced_stores(
     catalog, tmp_path_factory
 ):

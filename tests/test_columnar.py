@@ -29,6 +29,17 @@ def _assert_tables_equal(expect: pa.Table, got: pa.Table):
         assert a.equals(b), f"column {name} mismatch"
 
 
+def _scan_stats(stats: dict, scanned: int, skipped: int) -> dict:
+    """Expected stats_out of a small store scan: the fragment prune
+    counters plus the driver executor over the surviving parts' bytes."""
+    return {
+        "fragments_scanned": scanned,
+        "fragments_skipped": skipped,
+        "executor": "driver",
+        "scan_bytes": stats["scan_bytes"],
+    }
+
+
 def _wide_table(n=600, seed=11, null_frac=0.0) -> pa.Table:
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 30, n)
@@ -747,7 +758,7 @@ def test_store_zone_pruned_scan(ray_session, tmp_path):
         out, "event_id", lo=10_100, hi=10_200,
         columns=["event_id", "kind"], stats_out=stats,
     ).to_pandas()
-    assert stats == {"fragments_scanned": 1, "fragments_skipped": 2}
+    assert stats == _scan_stats(stats, 1, 2)
     assert sorted(got["event_id"]) == list(range(10_100, 10_201))
     assert set(got.columns) == {"event_id", "kind"}
 
@@ -772,7 +783,7 @@ def test_store_zone_pruned_scan(ray_session, tmp_path):
         out, "event_id", lo=10_100, hi=10_200,
         columns=["event_id", "kind"], stats_out=stats3,
     ).to_pandas()
-    assert stats3 == {"fragments_scanned": 3, "fragments_skipped": 0}
+    assert stats3 == _scan_stats(stats3, 3, 0)
     assert sorted(got3["event_id"]) == list(range(10_100, 10_201))
 
 
@@ -876,7 +887,7 @@ def test_store_trigram_pruned_like(ray_session, tmp_path):
     got = like_table_store(
         out, "text", "%xylophone%", columns=["doc_id"], stats_out=stats
     )
-    assert stats == {"fragments_scanned": 1, "fragments_skipped": 3}
+    assert stats == _scan_stats(stats, 1, 3)
     assert sorted(r["doc_id"] for r in got.take_all()) == exp
 
     # underscore → no trigram evidence → full scan, same rows
@@ -955,7 +966,7 @@ def test_store_predicate_scan_combined_pruning(ray_session, tmp_path):
         stats_out=stats,
     )
     exp = [r[0] for r in rows if "needletok" in r[1] and r[2] <= 1200]
-    assert stats == {"fragments_scanned": 1, "fragments_skipped": 3}
+    assert stats == _scan_stats(stats, 1, 3)
     assert sorted(r["doc_id"] for r in got.take_all()) == exp
 
     # eq / IN literals absent from every bloom prune everything
@@ -979,7 +990,7 @@ def test_store_predicate_scan_combined_pruning(ray_session, tmp_path):
         stats_out=s2,
     )
     exp2 = [r[0] for r in rows if r[2] >= 2000 and "merge" in r[1]]
-    assert s2 == {"fragments_scanned": 2, "fragments_skipped": 2}
+    assert s2 == _scan_stats(s2, 2, 2)
     assert sorted(r["doc_id"] for r in got2.take_all()) == exp2
 
     with pytest.raises(ValueError):
@@ -2713,7 +2724,7 @@ def test_store_null_predicates(ray_session, tmp_path):
         out, [("isnull", "score")], columns=["doc_id"], stats_out=s
     )
     ids_null = sorted(r["doc_id"] for r in got.take_all())
-    assert s == {"fragments_scanned": 2, "fragments_skipped": 1}
+    assert s == _scan_stats(s, 2, 1)
     assert len(ids_null) > 0 and all(i >= 300 for i in ids_null)
 
     # IS NOT NULL: fragment 2 (all-null) prunes; counts complement
@@ -2722,7 +2733,7 @@ def test_store_null_predicates(ray_session, tmp_path):
         out, [("notnull", "score")], columns=["doc_id"], stats_out=s2
     )
     ids_nn = sorted(r["doc_id"] for r in got2.take_all())
-    assert s2 == {"fragments_scanned": 2, "fragments_skipped": 1}
+    assert s2 == _scan_stats(s2, 2, 1)
     assert len(ids_null) + len(ids_nn) == 900
     assert not (set(ids_null) & set(ids_nn))
 
@@ -2814,7 +2825,7 @@ def test_float_range_scan_and_zones(ray_session, tmp_path):
         out, "score", lo=120.0, hi=170.0,
         columns=["doc_id", "score"], stats_out=stats,
     ).take_all()
-    assert stats == {"fragments_scanned": 1, "fragments_skipped": 2}
+    assert stats == _scan_stats(stats, 1, 2)
     assert rows and all(120.0 <= r["score"] <= 170.0 for r in rows)
 
 
@@ -3826,7 +3837,7 @@ def test_store_intkey_bloom_pruned_eq(ray_session, tmp_path):
         out, [("eq", "user_id", target)], columns=["user_id", "kind"],
         stats_out=stats,
     ).to_pandas()
-    assert stats == {"fragments_scanned": 1, "fragments_skipped": 3}
+    assert stats == _scan_stats(stats, 1, 3)
     assert got["user_id"].tolist() == [target]
 
     # IN over keys from two residue classes: exactly 2 fragments survive
@@ -3835,7 +3846,7 @@ def test_store_intkey_bloom_pruned_eq(ray_session, tmp_path):
         out, [("in", "user_id", [8, 2501])], columns=["user_id"],
         stats_out=stats_in,
     ).to_pandas()
-    assert stats_in == {"fragments_scanned": 2, "fragments_skipped": 2}
+    assert stats_in == _scan_stats(stats_in, 2, 2)
     assert sorted(got_in["user_id"]) == [8, 2501]
 
     # degenerate range lo == hi uses the bloom too (count_where path)
@@ -4318,3 +4329,242 @@ def test_float64_xor_empty_block_and_version_stamp():
     assert first_env(encode_columns_batch(t, spec=spec))[0] == \
         ENV_VERSION_XOR
     assert first_env(encode_columns_batch(t))[0] == ENV_VERSION
+
+
+@pytest.fixture(scope="module")
+def parity_store(ray_session, tmp_path_factory):
+    """A 4-fragment store for the executor parity tests: int id/ts/x
+    (x with nulls), two string keys and a text column whose needle lives
+    in fragment 1 only (so LIKE prunes)."""
+    from fsst_like_ray.pipelines.tablestore import compress_table
+
+    base = tmp_path_factory.mktemp("parity")
+    rng = np.random.default_rng(47)
+    n = 2400
+    src = base / "src"
+    src.mkdir()
+    t = pa.table(
+        {
+            "id": pa.array(np.arange(n), type=pa.int64()),
+            "ts": pa.array(rng.integers(0, 10_000, n), type=pa.int64()),
+            "x": pa.array(
+                [None if i % 11 == 0 else int(v)
+                 for i, v in enumerate(rng.integers(-50, 500, n))],
+                type=pa.int64(),
+            ),
+            "g": pa.array(rng.choice(["web", "books", "code"], n).tolist()),
+            "h": pa.array(rng.choice(["a", "b"], n).tolist()),
+            "text": pa.array(
+                [
+                    f"row {i} "
+                    + ("needle " if i // 600 == 1 and i % 7 == 0 else "")
+                    + " ".join(rng.choice(["merge", "sort", "ray"], 3))
+                    for i in range(n)
+                ]
+            ),
+        }
+    )
+    for f in range(4):
+        pq.write_table(
+            t.slice(f * 600, 600), src / f"f{f}.parquet", row_group_size=200
+        )
+    store = str(base / "store")
+    compress_table(str(src), store)
+    return store
+
+
+def _on_both_executors(monkeypatch, call):
+    """``call(stats_out)`` with the executor threshold at 0 (every scan
+    through Ray) and at 1 TiB (every scan in the driver) → the two
+    results and stats dicts, after checking each side's executor (a
+    scan with no surviving part reads nothing and stays in the driver)."""
+    from fsst_like_ray.pipelines import tablestore as ts
+
+    out = {}
+    for side, cap in (("ray", 0), ("driver", 1 << 40)):
+        monkeypatch.setattr(ts, "DRIVER_SCAN_BYTES", cap)
+        stats: dict = {}
+        out[side] = (call(stats), stats)
+        assert stats["executor"] == (side if stats["scan_bytes"] else "driver")
+    return out["ray"], out["driver"]
+
+
+def _ds_table(ds) -> pa.Table:
+    """A store scan's Dataset → one table sorted by every column (Ray may
+    deliver blocks in any order); empty results keep their schema."""
+    import ray
+
+    blocks = ray.get(ds.to_arrow_refs())
+    t = pa.concat_tables(blocks, promote_options="default")
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
+@pytest.mark.parametrize(
+    "what",
+    [
+        "like_all_cols", "like_proj", "like_kmp", "like_pruned",
+        "scan_all_cols", "scan_proj", "scan_pruned",
+        "pred_proj", "pred_kmp", "pred_pruned",
+    ],
+)
+def test_scan_executor_parity(parity_store, monkeypatch, what):
+    """like / scan / predicate_scan return identical tables (schema
+    included) and identical prune counters on the Ray and the driver
+    executor — for all columns and a projection, engine auto and a
+    forced engine, and an all-pruned predicate."""
+    from fsst_like_ray.pipelines import tablestore as ts
+
+    calls = {
+        "like_all_cols": lambda s: ts.like_table_store(
+            parity_store, "text", "%needle%", stats_out=s
+        ),
+        "like_proj": lambda s: ts.like_table_store(
+            parity_store, "text", "%sort%", columns=["id", "g"], stats_out=s
+        ),
+        "like_kmp": lambda s: ts.like_table_store(
+            parity_store, "text", "%ray merge%", columns=["id"],
+            engine="kmp", stats_out=s,
+        ),
+        "like_pruned": lambda s: ts.like_table_store(
+            parity_store, "text", "%zzzabsent%", columns=["id"], stats_out=s
+        ),
+        "scan_all_cols": lambda s: ts.scan_table_store(
+            parity_store, "id", 500, 1300, stats_out=s
+        ),
+        "scan_proj": lambda s: ts.scan_table_store(
+            parity_store, "ts", 100, 4000, columns=["id", "x"], stats_out=s
+        ),
+        "scan_pruned": lambda s: ts.scan_table_store(
+            parity_store, "id", 10**6, None, columns=["id"], stats_out=s
+        ),
+        "pred_proj": lambda s: ts.predicate_scan_table_store(
+            parity_store,
+            [("range", "id", 0, 1500), ("like", "text", "%needle%")],
+            columns=["id", "text"], stats_out=s,
+        ),
+        "pred_kmp": lambda s: ts.predicate_scan_table_store(
+            parity_store,
+            [("in", "g", ["web", "code"]), ("like", "text", "%merge sort%")],
+            engine="kmp", stats_out=s,
+        ),
+        "pred_pruned": lambda s: ts.predicate_scan_table_store(
+            parity_store, [("eq", "text", "zzzabsentvalue")],
+            columns=["id"], stats_out=s,
+        ),
+    }
+    (ray_ds, ray_st), (drv_ds, drv_st) = _on_both_executors(
+        monkeypatch, calls[what]
+    )
+    ray_t, drv_t = _ds_table(ray_ds), _ds_table(drv_ds)
+    assert drv_t.schema.equals(ray_t.schema), (drv_t.schema, ray_t.schema)
+    assert drv_t.equals(ray_t)
+    for k in ("fragments_scanned", "fragments_skipped", "scan_bytes"):
+        assert drv_st[k] == ray_st[k], k
+    if what.endswith("pruned"):
+        assert drv_t.num_rows == 0 and drv_st["fragments_scanned"] == 0
+    else:
+        assert drv_t.num_rows > 0
+
+
+@pytest.mark.parametrize(
+    "what",
+    [
+        "count", "count_kmp", "count_pruned",
+        "group", "group_aggs", "group_composite", "group_bucket",
+        "group_pruned", "group_aggs_pruned", "group_topk",
+    ],
+)
+def test_agg_executor_parity(parity_store, monkeypatch, what):
+    """count_where / group_agg (single key, aggs=, composite key,
+    bucket=, all-pruned) / group_topk give identical results and prune
+    counters on the Ray and the driver executor."""
+    from fsst_like_ray.pipelines import tablestore as ts
+
+    rng_pred = [("range", "id", 300, 2000)]
+    calls = {
+        "count": lambda s: ts.count_where_table_store(
+            parity_store, rng_pred + [("like", "text", "%sort%")],
+            stats_out=s,
+        ),
+        "count_kmp": lambda s: ts.count_where_table_store(
+            parity_store, [("like", "text", "%needle%")], engine="kmp",
+            stats_out=s,
+        ),
+        "count_pruned": lambda s: ts.count_where_table_store(
+            parity_store, [("range", "id", -9, -1)], stats_out=s
+        ),
+        "group": lambda s: ts.group_agg_table_store(
+            parity_store, "g", "x", preds=rng_pred, stats_out=s
+        ),
+        "group_aggs": lambda s: ts.group_agg_table_store(
+            parity_store, "g",
+            aggs={"x": ("sum", "min", "max", "count"), "ts": ("max",)},
+            preds=[("like", "text", "%merge%")], engine="kmp", stats_out=s,
+        ),
+        "group_composite": lambda s: ts.group_agg_table_store(
+            parity_store, ["g", "h"], "x", stats_out=s
+        ),
+        "group_bucket": lambda s: ts.group_agg_table_store(
+            parity_store, "ts", "x", bucket=1000, preds=rng_pred,
+            stats_out=s,
+        ),
+        "group_pruned": lambda s: ts.group_agg_table_store(
+            parity_store, "g", "x", preds=[("range", "id", -9, -1)],
+            stats_out=s,
+        ),
+        "group_aggs_pruned": lambda s: ts.group_agg_table_store(
+            parity_store, "g", aggs={"x": ("sum",)},
+            preds=[("range", "id", -9, -1)], stats_out=s,
+        ),
+        "group_topk": lambda s: ts.group_topk_table_store(
+            parity_store, "g", "id", 3, columns=["x"], preds=rng_pred,
+            stats_out=s,
+        ),
+    }
+    (ray_r, ray_st), (drv_r, drv_st) = _on_both_executors(
+        monkeypatch, calls[what]
+    )
+    if isinstance(ray_r, pa.Table):
+        assert drv_r.schema.equals(ray_r.schema), (drv_r.schema, ray_r.schema)
+        assert drv_r.equals(ray_r)
+        assert (drv_r.num_rows == 0) == what.endswith("pruned")
+    else:
+        assert drv_r == ray_r and (drv_r == 0) == what.endswith("pruned")
+    for k in ("fragments_scanned", "fragments_skipped", "scan_bytes"):
+        assert drv_st[k] == ray_st[k], k
+
+
+def test_large_store_scans_through_ray(parity_store, monkeypatch):
+    """A store whose surviving parts exceed DRIVER_SCAN_BYTES runs its
+    scan through the Ray read (read_parquet_blocks) and says so; one at
+    or under it never touches Ray Data."""
+    from fsst_like_ray.pipelines import compress
+    from fsst_like_ray.pipelines import tablestore as ts
+
+    reads = []
+    real = compress.read_parquet_blocks
+
+    def spy(paths, **kw):
+        reads.append(list(paths))
+        return real(paths, **kw)
+
+    monkeypatch.setattr(compress, "read_parquet_blocks", spy)
+    stats: dict = {}
+    ts.like_table_store(
+        parity_store, "text", "%sort%", columns=["id"], stats_out=stats
+    )
+    assert stats["executor"] == "driver" and reads == []
+    assert 0 < stats["scan_bytes"] <= ts.DRIVER_SCAN_BYTES
+
+    monkeypatch.setattr(ts, "DRIVER_SCAN_BYTES", stats["scan_bytes"] - 1)
+    big: dict = {}
+    n = ts.like_table_store(
+        parity_store, "text", "%sort%", columns=["id"], stats_out=big
+    ).count()
+    assert big["executor"] == "ray" and len(reads) == 1
+    assert big["scan_bytes"] == stats["scan_bytes"] > ts.DRIVER_SCAN_BYTES
+    assert n > 0
+    assert ts.count_where_table_store(
+        parity_store, [("like", "text", "%sort%")], stats_out=big
+    ) == n
+    assert big["executor"] == "ray" and len(reads) == 2

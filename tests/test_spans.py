@@ -163,3 +163,32 @@ def test_remove_duplicated_token_spans_both_paths(ray_session):
     out = remove_duplicated_token_spans(clean, k=16).to_pandas()
     assert sorted(out["doc_id"]) == [0, 1, 2, 3]
     assert all(len(t) == 40 for t in out["tokens"])
+
+
+def test_pack_doc_spans_int64_offsets(monkeypatch):
+    """The per-doc span lists of the shuffle-join removal path are built
+    with int64 offsets (large_list), so one bucket past 2^31 removal rows
+    cannot wrap them; the packed strings sort by (doc, pos)."""
+    import pyarrow.compute as pc
+
+    from fsst_like_ray.functions.spans import _pack_doc_spans
+
+    joined_types = []
+    real_join = pc.binary_join
+
+    def spy(lists, sep):
+        joined_types.append(lists.type)
+        return real_join(lists, sep)
+
+    monkeypatch.setattr(pc, "binary_join", spy)
+    g = pa.table(
+        {
+            "doc_id": pa.array([7, 3, 7, 3, 9], type=pa.int64()),
+            "pos": pa.array([40, 5, 2, 1, 0], type=pa.int64()),
+        }
+    )
+    out = _pack_doc_spans(g)
+    assert joined_types == [pa.large_list(pa.string())]
+    assert out["doc_id"].to_pylist() == [3, 7, 9]
+    assert out["spans"].to_pylist() == ["1,5", "2,40", "0"]
+    assert out.schema.field("spans").type == pa.string()
