@@ -3,8 +3,10 @@
 $RAY_GRAFT_CPUS, printing ONE JSON line.
 
 Headline = the north-rule flagship: synthetic tokens corpus (FIXTURES.md §1)
-→ skew-planned auto-codec encode → partitioned parquet + manifest; plus
-decode-verify, compressed LIKE scans, dedup, and ANN as per-query timings.
+→ row-group-spec auto-codec encode into ONE table store (per-column
+parquet parts + lineage manifest); plus decode-verify of that store against
+the corpus, compressed LIKE scans, dedup, ANN as per-query timings, and the
+training loader serving the same store.
 
 --scaling runs the headline encode in FRESH subprocesses at num_cpus=2, 8
 and 32 on the SAME pre-generated input and reports throughputs + the 2→8
@@ -72,18 +74,18 @@ def _warm_cluster(ray, num_cpus: int):
         import os
         import tempfile
 
-        import pyarrow as pa
         import pyarrow.parquet as pq
 
+        from fsst_like_ray.pipelines.columnar import (
+            decode_columns_batch,
+            encode_columns_batch,
+        )
         from fsst_like_ray.sources.tokens import tokens_table
-        from fsst_like_ray.stages.encode import encode_table
-        from fsst_like_ray.stages.decode import decode_batch
 
-        t = tokens_table(64, seed=1)
-        enc = encode_table(t, "auto", None, 1_000_000)
-        decode_batch(enc)
+        enc = encode_columns_batch(tokens_table(64, seed=1))
+        decode_columns_batch(enc)
         fp = os.path.join(tempfile.gettempdir(), f"warm_{os.getpid()}.parquet")
-        pq.write_table(enc.select(["doc_id", "n_tok"]), fp)
+        pq.write_table(enc, fp)
         os.unlink(fp)
         _t.sleep(0.8)
         return 0
@@ -110,40 +112,41 @@ def _ensure_corpus():
 
 
 def _corpus_tokens() -> int:
+    """Token count of the corpus: the sum of its plain ``n_tok`` column
+    (the table-store lineage records bytes per column, not tokens)."""
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    total = 0
-    for f in sorted(os.listdir(CORPUS_DIR)):
-        if f.endswith(".parquet"):
-            md = pq.read_metadata(os.path.join(CORPUS_DIR, f))
-            total += md.num_rows
-    return total
+    from fsst_like_ray.pipelines.compress import discover_fragments
+
+    return sum(
+        int(pc.sum(pq.read_table(f, columns=["n_tok"])["n_tok"]).as_py() or 0)
+        for f in discover_fragments(CORPUS_DIR)
+    )
 
 
 def run_headline(out_dir: str) -> dict:
-    """Encode the corpus with the full pipeline (auto codec, skew plan,
-    manifest); returns timing + manifest stats."""
-    from fsst_like_ray.pipelines import compress_dataset
+    """Encode the corpus into a fresh table store (auto codec per column
+    and block, row-group specs, lineage manifest); returns timing +
+    manifest stats."""
+    from fsst_like_ray.pipelines.tablestore import compress_table
 
     shutil.rmtree(out_dir, ignore_errors=True)
     t0 = time.time()
-    stats = compress_dataset(
-        CORPUS_DIR, out_dir, codec="auto", balance_tokens=1_000_000
-    )
+    stats = compress_table(CORPUS_DIR, out_dir)
     dt = time.time() - t0
     return {"sec": dt, **stats}
 
 
 def run_decode_verify(out_dir: str) -> dict:
-    from fsst_like_ray.pipelines import verify_roundtrip_manifest
+    """Bit-exact decode-verify of the headline store against the corpus,
+    one distributed unit per store part."""
+    from fsst_like_ray.pipelines.tablestore import verify_table_store
 
     t0 = time.time()
-    # manifest-based verify: ONE streaming decode+hash, checked against the
-    # input hashes the encode pass recorded — never re-reads the original
-    # corpus (the only affordable shape at 100 TB)
-    v = verify_roundtrip_manifest(out_dir)
+    v = verify_table_store(CORPUS_DIR, out_dir)
     dt = time.time() - t0
-    assert v["match"], v
+    assert v["ok"], v
     return {"sec": dt}
 
 
@@ -354,11 +357,10 @@ def run_columnar_groupby(sf_dir: str) -> dict:
     }
 
 
-def run_training_loader(batch_tokens: int = 262144) -> dict:
+def run_training_loader(store: str, batch_tokens: int = 262144) -> dict:
     """Training-consumption leg (reported OUTSIDE the suite total, like the
     spec legs, so pipeline_suite_sec keeps its cross-round definition):
-    the bench corpus committed once as a table store (manifest resume
-    makes re-runs free), then ONE rank streams every token-budgeted batch
+    ONE rank streams every token-budgeted batch of the headline store
     through pipelines/loader.py — the store→trainer serving rate. The
     plan (seek index) time is reported separately: that is what a resume
     pays before the first batch."""
@@ -366,12 +368,7 @@ def run_training_loader(batch_tokens: int = 262144) -> dict:
         iter_training_batches,
         plan_training_batches,
     )
-    from fsst_like_ray.pipelines.tablestore import compress_table
 
-    store = f"{CORPUS_DIR}_store"
-    t0 = time.time()
-    compress_table(CORPUS_DIR, store)
-    build_sec = time.time() - t0
     t0 = time.time()
     plan = plan_training_batches(store, batch_tokens)
     plan_sec = time.time() - t0
@@ -382,7 +379,6 @@ def run_training_loader(batch_tokens: int = 262144) -> dict:
         batches += 1
     sec = time.time() - t0
     return {
-        "store_build_sec": round(build_sec, 3),
         "plan_sec": round(plan_sec, 3),
         "sec": round(sec, 3),
         "tokens": tokens,
@@ -614,9 +610,10 @@ def main():
         _ensure_corpus()
         _warm_cluster(ray, num_cpus)
         queries: dict[str, float] = {}
-        head = run_headline(f"/tmp/fsst_like_bench/encoded_{num_cpus}")
+        store = f"/tmp/fsst_like_bench/encoded_{num_cpus}"
+        head = run_headline(store)
         queries["encode_auto"] = round(head["sec"], 3)
-        tokens = head.get("tokens", 0)
+        tokens = _corpus_tokens()
         tput = tokens / head["sec"] if head["sec"] else 0.0
 
         if args.headline_only:
@@ -634,9 +631,7 @@ def main():
             )
             return
 
-        queries["decode_verify"] = round(
-            run_decode_verify(f"/tmp/fsst_like_bench/encoded_{num_cpus}")["sec"], 3
-        )
+        queries["decode_verify"] = round(run_decode_verify(store)["sec"], 3)
         queries["like_scan_compressed"] = round(run_like(sf_dir)["sec"], 3)
         rank = run_rank(sf_dir)
         queries["engine_rank"] = round(rank["sec"], 3)
@@ -650,7 +645,7 @@ def main():
         clike = run_columnar_like(sf_dir)
         cgrp = run_columnar_groupby(sf_dir)
         queries["join_tpch_q3"] = round(run_join_q3(sf_dir)["sec"], 3)
-        loader = run_training_loader()
+        loader = run_training_loader(store)
 
         total = sum(queries.values())
         # The bulky per-engine rank table goes to a sidecar file + its own
@@ -675,6 +670,9 @@ def main():
                     "num_cpus": num_cpus,
                     "tokens": tokens,
                     "encode_tokens_per_sec": round(tput, 1),
+                    # whole-store ratio from the headline store's lineage:
+                    # Arrow plain bytes over encoded bytes (payload +
+                    # envelope), summed over every corpus column
                     "compression_ratio": round(
                         head.get("plain_bytes", 0)
                         / max(head.get("encoded_bytes", 1), 1),

@@ -1,12 +1,10 @@
 """CLI entry points — the reference's executables re-expressed
 (``./build/main <column:file> <like-pattern>`` → ``like``; the sketch.cc
-full-decompression harness → ``compress``/``decompress``/``verify``).
+full-decompression harness → ``table-store --verify`` / ``table-decode``).
 
 Usage:
-    python -m fsst_like_ray compress <input_parquet_dir> <out_dir>
-        [--codec auto] [--balance-tokens 1000000]
-    python -m fsst_like_ray decompress <out_dir> <dest_dir>
-    python -m fsst_like_ray verify <input_parquet_dir> <out_dir>
+    python -m fsst_like_ray table-store <input_parquet> <out_dir> [--verify]
+    python -m fsst_like_ray table-decode <encoded> <dest> [--columns ...]
     python -m fsst_like_ray like <documents.parquet> <pattern>
         [--engine auto|decoded|prefix|skipping|kmp] [--text-col text]
     python -m fsst_like_ray rank <documents.parquet> <pattern> [<pattern>...]
@@ -42,59 +40,6 @@ def _ray():
 
     ray.data.DataContext.get_current().enable_progress_bars = False
     return ray
-
-
-def cmd_compress(args) -> int:
-    ray = _ray()
-    from .pipelines.compress import compress_dataset, discover_fragments
-
-    if not discover_fragments(args.input):
-        print(f"error: no parquet fragments under {args.input!r}", file=sys.stderr)
-        ray.shutdown()
-        return 2
-    t0 = time.time()
-    stats = compress_dataset(
-        args.input,
-        args.out,
-        codec=args.codec,
-        balance_tokens=args.balance_tokens,
-        shared_table=args.shared_table,
-    )
-    dt = time.time() - t0
-    print(json.dumps({**stats, "sec": round(dt, 2),
-                      "tokens_per_sec": round(stats["tokens"] / max(dt, 1e-9), 1)}))
-    ray.shutdown()
-    return 0
-
-
-def cmd_decompress(args) -> int:
-    ray = _ray()
-    from .pipelines.compress import decode_dataset, read_encoded
-
-    decode_dataset(read_encoded(args.out)).write_parquet(args.dest)
-    print(json.dumps({"dest": args.dest}))
-    ray.shutdown()
-    return 0
-
-
-def cmd_verify(args) -> int:
-    ray = _ray()
-    import ray.data
-
-    from .pipelines.compress import (
-        decode_dataset,
-        read_encoded,
-        read_parquet_blocks,
-        verify_roundtrip,
-    )
-
-    v = verify_roundtrip(
-        read_parquet_blocks(args.input),
-        decode_dataset(read_encoded(args.out)),
-    )
-    print(json.dumps({"bit_identical": bool(v["match"]), "rows": v["original"][2]}))
-    ray.shutdown()
-    return 0 if v["match"] else 1
 
 
 def cmd_like(args) -> int:
@@ -188,49 +133,6 @@ def cmd_rank(args) -> int:
     rows = rank_engines(raw, enc, args.patterns, repeats=args.repeats)
     for r in rows:
         print(json.dumps(r))
-    ray.shutdown()
-    return 0
-
-
-def cmd_compact(args) -> int:
-    ray = _ray()
-    from .pipelines.compact import compact_fragments
-    from .pipelines.compress import verify_roundtrip_manifest
-
-    t0 = time.time()
-    stats = compact_fragments(args.out, target_bytes=args.target_bytes)
-    v = verify_roundtrip_manifest(args.out)
-    print(
-        json.dumps(
-            {
-                **stats,
-                "verified": bool(v["match"]),
-                "sec": round(time.time() - t0, 3),
-            }
-        )
-    )
-    ray.shutdown()
-    return 0 if v["match"] else 1
-
-
-def cmd_index(args) -> int:
-    ray = _ray()
-    from .pipelines.zoneindex import build_token_zone_index
-
-    t0 = time.time()
-    stats = build_token_zone_index(args.out, incremental=args.incremental)
-    print(json.dumps({**stats, "sec": round(time.time() - t0, 3)}))
-    ray.shutdown()
-    return 0
-
-
-def cmd_transcode(args) -> int:
-    ray = _ray()
-    from .pipelines.compress import transcode_encoded
-
-    t0 = time.time()
-    stats = transcode_encoded(args.src, args.dst, codec=args.codec)
-    print(json.dumps({**stats, "sec": round(time.time() - t0, 3)}))
     ray.shutdown()
     return 0
 
@@ -505,12 +407,12 @@ def cmd_table_decode(args) -> int:
     ray = _ray()
     import ray.data as rd
 
-    from .pipelines.columnar import decode_columns_dataset, read_encoded_columns
+    from .pipelines.columnar import decode_columns_dataset, read_decoded_columns
 
     t0 = time.time()
     if args.columns:
         cols = [c.strip() for c in args.columns.split(",") if c.strip()]
-        dec = read_encoded_columns(args.input, cols)
+        dec = read_decoded_columns(args.input, cols)
     else:
         dec = decode_columns_dataset(rd.read_parquet(args.input))
     dec.write_parquet(args.dest)
@@ -1217,27 +1119,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="python -m fsst_like_ray")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    c = sub.add_parser("compress")
-    c.add_argument("input")
-    c.add_argument("out")
-    c.add_argument("--codec", default="auto")
-    c.add_argument("--balance-tokens", type=int, default=1_000_000)
-    c.add_argument("--shared-table", action="store_true",
-                   help="train ONE global fsst symbol table on a corpus "
-                        "sample and reuse it for every fragment "
-                        "(requires --codec fsst)")
-    c.set_defaults(fn=cmd_compress)
-
-    d = sub.add_parser("decompress")
-    d.add_argument("out")
-    d.add_argument("dest")
-    d.set_defaults(fn=cmd_decompress)
-
-    v = sub.add_parser("verify")
-    v.add_argument("input")
-    v.add_argument("out")
-    v.set_defaults(fn=cmd_verify)
-
     l = sub.add_parser("like")
     l.add_argument("file")
     l.add_argument("pattern")
@@ -1258,35 +1139,6 @@ def main(argv=None) -> int:
     r.add_argument("--id-col", default="doc_id")
     r.add_argument("--repeats", type=int, default=2)
     r.set_defaults(fn=cmd_rank)
-
-    k = sub.add_parser(
-        "compact",
-        help="merge an encoded corpus's small partition files in place "
-             "(crash-safe; manifest hashes stay bit-identical)",
-    )
-    k.add_argument("out")
-    k.add_argument("--target-bytes", type=int, default=64 << 20)
-    k.set_defaults(fn=cmd_compact)
-
-    z = sub.add_parser(
-        "index",
-        help="build/rebuild the per-file token zone index "
-             "(<out>/index/zones.parquet)",
-    )
-    z.add_argument("out")
-    z.add_argument("--incremental", action="store_true",
-                   help="scan only files absent from the existing index")
-    z.set_defaults(fn=cmd_index)
-
-    tc = sub.add_parser(
-        "transcode",
-        help="re-encode an encoded corpus under a different codec policy "
-             "(no raw round-trip; verifies against source lineage hashes)",
-    )
-    tc.add_argument("src")
-    tc.add_argument("dst")
-    tc.add_argument("--codec", default="auto")
-    tc.set_defaults(fn=cmd_transcode)
 
     tg = sub.add_parser(
         "trigram-index",

@@ -440,6 +440,69 @@ def funnel_completions(
     )
 
 
+def _ohlc_merge_bucket(g: pa.Table, key_col: str) -> pa.Table:
+    """``hourly_ohlc``'s merge kernel, vectorized across every (key, hour)
+    group in one coarse bucket: two lexsorts — (hour, key, open-order)
+    and (hour, key, close-order) — share identical run segmentation, so
+    open/close are run first/last rows and high/low/n are reduceat folds.
+    A zero-row bucket runs the same code and returns the same schema."""
+    kcol = g[key_col]
+    if isinstance(kcol, pa.ChunkedArray):
+        kcol = kcol.combine_chunks()
+    enc = (
+        kcol
+        if pa.types.is_dictionary(kcol.type)
+        else kcol.dictionary_encode()
+    )
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    hh = g["hour"].to_numpy(zero_copy_only=False)
+    ots = g["ots"].to_numpy(zero_copy_only=False)
+    oid = g["oid"].to_numpy(zero_copy_only=False)
+    cts = g["cts"].to_numpy(zero_copy_only=False)
+    cid = g["cid"].to_numpy(zero_copy_only=False)
+    o_order = np.lexsort((oid, ots, codes, hh))
+    c_order = np.lexsort((cid, cts, codes, hh))
+    kk, hs = codes[o_order], hh[o_order]
+    starts = np.flatnonzero(
+        np.r_[len(kk) > 0, (kk[1:] != kk[:-1]) | (hs[1:] != hs[:-1])]
+    )
+    ends = np.r_[starts, len(kk)][1:] - 1
+    open_rows = o_order[starts]
+    close_rows = c_order[ends]
+    hi = g["high_cents"].to_numpy(zero_copy_only=False)[o_order]
+    lo = g["low_cents"].to_numpy(zero_copy_only=False)[o_order]
+    nn = g["n"].to_numpy(zero_copy_only=False)[o_order]
+    return pa.table(
+        {
+            key_col: kcol.take(
+                pa.array(open_rows, type=pa.int64())
+            ),
+            "hour": pa.array(hs[starts]),
+            "open_cents": pa.array(
+                g["open_cents"].to_numpy(zero_copy_only=False)[
+                    open_rows
+                ],
+                type=pa.int64(),
+            ),
+            "high_cents": pa.array(
+                np.maximum.reduceat(hi, starts), type=pa.int64()
+            ),
+            "low_cents": pa.array(
+                np.minimum.reduceat(lo, starts), type=pa.int64()
+            ),
+            "close_cents": pa.array(
+                g["close_cents"].to_numpy(zero_copy_only=False)[
+                    close_rows
+                ],
+                type=pa.int64(),
+            ),
+            "n": pa.array(
+                np.add.reduceat(nn, starts), type=pa.int64()
+            ),
+        }
+    )
+
+
 def hourly_ohlc(
     events: "ray.data.Dataset",
     key_col: str = "event_type",
@@ -507,70 +570,6 @@ def hourly_ohlc(
             }
         )
 
-    def merge_bucket(g: pa.Table) -> pa.Table:
-        """Vectorized across every (key, hour) group in one coarse
-        bucket: two lexsorts — (hour, key, open-order) and (hour, key,
-        close-order) — share identical run segmentation, so open/close
-        are run first/last rows and high/low/n are reduceat folds."""
-        if g.num_rows == 0:
-            return g
-        kcol = g[key_col]
-        if isinstance(kcol, pa.ChunkedArray):
-            kcol = kcol.combine_chunks()
-        enc = (
-            kcol
-            if pa.types.is_dictionary(kcol.type)
-            else kcol.dictionary_encode()
-        )
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        hh = g["hour"].to_numpy(zero_copy_only=False)
-        ots = g["ots"].to_numpy(zero_copy_only=False)
-        oid = g["oid"].to_numpy(zero_copy_only=False)
-        cts = g["cts"].to_numpy(zero_copy_only=False)
-        cid = g["cid"].to_numpy(zero_copy_only=False)
-        o_order = np.lexsort((oid, ots, codes, hh))
-        c_order = np.lexsort((cid, cts, codes, hh))
-        kk, hs = codes[o_order], hh[o_order]
-        starts = np.concatenate(
-            ([0],
-             np.flatnonzero((kk[1:] != kk[:-1]) | (hs[1:] != hs[:-1])) + 1)
-        )
-        ends = np.concatenate((starts[1:], [len(kk)])) - 1
-        open_rows = o_order[starts]
-        close_rows = c_order[ends]
-        hi = g["high_cents"].to_numpy(zero_copy_only=False)[o_order]
-        lo = g["low_cents"].to_numpy(zero_copy_only=False)[o_order]
-        nn = g["n"].to_numpy(zero_copy_only=False)[o_order]
-        return pa.table(
-            {
-                key_col: kcol.take(
-                    pa.array(open_rows, type=pa.int64())
-                ),
-                "hour": pa.array(hs[starts]),
-                "open_cents": pa.array(
-                    g["open_cents"].to_numpy(zero_copy_only=False)[
-                        open_rows
-                    ],
-                    type=pa.int64(),
-                ),
-                "high_cents": pa.array(
-                    np.maximum.reduceat(hi, starts), type=pa.int64()
-                ),
-                "low_cents": pa.array(
-                    np.minimum.reduceat(lo, starts), type=pa.int64()
-                ),
-                "close_cents": pa.array(
-                    g["close_cents"].to_numpy(zero_copy_only=False)[
-                        close_rows
-                    ],
-                    type=pa.int64(),
-                ),
-                "n": pa.array(
-                    np.add.reduceat(nn, starts), type=pa.int64()
-                ),
-            }
-        )
-
     from .bucketed import bucketed_group_kernel
 
     # bucket on the high-cardinality hour (key_col is a low-cardinality
@@ -579,7 +578,7 @@ def hourly_ohlc(
     return bucketed_group_kernel(
         events.map_batches(partial, batch_format="pyarrow"),
         "hour",
-        merge_bucket,
+        lambda g: _ohlc_merge_bucket(g, key_col),
     )
 
 

@@ -20,6 +20,8 @@ Partitioning assumptions (documented for 100 TB):
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -49,6 +51,89 @@ def _ntile(n_rows: int, n: int) -> np.ndarray:
     if q > 0:
         out[~big] = r + (rn0[~big] - head) // q + 1
     return out
+
+
+def _window_block(
+    g: pa.Table, key, order, sum_col, lag_col, tiebreak, roll, ntile, fill_col
+) -> pa.Table:
+    """``keyed_window``'s kernel, vectorized across EVERY key in one coarse
+    bucket: one lexsort keyed (key, order, tiebreak), then run-segmented
+    cumsum / rolling diff / ntile / forward-fill / lag — per-group Python
+    cost is O(buckets), never O(#keys). A zero-row block runs the same
+    code and returns the same output schema."""
+    n = g.num_rows
+    kcol = g[key]
+    if isinstance(kcol, pa.ChunkedArray):
+        kcol = kcol.combine_chunks()
+    enc = (
+        kcol
+        if pa.types.is_dictionary(kcol.type)
+        else kcol.dictionary_encode()
+    )
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    ordv = g[order].to_numpy(zero_copy_only=False)
+    if tiebreak is not None:
+        tb = g[tiebreak].to_numpy(zero_copy_only=False)
+        idx = np.lexsort((tb, ordv, codes))
+    else:
+        idx = np.lexsort((np.arange(n, dtype=np.int64), ordv, codes))
+    g = g.take(pa.array(idx, type=pa.int64()))
+    ks = codes[idx]
+    starts = np.flatnonzero(np.r_[n > 0, ks[1:] != ks[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    start_rep = np.repeat(starts, sizes)
+    rn0 = np.arange(n, dtype=np.int64) - start_rep
+    cols = {name: g[name] for name in g.column_names}
+    cols["rn"] = pa.array(rn0 + 1)
+    if sum_col is not None:
+        v = g[sum_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        cs = np.cumsum(v)
+        base = np.repeat(cs[starts] - v[starts], sizes)
+        cols[f"{sum_col}_run"] = pa.array(cs - base)
+    if roll is not None:
+        rcol, w = roll
+        v = g[rcol].to_numpy(zero_copy_only=False).astype(np.int64)
+        cs = np.cumsum(v)
+        base = np.repeat(cs[starts] - v[starts], sizes)
+        run = cs - base
+        out = run.copy()
+        has_prev = rn0 >= w
+        prev = np.arange(n, dtype=np.int64) - w
+        out[has_prev] -= run[prev[has_prev]]
+        cols[f"{rcol}_roll{w}"] = pa.array(out)
+    if ntile is not None:
+        sz = np.repeat(sizes, sizes)
+        q, r = sz // ntile, sz % ntile
+        head = r * (q + 1)
+        big = rn0 < head
+        out = np.empty(n, dtype=np.int64)
+        out[big] = rn0[big] // (q[big] + 1) + 1
+        nb = ~big  # only reachable when q > 0 (head == size if q == 0)
+        out[nb] = r[nb] + (rn0[nb] - head[nb]) // q[nb] + 1
+        cols[f"q{ntile}"] = pa.array(out)
+    if fill_col is not None:
+        col = g[fill_col].combine_chunks()
+        valid = ~pc.is_null(col).to_numpy(zero_copy_only=False)
+        pos = np.where(valid, np.arange(n, dtype=np.int64), -1)
+        last = np.maximum.accumulate(pos)
+        # a carried index from a PREVIOUS run means "no valid value
+        # yet in this key": indexes are monotonic, so < run start ⇔
+        # foreign
+        miss = last < start_rep
+        take_idx = pa.array(
+            np.maximum(last, 0), type=pa.int64(), mask=miss
+        )
+        cols[f"{fill_col}_ffill"] = pc.take(col, take_idx)
+    if lag_col is not None:
+        prev = np.arange(-1, n - 1, dtype=np.int64)
+        miss = prev < start_rep
+        lag_idx = pa.array(
+            np.maximum(prev, 0), type=pa.int64(), mask=miss
+        )
+        cols[f"{lag_col}_lag"] = pc.take(
+            g[lag_col].combine_chunks(), lag_idx
+        )
+    return pa.table(cols)
 
 
 def keyed_window(
@@ -88,89 +173,14 @@ def keyed_window(
     if ntile is not None and ntile < 1:
         raise ValueError(f"keyed_window: ntile must be >= 1, got {ntile}")
 
-    def win(g: pa.Table) -> pa.Table:
-        """Vectorized across EVERY key in one coarse bucket: one lexsort
-        keyed (key, order, tiebreak), then run-segmented cumsum / rolling
-        diff / ntile / forward-fill / lag — per-group Python cost is
-        O(buckets), never O(#keys)."""
-        n = g.num_rows
-        if n == 0:
-            return g
-        kcol = g[key]
-        if isinstance(kcol, pa.ChunkedArray):
-            kcol = kcol.combine_chunks()
-        enc = (
-            kcol
-            if pa.types.is_dictionary(kcol.type)
-            else kcol.dictionary_encode()
-        )
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        ordv = g[order].to_numpy(zero_copy_only=False)
-        if tiebreak is not None:
-            tb = g[tiebreak].to_numpy(zero_copy_only=False)
-            idx = np.lexsort((tb, ordv, codes))
-        else:
-            idx = np.lexsort((np.arange(n, dtype=np.int64), ordv, codes))
-        g = g.take(pa.array(idx, type=pa.int64()))
-        ks = codes[idx]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(ks[1:] != ks[:-1]) + 1)
-        )
-        sizes = np.diff(np.concatenate((starts, [n])))
-        start_rep = np.repeat(starts, sizes)
-        rn0 = np.arange(n, dtype=np.int64) - start_rep
-        cols = {name: g[name] for name in g.column_names}
-        cols["rn"] = pa.array(rn0 + 1)
-        if sum_col is not None:
-            v = g[sum_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            cs = np.cumsum(v)
-            base = np.repeat(cs[starts] - v[starts], sizes)
-            cols[f"{sum_col}_run"] = pa.array(cs - base)
-        if roll is not None:
-            rcol, w = roll
-            v = g[rcol].to_numpy(zero_copy_only=False).astype(np.int64)
-            cs = np.cumsum(v)
-            base = np.repeat(cs[starts] - v[starts], sizes)
-            run = cs - base
-            out = run.copy()
-            has_prev = rn0 >= w
-            prev = np.arange(n, dtype=np.int64) - w
-            out[has_prev] -= run[prev[has_prev]]
-            cols[f"{rcol}_roll{w}"] = pa.array(out)
-        if ntile is not None:
-            sz = np.repeat(sizes, sizes)
-            q, r = sz // ntile, sz % ntile
-            head = r * (q + 1)
-            big = rn0 < head
-            out = np.empty(n, dtype=np.int64)
-            out[big] = rn0[big] // (q[big] + 1) + 1
-            nb = ~big  # only reachable when q > 0 (head == size if q == 0)
-            out[nb] = r[nb] + (rn0[nb] - head[nb]) // q[nb] + 1
-            cols[f"q{ntile}"] = pa.array(out)
-        if fill_col is not None:
-            col = g[fill_col].combine_chunks()
-            valid = ~pc.is_null(col).to_numpy(zero_copy_only=False)
-            pos = np.where(valid, np.arange(n, dtype=np.int64), -1)
-            last = np.maximum.accumulate(pos)
-            # a carried index from a PREVIOUS run means "no valid value
-            # yet in this key": indexes are monotonic, so < run start ⇔
-            # foreign
-            miss = last < start_rep
-            take_idx = pa.array(
-                np.maximum(last, 0), type=pa.int64(), mask=miss
-            )
-            cols[f"{fill_col}_ffill"] = pc.take(col, take_idx)
-        if lag_col is not None:
-            prev = np.arange(-1, n - 1, dtype=np.int64)
-            miss = prev < start_rep
-            lag_idx = pa.array(
-                np.maximum(prev, 0), type=pa.int64(), mask=miss
-            )
-            cols[f"{lag_col}_lag"] = pc.take(
-                g[lag_col].combine_chunks(), lag_idx
-            )
-        return pa.table(cols)
-
     from .bucketed import bucketed_group_kernel
 
-    return bucketed_group_kernel(ds, key, win)
+    return bucketed_group_kernel(
+        ds,
+        key,
+        functools.partial(
+            _window_block, key=key, order=order, sum_col=sum_col,
+            lag_col=lag_col, tiebreak=tiebreak, roll=roll, ntile=ntile,
+            fill_col=fill_col,
+        ),
+    )

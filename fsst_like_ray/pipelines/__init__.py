@@ -1,16 +1,3 @@
-from .compress import (
-    encode_dataset,
-    decode_dataset,
-    compress_dataset,
-    read_encoded,
-    verify_roundtrip,
-    verify_roundtrip_manifest,
-)
+from .compress import encode_dataset, decode_dataset
 
-__all__ = [
-    "encode_dataset",
-    "decode_dataset",
-    "compress_dataset",
-    "read_encoded",
-    "verify_roundtrip",
-]
+__all__ = ["encode_dataset", "decode_dataset"]

@@ -3154,7 +3154,7 @@ def decode_columns_dataset(ds, columns=None):
     """Encoded Dataset → original columns. ``columns`` prunes BEFORE
     decode: only the selected columns' blk/payload leave the batch, so
     unwanted columns never pay their decode. (For parquet-backed encoded
-    tables prefer read_encoded_columns — it prunes at the READ.)"""
+    tables prefer read_decoded_columns — it prunes at the READ.)"""
     if columns is None:
         return ds.map_batches(
             decode_columns_batch, batch_format="pyarrow", zero_copy_batch=True
@@ -3168,7 +3168,7 @@ def decode_columns_dataset(ds, columns=None):
     )
 
 
-def read_encoded_columns(path, columns, **read_kwargs):
+def read_decoded_columns(path, columns, **read_kwargs):
     """Column-pruned read of a parquet-persisted encoded table: passes the
     encoded field names to read_parquet so unneeded columns never leave
     storage (north-star 'prune at the read'), then decodes."""
@@ -3182,7 +3182,7 @@ def read_encoded_columns(path, columns, **read_kwargs):
         frags = sorted(f for f in os.listdir(p) if f.endswith(".parquet"))
         if not frags:
             raise FileNotFoundError(
-                f"read_encoded_columns: no .parquet files under {p!r}"
+                f"read_decoded_columns: no .parquet files under {p!r}"
             )
         # encode_columns_dataset writes one uniform schema across fragments,
         # so the first file's schema speaks for the table

@@ -1,27 +1,18 @@
-"""The flagship pipeline: streaming encode → partitioned Parquet sink →
-lineage manifest → decode-verify. Everything is a lazy ``ray.data.Dataset``
-(reference lifecycle analog: SURVEY.md §3.1, re-expressed as a stream).
+"""Token-stage Dataset wrappers and the parquet read helpers the table
+store shares.
 
-Scale notes:
-- the encode stage is a task-pool ``map_batches`` (state trained per batch,
-  so no actor is needed; pass ``concurrency`` to pin an actor pool);
-- fragments (input files) are the checkpoint unit; a killed job resumes by
-  skipping fragments already committed to the manifest;
-- output is hive-partitioned by fragment key → a failed run never corrupts
-  finished fragments; rewrites are idempotent per fragment (deterministic
-  per-batch file names, atomic rename);
-- ONE streaming execution per round: the encode stage's own map_batches
-  tasks write their parquet files AND emit tiny per-fragment stat rows, so
-  the pipeline never re-reads its output for lineage stats and never ships
-  encoded payloads to a separate write operator;
-- planning reads a bounded sample of parquet footers/columns driver-side —
-  no extra Ray execution for the skew plan.
+- ``encode_dataset`` / ``decode_dataset``: lazy ``map_batches`` over the
+  per-row token codecs (stages/encode.py, stages/decode.py) — the
+  in-memory encode → decode roundtrip the registry queries use;
+- ``discover_fragments`` / ``read_parquet_blocks``: input-fragment
+  listing and a read whose parallelism never drops below cluster width;
+- ``_rowgroup_specs``: the driver-side row-group split that turns one
+  large input fragment into many parallel work units
+  (pipelines/tablestore.py ``compress_table``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 
 import numpy as np
@@ -29,59 +20,28 @@ import pyarrow as pa
 
 import ray.data
 
-from ..stages.encode import SHARED_SAFE_CODECS, EncoderActor, encode_table
 from ..stages.decode import decode_batch
-from ..stages.verify import hash_summary
-from ..state.manifest import Manifest, fragment_key
+from ..stages.encode import EncoderActor
 
-DEFAULT_BATCH_ROWS = 2048
-# codec-state token budget when the caller gives no balance_tokens:
-# ≈ the old default 2048-row block at the fixture's mean row length, so
-# spec coarsening (up to 32 batches per task) never silently widens the
-# state granularity — the giant-document isolation guarantee is the token
-# budget, not the task size
-DEFAULT_STATE_TOKENS = 1_000_000
-PLAN_SAMPLE_FILES = 8
+ENCODE_BATCH_ROWS = 2048
 
 
 def encode_dataset(
     ds: "ray.data.Dataset",
     codec: str = "auto",
-    concurrency=None,
-    batch_size: int | None = DEFAULT_BATCH_ROWS,
-    max_tokens_per_state: int | None = None,
     shared_state: bytes | None = None,
 ) -> "ray.data.Dataset":
-    """Encode stage. Codec state is trained per batch (no cross-batch state),
-    so the default is a stateless TASK pool — it autoscales to whatever CPUs
-    the streaming executor has free, with no actor ramp-up or bundling
-    stalls. Pass ``concurrency`` to pin an actor pool instead (useful when a
-    future codec carries heavy per-process setup). ``shared_state``: a
-    pre-trained global codec state (see ``train_shared_state``) — skips
-    per-batch training entirely."""
-    if concurrency is None:
-        fn = EncoderActor(
-            codec=codec,
-            max_tokens_per_state=max_tokens_per_state,
-            shared_state=shared_state,
-        )
-        return ds.map_batches(
-            lambda b, _fn=fn: _fn(b),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
-        )
+    """Encode stage. Codec state is trained per ``ENCODE_BATCH_ROWS``
+    batch (no cross-batch state), so a stateless task pool suffices — it
+    autoscales to whatever CPUs the streaming executor has free.
+    ``shared_state``: a pre-trained codec state (fsst only, see
+    ``stages.encode.SHARED_SAFE_CODECS``) — skips per-batch training."""
+    fn = EncoderActor(codec=codec, shared_state=shared_state)
     return ds.map_batches(
-        EncoderActor,
-        fn_constructor_kwargs={
-            "codec": codec,
-            "max_tokens_per_state": max_tokens_per_state,
-            "shared_state": shared_state,
-        },
+        lambda b, _fn=fn: _fn(b),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=ENCODE_BATCH_ROWS,
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
 
 
@@ -90,8 +50,7 @@ def decode_dataset(
 ) -> "ray.data.Dataset":
     """Decode stage; ``verify_rows=True`` re-hashes every decoded row and
     checks it against the ``row_hash`` the encode pass stored — per-ROW
-    corruption detection (vs the manifest verify's aggregate check), naming
-    the offending doc_ids in the error."""
+    corruption detection, naming the offending doc_ids in the error."""
     if not verify_rows:
         return ds.map_batches(
             decode_batch, batch_format="pyarrow", zero_copy_batch=True
@@ -150,161 +109,6 @@ def read_parquet_blocks(
     return ray.data.read_parquet(files, override_num_blocks=onb, **kwargs)
 
 
-def _plan_batch_rows_local(
-    fragments: list[str],
-    target_tokens: int,
-    min_rows: int = 64,
-    max_rows: int = 65536,
-) -> int:
-    """Driver-side skew plan: mean tokens/row from the ``n_tok`` column of a
-    bounded fragment sample (stride across the corpus so a sorted layout
-    doesn't bias the mean) → the encode batch_size in rows that lands
-    ~``target_tokens`` per task. Reads a few small int32 columns directly —
-    no Ray execution. Intra-batch skew is still handled by token-budget
-    state chunking inside the encoder (stages/encode.py)."""
-    import pyarrow.parquet as pq
-
-    if not fragments:
-        return DEFAULT_BATCH_ROWS
-    stride = max(1, -(-len(fragments) // PLAN_SAMPLE_FILES))  # ceil: spread
-    # the sample across the WHOLE list (floor-division took the head for
-    # 9..15 fragments, biasing the mean under sorted layouts)
-    sample = fragments[::stride][:PLAN_SAMPLE_FILES]
-    rows = tokens = 0
-    for f in sample:
-        try:
-            t = pq.read_table(f, columns=["n_tok"])
-        except Exception:
-            continue
-        rows += t.num_rows
-        tokens += int(pa.compute.sum(t["n_tok"]).as_py() or 0)
-    if rows == 0:
-        return DEFAULT_BATCH_ROWS
-    mean = max(1.0, tokens / rows)
-    return int(np.clip(round(target_tokens / mean), min_rows, max_rows))
-
-
-def _write_and_summarize(batch: pa.Table, data_dir: str) -> pa.Table:
-    """Sink half of the fused encode→write→stats stage: write this batch's
-    rows into their fragment partition dirs (atomic rename, deterministic
-    file names so a retried task overwrites rather than duplicates) and
-    return ONE tiny stats row per fragment touched."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    empty = pa.table(
-        {
-            "frag": pa.array([], type=pa.string()),
-            "rows": pa.array([], type=pa.int64()),
-            "tokens": pa.array([], type=pa.int64()),
-            "encoded_bytes": pa.array([], type=pa.int64()),
-            "hash_sum": pa.array([], type=pa.int64()),
-            "hash_xor": pa.array([], type=pa.int64()),
-            "codec_json": pa.array([], type=pa.string()),
-            "state_sum": pa.array([], type=pa.int64()),
-        }
-    )
-    if batch.num_rows == 0:
-        return empty
-    frag_col = batch["frag"]
-    if isinstance(frag_col, pa.ChunkedArray):
-        frag_col = frag_col.combine_chunks()
-    enc = frag_col.dictionary_encode() if not pa.types.is_dictionary(
-        frag_col.type
-    ) else frag_col
-    fi = enc.indices.to_numpy(zero_copy_only=False)
-    frag_vals = enc.dictionary.to_pylist()
-    out_frag, out_rows, out_tokens, out_bytes = [], [], [], []
-    out_hsum, out_hxor, out_cjson, out_ssum = [], [], [], []
-
-    def _dict_counts_and_hash(col):
-        """(codec→rows histogram, order-independent sum of per-row 64-bit
-        state hashes) — the north rule's 'codec chosen' + 'symbol-table
-        hash' lineage fields. Hashing touches only DISTINCT dictionary
-        values; per-row cost is a bincount gather."""
-        c = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        if not pa.types.is_dictionary(c.type):
-            c = c.dictionary_encode()
-        idx = c.indices.to_numpy(zero_copy_only=False)
-        counts = np.bincount(idx, minlength=len(c.dictionary))
-        return c.dictionary, counts
-
-    def _state_hash64(blob: bytes) -> int:
-        return int.from_bytes(
-            hashlib.sha256(blob or b"").digest()[:8], "little"
-        )
-    for gi, key in enumerate(frag_vals):
-        rows = np.flatnonzero(fi == gi)
-        if rows.size == 0:
-            continue
-        sub = batch.take(pa.array(rows)).drop_columns(["frag"])
-        part_dir = os.path.join(data_dir, f"frag={key}")
-        os.makedirs(part_dir, exist_ok=True)
-        # deterministic name from the batch's CONTENT (row-hash fold): a
-        # Ray task retry rewrites the SAME file instead of appending a
-        # duplicate, and batches differing in any row never alias. Residual
-        # corner: two batches of one fragment whose rows are byte-identical
-        # INCLUDING doc_ids would alias (and produce identical files) —
-        # only reachable on degenerate corpora with thousands of fully
-        # duplicated rows; the corpus contract has unique doc_ids.
-        rh = sub["row_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
-        with np.errstate(over="ignore"):
-            content = (int(rh.sum(dtype=np.uint64)), int(np.bitwise_xor.reduce(rh)) if rh.size else 0)
-        tag = hashlib.sha256(
-            f"{key}|{sub.num_rows}|{content[0]}|{content[1]}".encode()
-        ).hexdigest()[:16]
-        path = os.path.join(part_dir, f"part-{tag}.parquet")
-        tmp = f"{path}.tmp{os.getpid()}"
-        # payload bytes are FSST/bitpack output — high entropy, snappy only
-        # burns CPU on them (and again on every read); metadata columns
-        # still compress well
-        comp = {
-            c: ("none" if c == "payload" else "snappy")
-            for c in sub.column_names
-        }
-        pq.write_table(sub, tmp, compression=comp)
-        os.replace(tmp, path)
-        out_frag.append(key)
-        out_rows.append(sub.num_rows)
-        out_tokens.append(int(pc.sum(sub["n_tok"].cast(pa.int64())).as_py() or 0))
-        out_bytes.append(int(pc.sum(sub["payload_nbytes"]).as_py() or 0))
-        rh = (
-            sub["row_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
-        )
-        with np.errstate(over="ignore"):
-            out_hsum.append(int(rh.sum(dtype=np.uint64).view(np.int64)))
-        out_hxor.append(
-            int(np.bitwise_xor.reduce(rh).view(np.int64)) if rh.size else 0
-        )
-        cdict, ccounts = _dict_counts_and_hash(sub["codec"])
-        out_cjson.append(
-            json.dumps(
-                {
-                    str(cdict[i]): int(ccounts[i])
-                    for i in np.flatnonzero(ccounts)
-                },
-                sort_keys=True,
-            )
-        )
-        sdict, scounts = _dict_counts_and_hash(sub["state"])
-        ssum = 0
-        for i in np.flatnonzero(scounts):
-            ssum += _state_hash64(sdict[i].as_py()) * int(scounts[i])
-        out_ssum.append(int(np.uint64(ssum % (1 << 64)).view(np.int64)))
-    return pa.table(
-        {
-            "frag": pa.array(out_frag, type=pa.string()),
-            "rows": pa.array(out_rows, type=pa.int64()),
-            "tokens": pa.array(out_tokens, type=pa.int64()),
-            "encoded_bytes": pa.array(out_bytes, type=pa.int64()),
-            "hash_sum": pa.array(out_hsum, type=pa.int64()),
-            "hash_xor": pa.array(out_hxor, type=pa.int64()),
-            "codec_json": pa.array(out_cjson, type=pa.string()),
-            "state_sum": pa.array(out_ssum, type=pa.int64()),
-        }
-    )
-
-
 # A spec is the unit of MEMORY locality, a group of specs the unit of
 # SCHEDULING. Specs are capped at ~2 encode batches (~2 M tokens ≈ 16 MB of
 # values): measured at 32 procs, 4 M-token working sets inflate per-core
@@ -339,11 +143,13 @@ def _rowgroup_specs(
     import pyarrow.parquet as pq
 
     def _footer(f: str) -> tuple[str, list[int]]:
+        # an unreadable footer fails the whole call HERE, naming the file,
+        # before any task is scheduled or any manifest record committed
         try:
             md = pq.read_metadata(f)
-            return f, [md.row_group(g).num_rows for g in range(md.num_row_groups)]
-        except Exception:
-            return f, []
+        except pa.ArrowException as e:
+            raise ValueError(f"{f}: unreadable parquet footer ({e})") from e
+        return f, [md.row_group(g).num_rows for g in range(md.num_row_groups)]
 
     # footer reads are tiny but latency-bound (one driver-side round trip
     # per fragment; object storage at 100 TB makes this worse, not better)
@@ -372,506 +178,3 @@ def _rowgroup_specs(
             )
             g = hi
     return specs
-
-
-def train_shared_state(
-    input_path: str | list[str],
-    codec: str = "fsst",
-    sample_files: int = PLAN_SAMPLE_FILES,
-    sample_tokens: int = 2_000_000,
-) -> bytes:
-    """Train ONE codec state on a bounded, strided driver-side sample of
-    the corpus — the FSST paper's global-table variant: at 10^12 sequences
-    per-block training is ~pure overhead once the symbol distribution is
-    stable, and a shared table also amortizes matcher-state builds (one
-    LRU entry serves every block). The sample reads the FIRST row group of
-    ``sample_files`` fragments evenly strided across the corpus, capped at
-    ``sample_tokens`` total — bounded work regardless of corpus size."""
-    import pyarrow.parquet as pq
-
-    from ..stages.encode import list_buffers
-
-    if codec not in SHARED_SAFE_CODECS:
-        raise ValueError(
-            f"shared state is only sound for {SHARED_SAFE_CODECS}, got "
-            f"{codec!r} (its state cannot encode unseen tokens)"
-        )
-    frags = discover_fragments(input_path)
-    if not frags:
-        raise ValueError("no input fragments to sample")
-    stride = -(-len(frags) // sample_files)  # ceil: picks span the corpus
-    picked = frags[::stride][:sample_files]
-    per_file = max(1, sample_tokens // len(picked))
-    vals, lens = [], []
-    for f in picked:
-        pf = pq.ParquetFile(f)
-        t = pf.read_row_group(0, columns=["tokens"])
-        pf.close()
-        v, o = list_buffers(t["tokens"])
-        if len(o) < 2:  # empty first row group — skip this sample file
-            continue
-        cut = int(np.searchsorted(o, o[0] + per_file, side="left"))
-        cut = max(1, min(cut, len(o) - 1))
-        vals.append(v[o[0] : o[cut]])
-        lens.append(np.diff(o[: cut + 1]))
-    if not vals:
-        raise ValueError(
-            "shared-table sample is empty (every sampled fragment's first "
-            "row group has 0 rows)"
-        )
-    values = np.concatenate(vals)
-    offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(np.concatenate(lens))]
-    )
-    from ..codecs import CODECS
-
-    return bytes(CODECS[codec].train(values, offsets))
-
-
-class EncodeSpecTask:
-    """map_batches callable over ROW-GROUP SPECS: each task reads its own
-    row groups straight from storage, encodes, writes its partition files,
-    and emits tiny stat rows. The heavy data never crosses the object store
-    — in this Ray version ``read_parquet`` cannot fuse with a downstream
-    ``map_batches``, so the classic read→encode pipeline pays a full
-    object-store round trip (measured: ~30% of the encode wall at 32 CPUs).
-    Only the few-bytes specs and stat rows flow between operators; the
-    streaming executor still schedules, balances and backpressures the spec
-    stream exactly as it would data blocks."""
-
-    def __init__(
-        self,
-        data_dir: str,
-        codec: str,
-        max_tokens_per_state,
-        groups_ref,
-        shared_state: bytes | None = None,
-    ):
-        self.data_dir = data_dir
-        self.codec = codec
-        self.max_tokens = max_tokens_per_state
-        self.groups_ref = groups_ref  # ray.put ONCE; workers read shared memory
-        self.shared_state = shared_state  # ≤ ~2 KB, rides the task closure
-
-    def __call__(self, ids: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        import ray
-
-        groups = ray.get(self.groups_ref)
-        outs = []
-        for gid in ids["id"].to_pylist():
-            # specs in a group are processed SEQUENTIALLY: peak memory stays
-            # one spec (~2 M tokens of buffers), while the task count is the
-            # group count — scheduling cost and cache footprint decoupled
-            for spec in groups[gid]:
-                pf = pq.ParquetFile(spec["path"])
-                rg1 = (
-                    pf.metadata.num_row_groups if spec["rg1"] < 0 else spec["rg1"]
-                )
-                batch = pf.read_row_groups(range(spec["rg0"], rg1))
-                pf.close()
-                if batch.num_rows == 0:
-                    continue
-                batch = batch.append_column(
-                    "frag",
-                    pa.array([spec["frag"]] * batch.num_rows, pa.string()),
-                )
-                enc = encode_table(
-                    batch, self.codec, None, self.max_tokens,
-                    shared_state=self.shared_state,
-                )
-                outs.append(_write_and_summarize(enc, self.data_dir))
-        if not outs:
-            return _write_and_summarize(
-                pa.table({"frag": pa.array([], type=pa.string())}), self.data_dir
-            )
-        return pa.concat_tables(outs)
-
-
-def compress_dataset(
-    input_path: str | list[str],
-    out_dir: str,
-    codec: str = "auto",
-    resume: bool = True,
-    fragments_per_round: int = 64,
-    balance_tokens: int | None = None,
-    concurrency=None,
-    shared_table: bool = False,
-) -> dict:
-    """Encode an input corpus to ``out_dir`` with per-fragment lineage.
-
-    Returns the manifest stats after this run. Safe to re-run after a kill:
-    completed fragments are skipped (FIXTURES.md §4 contract).
-
-    ``shared_table=True`` (codec must be ``"fsst"``) trains ONE global
-    symbol table on a strided corpus sample and reuses it for every
-    fragment — per-block training drops out of the encode hot path and
-    decode/matcher state is shared everywhere. Resume note: the shared
-    table is retrained from the SAME sample fragments on every run, and
-    the sample is deterministic, so a resumed job encodes new fragments
-    with the identical table (recorded per fragment via ``state_sum``)."""
-    import ray
-
-    fragments = discover_fragments(input_path)
-    manifest = Manifest(out_dir)
-    pending = manifest.pending(fragments) if resume else fragments
-    data_dir = os.path.join(out_dir, "data")
-    # trained from the FULL fragment list (resume-deterministic), but only
-    # when there is pending work — a fully-resumed no-op run skips the
-    # sample read and training entirely
-    shared_state = (
-        train_shared_state(fragments, codec)
-        if shared_table and pending
-        else None
-    )
-    if shared_table and codec not in SHARED_SAFE_CODECS:
-        raise ValueError(
-            f"shared state is only sound for {SHARED_SAFE_CODECS}, got "
-            f"{codec!r}"
-        )
-
-    batch_rows = DEFAULT_BATCH_ROWS
-    if balance_tokens and pending:
-        batch_rows = _plan_batch_rows_local(pending, balance_tokens)
-
-    for start in range(0, len(pending), fragments_per_round):
-        round_frags = pending[start : start + fragments_per_round]
-        path_to_key = {f: fragment_key(f) for f in round_frags}
-        # a kill mid-round leaves PARTIAL files in these fragments' output
-        # dirs — clear the (by definition uncommitted) dirs so the rewrite
-        # is exact
-        import shutil
-
-        for key in path_to_key.values():
-            shutil.rmtree(os.path.join(data_dir, f"frag={key}"), ignore_errors=True)
-        ncpu = (
-            int(ray.cluster_resources().get("CPU", 4))
-            if ray.is_initialized()
-            else 4
-        )
-        specs = _rowgroup_specs(
-            round_frags, batch_rows, path_to_key, target_specs=4 * ncpu
-        )
-        # scheduling granularity: ~4 waves per CPU, each task a GROUP of
-        # specs processed sequentially (peak memory = one spec). range() is
-        # lazy and the group list rides the object store once — from_items
-        # materializes an eager object-store block PER item (2.2 s for 128)
-        # wave floor of 16: at 2 CPUs, 4 waves means 8 coarse tasks and the
-        # straggler tail idles a whole core for ~a task length (~10% of the
-        # job); 8+ waves bound the tail at ~3% for ~no extra dispatch cost
-        n_groups = max(1, min(len(specs), max(4 * ncpu, 16)))
-        groups = [list(g) for g in np.array_split(np.array(specs), n_groups)]
-        groups_ref = ray.put(groups)
-        ds = ray.data.range(len(groups), override_num_blocks=len(groups))
-        # fused read→encode→write→stats in ONE task per spec: each task
-        # reads its row groups, writes its partition files and returns a
-        # stats row — consuming this stream IS the round's only execution.
-        # The driver collects ~one tiny row per spec, bounded PER ROUND by
-        # fragments_per_round × (fragment tokens / balance_tokens) — e.g.
-        # 64 × 1 GB fragments ≈ 16k rows — never by total job size; the
-        # rounds loop is what keeps a 10^12-sequence job's driver state flat
-        stat_rows = ds.map_batches(
-            EncodeSpecTask(
-                data_dir, codec, balance_tokens or DEFAULT_STATE_TOKENS,
-                groups_ref, shared_state=shared_state,
-            ),
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
-            **({"concurrency": concurrency} if concurrency else {}),
-        ).take_all()
-        by_key = _merge_stat_rows(stat_rows)
-        for f in round_frags:
-            key = path_to_key[f]
-            r = by_key.get(key)
-            if r is None:
-                continue
-            manifest.commit(
-                {
-                    "fragment": f,
-                    "frag_key": key,
-                    "codec_mode": (
-                        f"{codec}+shared" if shared_state is not None else codec
-                    ),
-                    "rows": r["rows"],
-                    "tokens": r["tokens"],
-                    "encoded_bytes": r["encoded_bytes"],
-                    "plain_bytes": r["tokens"] * 4,
-                    "hash_sum": r["hash_sum"],
-                    "hash_xor": r["hash_xor"],
-                    # north-star lineage: codec chosen (per-row histogram)
-                    # and an order-independent hash over the fragment's
-                    # symbol-table / codec states
-                    "codecs": dict(sorted(r["codecs"].items())),
-                    "state_sum": r["state_sum"],
-                }
-            )
-    return manifest.stats()
-
-
-def _merge_stat_rows(stat_rows: list[dict]) -> dict[str, dict]:
-    """Fold the sink's per-(task, fragment) stat rows into one lineage
-    accumulator per fragment key (sums / mod-2^64 hash sums / XOR /
-    codec-histogram union — all commutative, so task order and retries
-    cannot change the result)."""
-    by_key: dict[str, dict] = {}
-    for r in stat_rows:
-        acc = by_key.setdefault(
-            r["frag"],
-            {
-                "rows": 0,
-                "tokens": 0,
-                "encoded_bytes": 0,
-                "hash_sum": 0,
-                "hash_xor": 0,
-                "codecs": {},
-                "state_sum": 0,
-            },
-        )
-        acc["rows"] += int(r["rows"])
-        acc["tokens"] += int(r["tokens"])
-        acc["encoded_bytes"] += int(r["encoded_bytes"])
-        acc["hash_sum"] = (
-            acc["hash_sum"] + (int(r["hash_sum"]) & ((1 << 64) - 1))
-        ) % (1 << 64)
-        acc["hash_xor"] ^= int(r["hash_xor"]) & ((1 << 64) - 1)
-        for cname, n in json.loads(r.get("codec_json") or "{}").items():
-            acc["codecs"][cname] = acc["codecs"].get(cname, 0) + int(n)
-        acc["state_sum"] = (
-            acc["state_sum"] + (int(r.get("state_sum", 0)) & ((1 << 64) - 1))
-        ) % (1 << 64)
-    return by_key
-
-
-def transcode_encoded(
-    src_dir: str,
-    dst_dir: str,
-    codec: str = "auto",
-    balance_tokens: int | None = None,
-    concurrency=None,
-) -> dict:
-    """Re-encode an ALREADY-ENCODED corpus under a different codec policy
-    — the recompression lifecycle op (e.g. move a corpus from a quick
-    forced codec to ``auto`` after its distribution settles) WITHOUT a
-    round-trip through raw parquet on disk.
-
-    One streaming pass: decode each encoded batch to token arrays,
-    re-encode with ``codec``, write through the same fused sink
-    (deterministic names, atomic rename) into ``dst_dir``, emit stat
-    rows. Per-row hashes are recomputed from the DECODED tokens, so the
-    destination manifest must reproduce the source manifest's
-    hash_sum/hash_xor per fragment bit-for-bit — transcode verifies
-    itself against source lineage with no extra read. Raises ValueError
-    on any mismatch; returns dst manifest stats plus per-fragment codec
-    histograms.
-
-    Resumable like compress_dataset: fragments already committed to the
-    DESTINATION manifest are skipped (their source partition dirs are not
-    even read), so a killed transcode finishes from where it stopped."""
-    src_manifest = Manifest(src_dir).completed()
-    frag_by_key = {
-        r["frag_key"]: (f, r) for f, r in src_manifest.items()
-    }
-    data_dir = os.path.join(dst_dir, "data")
-    os.makedirs(data_dir, exist_ok=True)
-    max_tokens = balance_tokens or DEFAULT_STATE_TOKENS
-
-    done_keys = {
-        r["frag_key"] for r in Manifest(dst_dir).completed().values()
-    }
-    src_files = [
-        f
-        for f in discover_fragments(os.path.join(src_dir, "data"))
-        # only fragments the SOURCE manifest committed: an uncommitted
-        # partial dir (killed source run) has no lineage to verify
-        # against — its rows must come from a resumed compress of the raw
-        # corpus, never from here
-        if (
-            lambda k: k in frag_by_key and k not in done_keys
-        )(os.path.basename(os.path.dirname(f)).split("=", 1)[-1])
-    ]
-    if not src_files:
-        return Manifest(dst_dir).stats()
-
-    def tbatch(batch: pa.Table) -> pa.Table:
-        path_col = batch["path"]
-        if isinstance(path_col, pa.ChunkedArray):
-            path_col = path_col.combine_chunks()
-        enc = path_col.dictionary_encode()
-        keys = [
-            os.path.basename(os.path.dirname(p)).split("=", 1)[-1]
-            for p in enc.dictionary.to_pylist()
-        ]
-        frag = pa.DictionaryArray.from_arrays(
-            enc.indices, pa.array(keys, type=pa.string())
-        ).cast(pa.string())
-        dec = decode_batch(batch.drop_columns(["path"]))
-        dec = dec.append_column("frag", frag)
-        out = encode_table(dec, codec, None, max_tokens)
-        return _write_and_summarize(out, data_dir)
-
-    stat_rows = (
-        read_parquet_blocks(src_files, include_paths=True)
-        .map_batches(
-            tbatch,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            **({"concurrency": concurrency} if concurrency else {}),
-        )
-        .take_all()
-    )
-    by_key = _merge_stat_rows(stat_rows)
-    manifest = Manifest(dst_dir)
-    mismatches = []
-    for key, r in sorted(by_key.items()):
-        fragment, src_rec = frag_by_key.get(key, (key, None))
-        if src_rec is not None and (
-            src_rec["hash_sum"] != r["hash_sum"]
-            or src_rec["hash_xor"] != r["hash_xor"]
-            or src_rec["rows"] != r["rows"]
-        ):
-            mismatches.append(key)
-            continue
-        manifest.commit(
-            {
-                "fragment": fragment,
-                "frag_key": key,
-                "codec_mode": codec,
-                "rows": r["rows"],
-                "tokens": r["tokens"],
-                "encoded_bytes": r["encoded_bytes"],
-                "plain_bytes": r["tokens"] * 4,
-                "hash_sum": r["hash_sum"],
-                "hash_xor": r["hash_xor"],
-                "codecs": dict(sorted(r["codecs"].items())),
-                "state_sum": r["state_sum"],
-                "transcoded_from": src_dir,
-            }
-        )
-    if mismatches:
-        # remove the refused fragments' already-written output BEFORE
-        # raising: read_encoded reads the data dir, and a repaired re-run
-        # writes differently-named files (content-derived), so stale bad
-        # files would otherwise survive next to the good ones
-        import shutil
-
-        for key in mismatches:
-            shutil.rmtree(
-                os.path.join(data_dir, f"frag={key}"), ignore_errors=True
-            )
-        raise ValueError(
-            f"transcode_encoded: decoded-content hash mismatch vs source "
-            f"lineage for fragments {mismatches}"
-        )
-    return manifest.stats()
-
-
-def read_encoded(out_dir: str) -> "ray.data.Dataset":
-    return read_parquet_blocks(os.path.join(out_dir, "data"))
-
-
-def _sum_hash_summaries(ds: "ray.data.Dataset") -> tuple[int, int, int]:
-    rows = ds.map_batches(hash_summary, batch_format="pyarrow").take_all()
-    s = x = n = 0
-    for r in rows:
-        s = (s + int(r["hash_sum"])) % (1 << 64)
-        x ^= int(r["hash_xor"])
-        n += int(r["rows"])
-    return s, x, n
-
-
-class DecodeVerifyTask:
-    """Spec-based decode+hash: each task reads its own encoded part files
-    from storage, decodes, and returns ONE (hash_sum, hash_xor, rows)
-    summary row — same locality argument as EncodeSpecTask: payload bytes
-    never cross the object store, only file-group ids and summary rows."""
-
-    def __init__(self, groups_ref):
-        self.groups_ref = groups_ref
-
-    def __call__(self, ids: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        import ray
-
-        from ..stages.verify import row_hashes
-
-        groups = ray.get(self.groups_ref)
-        s = np.uint64(0)
-        x = np.uint64(0)
-        n = 0
-        with np.errstate(over="ignore"):
-            for i in ids["id"].to_pylist():
-                for f in groups[i]:
-                    out = decode_batch(pq.read_table(f))
-                    h = row_hashes(out)
-                    if h.size:
-                        s += np.uint64(h.sum())
-                        x ^= np.uint64(np.bitwise_xor.reduce(h))
-                        n += len(h)
-        return pa.table(
-            {
-                "hash_sum": pa.array([int(s)], type=pa.uint64()),
-                "hash_xor": pa.array([int(x)], type=pa.uint64()),
-                "rows": pa.array([n], type=pa.int64()),
-            }
-        )
-
-
-def verify_roundtrip_manifest(out_dir: str) -> dict:
-    """Decode-verify WITHOUT touching the original corpus: the manifest
-    recorded the input's order-insensitive (hash sum, xor, rows) during the
-    encode pass, so verification is one streaming decode + hash. At 100 TB
-    this is the only affordable verify — the original may be cold storage.
-    Spec-based like the encode: tasks read their own part files; only
-    summary rows flow."""
-    import ray
-
-    manifest = Manifest(out_dir)
-    done = manifest.completed()
-    exp_s = 0
-    exp_x = 0
-    exp_n = 0
-    for rec in done.values():
-        exp_s = (exp_s + (int(rec.get("hash_sum", 0)) & ((1 << 64) - 1))) % (
-            1 << 64
-        )
-        exp_x ^= int(rec.get("hash_xor", 0)) & ((1 << 64) - 1)
-        exp_n += int(rec.get("rows", 0))
-    files = discover_fragments(os.path.join(out_dir, "data"))
-    ncpu = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    n_groups = max(1, min(len(files), 4 * ncpu))
-    groups = [list(g) for g in np.array_split(np.array(files), n_groups)]
-    groups_ref = ray.put(groups)
-    rows = (
-        ray.data.range(len(groups), override_num_blocks=len(groups))
-        .map_batches(
-            DecodeVerifyTask(groups_ref),
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
-        )
-        .take_all()
-    )
-    s = x = n = 0
-    for r in rows:
-        s = (s + int(r["hash_sum"])) % (1 << 64)
-        x ^= int(r["hash_xor"])
-        n += int(r["rows"])
-    got = (s, x, n)
-    return {
-        "match": got == (exp_s, exp_x, exp_n),
-        "manifest": (exp_s, exp_x, exp_n),
-        "decoded": got,
-    }
-
-
-def verify_roundtrip(
-    original: "ray.data.Dataset", decoded: "ray.data.Dataset"
-) -> dict:
-    """Order-insensitive bit-identity check: per-row (doc_id, tokens) hashes
-    aggregated as wrapping sum + xor + count on both sides."""
-    a = _sum_hash_summaries(original)
-    b = _sum_hash_summaries(decoded)
-    return {"match": a == b, "original": a, "decoded": b}

@@ -3,12 +3,10 @@
 The final mile of the engine: a training job consumes the encoded store as
 a stream of token-budgeted batches of WHOLE sequences (fairseq-style
 ``max_tokens`` dynamic batching — documents are never split; splitting to
-fixed length is :mod:`..functions.packing`'s job). Serves BOTH store
-formats through one API: the per-column table store (compress_table),
-whose parts carry seek sidecars with the plain per-row ``n_tok`` (the
-paper's stored row offsets: a position is metadata, never a scan), and
-the flagship encoded-token corpus (compress_dataset), whose plain n_tok
-column makes the planning pass a bare parquet column read. Guarantees:
+fixed length is :mod:`..functions.packing`'s job). It serves the
+per-column table store (tablestore.compress_table), whose parts carry seek
+sidecars with the plain per-row ``n_tok`` (the paper's stored row
+offsets: a position is metadata, never a scan). Guarantees:
 
 - **Deterministic**: batch boundaries are a pure function of the store
   (fragment order = input-path order from the lineage manifest; row order =
@@ -18,9 +16,9 @@ column makes the planning pass a bare parquet column read. Guarantees:
   counts are per-fragment-local and the global step index is a cumulative
   sum over the manifest — a resume SEEKS: fragments wholly before
   ``start_step`` are never opened, and the plan pass reads only the
-  manifest plus the per-row lengths (the seek sidecars of a table store;
-  the parquet ``n_tok`` column of the corpus format and of table stores
-  written before sidecars), never the payloads.
+  manifest plus the per-row lengths (the seek sidecars; the encoded
+  parquet ``n_tok`` column of stores written before sidecars existed),
+  never the payloads.
 - **Data-parallel**: ``rank``/``world_size`` shard whole fragments
   round-robin (deterministic by the same fragment order); each rank owns a
   disjoint fragment subset and numbers its own steps 0..N_r. Shard balance
@@ -56,24 +54,6 @@ import pyarrow.parquet as pq
 from ..state.manifest import Manifest
 from .columnar import _encoded_field_names, decode_columns_batch
 from .tablestore import N_TOK_COL, SOURCE_COL, _fragment_parts, seek_path
-
-
-def _parts_in_order(store_dir: str, frag_key: str, fmt: str) -> list[str]:
-    """A fragment's part files in deterministic row order: numeric
-    row-group index for the table store; lexicographic content-hash tag
-    for the corpus store (arbitrary but stable — the loader's contract is
-    determinism, and every consumer sees the same order)."""
-    data_dir = os.path.join(store_dir, "data")
-    if fmt == "table":
-        return _fragment_parts(data_dir, frag_key)
-    d = os.path.join(data_dir, f"frag={frag_key}")
-    if not os.path.isdir(d):
-        return []
-    return [
-        os.path.join(d, f)
-        for f in sorted(os.listdir(d))
-        if f.startswith("part-") and f.endswith(".parquet")
-    ]
 
 
 def greedy_boundaries(
@@ -124,45 +104,12 @@ def _ordered_fragments(recs: list, rank: int, world_size: int, epoch=None):
     return ordered[rank::world_size]
 
 
-def _store_format(store_dir: str, recs: list) -> str:
-    """'table' (compress_table per-column store) or 'corpus' (the flagship
-    compress_dataset encoded-token store, whose rows carry their own
-    codec/state/payload and keep n_tok as a PLAIN column). A seek record
-    settles it without a file open (only table stores write sidecars);
-    otherwise one part's schema decides."""
-    if any(r.get("seek") for r in recs):
-        return "table"
-    for rec in recs:
-        parts = _parts_in_order(store_dir, rec["frag_key"], "corpus")
-        if parts:
-            names = pq.read_schema(parts[0]).names
-            return "corpus" if "payload" in names else "table"
-    raise FileNotFoundError(
-        f"loader: no committed fragment parts under {store_dir!r}"
-    )
-
-
-def _read_fragment(
-    store_dir: str, frag_key: str, columns, fmt: str = "table"
-) -> pa.Table:
+def _read_fragment(store_dir: str, frag_key: str, columns) -> pa.Table:
     """One fragment's selected columns, decoded, rows in store order
-    (within a corpus fragment: part-name order — deterministic, since
-    part names are content hashes)."""
-    parts = _parts_in_order(store_dir, frag_key, fmt)
+    (parts in numeric row-group order)."""
+    parts = _fragment_parts(os.path.join(store_dir, "data"), frag_key)
     if not parts:
         raise FileNotFoundError(f"loader: fragment {frag_key} has no parts")
-    if fmt == "corpus":
-        want = set(columns)
-        if want <= {"doc_id", "n_tok", "source"}:  # plain columns: no decode
-            return pa.concat_tables(
-                pq.read_table(p, columns=list(columns)) for p in parts
-            )
-        from ..stages.decode import decode_batch
-
-        return pa.concat_tables(
-            decode_batch(pq.read_table(p)).select(list(columns))
-            for p in parts
-        )
     keep = _encoded_field_names(list(pq.read_schema(parts[0]).names), columns)
     dec = [
         decode_columns_batch(pq.read_table(p, columns=keep)) for p in parts
@@ -219,15 +166,14 @@ def plan_training_batches(
     """The seek index: per owned fragment (in order), the greedy batch
     boundaries — computed from the per-row ``n_tok`` lengths ALONE (plus
     ``source`` when ``keep_sources`` filters). Returns [{"frag_key",
-    "fragment", "first_step", "boundaries", "params", "format"}, ...].
+    "fragment", "first_step", "boundaries", "params"}, ...].
 
     One manifest read per call. A table-store fragment committed with
     ``"seek"`` plans from its parts' seek sidecars (a few bytes per row,
     no parquet open); other table-store fragments (stores written before
     sidecars existed) decode ``n_tok`` from the parquet parts, and a
-    RuntimeWarning says so once per store. The corpus format keeps n_tok
-    as a plain parquet column and plans from it. Plans are identical
-    either way.
+    RuntimeWarning says so once per store. Plans are identical either
+    way.
 
     ``keep_sources``: serve only rows whose ``source`` is in the list —
     the domain-ablation shape (train without one source) WITHOUT
@@ -258,7 +204,6 @@ def plan_training_batches(
         raise FileNotFoundError(
             f"loader: no committed fragments under {store_dir!r}"
         )
-    fmt = _store_format(store_dir, all_recs)
     params = {
         "batch_tokens": batch_tokens,
         "rank": rank,
@@ -277,7 +222,7 @@ def plan_training_batches(
         if rec.get("seek"):
             frag = _read_seek(store_dir, rec, keep_sources is not None)
         else:
-            frag = _read_fragment(store_dir, rec["frag_key"], cols, fmt)
+            frag = _read_fragment(store_dir, rec["frag_key"], cols)
         nt = frag[N_TOK_COL].to_numpy().astype(np.int64)
         row_order = None
         if keep_sources is not None:
@@ -307,7 +252,7 @@ def plan_training_batches(
             nt = nt[sub]
         return greedy_boundaries(nt, batch_tokens, batch_rows), row_order
 
-    if fmt == "table" and not all(r.get("seek") for r in recs):
+    if not all(r.get("seek") for r in recs):
         key = os.path.abspath(store_dir)
         if key not in _PARQUET_PLAN_WARNED:
             _PARQUET_PLAN_WARNED.add(key)
@@ -328,7 +273,6 @@ def plan_training_batches(
             "first_step": step,
             "boundaries": bounds,
             "params": params,
-            "format": fmt,
         }
         if row_order is not None:
             ent["row_order"] = row_order
@@ -337,11 +281,11 @@ def plan_training_batches(
     return plan
 
 
-def _materialize_fragment(store_dir, ent, cols, fmt, tokens_col):
+def _materialize_fragment(store_dir, ent, cols, tokens_col):
     """Read + decode one plan fragment into the serving arrays: flat int32
     token values, int64 row offsets, and the id-column arrays. Pure
     function of its arguments — safe to run ahead on a prefetch thread."""
-    tbl = _read_fragment(store_dir, ent["frag_key"], cols, fmt)
+    tbl = _read_fragment(store_dir, ent["frag_key"], cols)
     if "row_order" in ent:  # order="length": the plan's permutation
         tbl = tbl.take(pa.array(ent["row_order"]))
     toks = tbl[tokens_col]
@@ -380,9 +324,8 @@ def iter_training_batches(
     "tokens" (flat int32), "row_offsets" (int64, len n_rows+1),
     <id column arrays>}``. ``start_step`` resumes mid-stream: fragments
     whose batches all precede it are skipped via the plan (their payloads
-    never decode). The store's manifest is read once, by the plan, which
-    also records the store format; pass a precomputed ``plan`` to skip
-    even that on restart.
+    never decode). The store's manifest is read once, by the plan; pass a
+    precomputed ``plan`` to skip even that on restart.
 
     ``prefetch`` (default on): fragment k+1's read+decode runs on ONE
     background thread while k's batches serve, bounded at one in-flight
@@ -429,7 +372,6 @@ def iter_training_batches(
     cols = list(columns)
     if tokens_col not in cols:
         cols.append(tokens_col)
-    fmt = plan[0]["format"] if plan else None
     ents = [
         ent
         for ent in plan
@@ -463,14 +405,14 @@ def iter_training_batches(
         try:
             fut = pool.submit(
                 _materialize_fragment,
-                store_dir, ents[0], cols, fmt, tokens_col,
+                store_dir, ents[0], cols, tokens_col,
             )
             for i, ent in enumerate(ents):
                 flat, offs, id_arrays = fut.result()
                 if i + 1 < len(ents):
                     fut = pool.submit(
                         _materialize_fragment,
-                        store_dir, ents[i + 1], cols, fmt, tokens_col,
+                        store_dir, ents[i + 1], cols, tokens_col,
                     )
                 yield from serve(ent, flat, offs, id_arrays)
         finally:
@@ -478,6 +420,6 @@ def iter_training_batches(
     else:
         for ent in ents:
             flat, offs, id_arrays = _materialize_fragment(
-                store_dir, ent, cols, fmt, tokens_col
+                store_dir, ent, cols, tokens_col
             )
             yield from serve(ent, flat, offs, id_arrays)

@@ -1,7 +1,7 @@
 """Persisted inverted (posting-list) index over the tokenization contract.
 
-Third member of the index family (token zone index: numeric membership;
-trigram index: LIKE pruning; postings: word search). Layout is built for
+Sibling of the trigram index (trigram index: LIKE pruning; postings:
+word search). Layout is built for
 100 TB from the start: the (word, doc_id) pair stream hash-partitions by
 word into ``n_buckets`` hive directories (``postings/bucket=K/``), each
 bucket file sorted by (word, doc_id) — a query READS ONLY its terms'

@@ -104,7 +104,7 @@ def q_roundtrip_fsst_shared(sf_dir: str):
     """Global-symbol-table round-trip: ONE fsst table trained on a bounded
     driver-side sample of the derived tokens, then every batch encodes
     against it (no per-block training — the 10^12-sequence amortization
-    path, compress.train_shared_state's query twin). Unsampled docs may
+    path). Unsampled docs may
     hold byte pairs the table never saw; fsst's escape fallback keeps the
     round-trip bit-exact, which is exactly what this oracle gates."""
     from ..codecs import CODECS
@@ -563,12 +563,12 @@ def q_columnar_pruned_read(sf_dir: str):
     the encoded layout."""
     import tempfile
 
-    from .columnar import encode_columns_dataset, read_encoded_columns
+    from .columnar import encode_columns_dataset, read_decoded_columns
 
     out = tempfile.mkdtemp(prefix="columnar_pruned_")
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet")
     encode_columns_dataset(ds).write_parquet(out)
-    return read_encoded_columns(out, ["doc_id", "lang"])
+    return read_decoded_columns(out, ["doc_id", "lang"])
 
 
 def q_columnar_store_roundtrip(sf_dir: str):
@@ -4901,32 +4901,6 @@ def q_contains_token_pushdown(sf_dir: str):
     return _collect_ids(contains_token_scan(enc, ord("q")), "doc_id")
 
 
-def q_contains_token_indexed(sf_dir: str):
-    """Zone-index-pruned token membership (pipelines/zoneindex.py): the sf
-    tokens corpus is compressed to scratch partition files
-    (compress_dataset — real manifest + hive layout), a persisted per-file
-    zone index (min/max + exact presence bitmap + bloom) is built in one
-    pass, and the scan reads ONLY candidate files. Result must equal the
-    unindexed pushdown scan — same oracle as contains_token_pushdown."""
-    import shutil
-
-    from .compress import compress_dataset
-    from .zoneindex import build_token_zone_index, contains_token_indexed
-
-    scratch = os.path.join(
-        "/tmp", f"fsst_zidx_{os.path.basename(os.path.normpath(sf_dir))}"
-    )
-    src = os.path.join(scratch, "src")
-    out = os.path.join(scratch, "enc")
-    shutil.rmtree(scratch, ignore_errors=True)
-    os.makedirs(src, exist_ok=True)
-    _tokens_ds(sf_dir).repartition(8).write_parquet(src)
-    compress_dataset(src, out, codec="auto")
-    build_token_zone_index(out)
-    ds, _scanned, _total = contains_token_indexed(out, ord("q"))
-    return _collect_ids(ds, "doc_id")
-
-
 def q_like_trigram_indexed(sf_dir: str):
     """Trigram-index-pruned LIKE scan (pipelines/trigram.py): documents
     are staged as a partitioned corpus, a per-file trigram bloom index is
@@ -4969,26 +4943,28 @@ def q_like_trigram_indexed(sf_dir: str):
 
 
 def q_compaction_roundtrip(sf_dir: str):
-    """Compaction gate (pipelines/compact.py): compress the sf tokens
-    corpus to many small partition files, compact each fragment dir into
-    byte-budget bins (crash-safe marker protocol), then re-verify the
-    manifest's content hashes over the COMPACTED files — row set must be
-    bit-identical while the file count drops."""
+    """Compaction gate on the token corpus: the sf tokens corpus is
+    written as 8 source fragments and compressed into a table store
+    (verified bit-exact against those sources), then packed into fewer
+    fragments (tablestore.compact_table_store: byte-identical part
+    copies, exact lineage merge) — the fragment count must drop while
+    the compacted store decodes to exactly the verified rows (the
+    100 TB fan-in shape)."""
     import shutil
 
-    from .compact import compact_fragments
-    from .compress import compress_dataset, verify_roundtrip_manifest
+    from .tablestore import (
+        compact_table_store,
+        compress_table,
+        read_table_store,
+        verify_table_store,
+    )
 
     scratch = os.path.join(
         "/tmp", f"fsst_compact_{os.path.basename(os.path.normpath(sf_dir))}"
     )
     src = os.path.join(scratch, "src")
-    out = os.path.join(scratch, "enc")
     shutil.rmtree(scratch, ignore_errors=True)
     os.makedirs(src, exist_ok=True)
-    # ONE source fragment with many tiny row groups → the encode's
-    # row-group specs write many small part files into its partition dir,
-    # so compaction has real work to do (the 100 TB fan-in shape)
     tok_tbl = pa.concat_tables(
         [
             b
@@ -4998,18 +4974,34 @@ def q_compaction_roundtrip(sf_dir: str):
             if b.num_rows
         ]
     )
-    pq.write_table(
-        tok_tbl, os.path.join(src, "corpus.parquet"), row_group_size=64
-    )
-    compress_dataset(src, out, codec="auto", balance_tokens=20_000)
-    stats = compact_fragments(out, target_bytes=64 << 20)
-    v = verify_roundtrip_manifest(out)
+    step = max(1, -(-tok_tbl.num_rows // 8))
+    for i in range(0, tok_tbl.num_rows, step):
+        pq.write_table(
+            tok_tbl.slice(i, step), os.path.join(src, f"f{i:08d}.parquet")
+        )
+    store = os.path.join(scratch, "store")
+    packed = os.path.join(scratch, "compacted")
+    before = compress_table(src, store)["fragments"]
+    after = compact_table_store(
+        store, packed, target_rows=max(1, tok_tbl.num_rows // 3)
+    )["fragments"]
+    v = verify_table_store(src, store)
+
+    def rows(store_dir: str) -> pa.Table:
+        return pa.concat_tables(
+            b
+            for b in read_table_store(store_dir).iter_batches(
+                batch_format="pyarrow"
+            )
+            if b.num_rows
+        ).sort_by("doc_id")
+
     return pa.table(
         {
-            "merged": pa.array(
-                [stats["files_after"] < stats["files_before"]]
+            "merged": pa.array([after < before]),
+            "bit_identical": pa.array(
+                [bool(v["ok"]) and rows(packed).equals(rows(store))]
             ),
-            "bit_identical": pa.array([bool(v["match"])]),
         }
     )
 
@@ -9273,7 +9265,6 @@ def build_queries() -> dict:
     q["token_stats_pushdown"] = q_token_stats_pushdown
     q["token_histogram_pushdown"] = q_token_histogram_pushdown
     q["contains_token_pushdown"] = q_contains_token_pushdown
-    q["contains_token_indexed"] = q_contains_token_indexed
     q["compaction_roundtrip"] = q_compaction_roundtrip
     q["tpch_order_revenue"] = q_tpch_order_revenue
     q["tpch_order_revenue_salted"] = q_tpch_order_revenue_salted
@@ -10635,7 +10626,6 @@ def build_oracle_sql() -> dict:
     sql["contains_token_pushdown"] = (
         "SELECT doc_id FROM documents WHERE contains(text, 'q')"
     )
-    sql["contains_token_indexed"] = sql["contains_token_pushdown"]
     sql["compaction_roundtrip"] = (
         "SELECT (1=1) AS merged, (1=1) AS bit_identical"
     )

@@ -1,8 +1,10 @@
 """Resumable whole-table encoded store — the north rule's lineage/resume
 contract (reference benchmark loop: src/BenchmarkDriver.cpp:12-52 loads and
 encodes once in RAM; at 10^12-sequence scale the encode is a restartable
-job) applied to the per-column engine in pipelines/columnar.py, the same
-way pipelines/compress.py applies it to the tokens pipeline.
+job) applied to the per-column engine in pipelines/columnar.py. This is
+the repo's one persisted store format: a tokens corpus stores its
+``tokens list<int32>`` column as flat values plus offsets like any other
+column.
 
 Layout under ``out_dir``:
 
@@ -545,8 +547,8 @@ def _fragment_parts(data_dir: str, frag_key: str) -> list[str]:
 
 
 class _EncodeSpecsTask:
-    """Grouped tasks over ROW-GROUP SPECS (compress.py's skew answer at
-    the whole-table layer): a multi-GB source fragment splits into many
+    """Grouped tasks over ROW-GROUP SPECS (compress._rowgroup_specs, the
+    skew answer): a multi-GB source fragment splits into many
     specs that encode in parallel as part-<rg0>.parquet files, instead of
     one straggler task per fragment. Spec list rides the object store
     once; ray.get ONCE per task; peak memory = one batch."""
@@ -597,7 +599,8 @@ def compress_table(
     are never touched again); a fragment whose task died mid-write has no
     manifest record, its partial dir is cleared and rewritten. The rounds
     loop bounds driver-side state by fragments_per_round, never total job
-    size — the same 10^12-scale contract as compress.compress_dataset.
+    size. Every input footer is read before any task starts: an unreadable
+    input fails the call naming the file, with nothing committed.
     A fragment whose every spec wrote a seek sidecar commits with
     ``"seek": 1``."""
     import ray
@@ -610,8 +613,7 @@ def compress_table(
     spec = None
     if spec_sample_rows and pending:
         # trained from the FIRST fragment of the FULL list (not the pending
-        # set) so a resumed run derives the IDENTICAL spec — same contract
-        # as compress.compress_dataset's shared table
+        # set) so a resumed run derives the IDENTICAL spec
         from .columnar import train_columnar_spec
 
         first = next(
@@ -645,7 +647,8 @@ def compress_table(
             round_frags, 8 * batch_rows, path_to_key, target_specs=4 * ncpu
         )
         specs_ref = ray.put(specs)
-        # wave floor of 16: same straggler-tail bound as compress.py:563
+        # wave floor of 16: at 2 CPUs, 4 waves means 8 coarse tasks and the
+        # straggler tail idles a whole core for ~a task length
         n_groups = max(1, min(len(specs), max(4 * ncpu, 16)))
         stat_rows = (
             ray.data.range(len(specs), override_num_blocks=n_groups)
@@ -691,7 +694,7 @@ def read_table_store(out_dir: str, columns=None):
     """Encoded store → decoded streaming Dataset. Reads ONLY
     manifest-committed fragment dirs — a killed run's uncommitted partial
     never serves as data — with read parallelism floored at cluster width
-    (compress.read_parquet_blocks, same layout contract as read_encoded).
+    (compress.read_parquet_blocks).
     ``columns`` prunes AT THE READ: only the selected columns' encoded
     fields leave storage, and only they decode."""
     from .columnar import _encoded_field_names
@@ -2549,8 +2552,7 @@ def transcode_table_store(
     """Re-encode a committed store WITHOUT its source (codec upgrade /
     spec switch), fragment by fragment, with full per-column lineage in
     the destination manifest. Each fragment SELF-VERIFIES bit-exact
-    against its decoded source partition before committing
-    (compress.transcode_encoded's contract on the whole-table layout).
+    against its decoded source partition before committing.
     Resumable, rounds-bounded driver state — same 10^12-scale contract
     as compress_table. ``_derive``/``_lineage_tag`` are
     derive_table_store's internals — use that entry point for

@@ -1,5 +1,4 @@
-"""Persisted per-file TRIGRAM index over a partitioned text corpus —
-the text-side sibling of the token zone index (zoneindex.py): the
+"""Persisted per-file TRIGRAM index over a partitioned text corpus: the
 reference prunes LIKE scans with per-block ``used_chars``
 (Fsst.hpp's escaped-literal bitmap); this lifts the pruning to the FILE
 level with 3-byte-gram blooms so a LIKE query skips whole partition
@@ -17,7 +16,7 @@ Build = one streaming pass: per-batch per-file bloom partials OR-merge
 DISTRIBUTED in a per-path groupby (commutative, so block order and
 retries are safe) and the index parquet streams out batch-by-batch —
 driver memory stays bounded by the write batch; atomic-rename write,
-rebuildable any time, same contract as the zone / IVF indexes.
+rebuildable any time, same contract as the IVF index.
 """
 
 from __future__ import annotations
@@ -117,6 +116,37 @@ def _tri_partial(batch: pa.Table, text_col: str) -> pa.Table:
     )
 
 
+def stream_index_write(merged_ds, index_path: str, schema: pa.Schema) -> int:
+    """Stream a merged index Dataset into ``index_path`` batch-by-batch
+    (driver holds one write batch, never the whole index), atomically via
+    tmp + rename. The schema is passed EXPLICITLY so an empty stream still
+    produces a valid empty index file; on any failure the tmp file is
+    removed. Returns the row count."""
+    tmp = f"{index_path}.tmp{os.getpid()}"
+    n_rows = 0
+    writer = pq.ParquetWriter(tmp, schema)
+    try:
+        for b in merged_ds.iter_batches(
+            batch_size=512, batch_format="pyarrow"
+        ):
+            if b.num_rows == 0:
+                continue
+            writer.write_table(
+                b.select([f.name for f in schema]).cast(schema)
+            )
+            n_rows += b.num_rows
+    except BaseException:
+        writer.close()
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    writer.close()
+    os.replace(tmp, index_path)
+    return n_rows
+
+
 def build_trigram_index(
     corpus_dir: str, text_col: str = "text", index_path: str | None = None
 ) -> dict:
@@ -160,8 +190,6 @@ def build_trigram_index(
         idx_dir = os.path.join(corpus_dir, "index")
         os.makedirs(idx_dir, exist_ok=True)
         index_path = os.path.join(idx_dir, "trigrams.parquet")
-    from .zoneindex import stream_index_write
-
     schema = pa.schema([("path", pa.string()), ("bloom", pa.binary())])
     n_rows = stream_index_write(merged_ds, index_path, schema)
     return {"files": n_rows, "index_path": index_path}

@@ -86,7 +86,7 @@ def encode_table(
     state-scope chunking are skipped entirely; every row encodes against
     the one state. Only codecs whose state can encode ARBITRARY input
     (fsst: unseen bytes fall back to escape literals) are safe here —
-    enforced by the caller (``train_shared_state``)."""
+    enforced below."""
     values, offsets = list_buffers(batch["tokens"])
     n = batch.num_rows
     if shared_state is not None and codec == "auto":
@@ -94,8 +94,7 @@ def encode_table(
     if shared_state is not None and codec not in SHARED_SAFE_CODECS:
         # this is the choke point every encode path funnels through: a
         # dict/bitpack state missing the batch's tokens would corrupt
-        # SILENTLY (wrong indices, no exception), so reject here, not just
-        # in train_shared_state
+        # SILENTLY (wrong indices, no exception), so reject here
         raise ValueError(
             f"shared state is only sound for {SHARED_SAFE_CODECS}, got "
             f"{codec!r} (its state cannot encode unseen tokens)"

@@ -1,23 +1,11 @@
-"""Skew-aware encode planning (north-rule requirement) — shuffle-free.
+"""Token-length skew, measured shuffle-free.
 
 Token payload sizes are log-normal — orders of magnitude apart — so blocks
-sized by ROW count carry wildly different token counts. Design:
-
-1. **n_tok histogram without a row shuffle**: each batch pre-aggregates its
-   own ≤64-bucket (log2 n_tok) partial histogram inside ``map_batches``, so
-   the ``groupby`` that merges them moves ≤64 tiny rows per input block —
-   at 100 TB the exchange is a few KB per block, not the data.
-2. **Plan, don't move**: the histogram gives mean tokens/row → the encode
-   stage's ``batch_size`` in rows that lands ~``target_tokens`` per task.
-   No ``repartition`` of payload data ever happens (the earlier design's
-   single-task repartition reduce was a scale bottleneck).
-3. **Intra-batch skew** is handled inside the encoder: ``encode_table``
-   splits any batch into independently-trained codec states of
-   ≤``target_tokens`` each (see stages/encode.py), so one giant document
-   cannot blow up a state or a task.
-
-Reference analog: fixed 64Ki-row blocks (src/BenchmarkDriver.hpp:12),
-generalized to token-budget blocks.
+sized by ROW count carry wildly different token counts. The n_tok
+histogram is built without a row shuffle: each batch pre-aggregates its
+own ≤64-bucket (log2 n_tok) partial histogram inside ``map_batches``, so
+the ``groupby`` that merges them moves ≤64 tiny rows per input block — at
+100 TB the exchange is a few KB per block, not the data.
 """
 
 from __future__ import annotations
@@ -28,7 +16,6 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
-DEFAULT_TARGET_TOKENS = 1_000_000
 MAX_BUCKETS = 64
 
 
@@ -63,30 +50,3 @@ def n_tok_histogram(ds: "ray.data.Dataset") -> dict[int, tuple[int, int]]:
     for row in agg.take_all():
         out[int(row["bucket"])] = (int(row["rows"]), int(row["tokens"] or 0))
     return out
-
-
-def plan_partitions(
-    ds: "ray.data.Dataset",
-    target_tokens_per_block: int = DEFAULT_TARGET_TOKENS,
-) -> tuple[int, dict[int, tuple[int, int]]]:
-    """(number of ~target-token blocks the corpus divides into, histogram)."""
-    hist = n_tok_histogram(ds)
-    total_tokens = sum(t for _, t in hist.values())
-    num_blocks = max(1, int(np.ceil(total_tokens / target_tokens_per_block)))
-    return num_blocks, hist
-
-
-def plan_batch_rows(
-    ds: "ray.data.Dataset",
-    target_tokens: int = DEFAULT_TARGET_TOKENS,
-    min_rows: int = 64,
-    max_rows: int = 65536,
-) -> tuple[int, dict[int, tuple[int, int]]]:
-    """Pick the encode ``batch_size`` (rows) that yields ~target_tokens per
-    task, from the histogram's mean tokens/row."""
-    hist = n_tok_histogram(ds)
-    rows = sum(r for r, _ in hist.values())
-    tokens = sum(t for _, t in hist.values())
-    mean = max(1.0, tokens / max(1, rows))
-    batch_rows = int(np.clip(round(target_tokens / mean), min_rows, max_rows))
-    return batch_rows, hist

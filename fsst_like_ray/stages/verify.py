@@ -1,6 +1,6 @@
-"""Decode-verify support: order-insensitive streaming comparison of two
-datasets via per-row 64-bit hashes (wrapping-sum + xor aggregates), so the
-verify stage never materializes or joins the full data (SURVEY.md §7.2 step 6).
+"""Per-row 64-bit content hashes: the ``row_hash`` column the encode stage
+stores beside each row, which ``decode_dataset(verify_rows=True)`` checks
+after decode.
 
 Per-row hash covers (doc_id bytes, token values, token count) with a
 position-dependent polynomial in uint64 wrap-around arithmetic — fully
@@ -92,18 +92,3 @@ def row_hashes(batch: pa.Table) -> np.ndarray:
     id_h = _poly_rowhash(dat.astype(np.uint64), (off - base).astype(np.int64))
     with np.errstate(over="ignore"):
         return tok_h * np.uint64(0x9E3779B97F4A7C15) + id_h
-
-
-def hash_summary(batch: pa.Table) -> pa.Table:
-    """map_batches reducer: one summary row per batch (sum/xor/count)."""
-    h = row_hashes(batch)
-    with np.errstate(over="ignore"):
-        s = np.uint64(h.sum()) if h.size else np.uint64(0)
-    x = np.uint64(np.bitwise_xor.reduce(h)) if h.size else np.uint64(0)
-    return pa.table(
-        {
-            "hash_sum": pa.array([int(s)], type=pa.uint64()),
-            "hash_xor": pa.array([int(x)], type=pa.uint64()),
-            "rows": pa.array([len(h)], type=pa.int64()),
-        }
-    )

@@ -8,6 +8,8 @@ strings/binary (plain/fsst/dict schemes), and int32/float32 lists —
 with nulls, empty blocks, slices, and parquet rewrites.
 """
 
+import re
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -634,7 +636,7 @@ def test_range_scan_nulls():
 def test_pruned_decode_and_read(tmp_path):
     from fsst_like_ray.pipelines.columnar import (
         _encoded_field_names,
-        read_encoded_columns,
+        read_decoded_columns,
     )
 
     t = _wide_table(n=200)
@@ -647,7 +649,7 @@ def test_pruned_decode_and_read(tmp_path):
     with pytest.raises(KeyError, match="typo"):
         _encoded_field_names(enc, ["doc_id", "typo"])
     with pytest.raises(FileNotFoundError):
-        read_encoded_columns(str(tmp_path), ["doc_id"])
+        read_decoded_columns(str(tmp_path), ["doc_id"])
 
 
 def test_eq_scan_empty_string():
@@ -1421,6 +1423,36 @@ def test_table_store_detects_corruption(ray_session, tmp_path):
     )
     with pytest.raises(Exception, match="mismatch"):
         verify_table_store(str(src), out)
+
+
+def test_compress_table_fails_on_unreadable_footer(
+    ray_session, tmp_path, monkeypatch
+):
+    """An input whose parquet footer cannot be read fails compress_table
+    at planning, naming the file — before any Ray task is scheduled and
+    with no manifest record committed."""
+    import ray.data
+
+    from fsst_like_ray.pipelines.tablestore import compress_table
+    from fsst_like_ray.state.manifest import Manifest
+
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(
+        pa.table({"id": pa.array(np.arange(10, dtype=np.int64))}),
+        src / "good.parquet",
+    )
+    bad = src / "garbage.parquet"
+    bad.write_bytes(b"this is not a parquet file")
+
+    def no_tasks(*a, **k):
+        raise AssertionError("a Ray task was scheduled")
+
+    monkeypatch.setattr(ray.data, "range", no_tasks)
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        compress_table(str(src), out)
+    assert Manifest(out).completed() == {}
 
 
 @st.composite

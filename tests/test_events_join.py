@@ -792,6 +792,62 @@ def test_hourly_ohlc_deterministic_across_blocks(ray_session):
         assert (out.loc[1, ["open_cents", "close_cents"]] == [500, 600]).all()
 
 
+def test_bucket_kernels_keep_schema_on_empty_blocks():
+    """keyed_window's and hourly_ohlc's per-bucket kernels return the full
+    output schema (derived columns included, same types) for a zero-row
+    block — a sliced one or one with no chunks at all."""
+    from fsst_like_ray.functions.events import _ohlc_merge_bucket
+    from fsst_like_ray.functions.window_fn import _window_block
+
+    def empties(t):
+        return [t.slice(0, 0), pa.Table.from_batches([], schema=t.schema)]
+
+    t = pa.table(
+        {
+            "k": pa.array(["a", "b", "a", "b", "a"]),
+            "o": pa.array([3, 1, 2, 5, 4], type=pa.int64()),
+            "v": pa.array([1, 2, 3, 4, 5], type=pa.int64()),
+            "f": pa.array([None, 1.5, 2.0, None, 3.0]),
+        }
+    )
+    kw = dict(
+        key="k", order="o", sum_col="v", lag_col="f", tiebreak="v",
+        roll=("v", 2), ntile=2, fill_col="f",
+    )
+    full = _window_block(t, **kw)
+    assert {"rn", "v_run", "v_roll2", "q2", "f_ffill", "f_lag"} <= set(
+        full.column_names
+    )
+    for e in empties(t):
+        got = _window_block(e, **kw)
+        assert got.num_rows == 0 and got.schema == full.schema
+
+    i64 = pa.int64()
+    g = pa.table(
+        {
+            "event_type": pa.array(["x", "y", "x"]),
+            "hour": pa.array([1, 1, 2], type=i64),
+            "ots": pa.array([5, 6, 7], type=i64),
+            "oid": pa.array([1, 2, 3], type=i64),
+            "open_cents": pa.array([10, 20, 30], type=i64),
+            "cts": pa.array([5, 6, 7], type=i64),
+            "cid": pa.array([1, 2, 3], type=i64),
+            "close_cents": pa.array([10, 20, 30], type=i64),
+            "high_cents": pa.array([10, 20, 30], type=i64),
+            "low_cents": pa.array([10, 20, 30], type=i64),
+            "n": pa.array([1, 1, 1], type=i64),
+        }
+    )
+    full = _ohlc_merge_bucket(g, "event_type")
+    assert full.column_names == [
+        "event_type", "hour", "open_cents", "high_cents", "low_cents",
+        "close_cents", "n",
+    ]
+    for e in empties(g):
+        got = _ohlc_merge_bucket(e, "event_type")
+        assert got.num_rows == 0 and got.schema == full.schema
+
+
 def test_resample_locf_semantics(ray_session):
     import numpy as np
     import pyarrow as pa

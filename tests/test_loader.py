@@ -202,36 +202,6 @@ def test_epoch_shuffles_fragment_order(store):
         assert a["doc_id"].tolist() == b["doc_id"].tolist()
 
 
-def test_corpus_store_format(store, tmp_path_factory, ray_session):
-    """The flagship compress_dataset store serves the same loader API;
-    with one part per fragment the batch stream is IDENTICAL to the
-    per-column table store built from the same source files."""
-    from fsst_like_ray.pipelines.compress import compress_dataset
-    from fsst_like_ray.sources.tokens import write_tokens_parquet
-
-    base = tmp_path_factory.mktemp("loader_corpus")
-    src = str(base / "tokens")
-    write_tokens_parquet(src, n_rows=1536, seed=7, rows_per_file=512)
-    enc = str(base / "enc")
-    compress_dataset(src, enc)
-    corpus_batches = list(iter_training_batches(enc, BUDGET))
-    table_batches = list(iter_training_batches(store, BUDGET))
-    assert len(corpus_batches) == len(table_batches)
-    for a, b in zip(corpus_batches, table_batches):
-        assert a["step"] == b["step"]
-        assert a["doc_id"].tolist() == b["doc_id"].tolist()
-        assert np.array_equal(a["tokens"], b["tokens"])
-    # plan over the corpus store must not touch payloads: n_tok is plain
-    plan = plan_training_batches(enc, BUDGET)
-    assert len(plan) == 3
-    resumed = list(
-        iter_training_batches(
-            enc, BUDGET, start_step=plan[-1]["first_step"], plan=plan
-        )
-    )
-    assert len(resumed) == len(plan[-1]["boundaries"]) - 1
-
-
 def test_plan_param_mismatch_refused(store):
     plan = plan_training_batches(store, BUDGET)
     with pytest.raises(ValueError, match="recompute the plan"):

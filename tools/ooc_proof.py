@@ -1,9 +1,11 @@
 """Out-of-core proof: encode+verify a corpus larger than the object store,
-with a mid-run SIGKILL + resume. Phases:
+with a mid-run SIGKILL + resume, on the table store. Phases:
   gen     — parallel-generate the corpus (deterministic Philox chunks)
-  kill    — start compress_dataset in a subprocess, SIGKILL it mid-run
-  resume  — rerun compress_dataset (must skip committed fragments), verify
-Run:  PYTHONPATH=. python tools/ooc_proof.py all
+  kill    — start compress_table in a subprocess, SIGKILL it mid-run
+  resume  — rerun compress_table (must skip committed fragments: their
+            manifest records and part files stay untouched), then
+            verify_table_store bit-exact against the corpus
+Run:  PYTHONPATH=. python tools/ooc_proof.py all   (OOC_ROWS sets the size)
 """
 import json
 import os
@@ -14,16 +16,10 @@ import sys
 import time
 
 N_ROWS = int(os.environ.get("OOC_ROWS", str(2 * 1024 * 1024)))  # ~1G tokens
-CODEC = os.environ.get("OOC_CODEC", "auto")
-SHARED = os.environ.get("OOC_SHARED", "") == "1"
-if SHARED and CODEC != "fsst":
-    # fail fast: compress_dataset would reject this only AFTER the
-    # multi-minute corpus generation
-    raise SystemExit("OOC_SHARED=1 requires OOC_CODEC=fsst")
 ROWS_PER_FILE = 16384
 CORPUS = f"/tmp/ooc/tokens_{N_ROWS}"
 OUT = "/tmp/ooc/encoded"
-NCPU = 8
+NCPU = min(8, os.cpu_count() or 1)
 OBJ_STORE = 512 << 20
 
 
@@ -72,13 +68,10 @@ def gen():
 
 def encode():
     init()
-    from fsst_like_ray.pipelines.compress import compress_dataset
+    from fsst_like_ray.pipelines.tablestore import compress_table
 
     t0 = time.time()
-    stats = compress_dataset(
-        CORPUS, OUT, codec=CODEC, balance_tokens=1_000_000, shared_table=SHARED,
-        fragments_per_round=32,
-    )
+    stats = compress_table(CORPUS, OUT, fragments_per_round=32)
     print(json.dumps({"phase": "encode", "sec": round(time.time() - t0, 1),
                       **stats}))
 
@@ -109,36 +102,53 @@ def kill_phase():
           f"(of {N_ROWS // ROWS_PER_FILE})")
 
 
+def _committed_files(recs: dict) -> dict[str, dict[str, int]]:
+    """Per committed fragment key, the mtime of its manifest record and of
+    each of its part files — a resume that rewrites any of them shows."""
+    from fsst_like_ray.pipelines.tablestore import _fragment_parts
+
+    out = {}
+    for rec in recs.values():
+        key = rec["frag_key"]
+        paths = [os.path.join(OUT, "_manifest", f"{key}.json")]
+        paths += _fragment_parts(os.path.join(OUT, "data"), key)
+        out[key] = {p: os.stat(p).st_mtime_ns for p in paths}
+    return out
+
+
 def resume():
     init()
-    from fsst_like_ray.pipelines.compress import (
-        compress_dataset, verify_roundtrip_manifest,
+    from fsst_like_ray.pipelines.tablestore import (
+        compress_table, verify_table_store,
     )
     from fsst_like_ray.state.manifest import Manifest
 
-    pre = len(Manifest(OUT).completed())
+    pre = Manifest(OUT).completed()
+    before = _committed_files(pre)
     t0 = time.time()
-    stats = compress_dataset(
-        CORPUS, OUT, codec=CODEC, balance_tokens=1_000_000, shared_table=SHARED,
-        fragments_per_round=32,
-    )
+    stats = compress_table(CORPUS, OUT, fragments_per_round=32)
     enc_sec = time.time() - t0
+    after = _committed_files(pre)
+    rewritten = [k for k in before if after[k] != before[k]]
     t0 = time.time()
-    v = verify_roundtrip_manifest(OUT)
+    v = verify_table_store(CORPUS, OUT)
     ver_sec = time.time() - t0
-    assert v["match"], v
+    assert v["ok"] and v["rows"] == N_ROWS, v
+    assert not rewritten, rewritten
     print(json.dumps({
         "phase": "resume+verify",
-        "fragments_already_committed": pre,
+        "fragments_already_committed": len(pre),
+        "fragments_rewritten": len(rewritten),
         "fragments_total": stats["fragments"],
-        "tokens": stats["tokens"],
+        "rows": stats["rows"],
         "plain_bytes": stats["plain_bytes"],
         "encoded_bytes": stats["encoded_bytes"],
         "ratio": round(stats["plain_bytes"] / stats["encoded_bytes"], 3),
         "resume_encode_sec": round(enc_sec, 1),
         "verify_sec": round(ver_sec, 1),
         "object_store_cap_bytes": OBJ_STORE,
-        "verify_match": v["match"],
+        "verify_ok": v["ok"],
+        "verify_rows": v["rows"],
     }))
 
 
