@@ -16,8 +16,8 @@ SF0001 = "/root/testdata/sf0.001"
 
 
 def entry() -> Any:
-    """Flagship: documents → north-rule tokens table → skew-planned auto-codec
-    encode → decode (bit-identical) → comma-joined token strings."""
+    """Flagship: documents → north-rule tokens table → per-block auto-codec
+    columnar encode → decode (bit-identical) → comma-joined token strings."""
     from fsst_like_ray.pipelines.queries import make_roundtrip
 
     return make_roundtrip("auto")(SF0001)

@@ -421,7 +421,7 @@ def run_loop_train(repeats: int = 1000) -> dict:
 
     from fsst_like_ray import fsstlib
     from fsst_like_ray.sources.tokens import tokens_table
-    from fsst_like_ray.stages.encode import list_buffers
+    from fsst_like_ray.buffers import list_buffers
 
     from fsst_like_ray.codecs.bitutil import gather_rows
     from fsst_like_ray.codecs.fsst import TRAIN_SAMPLE_BYTES, _sample_rows

@@ -68,21 +68,13 @@ def select_codec(
     offsets: np.ndarray,
     codec_names: list[str] | None = None,
     sample_rows: int = 1024,
-    screen_cache: dict | None = None,
 ) -> tuple[str, dict[str, int], bytes | None]:
     """Returns (winning codec name, {codec: estimated FULL-BLOCK bytes}, and
     the winner's sample-trained state when reusable — saves the auto path a
     second training pass for expensive codecs like fsst). Deterministic:
     the sample, the screen and every tie-break are pure functions of the
-    block content.
-
-    ``screen_cache``: a caller-owned dict carried across the sibling
-    state windows of ONE batch — a screened codec's trained state from an
-    earlier window screens later windows with a train-free
-    ``estimate_with_state`` pass (training cost is ~independent of sample
-    size, so this is most of the per-window selector time). Only the
-    SCREEN rides the cache: any codec that looks competitive still pays
-    the full fresh-trained estimate, so the choice never degrades."""
+    block content. An estimator that fails raises: a codec silently scored
+    out of the race would change the choice without a trace."""
     from . import CODECS
 
     names = codec_names or list(CODECS)
@@ -93,13 +85,9 @@ def select_codec(
     states: dict[str, bytes | None] = {}
 
     def run(name, v, o):
-        try:
-            estimates[name], states[name] = CODECS[name].estimate(
-                v, o, full_tokens=full_tokens, full_rows=full_rows
-            )
-        except Exception:
-            estimates[name] = np.iinfo(np.int64).max
-            states[name] = None
+        estimates[name], states[name] = CODECS[name].estimate(
+            v, o, full_tokens=full_tokens, full_rows=full_rows
+        )
 
     cheap = [n for n in names if n not in SCREEN_CODECS]
     for name in cheap:
@@ -111,32 +99,13 @@ def select_codec(
         if name in estimates:
             continue
         pv, po = _sample(sv, so, sample_rows, max_tokens=SCREEN_TOKENS)
-        cached = (
-            screen_cache.get(name) if screen_cache is not None else None
-        )
-        ewstate = getattr(CODECS[name], "estimate_with_state", None)
-        from_cache = False
-        if cached is not None and ewstate is not None:
-            try:
-                estimates[name], states[name] = ewstate(
-                    pv, po, cached,
-                    full_tokens=full_tokens, full_rows=full_rows,
-                )
-                from_cache = True
-            except Exception:
-                pass
-        if not from_cache:
-            run(name, pv, po)
-            if screen_cache is not None and states.get(name):
-                screen_cache[name] = states[name]
+        run(name, pv, po)
         if estimates[name] <= SCREEN_SLACK * best_cheap and (
-            from_cache or len(po) - 1 < len(so) - 1 or po[-1] < so[-1]
+            len(po) - 1 < len(so) - 1 or po[-1] < so[-1]
         ):
             # contender: replace the screen figure with the full-sample
             # estimate (the screen only ever skips work, never fidelity
-            # for a codec that might win). A screen on a sibling window's
-            # cached table always re-runs, even when the screen sample is
-            # the whole sample: its state was trained on another window
+            # for a codec that might win)
             run(name, sv, so)
     best = min(estimates, key=lambda n: (estimates[n], n))
     return best, estimates, states[best]

@@ -119,22 +119,3 @@ class FsstCodec(Codec):
         ratio = buf.size / sampled if sampled else 1.0
         full_bytes = 4 * full_tokens if full_tokens is not None else total
         return int(full_bytes * ratio) + len(state), state
-
-    def estimate_with_state(
-        self, values, offsets, state: bytes, full_tokens=None, full_rows=None
-    ):
-        """Screen-grade estimate against an ALREADY-TRAINED table (the
-        auto selector's cross-window cache): one encode pass over the
-        sample, no training — training cost is ~independent of sample
-        size, so this is where the per-window screen time goes. A
-        sibling-window table can only be pessimistic for this window
-        (unseen bytes escape), which the screen tolerates: a codec that
-        looks competitive still gets the full fresh-trained estimate."""
-        data, bo = _byte_view(values, offsets)
-        table = fsstlib.SymbolTable.deserialize(state)
-        buf, _ = fsstlib.encode(data, bo, table)
-        sampled = int(bo[-1])
-        ratio = buf.size / sampled if sampled else 1.0
-        total = int(bo[-1])
-        full_bytes = 4 * full_tokens if full_tokens is not None else total
-        return int(full_bytes * ratio) + len(state), state

@@ -22,12 +22,13 @@ How much work each codec avoids (documented honestly):
   rules out the segment; otherwise unpack + compare.
 - ``for``/``delta``/``fsst`` — no sub-decode shortcut exists (per-row
   references / prefix sums); they decode the segment into a flat NumPy
-  stream and reduce vectorized — still far cheaper than the full
-  decode_batch path (no ListArray construction, no table rebuild).
+  stream and reduce vectorized — still far cheaper than a full
+  ``decode_columns_batch`` (no ListArray construction, no table rebuild).
 
 All kernels return per-row results for a CONTIGUOUS same-(codec, state)
 row segment: (buf, payload_offsets, counts, state) exactly as
-``Codec.decode`` takes them.
+``Codec.decode`` takes them. A columnar list column yields these per
+block envelope through ``pipelines.columnar.list_segment_runs``.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .tokenops import list_buffers, _list_array
+from ..buffers import list_buffers
+from .tokenops import _list_array
 
 # merged-symbol ids start above the Unicode code-point space
 NEW_ID_BASE = 1 << 21

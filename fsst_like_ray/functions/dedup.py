@@ -1072,7 +1072,7 @@ def token_sequence_duplicates(ds, tokens_col: str = "tokens"):
     one-shuffle hot-bucket machinery as :func:`exact_duplicates`."""
     import pyarrow.compute as pc
 
-    from ..stages.encode import list_buffers
+    from ..buffers import list_buffers
     from ..stages.verify import _poly_rowhash
 
     def hash_batch(b: pa.Table) -> pa.Table:

@@ -275,7 +275,7 @@ def _token_window_rows(batch: pa.Table, k: int):
     so small consecutive ids don't produce correlated window hashes.
     flat_start indexes the batch's flat values buffer (pass 2 re-derives
     survivor window CONTENT from it)."""
-    from ..stages.encode import list_buffers
+    from ..buffers import list_buffers
 
     values, offsets = list_buffers(batch["tokens"])
     counts = np.diff(offsets)
@@ -560,7 +560,7 @@ def remove_duplicated_token_spans(
     def cut_rows(b: pa.Table, starts_of) -> pa.Table:
         """``starts_of(row_index, doc_id) -> sorted window starts or
         None``; only rows WITH removals pay a Python iteration."""
-        from ..stages.encode import list_buffers
+        from ..buffers import list_buffers
 
         values, offsets = list_buffers(b["tokens"])
         counts_ = np.diff(offsets)

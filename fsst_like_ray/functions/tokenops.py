@@ -25,12 +25,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..buffers import list_buffers
+
 # Token ids are Unicode code points in the synthetic corpus; any bigram key
 # fits in (t1 * SPAN + t2) without collision because ids < SPAN.
 CODEPOINT_SPAN = 1114112
-
-
-from ..stages.encode import list_buffers  # zero-copy (values, offsets)
 
 
 def _list_array(values: np.ndarray, offsets: np.ndarray) -> pa.ListArray:

@@ -34,6 +34,7 @@ import pyarrow.compute as pc
 
 from .. import fsstlib
 from .. import native as _native
+from ..buffers import _binary_buffers, _group_indices
 from .pattern import LikePattern, parse_like
 
 ESCAPE = fsstlib.ESCAPE
@@ -635,7 +636,6 @@ def like_on_encoded(
 ) -> np.ndarray:
     """Row mask for a LIKE pattern over an encoded text table (one or more
     blocks; rows are grouped by symbol table)."""
-    from ..stages.decode import _binary_buffers
     from ..stages.text import decode_text_table
 
     pat = parse_like(pattern) if isinstance(pattern, str) else pattern
@@ -643,8 +643,6 @@ def like_on_encoded(
     n = batch.num_rows
     if shape == "all":
         return np.ones(n, dtype=bool)
-
-    from ..stages.decode import _group_indices
 
     pay, po = _binary_buffers(batch["payload"])
     si, state_vals = _group_indices(batch["state"])

@@ -25,8 +25,7 @@ Encoded layout (self-describing, parquet-stable):
 - ``__rowidx`` int32 — row position inside its encode-time block. Scalar
   kinds carry the block payload once (dictionary-encoded envelope), and a
   parquet rewrite may re-slice blocks: ``__rowidx`` maps any row subset
-  back into the block-decoded vector (same robustness contract as
-  stages/decode.py's (codec, state) run segmentation).
+  back into the block-decoded vector.
 - per source column ``c``:
   - ``c__blk``     dict<binary> — block envelope: original type, validity
     bitmap, codec name(s)/state(s), scalar payloads, plain-bytes accounting.
@@ -48,11 +47,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import fsstlib
+from ..buffers import _binary_buffers, _group_indices, payload_array
 from ..codecs import CODECS
 from ..codecs.auto import select_codec
 from ..codecs.bitutil import gather_rows
-from ..stages.decode import _binary_buffers, _group_indices
-from ..stages.encode import payload_array
 from ..stages.text import string_buffers
 
 # v2: numeric families carry a (vmin, vmax) zone map. No v1 read shim on
@@ -1140,6 +1138,36 @@ def _decode_segment(
     return out
 
 
+def _env_runs(blk, n: int):
+    """(lo, hi, envelope) per contiguous same-envelope row run of a
+    ``__blk`` column (rows of one encode block stay contiguous through
+    slicing and parquet rewrites, so this is run-length segmentation)."""
+    gi, envs = _group_indices(blk)
+    if not n:
+        return
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(gi)) + 1, [n]))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        yield lo, hi, bytes(envs[int(gi[lo])])
+
+
+def list_segment_runs(batch: pa.Table, column: str):
+    """A list-family column of an encoded batch as codec-kernel inputs →
+    ``(segments, pay_buf, pay_off, counts)``: one ``(lo, hi, codec name,
+    state)`` per same-envelope row run, read from the envelope head, plus
+    the per-row payloads and the ``__n`` counts. The compressed-domain
+    kernels (codecs/pushdown.py) take these exactly as ``Codec.decode``
+    does."""
+    segments = []
+    for lo, hi, env in _env_runs(batch[f"{column}__blk"], batch.num_rows):
+        r = _Reader(env)
+        if _parse_head(r)[0] not in _LIST_FAMILY:
+            raise TypeError(f"columnar: {column!r} is not a list column")
+        segments.append((lo, hi, *r.codec()))
+    pay_buf, pay_off = _binary_buffers(batch[f"{column}__payload"])
+    counts = batch[f"{column}__n"].to_numpy().astype(np.int64)
+    return segments, pay_buf, pay_off, counts
+
+
 def decode_columns_batch(batch: pa.Table) -> pa.Table:
     """Per-column-encoded table → original columns, in original order.
     Robust to block slicing / parquet rewrites: rows group into contiguous
@@ -1152,33 +1180,24 @@ def decode_columns_batch(batch: pa.Table) -> pa.Table:
         if not enc_name.endswith("__blk"):
             continue
         name = enc_name[: -len("__blk")]
-        gi, envs = _group_indices(batch[enc_name])
         pay_buf, pay_off = _binary_buffers(batch[f"{name}__payload"])
         counts = (
             batch[f"{name}__n"].to_numpy().astype(np.int64)
             if f"{name}__n" in batch.column_names
             else None
         )
-        bounds = (
-            np.concatenate(([0], np.flatnonzero(np.diff(gi)) + 1, [n]))
-            if n
-            else np.array([0, 0])
-        )
-        parts = []
-        for k in range(len(bounds) - 1):
-            lo, hi = int(bounds[k]), int(bounds[k + 1])
-            if lo == hi:
-                continue
-            parts.append(
-                _decode_segment(
-                    bytes(envs[int(gi[lo])]),
-                    rowidx[lo:hi],
-                    pay_buf[pay_off[lo] : pay_off[hi]],
-                    pay_off[lo : hi + 1] - pay_off[lo],
-                    None if counts is None else counts[lo:hi],
-                )
+        parts = [
+            _decode_segment(
+                env,
+                rowidx[lo:hi],
+                pay_buf[pay_off[lo] : pay_off[hi]],
+                pay_off[lo : hi + 1] - pay_off[lo],
+                None if counts is None else counts[lo:hi],
             )
+            for lo, hi, env in _env_runs(batch[enc_name], n)
+        ]
         if not parts:
+            envs = _group_indices(batch[enc_name])[1]
             if envs:
                 r = _Reader(bytes(envs[0]))
                 tc, unit, tz, _nb, _v, _p = _parse_head(r)
@@ -1200,6 +1219,12 @@ def decode_columns_batch(batch: pa.Table) -> pa.Table:
         else:
             out[name] = pa.concat_arrays(parts)
     return pa.table(out)
+
+
+def decode_column(batch: pa.Table, column: str) -> pa.Array:
+    """One column of an encoded batch; the other columns stay encoded."""
+    keep = batch.select(_encoded_field_names(batch, [column]))
+    return decode_columns_batch(keep)[column]
 
 
 def columnar_stats_batch(batch: pa.Table) -> pa.Table:

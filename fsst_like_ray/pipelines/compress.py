@@ -1,9 +1,5 @@
-"""Token-stage Dataset wrappers and the parquet read helpers the table
-store shares.
+"""Parquet read helpers the table store shares.
 
-- ``encode_dataset`` / ``decode_dataset``: lazy ``map_batches`` over the
-  per-row token codecs (stages/encode.py, stages/decode.py) — the
-  in-memory encode → decode roundtrip the registry queries use;
 - ``discover_fragments`` / ``read_parquet_blocks``: input-fragment
   listing and a read whose parallelism never drops below cluster width;
 - ``_rowgroup_specs``: the driver-side row-group split that turns one
@@ -15,68 +11,9 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pyarrow as pa
 
 import ray.data
-
-from ..stages.decode import decode_batch
-from ..stages.encode import EncoderActor
-
-ENCODE_BATCH_ROWS = 2048
-
-
-def encode_dataset(
-    ds: "ray.data.Dataset",
-    codec: str = "auto",
-    shared_state: bytes | None = None,
-) -> "ray.data.Dataset":
-    """Encode stage. Codec state is trained per ``ENCODE_BATCH_ROWS``
-    batch (no cross-batch state), so a stateless task pool suffices — it
-    autoscales to whatever CPUs the streaming executor has free.
-    ``shared_state``: a pre-trained codec state (fsst only, see
-    ``stages.encode.SHARED_SAFE_CODECS``) — skips per-batch training."""
-    fn = EncoderActor(codec=codec, shared_state=shared_state)
-    return ds.map_batches(
-        lambda b, _fn=fn: _fn(b),
-        batch_format="pyarrow",
-        batch_size=ENCODE_BATCH_ROWS,
-        zero_copy_batch=True,
-    )
-
-
-def decode_dataset(
-    ds: "ray.data.Dataset", verify_rows: bool = False
-) -> "ray.data.Dataset":
-    """Decode stage; ``verify_rows=True`` re-hashes every decoded row and
-    checks it against the ``row_hash`` the encode pass stored — per-ROW
-    corruption detection, naming the offending doc_ids in the error."""
-    if not verify_rows:
-        return ds.map_batches(
-            decode_batch, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-    def decode_and_check(batch: pa.Table) -> pa.Table:
-        from ..stages.verify import row_hashes
-
-        out = decode_batch(batch)
-        if "row_hash" in batch.column_names:
-            expect = (
-                batch["row_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
-            )
-            got = row_hashes(out)
-            bad = np.flatnonzero(expect != got)
-            if bad.size:
-                ids = out["doc_id"].take(pa.array(bad[:10])).to_pylist()
-                raise ValueError(
-                    f"decode row-hash mismatch for {bad.size} rows, "
-                    f"first doc_ids: {ids}"
-                )
-        return out
-
-    return ds.map_batches(
-        decode_and_check, batch_format="pyarrow", zero_copy_batch=True
-    )
 
 
 def discover_fragments(path: str | list[str]) -> list[str]:

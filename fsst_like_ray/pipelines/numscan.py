@@ -1,9 +1,11 @@
-"""Numeric push-down scans over ENCODED token corpora: per-row aggregates
-and token-membership predicates computed in the compressed domain
+"""Numeric push-down scans over columnar-encoded token corpora
+(pipelines/columnar.py): per-row aggregates and token-membership
+predicates on the ``tokens`` list column computed in the compressed domain
 (codecs/pushdown.py) — the reference's compressed-predicate idea
 (LIKE-on-FSST, src/BenchmarkDriver.cpp:54-85) carried over to the numeric
 codecs. Stateless ``map_batches`` stages: the codec state travels with the
-data, nothing decodes into Arrow list arrays, and segments a zone check
+data in the block envelope, the token lists never decode into Arrow list
+arrays (only the ``doc_id`` column decodes), and segments a zone check
 rules out (dict / bitpack) never touch payload bytes.
 """
 
@@ -15,7 +17,7 @@ import pyarrow as pa
 import ray.data
 
 from ..codecs.pushdown import segment_contains, segment_stats
-from ..stages.decode import encoded_segment_runs
+from .columnar import decode_column, list_segment_runs
 
 
 def token_stats(enc: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -25,7 +27,7 @@ def token_stats(enc: "ray.data.Dataset") -> "ray.data.Dataset":
 
     def stats(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        segments, pay_buf, pay_off, counts = encoded_segment_runs(batch)
+        segments, pay_buf, pay_off, counts = list_segment_runs(batch, "tokens")
         sums = np.zeros(n, dtype=np.int64)
         mins = np.zeros(n, dtype=np.int64)
         maxs = np.zeros(n, dtype=np.int64)
@@ -39,8 +41,8 @@ def token_stats(enc: "ray.data.Dataset") -> "ray.data.Dataset":
         nz = counts > 0
         return pa.table(
             {
-                "doc_id": batch["doc_id"],
-                "n_tok": batch["n_tok"].cast(pa.int64()),
+                "doc_id": decode_column(batch, "doc_id"),
+                "n_tok": pa.array(counts, type=pa.int64()),
                 "tok_sum": pa.array(sums, type=pa.int64()),
                 "tok_min": pa.array(
                     np.where(nz, mins, 0).astype(np.int32), mask=~nz
@@ -61,7 +63,7 @@ def contains_token_scan(
 
     def scan(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        segments, pay_buf, pay_off, counts = encoded_segment_runs(batch)
+        segments, pay_buf, pay_off, counts = list_segment_runs(batch, "tokens")
         hit = np.zeros(n, dtype=bool)
         for lo, hi, name, state in segments:
             sub = pay_buf[pay_off[lo] : pay_off[hi]]
@@ -69,7 +71,8 @@ def contains_token_scan(
             hit[lo:hi] = segment_contains(
                 name, sub, so, counts[lo:hi], state, tid
             )
-        return batch.select(["doc_id"]).filter(pa.array(hit))
+        ids = decode_column(batch, "doc_id")
+        return pa.table({"doc_id": ids}).filter(pa.array(hit))
 
     return enc.map_batches(scan, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -87,7 +90,7 @@ def token_histogram(enc: "ray.data.Dataset") -> "ray.data.Dataset":
     from ..codecs.pushdown import segment_histogram
 
     def partial(batch: pa.Table) -> pa.Table:
-        segments, pay_buf, pay_off, counts = encoded_segment_runs(batch)
+        segments, pay_buf, pay_off, counts = list_segment_runs(batch, "tokens")
         vals, cnts = [], []
         for lo, hi, name, state in segments:
             sub = pay_buf[pay_off[lo] : pay_off[hi]]

@@ -27,8 +27,7 @@ from ..functions import similarity as F_sim
 from ..functions import textstats as F_text
 from ..functions import tokenops as T_tok
 from ..functions.textstats import codepoints
-from ..stages.decode import decode_batch
-from .compress import encode_dataset, decode_dataset
+from .columnar import decode_columns_dataset, encode_columns_dataset
 from .scan import encode_text_dataset, like_scan, like_count
 
 
@@ -91,36 +90,34 @@ FROM documents
 
 
 def make_roundtrip(codec: str):
+    """Tokens table → columnar encode (pipelines/columnar.py) → decode →
+    comma-joined token strings. ``codec`` other than ``auto`` restricts
+    every codec selection of the encode to that one codec."""
+    names = None if codec == "auto" else [codec]
+
     def q(sf_dir: str):
-        ds = _tokens_ds(sf_dir)
-        enc = encode_dataset(ds, codec=codec)
-        dec = decode_dataset(enc)
+        enc = encode_columns_dataset(_tokens_ds(sf_dir), codec_names=names)
+        dec = decode_columns_dataset(enc)
         return dec.map_batches(tok_str_batch, batch_format="pyarrow")
 
     return q
 
 
 def q_roundtrip_fsst_shared(sf_dir: str):
-    """Global-symbol-table round-trip: ONE fsst table trained on a bounded
-    driver-side sample of the derived tokens, then every batch encodes
-    against it (no per-block training — the 10^12-sequence amortization
-    path). Unsampled docs may
-    hold byte pairs the table never saw; fsst's escape fallback keeps the
-    round-trip bit-exact, which is exactly what this oracle gates."""
-    from ..codecs import CODECS
-    from ..stages.encode import list_buffers
+    """Spec-mode round-trip: the per-column codec choice (fsst for the
+    token lists) is trained ONCE on a bounded driver-side sample of the
+    derived tokens, then every block encodes under that pinned choice
+    with no selection work (the 10^12-sequence amortization path). Each
+    block still trains its own fsst table, so unsampled docs round-trip
+    bit-exact, which is exactly what this oracle gates."""
+    from .columnar import train_columnar_spec
 
     sample = pq.read_table(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
     ).slice(0, 64)
-    sample = sample.append_column(
-        "source", pa.nulls(sample.num_rows, type=pa.string())
-    )
-    v, o = list_buffers(to_tokens_batch(sample)["tokens"])
-    state = bytes(CODECS["fsst"].train(v, o))
-
-    enc = encode_dataset(_tokens_ds(sf_dir), codec="fsst", shared_state=state)
-    dec = decode_dataset(enc)
+    spec = train_columnar_spec(to_tokens_batch(sample), ["fsst"])
+    enc = encode_columns_dataset(_tokens_ds(sf_dir), spec=spec)
+    dec = decode_columns_dataset(enc)
     return dec.map_batches(tok_str_batch, batch_format="pyarrow")
 
 
@@ -240,16 +237,22 @@ def engine_rank_oracle_sql() -> str:
 
 # ------------------------------------------------------------- aggregates
 def q_ntok_histogram(sf_dir: str):
-    from ..stages.skew import n_tok_histogram
+    """Token-length skew: (bucket, rows, tokens) per log2 bucket of n_tok
+    (bucket 0 holds empty docs, bucket b > 0 holds 2^(b-1) <= n_tok <
+    2^b). Only (bucket, n_tok) pairs reach the groupby."""
 
-    hist = n_tok_histogram(_tokens_ds(sf_dir).select_columns(["n_tok"]))
-    buckets = sorted(hist)
-    return pa.table(
-        {
-            "bucket": pa.array(buckets, type=pa.int64()),
-            "rows": pa.array([hist[b][0] for b in buckets], type=pa.int64()),
-            "tokens": pa.array([hist[b][1] for b in buckets], type=pa.int64()),
-        }
+    def bucket(b: pa.Table) -> pa.Table:
+        n_tok = b["n_tok"].to_numpy().astype(np.int64)
+        bk = np.zeros(len(n_tok), dtype=np.int64)
+        nz = n_tok > 0
+        bk[nz] = np.floor(np.log2(n_tok[nz])).astype(np.int64) + 1
+        return pa.table({"bucket": bk, "n_tok": n_tok})
+
+    return (
+        _tokens_ds(sf_dir)
+        .map_batches(bucket, batch_format="pyarrow")
+        .groupby("bucket")
+        .aggregate(Count(alias_name="rows"), Sum("n_tok", alias_name="tokens"))
     )
 
 
@@ -279,7 +282,7 @@ def q_compression_stats(sf_dir: str):
                          codec's documented worst case: fsst/rle at most
                          double their input, the rest stay under plain)."""
     from ..codecs import select_codec
-    from ..stages.encode import list_buffers
+    from ..buffers import list_buffers
 
     names = sorted(CODECS)
 
@@ -334,29 +337,28 @@ def q_compression_stats(sf_dir: str):
 
 def q_compression_ratio_gate(sf_dir: str):
     """North-rule size criterion as a boolean gate: the auto codec's total
-    encoded bytes (payload + state) must be under 5/9 of plain int32 —
-    i.e. ratio >= 1.8 (measured 2.20-2.22x on every corpus since the
-    varint codec joined the selector; the reference's FSST achieves ~2x on
-    raw TEXT bytes, which is ~1.7-1.9x against our denser int32 token
-    encoding of the same content — the selector now beats that)."""
+    encoded bytes of the tokens column (per-row payloads + block
+    envelopes, which carry the codec states) must be under 5/9 of plain
+    int32 — i.e. ratio >= 1.8 (measured 7.8-7.9x on the sf0.001-sf0.1
+    documents, fsst winning each block; the reference's FSST achieves ~2x
+    on raw TEXT bytes, and the int32 code points hold each byte in 4)."""
+
+    from ..buffers import _binary_buffers, _group_indices
 
     def summarize(b: pa.Table) -> pa.Table:
-        payload = int(pa.compute.sum(b["payload_nbytes"]).as_py() or 0)
-        states = b["state"].combine_chunks()
-        state_bytes = sum(
-            len(v.as_py() or b"") for v in states.dictionary
-        ) if pa.types.is_dictionary(states.type) else 0
-        plain = int(
-            pa.compute.sum(b["n_tok"].cast(pa.int64())).as_py() or 0
-        ) * 4
+        # one encoded block per call: its envelopes (codec states) count once
+        _buf, pay_off = _binary_buffers(b["tokens__payload"])
+        envs = _group_indices(b["tokens__blk"])[1]
+        enc_bytes = int(pay_off[-1]) + sum(len(e) for e in envs)
+        plain = int(b["tokens__n"].to_numpy().astype(np.int64).sum()) * 4
         return pa.table(
             {
-                "enc": pa.array([payload + state_bytes], type=pa.int64()),
+                "enc": pa.array([enc_bytes], type=pa.int64()),
                 "plain": pa.array([plain], type=pa.int64()),
             }
         )
 
-    enc = encode_dataset(_tokens_ds(sf_dir), codec="auto")
+    enc = encode_columns_dataset(_tokens_ds(sf_dir))
     tot_e = tot_p = 0
     for b in enc.map_batches(summarize, batch_format="pyarrow").iter_batches(
         batch_size=4096, batch_format="pyarrow"
@@ -370,16 +372,18 @@ def q_compression_ratio_gate(sf_dir: str):
 
 def q_decode_selected(sf_dir: str):
     """Selected-row decompress (sketch.cc:770-785): encode everything, decode
-    only doc_id % 10 == 0."""
-    ds = _tokens_ds(sf_dir)
-    enc = encode_dataset(ds, codec="auto")
+    the doc_id column to pick doc_id % 10 == 0, then decode only those
+    rows."""
+    from .columnar import decode_column
+
+    enc = encode_columns_dataset(_tokens_ds(sf_dir))
 
     def pick(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.take(pa.array(np.flatnonzero(ids % 10 == 0)))
+        ids = decode_column(b, "doc_id").to_numpy(zero_copy_only=False)
+        return b.take(pa.array(np.flatnonzero(ids.astype(np.int64) % 10 == 0)))
 
     sel = enc.map_batches(pick, batch_format="pyarrow")
-    dec = decode_dataset(sel)
+    dec = decode_columns_dataset(sel)
     return dec.map_batches(tok_str_batch, batch_format="pyarrow")
 
 
@@ -3028,9 +3032,7 @@ def q_tokens_corpus_roundtrip(sf_dir: str):
     from ..stages.verify import row_hashes
 
     t = tokens_table(4096, seed=42)
-    ds = ray.data.from_arrow(t)
-    enc = encode_dataset(ds, codec="auto")
-    dec = decode_dataset(enc)
+    dec = decode_columns_dataset(encode_columns_dataset(ray.data.from_arrow(t)))
     with np.errstate(over="ignore"):
         h_in = np.uint64(0)
         for b in ray.data.from_arrow(t).iter_batches(
@@ -4860,8 +4862,7 @@ def q_token_stats_pushdown(sf_dir: str):
     decoded stream without building Arrow lists."""
     from .numscan import token_stats
 
-    enc = encode_dataset(_tokens_ds(sf_dir), codec="auto")
-    return token_stats(enc)
+    return token_stats(encode_columns_dataset(_tokens_ds(sf_dir)))
 
 
 def q_token_histogram_pushdown(sf_dir: str):
@@ -4873,7 +4874,7 @@ def q_token_histogram_pushdown(sf_dir: str):
     of the merged histogram."""
     from .numscan import token_histogram
 
-    enc = encode_dataset(_tokens_ds(sf_dir), codec="auto")
+    enc = encode_columns_dataset(_tokens_ds(sf_dir))
     return (
         token_histogram(enc)
         .map_batches(
@@ -4897,7 +4898,7 @@ def q_contains_token_pushdown(sf_dir: str):
     bytes). Oracle: text contains 'q' (tokens ARE the codepoints)."""
     from .numscan import contains_token_scan
 
-    enc = encode_dataset(_tokens_ds(sf_dir), codec="auto")
+    enc = encode_columns_dataset(_tokens_ds(sf_dir))
     return _collect_ids(contains_token_scan(enc, ord("q")), "doc_id")
 
 
@@ -7780,70 +7781,23 @@ def q_tpch_q21(sf_dir: str):
 
 
 def q_roundtrip_embeddings(sf_dir: str):
-    """Float-column coverage: the embeddings vectors ride through the
-    SAME int32 codec engine via a zero-copy bit view (float32 bits →
-    int32 tokens → encode auto → decode → bits back), asserting
-    bit-identical recovery per batch. Gaussian float bits are
-    near-incompressible — the point is the engine's column-type reach
-    and exact round-trip, not ratio (lineage records whatever codec auto
-    falls back to)."""
-    from ..stages.decode import decode_batch as _dec
-    from ..stages.encode import encode_table as _enc
-
+    """Float-column coverage: the embeddings vectors (list<float32>, which
+    rides the int32 codec engine as a bit view) through encode auto →
+    decode, asserted bit-identical per batch (a mismatch raises). Gaussian
+    float bits are near-incompressible: the point is the engine's
+    column-type reach and exact round-trip, not ratio."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
 
     def rt(b: pa.Table) -> pa.Table:
-        emb = b["embedding"]
-        if isinstance(emb, pa.ChunkedArray):
-            emb = emb.combine_chunks()
-        flat = emb.flatten().to_numpy(zero_copy_only=False).astype(
-            np.float32, copy=False
-        )
-        counts = pa.compute.list_value_length(emb).to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        bits = flat.view(np.int32)
-        toks = pa.ListArray.from_arrays(
-            pa.array(offsets.astype(np.int32), type=pa.int32()),
-            pa.array(bits, type=pa.int32()),
-        )
-        tt = pa.table(
-            {
-                "doc_id": b["vec_id"].cast(pa.string()),
-                "tokens": toks,
-                "n_tok": pa.array(counts.astype(np.int32), type=pa.int32()),
-                "source": pa.array(["emb"] * b.num_rows),
-            }
-        )
-        dec = _dec(_enc(tt, "auto"))
-        back = dec["tokens"]
-        if isinstance(back, pa.ChunkedArray):
-            back = back.combine_chunks()
-        out_bits = back.flatten().to_numpy(zero_copy_only=False)
-        ok = bool(np.array_equal(out_bits.view(np.float32), flat)) and (
-            dec["doc_id"].to_pylist() == tt["doc_id"].to_pylist()
-        )
-        return pa.table(
-            {
-                "n": pa.array([b.num_rows], type=pa.int64()),
-                "n_ok": pa.array(
-                    [b.num_rows if ok else 0], type=pa.int64()
-                ),
-            }
-        )
+        _columnar_verify_batch(b)
+        return pa.table({"n": pa.array([b.num_rows], type=pa.int64())})
 
-    out = ds.map_batches(rt, batch_format="pyarrow").aggregate(
-        Sum("n", alias_name="n"), Sum("n_ok", alias_name="n_ok")
-    )
-    n, n_ok = int(out["n"] or 0), int(out["n_ok"] or 0)
+    n = int(ds.map_batches(rt, batch_format="pyarrow").sum("n") or 0)
     return pa.table(
         {
-            # every block must verify bit-identical; one failure flips it
-            "match": pa.array([n > 0 and n_ok == n]),
+            "match": pa.array([n > 0]),
             "n_vecs": pa.array([n], type=pa.int64()),
         }
     )
@@ -8460,7 +8414,7 @@ def quality_keep_mask(b: pa.Table) -> tuple:
     integer comparisons. Returns (ok bool array, n_tok, n_distinct,
     n_dup_grams) so callers either report the signals or just filter."""
     from ..functions import tokenops as T
-    from ..stages.encode import list_buffers
+    from ..buffers import list_buffers
 
     values, offsets = list_buffers(b["tokens"])
     n_tok = np.diff(offsets)
@@ -8603,6 +8557,24 @@ REPETITIVE_PLANT_TEXT = "a" * 800
 COMPRESS_SIG_STATE_TOKENS = 1024
 
 
+def _chunk_bounds(offsets: np.ndarray, max_tokens: int | None) -> np.ndarray:
+    """Row boundaries so each chunk carries ≤ max_tokens (≥1 row per chunk) —
+    the intra-batch skew guard: a giant document gets its own codec state
+    instead of blowing up a shared one (SURVEY.md §7.4 "skew")."""
+    n = len(offsets) - 1
+    if max_tokens is None or offsets[-1] - offsets[0] <= max_tokens:
+        return np.array([0, n], dtype=np.int64)
+    bounds = [0]
+    start = 0
+    while start < n:
+        limit = offsets[start] + max_tokens
+        end = int(np.searchsorted(offsets, limit, side="right")) - 1
+        end = min(max(end, start + 1), n)
+        bounds.append(end)
+        start = end
+    return np.array(bounds, dtype=np.int64)
+
+
 def q_docs_compressibility_gate(sf_dir: str):
     """Compressed-domain quality signal: per-doc compressibility under the
     auto selector (encoded payload bytes / token count, codec state scoped
@@ -8611,8 +8583,11 @@ def q_docs_compressibility_gate(sf_dir: str):
     storage pipeline already runs (no extra scan at corpus scale). Gate:
     planted 'a'*800 docs must flag below COMPRESS_FLAG_RATIO (RLE packs
     them to ~0.005 B/token vs ~0.6 for natural text under per-chunk
-    states), and under 20 % of the original corpus may flag."""
-    from ..stages.encode import encode_table
+    states), and under 20 % of the original corpus may flag. Each chunk
+    of ≤ COMPRESS_SIG_STATE_TOKENS tokens encodes as its own columnar
+    block; a row's bytes are its ``tokens__payload`` length."""
+    from ..buffers import _binary_buffers, list_buffers
+    from .columnar import encode_columns_batch
 
     ds = _docs(sf_dir, ("doc_id", "text"))
 
@@ -8644,19 +8619,21 @@ def q_docs_compressibility_gate(sf_dir: str):
                 planted,
             ]
         )
-        enc = encode_table(
-            to_tokens_batch(full),
-            "auto",
-            max_tokens_per_state=COMPRESS_SIG_STATE_TOKENS,
-        )
-        nb = enc["payload_nbytes"].to_numpy(zero_copy_only=False)
-        nt = enc["n_tok"].to_numpy(zero_copy_only=False).astype(np.float64)
+        tok = to_tokens_batch(full)
+        off = list_buffers(tok["tokens"])[1]
+        bounds = _chunk_bounds(off, COMPRESS_SIG_STATE_TOKENS).tolist()
+        nb = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            enc = encode_columns_batch(tok.select(["tokens"]).slice(lo, hi - lo))
+            nb.append(np.diff(_binary_buffers(enc["tokens__payload"])[1]))
+        nb = np.concatenate(nb)
+        nt = tok["n_tok"].to_numpy(zero_copy_only=False).astype(np.float64)
         ratio = nb / np.maximum(nt, 1.0)
         return pa.table(
             {
-                "doc_id": enc["doc_id"].cast(pa.int64()),
+                "doc_id": tok["doc_id"].cast(pa.int64()),
                 "flagged": pa.array(ratio < COMPRESS_FLAG_RATIO),
-                "is_plant": pa.compute.equal(enc["source"], "plant"),
+                "is_plant": pa.compute.equal(tok["source"], "plant"),
             }
         )
 
@@ -8722,7 +8699,7 @@ def q_bpe_train_gate(sf_dir: str):
     restores the original corpus bit-identically (per-doc polynomial
     hashes attached before training and compared distributed)."""
     from ..functions import bpe as F_bpe
-    from ..functions.tokenops import list_buffers
+    from ..buffers import list_buffers
     from ..stages.verify import _poly_rowhash
 
     def add_hash(b: pa.Table) -> pa.Table:
@@ -8806,7 +8783,8 @@ def q_bpe_apply_gate(sf_dir: str):
     - unseen_deterministic: two independent applications to the unseen
       stream agree exactly."""
     from ..functions import bpe as F_bpe
-    from ..functions.tokenops import _list_array, list_buffers
+    from ..buffers import list_buffers
+    from ..functions.tokenops import _list_array
     from ..stages.verify import _poly_rowhash
 
     def stream_stats(ds):
@@ -8907,7 +8885,8 @@ def q_pipeline_tokenize_corpus(sf_dir: str):
       (the rules actually fired corpus-wide, not just on the sample)."""
 
     from ..functions import bpe as F_bpe
-    from ..functions.tokenops import _list_array, list_buffers
+    from ..buffers import list_buffers
+    from ..functions.tokenops import _list_array
     from ..stages.verify import _poly_rowhash
 
     def stream_sig(ds):
@@ -8943,8 +8922,7 @@ def q_pipeline_tokenize_corpus(sf_dir: str):
     applied = applied.materialize()
     applied_sig = stream_sig(applied)
 
-    enc = encode_dataset(applied, codec="auto")
-    dec = decode_dataset(enc)
+    dec = decode_columns_dataset(encode_columns_dataset(applied))
     roundtrip_ok = stream_sig(dec) == applied_sig
 
     def expand_back(b: pa.Table) -> pa.Table:

@@ -15,36 +15,19 @@ from ..stages.text import encode_text_table, decode_text_table
 
 
 def encode_text_dataset(
-    ds: "ray.data.Dataset",
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    concurrency=None,
+    ds: "ray.data.Dataset", text_col: str = "text", id_col: str = "doc_id"
 ) -> "ray.data.Dataset":
     """String column → per-block FSST-encoded dataset. Symbol tables are
-    trained per batch, so there is NO per-worker state — the default is a
-    stateless task pool (an actor pool here only adds ramp-up latency; pass
-    ``concurrency`` to pin one anyway)."""
+    trained per batch, so there is NO per-worker state: a stateless task
+    pool runs it."""
 
-    class TextEncoder:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return batch
-            return encode_text_table(batch, text_col, id_col)
+    def encode(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return batch
+        return encode_text_table(batch, text_col, id_col)
 
-    if concurrency is None:
-        fn = TextEncoder()
-        return ds.map_batches(
-            lambda b, _fn=fn: _fn(b),
-            batch_format="pyarrow",
-            batch_size=8192,
-            zero_copy_batch=True,
-        )
     return ds.map_batches(
-        TextEncoder,
-        batch_format="pyarrow",
-        batch_size=8192,
-        zero_copy_batch=True,
-        concurrency=concurrency,
+        encode, batch_format="pyarrow", batch_size=8192, zero_copy_batch=True
     )
 
 

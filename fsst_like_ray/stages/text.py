@@ -12,6 +12,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import fsstlib
+from ..buffers import _binary_buffers, _group_indices
 from ..codecs.bitutil import gather_rows
 
 
@@ -74,10 +75,6 @@ def encode_text_table(
 
 def decode_text_table(batch: pa.Table) -> pa.Table:
     """Encoded text table → (doc_id, text)."""
-    from .decode import _binary_buffers
-
-    from .decode import _group_indices
-
     pay, po = _binary_buffers(batch["payload"])
     si, state_vals = _group_indices(batch["state"])
     n = batch.num_rows

@@ -1,6 +1,5 @@
-"""Per-row 64-bit content hashes: the ``row_hash`` column the encode stage
-stores beside each row, which ``decode_dataset(verify_rows=True)`` checks
-after decode.
+"""Per-row 64-bit content hashes of a tokens table (doc_id + token
+values): the bit-identity check of the roundtrip and dedup queries.
 
 Per-row hash covers (doc_id bytes, token values, token count) with a
 position-dependent polynomial in uint64 wrap-around arithmetic — fully
@@ -12,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .encode import list_buffers
+from ..buffers import list_buffers
 
 _P = np.uint64(0x100000001B3)  # FNV-ish odd multiplier
 

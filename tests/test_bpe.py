@@ -86,7 +86,7 @@ def test_bpe_train_distributed():
     out = pa.concat_tables(
         [b for b in final.iter_batches(batch_format="pyarrow")]
     ).sort_by("doc_id")
-    from fsst_like_ray.functions.tokenops import list_buffers
+    from fsst_like_ray.buffers import list_buffers
 
     fv, fo = list_buffers(out["tokens"])
     ev, eo = B.expand_with_offsets(fv, fo, rules)
@@ -116,7 +116,7 @@ def test_bpe_train_sampled_applies_corpus_wide():
     )
     # EVERY doc rewritten, not just the sample
     assert out.num_rows == 40
-    from fsst_like_ray.functions.tokenops import list_buffers
+    from fsst_like_ray.buffers import list_buffers
 
     fv, fo = list_buffers(out["tokens"])
     assert np.diff(fo).tolist() == [3] * 40  # 5 tokens -> X X 3
@@ -190,7 +190,7 @@ def test_bpe_apply_matches_training_and_handles_unseen():
     on unseen text the K-rule rank-order rewrite is deterministic and
     expand() reverses it exactly."""
     import ray.data
-    from fsst_like_ray.functions.tokenops import list_buffers
+    from fsst_like_ray.buffers import list_buffers
 
     rows = [[1, 2, 1, 2, 5], [1, 2, 9], [5, 1, 2], [2, 1, 1, 2, 2, 1]]
     v, o = _flat(rows)

@@ -124,29 +124,17 @@ def test_selector_picks_sane_codecs():
         _roundtrip(CODECS[name], rows)
 
 
-def test_screen_cache_contender_gets_its_own_table():
-    """A screened codec whose screen ran on a sibling window's cached
-    table is re-estimated on its own window even when that window is no
-    larger than the screen sample — otherwise the sibling's table would be
-    returned as this window's state."""
-    from fsst_like_ray.codecs.auto import SCREEN_TOKENS
+def test_select_codec_raises_on_estimator_error(monkeypatch):
+    """An estimator that fails must surface, not silently drop its codec
+    from the race (a hidden failure would change the choice)."""
 
-    rng = np.random.default_rng(0)
+    def broken(*_a, **_k):
+        raise RuntimeError("estimator failed")
 
-    def window(n_rows, row_len, vocab):
-        v = rng.choice(vocab, size=n_rows * row_len).astype(np.int32)
-        return v, np.arange(n_rows + 1, dtype=np.int64) * row_len
-
-    big = window(200, 200, np.arange(1, 40))
-    small = window(80, 200, np.arange(1, 48))
-    assert big[1][-1] > SCREEN_TOKENS >= small[1][-1]
-    names = ["plain", "fsst"]
-    cache: dict = {}
-    select_codec(*big, names, screen_cache=cache)
-    assert "fsst" in cache
-    got = select_codec(*small, names, screen_cache=cache)
-    assert got == select_codec(*small, names)
-    assert got[0] == "fsst"
+    monkeypatch.setattr(CODECS["rle"], "estimate", broken)
+    values, offsets = _lists_to_buffers([[1, 1, 1, 2], [3, 3]])
+    with pytest.raises(RuntimeError, match="estimator failed"):
+        select_codec(values, offsets, ["plain", "rle"])
 
 
 def test_full_block_estimates_are_calibrated():
@@ -156,7 +144,7 @@ def test_full_block_estimates_are_calibrated():
     5% of the best actual — the round-3 bias fix (held-out fsst eval,
     Heaps dict growth) stated as an invariant."""
     from fsst_like_ray.sources.tokens import tokens_table
-    from fsst_like_ray.stages.encode import list_buffers
+    from fsst_like_ray.buffers import list_buffers
 
     t = tokens_table(4096, seed=9)
     values, offsets = list_buffers(t["tokens"])
@@ -234,8 +222,10 @@ def test_giant_single_row_estimation_bounded():
 
     import pyarrow as pa
 
-    from fsst_like_ray.stages.decode import decode_batch
-    from fsst_like_ray.stages.encode import encode_table
+    from fsst_like_ray.pipelines.columnar import (
+        decode_columns_batch,
+        encode_columns_batch,
+    )
 
     rng = np.random.default_rng(0)
     giant = (rng.zipf(1.3, 2_000_000) % 50000).astype(np.int32)
@@ -252,7 +242,7 @@ def test_giant_single_row_estimation_bounded():
     # deterministic work bound: the selection sample itself must respect
     # the token cap AND still represent every row proportionally
     from fsst_like_ray.codecs.auto import _sample
-    from fsst_like_ray.stages.encode import list_buffers
+    from fsst_like_ray.buffers import list_buffers
 
     values, offsets = list_buffers(t["tokens"])
     sv, so = _sample(values, offsets, 1024)
@@ -262,9 +252,9 @@ def test_giant_single_row_estimation_bounded():
     assert per_row[0] > per_row[1] * 100  # giant row dominates the budget
 
     t0 = time.time()
-    enc = encode_table(t, "auto")
+    enc = encode_columns_batch(t)
     took = time.time() - t0
-    dec = decode_batch(enc)
+    dec = decode_columns_batch(enc)
     assert dec["tokens"].to_pylist() == t["tokens"].to_pylist()
     # pre-fix this took ~20s at 2M tokens (every estimate at full cost);
     # generous wall bound only as a backstop (loaded-host tolerant)
@@ -302,6 +292,21 @@ def test_shared_fsst_state_roundtrip_hypothesis(train_rows, data_rows):
     buf, po = c.encode(dv, do, state)
     out = c.decode(buf, po, np.diff(do).astype(np.int32), state)
     assert np.array_equal(out, dv)
+
+
+def test_fsst_foreign_state_encodes_unseen_tokens():
+    """Train on one tiny distribution, encode a DISJOINT one: fsst escapes
+    must keep the round-trip exact under a table that never saw a single
+    one of the tokens."""
+    c = CODECS["fsst"]
+    train_vals = np.arange(100, dtype=np.int32) % 7
+    state = c.train(train_vals, np.array([0, 50, 100], dtype=np.int64))
+
+    rng = np.random.default_rng(3)
+    toks = rng.integers(10**6, 2**31 - 1, size=500, dtype=np.int32)
+    off = np.arange(0, 501, 100, dtype=np.int64)
+    buf, po = c.encode(toks, off, state)
+    assert np.array_equal(c.decode(buf, po, np.diff(off), state), toks)
 
 
 def test_delta_encode_rejects_narrow_state():

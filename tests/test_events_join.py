@@ -13,7 +13,7 @@ import ray.data
 
 
 def test_chunk_bounds_edges():
-    from fsst_like_ray.stages.encode import _chunk_bounds
+    from fsst_like_ray.pipelines.queries import _chunk_bounds
 
     # one giant row: its own chunk, neighbors intact
     off = np.array([0, 5, 1000005, 1000010], dtype=np.int64)

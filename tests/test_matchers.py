@@ -115,7 +115,7 @@ def test_pattern_parser():
 def test_prefilter_is_sound(docs, encoded_docs):
     """The skipping prefilter must never exclude a true match."""
     ids = np.array(docs["doc_id"].to_pylist())
-    from fsst_like_ray.stages.decode import _binary_buffers
+    from fsst_like_ray.buffers import _binary_buffers
     from fsst_like_ray import fsstlib
     import pyarrow.compute as pc
 
@@ -135,7 +135,7 @@ def test_position_code_sets_consistency(docs, encoded_docs):
     ACROSS symbol boundaries, and prune strictly tighter than plain
     byte-membership on nonsense needles."""
     import pyarrow.compute as pc
-    from fsst_like_ray.stages.decode import _binary_buffers
+    from fsst_like_ray.buffers import _binary_buffers
     from fsst_like_ray import fsstlib
     from fsst_like_ray.matchers.engines import required_code_prefilter
 
@@ -163,7 +163,7 @@ def test_position_code_sets_consistency(docs, encoded_docs):
 def test_last_code_suffix_prefilter(docs, encoded_docs):
     """Suffix prefilter soundness + the auto path returning oracle rows."""
     import pyarrow.compute as pc
-    from fsst_like_ray.stages.decode import _binary_buffers
+    from fsst_like_ray.buffers import _binary_buffers
     from fsst_like_ray import fsstlib
     from fsst_like_ray.matchers.engines import last_code_prefilter
 

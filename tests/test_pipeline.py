@@ -1,7 +1,7 @@
-"""Token-stage Ray Data pipeline tests: encode → decode roundtrips,
-per-row decode verify, shared codec state and the n_tok skew histogram
-(SURVEY.md §7.1 minimum slice + §5d). The persisted store and its
-lifecycle are tested in test_columnar.py and test_loader.py."""
+"""Token-table pipeline tests on the columnar list family: forced-codec
+encode → decode roundtrips, mixed-block decode and the n_tok skew
+histogram (SURVEY.md §7.1 minimum slice + §5d). The persisted store and
+its lifecycle are tested in test_columnar.py and test_loader.py."""
 
 from __future__ import annotations
 
@@ -28,142 +28,80 @@ def corpus_dir(tmp_path_factory):
 
 
 def test_forced_codec_pipeline(ray_session, corpus_dir):
+    """Every registered codec, forced through the columnar Dataset path,
+    is the codec the tokens envelopes name, and the decode is exact."""
     import ray.data
-    from fsst_like_ray.pipelines import decode_dataset, encode_dataset
+    from fsst_like_ray.codecs import CODECS
+    from fsst_like_ray.pipelines.columnar import (
+        decode_columns_dataset,
+        encode_columns_dataset,
+        list_segment_runs,
+    )
     from fsst_like_ray.pipelines.compress import discover_fragments
 
     frags = discover_fragments(corpus_dir)[:1]
     original = pq.read_table(frags[0]).sort_by("doc_id")
-    for codec in ["plain", "rle", "fsst"]:
-        enc = encode_dataset(ray.data.read_parquet(frags), codec=codec)
-        enc = enc.materialize()
+    for codec in sorted(CODECS):
+        enc = encode_columns_dataset(
+            ray.data.read_parquet(frags), codec_names=[codec]
+        ).materialize()
         used = {
-            c
+            seg[2]
             for b in enc.iter_batches(batch_format="pyarrow")
-            for c in b["codec"].to_pylist()
+            for seg in list_segment_runs(b, "tokens")[0]
         }
         assert used == {codec}
-        got = _collect(decode_dataset(enc)).sort_by("doc_id")
+        got = _collect(decode_columns_dataset(enc)).sort_by("doc_id")
         assert got["doc_id"].to_pylist() == original["doc_id"].to_pylist()
         assert got["tokens"].to_pylist() == original["tokens"].to_pylist()
 
 
-def test_skew_planner(ray_session, corpus_dir):
-    import ray.data
-    from fsst_like_ray.stages.skew import n_tok_histogram
+def test_skew_planner(ray_session, tmp_path):
+    """The n_tok skew histogram (registry query ntok_histogram): bucket
+    b > 0 holds 2^(b-1) <= n_tok < 2^b, bucket 0 holds n_tok == 0."""
+    import pyarrow as pa
+    from fsst_like_ray.pipelines.queries import q_ntok_histogram
 
-    hist = n_tok_histogram(ray.data.read_parquet(corpus_dir))
-    n_tok = pq.read_table(corpus_dir, columns=["n_tok"])["n_tok"]
-    n_tok = n_tok.to_numpy().astype(np.int64)
-    assert sum(c for c, _ in hist.values()) == 4000
-    assert sum(t for _, t in hist.values()) == int(n_tok.sum())
-    # bucket b > 0 holds 2^(b-1) <= n_tok < 2^b; bucket 0 holds n_tok == 0
+    rng = np.random.default_rng(4)
+    n_tok = np.concatenate([[0, 0, 1], rng.integers(0, 3000, 400)])
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": np.arange(len(n_tok), dtype=np.int64),
+                "text": ["x" * int(k) for k in n_tok],
+                "source": ["s"] * len(n_tok),
+            }
+        ),
+        tmp_path / "documents.parquet",
+    )
+    hist = {
+        r["bucket"]: (r["rows"], r["tokens"])
+        for r in q_ntok_histogram(str(tmp_path)).take_all()
+    }
     bucket = np.where(n_tok > 0, np.floor(np.log2(np.maximum(n_tok, 1))) + 1, 0)
+    assert sorted(hist) == sorted(set(bucket.astype(int).tolist()))
     for b, (rows, toks) in hist.items():
         assert rows == int((bucket == b).sum())
         assert toks == int(n_tok[bucket == b].sum())
 
 
 def test_decode_batch_mixed_states(ray_session):
-    """Rows from different encode blocks (different symtabs) in ONE decode
-    batch must still round-trip (parquet rewrite / shuffle scenario)."""
+    """Rows from different encode blocks (different codecs and states) in
+    ONE decode batch must still round-trip (parquet rewrite / shuffle
+    scenario)."""
     import pyarrow as pa
-    from fsst_like_ray.stages.encode import encode_table
-    from fsst_like_ray.stages.decode import decode_batch
+    from fsst_like_ray.pipelines.columnar import (
+        decode_columns_batch,
+        encode_columns_batch,
+    )
 
     t = tokens_table(400, seed=7)
-    enc_a = encode_table(t.slice(0, 200), codec="fsst")
-    enc_b = encode_table(t.slice(200, 200), codec="dict")
+    enc_a = encode_columns_batch(t.slice(0, 200), ["fsst"])
+    enc_b = encode_columns_batch(t.slice(200, 200), ["dict"])
     mixed = pa.concat_tables([enc_a, enc_b]).combine_chunks()
     # interleave rows from the two blocks
     idx = list(range(0, 400, 2)) + list(range(1, 400, 2))
-    mixed = mixed.take(pa.array(idx))
-    dec = decode_batch(mixed)
+    dec = decode_columns_batch(mixed.take(pa.array(idx)))
     expect = t.take(pa.array(idx))
     assert dec["tokens"].to_pylist() == expect["tokens"].to_pylist()
     assert dec["doc_id"].to_pylist() == expect["doc_id"].to_pylist()
-
-
-def test_decode_verify_rows(ray_session, corpus_dir):
-    """Per-row integrity: decode_dataset(verify_rows=True) passes on good
-    data and names doc_ids when a payload is corrupted."""
-    import pyarrow as pa
-    import ray.data
-    from fsst_like_ray.pipelines import decode_dataset, encode_dataset
-
-    enc = encode_dataset(ray.data.read_parquet(corpus_dir), codec="auto")
-    enc = enc.materialize()
-    assert decode_dataset(enc, verify_rows=True).count() == 4000
-    # corrupt one row's payload bytes (keep sizes valid)
-    t = _collect(enc)
-    pay = t["payload"].to_pylist()
-    row = next(i for i, p in enumerate(pay) if len(p or b"") >= 2)
-    pay[row] = bytes([pay[row][0] ^ 0x01]) + pay[row][1:]
-    t = t.set_column(
-        t.schema.get_field_index("payload"),
-        "payload",
-        pa.array(pay, type=pa.large_binary()),
-    )
-    with pytest.raises(Exception, match="row-hash|row size|expand"):
-        decode_dataset(
-            ray.data.from_arrow(t), verify_rows=True
-        ).count()
-
-
-def test_shared_table_guards(ray_session):
-    from fsst_like_ray.stages.encode import encode_table
-
-    with pytest.raises(ValueError, match="explicit codec"):
-        encode_table(tokens_table(8, seed=1), "auto", shared_state=b"x")
-
-
-def test_shared_state_encodes_unseen_tokens(ray_session):
-    """Train on one tiny distribution, encode a DISJOINT one: fsst escapes
-    must keep the round-trip exact (the soundness claim behind
-    SHARED_SAFE_CODECS)."""
-    import numpy as np
-    import pyarrow as pa
-
-    from fsst_like_ray.codecs import CODECS
-    from fsst_like_ray.stages.decode import decode_batch
-    from fsst_like_ray.stages.encode import encode_table, list_buffers
-
-    c = CODECS["fsst"]
-    train_vals = np.arange(100, dtype=np.int32) % 7
-    train_off = np.array([0, 50, 100], dtype=np.int64)
-    state = bytes(c.train(train_vals, train_off))
-
-    rng = np.random.default_rng(3)
-    toks = rng.integers(10**6, 2**31 - 1, size=500, dtype=np.int32)
-    batch = pa.table(
-        {
-            "doc_id": pa.array(np.arange(5), type=pa.int64()),
-            "tokens": pa.ListArray.from_arrays(
-                pa.array(np.arange(0, 501, 100, dtype=np.int32),
-                         type=pa.int32()),
-                pa.array(toks, type=pa.int32()),
-            ),
-            "n_tok": pa.array([100] * 5, type=pa.int32()),
-            "source": pa.array(["s"] * 5),
-        }
-    )
-    enc = encode_table(batch, "fsst", shared_state=state)
-    dec = decode_batch(enc)
-    got = np.concatenate(
-        [np.asarray(r, dtype=np.int32) for r in dec["tokens"].to_pylist()]
-    )
-    assert np.array_equal(got, toks)
-
-
-def test_shared_state_rejected_for_unsafe_codec_at_encode(ray_session):
-    """The choke-point guard: a dict shared state must raise at
-    encode_table, not corrupt silently."""
-    import pytest as _pytest
-
-    from fsst_like_ray.sources.tokens import tokens_table
-    from fsst_like_ray.stages.encode import encode_table
-
-    with _pytest.raises(ValueError, match="only sound"):
-        encode_table(tokens_table(8, seed=2), "dict", shared_state=b"x")
-
-

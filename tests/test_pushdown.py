@@ -109,3 +109,57 @@ def test_segment_histogram_matches_decoded(name):
     assert np.array_equal(np.sort(v), np.asarray(v)), name  # sorted contract
     assert np.array_equal(v, want_v), name
     assert np.array_equal(n, want_n.astype(np.int64)), name
+
+
+def test_numscan_on_mixed_columnar_blocks(ray_session):
+    """One batch holding rows of three columnar blocks with different
+    forced codecs, interleaved row by row: the compressed-domain
+    token_stats, contains_token_scan and token_histogram must equal the
+    answers computed on the decoded rows."""
+    import ray.data
+
+    from fsst_like_ray.pipelines.columnar import (
+        decode_columns_batch,
+        encode_columns_batch,
+        list_segment_runs,
+    )
+    from fsst_like_ray.pipelines.numscan import (
+        contains_token_scan,
+        token_histogram,
+        token_stats,
+    )
+    from fsst_like_ray.sources.tokens import tokens_table
+
+    t = tokens_table(300, seed=11)
+    blocks = [
+        encode_columns_batch(t.slice(100 * k, 100), [codec])
+        for k, codec in enumerate(("rle", "dict", "fsst"))
+    ]
+    mixed = pa.concat_tables(blocks).combine_chunks()
+    mixed = mixed.take(pa.array(np.arange(300).reshape(3, 100).T.ravel()))
+    segments = list_segment_runs(mixed, "tokens")[0]
+    assert len(segments) == 300
+    assert {s[2] for s in segments} == {"rle", "dict", "fsst"}
+
+    dec = decode_columns_batch(mixed)
+    rows = dict(zip(dec["doc_id"].to_pylist(), dec["tokens"].to_pylist()))
+    ds = ray.data.from_arrow(mixed)
+
+    stats = {r["doc_id"]: r for r in token_stats(ds).take_all()}
+    assert stats.keys() == rows.keys()
+    for doc, toks in rows.items():
+        got = stats[doc]
+        assert got["n_tok"] == len(toks)
+        assert got["tok_sum"] == sum(toks)
+        assert got["tok_min"] == (min(toks) if toks else None)
+        assert got["tok_max"] == (max(toks) if toks else None)
+
+    flat = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows.values()])
+    vals, cnts = np.unique(flat, return_counts=True)
+    tid = int(vals[np.argmax(cnts)])
+    hits = {r["doc_id"] for r in contains_token_scan(ds, tid).take_all()}
+    assert hits == {doc for doc, toks in rows.items() if tid in toks}
+    assert 0 < len(hits) < len(rows)
+
+    hist = {r["token"]: r["cnt"] for r in token_histogram(ds).take_all()}
+    assert hist == dict(zip(vals.tolist(), cnts.tolist()))
