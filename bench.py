@@ -646,6 +646,7 @@ def main():
         cgrp = run_columnar_groupby(sf_dir)
         queries["join_tpch_q3"] = round(run_join_q3(sf_dir)["sec"], 3)
         loader = run_training_loader(store)
+        from fsst_like_ray import native
 
         total = sum(queries.values())
         # The bulky per-engine rank table goes to a sidecar file + its own
@@ -668,6 +669,10 @@ def main():
                     "queries": queries,
                     "sf": sf_dir,
                     "num_cpus": num_cpus,
+                    # kernel path: C kernels loaded (else the NumPy
+                    # fallback), and varint_decode's SSSE3 body in them
+                    "native_c_path": int(native.lib is not None),
+                    "native_varint_simd": int(native.varint_simd),
                     "tokens": tokens,
                     "encode_tokens_per_sec": round(tput, 1),
                     # whole-store ratio from the headline store's lineage:

@@ -15,8 +15,13 @@ Per-row payload (byte aligned, independently decodable given the count):
 
 Empty rows take 0 bytes. Stateless (state = b""); values are the uint32
 bit patterns of the int32 tokens, so negatives cost 4 bytes + control —
-never more than 1.07x plain. Pure NumPy: length codes, the control-byte
-pack, and the data-byte mask are all whole-block vectorized.
+never more than 1.07x plain. Encode and decode run the C kernels in
+:mod:`..native` when they are built: decode uses Stream VByte's SSSE3
+``pshufb`` step (4 values per control byte) while >= 16 values are left
+in a row, and a scalar loop for the rest. The NumPy path below, whole-block
+vectorized (length codes, control-byte pack, data-byte mask), is the
+reference and the fallback; all paths are bit-identical
+(tests/test_native.py).
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 """Optional C acceleration for the FSST hot loops: symbol-table training,
 encode and decode, plus the LIKE scan and integer-codec kernels.
+``varint_decode`` has an SSSE3 Stream-VByte body on x86 (the build passes
+``-march=native``) and a scalar loop elsewhere and as its tail;
+``varint_simd`` says which one the loaded library holds.
 
 Compiled at import time from ``fsstkern.c`` with the system C compiler into
 a content-addressed ``.so`` under the temp dir (no installs, no network;
@@ -89,6 +92,8 @@ def _build():
     l.varint_decode.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
                                 ctypes.c_void_p, ctypes.c_int64,
                                 ctypes.c_void_p]
+    l.varint_simd.restype = ctypes.c_int
+    l.varint_simd.argtypes = []
     l.meta_kmp_scan.restype = None
     l.meta_kmp_scan.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
                                 ctypes.c_int64, ctypes.c_void_p,
@@ -104,6 +109,7 @@ def _build():
 
 lib = None
 build_error: str | None = None  # why ``lib`` is None; None once it loaded
+varint_simd = False  # the loaded varint_decode has the SSSE3 body
 _warned = False
 
 
@@ -112,11 +118,12 @@ def _load() -> None:
     a compile error, a sandbox that forbids exec or dlopen) ``lib`` stays
     None, ``build_error`` keeps the reason, and the first failure in the
     process warns that the slower NumPy fallback is running."""
-    global lib, build_error, _warned
+    global lib, build_error, varint_simd, _warned
     try:
         lib, build_error = _build(), None
+        varint_simd = bool(lib.varint_simd())
     except (OSError, subprocess.CalledProcessError, AttributeError) as e:
-        lib = None
+        lib, varint_simd = None, False
         build_error = f"{type(e).__name__}: {e}"
         stderr = getattr(e, "stderr", None)
         if stderr:
@@ -283,6 +290,9 @@ def poly_rowhash_u32(values_u32, offsets):
 
 
 def varint_decode(buf, payload_offsets, offsets, n_values):
+    """Native Stream-VByte unpack: row r's payload at
+    ``payload_offsets[r]`` decodes into ``[offsets[r], offsets[r + 1])``
+    of the output."""
     vals = np.empty(int(n_values), dtype=np.uint32)
     b = np.ascontiguousarray(buf, dtype=np.uint8)
     po = np.ascontiguousarray(payload_offsets, dtype=np.int64)

@@ -1,5 +1,6 @@
-/* Scalar C kernels for the FSST hot loops (symbol-table training, encode
- * parse, decode expand) and the codec and LIKE-scan kernels below them.
+/* C kernels for the FSST hot loops (symbol-table training, encode parse,
+ * decode expand) and the codec and LIKE-scan kernels below them. All are
+ * scalar except varint_decode, which has an SSSE3 body.
  *
  * Semantics are EXACTLY the NumPy implementation in fsstlib.py (greedy
  * longest-symbol match, 2-byte escape, parse restarts every SEGMENT bytes
@@ -7,8 +8,8 @@
  * src/FsstWrapper.cpp:131-136). Tests assert bit-identical output against
  * the NumPy path.
  *
- * Built at import time with the system cc (-O3); NumPy remains the
- * fallback when no compiler is present.
+ * Built at import time with the system cc (-O3 -march=native); NumPy
+ * remains the fallback when no compiler is present.
  */
 
 #include <pthread.h>
@@ -870,15 +871,68 @@ void varint_encode(const uint32_t *v, const int64_t *off, int64_t n_rows,
     }
 }
 
+#ifdef __SSSE3__
+#include <tmmintrin.h>
+
+/* Stream VByte's pshufb decode (Lemire & Kurz, IPL 2018): one control
+ * byte holds the length codes of 4 values; vb_shuf[c] moves their 4..16
+ * data bytes into 4 zero-extended uint32 lanes, vb_len[c] is how many
+ * data bytes they take. */
+static uint8_t vb_shuf[256][16];
+static uint8_t vb_len[256];
+static pthread_once_t vb_once = PTHREAD_ONCE_INIT;
+
+static void vb_init(void)
+{
+    for (int c = 0; c < 256; c++) {
+        int p = 0;
+        for (int k = 0; k < 4; k++) {
+            int l = ((c >> (2 * k)) & 3) + 1;
+            for (int b = 0; b < 4; b++)
+                vb_shuf[c][4 * k + b] = b < l ? (uint8_t)p++ : 0x80;
+        }
+        vb_len[c] = (uint8_t)p;
+    }
+}
+#endif
+
+/* 1 when varint_decode was compiled with its SSSE3 body, else 0. */
+int varint_simd(void)
+{
+#ifdef __SSSE3__
+    return 1;
+#else
+    return 0;
+#endif
+}
+
+/* Row r decodes buf[po[r]:] into out[off[r]:off[r + 1]]; rows need not be
+ * stored in output order. The SIMD step runs only while >= 16 values are
+ * left in the row: those take >= 16 data bytes, so its 16-byte load never
+ * reads past the row's own payload. The scalar loop is the tail. */
 void varint_decode(const uint8_t *buf, const int64_t *po, const int64_t *off,
                    int64_t n_rows, uint32_t *out) {
+#ifdef __SSSE3__
+    pthread_once(&vb_once, vb_init);
+#endif
     for (int64_t r = 0; r < n_rows; r++) {
         int64_t s = off[r];
         int64_t cnt = off[r + 1] - s;
         if (!cnt) continue;
         const uint8_t *ctrl = buf + po[r];
         const uint8_t *data = ctrl + ((cnt + 3) >> 2);
-        for (int64_t i = 0; i < cnt; i++) {
+        int64_t i = 0;
+#ifdef __SSSE3__
+        for (; cnt - i >= 16; i += 4) {
+            unsigned c = ctrl[i >> 2];
+            __m128i v = _mm_loadu_si128((const __m128i *)data);
+            v = _mm_shuffle_epi8(
+                v, _mm_loadu_si128((const __m128i *)vb_shuf[c]));
+            _mm_storeu_si128((__m128i *)(out + s + i), v);
+            data += vb_len[c];
+        }
+#endif
+        for (; i < cnt; i++) {
             unsigned code = (ctrl[i >> 2] >> ((i & 3) << 1)) & 3u;
             uint32_t x = data[0];
             if (code >= 1) x |= (uint32_t)data[1] << 8;

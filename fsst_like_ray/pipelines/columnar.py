@@ -50,7 +50,7 @@ from .. import fsstlib
 from ..buffers import _binary_buffers, _group_indices, payload_array
 from ..codecs import CODECS
 from ..codecs.auto import select_codec
-from ..codecs.bitutil import gather_rows
+from ..codecs.bitutil import gather_rows, scatter_segments
 from ..stages.text import string_buffers
 
 # v2: numeric families carry a (vmin, vmax) zone map. No v1 read shim on
@@ -1166,6 +1166,62 @@ def list_segment_runs(batch: pa.Table, column: str):
     pay_buf, pay_off = _binary_buffers(batch[f"{column}__payload"])
     counts = batch[f"{column}__n"].to_numpy().astype(np.int64)
     return segments, pay_buf, pay_off, counts
+
+
+def decode_list_rows(batch: pa.Table, column: str, rows):
+    """A list-family column of an encoded batch decoded straight into
+    ``rows`` order (None: every row, in batch order) → (flat int32
+    values, int64 offsets of len(rows) + 1); float lists come back as
+    their int32 bit patterns. Equal to
+    ``decode_columns_batch(batch)[column].take(rows)`` flattened, with no
+    Arrow list built or taken: each selected row's compressed payload is
+    gathered in ``rows`` order, and ``Codec.decode`` runs once per group
+    of envelope runs sharing one (codec, state). One group (a stateless
+    codec, or one block) is the result as decoded; only mixed groups
+    scatter into a preallocated output."""
+    segments, pay_buf, pay_off, counts = list_segment_runs(batch, column)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = counts[rows]
+    off = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    groups: dict[tuple[str, bytes], int] = {}
+    gid = np.repeat(
+        np.array([groups.setdefault((name, state), len(groups))
+                  for _lo, _hi, name, state in segments], dtype=np.int64),
+        [hi - lo for lo, hi, _n, _s in segments],
+    )
+    if rows is not None:
+        gid = gid[rows]
+    keys = list(groups)
+
+    def decode(g, src, cts):
+        """Group g's rows ``src`` of the batch (None: all of them)."""
+        if not int(cts.sum()):
+            return np.zeros(0, dtype=np.int32)
+        if src is None:
+            buf, po = pay_buf, pay_off
+        else:
+            buf, po = gather_rows(
+                pay_buf, pay_off[src], pay_off[src + 1] - pay_off[src]
+            )
+        name, state = keys[g]
+        return CODECS[name].decode(buf, po, cts, state).view(np.int32)
+
+    present = np.flatnonzero(np.bincount(gid, minlength=len(keys))).tolist()
+    if len(present) <= 1:
+        if not present:
+            return np.zeros(0, dtype=np.int32), off
+        return decode(present[0], rows, counts), off
+    out = np.empty(int(off[-1]), dtype=np.int32)
+    for g in present:
+        sel = np.flatnonzero(gid == g)
+        vals = decode(g, sel if rows is None else rows[sel], counts[sel])
+        scatter_segments(
+            out.view(np.uint8), off[sel] * 4, counts[sel] * 4,
+            vals.view(np.uint8),
+        )
+    return out, off
 
 
 def decode_columns_batch(batch: pa.Table) -> pa.Table:

@@ -52,7 +52,11 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..state.manifest import Manifest
-from .columnar import _encoded_field_names, decode_columns_batch
+from .columnar import (
+    _encoded_field_names,
+    decode_columns_batch,
+    decode_list_rows,
+)
 from .tablestore import N_TOK_COL, SOURCE_COL, _fragment_parts, seek_path
 
 
@@ -104,17 +108,20 @@ def _ordered_fragments(recs: list, rank: int, world_size: int, epoch=None):
     return ordered[rank::world_size]
 
 
-def _read_fragment(store_dir: str, frag_key: str, columns) -> pa.Table:
-    """One fragment's selected columns, decoded, rows in store order
-    (parts in numeric row-group order)."""
+def _read_parts(store_dir: str, frag_key: str, columns) -> list[pa.Table]:
+    """One fragment's selected columns, still encoded: one table per part,
+    parts in numeric row-group order."""
     parts = _fragment_parts(os.path.join(store_dir, "data"), frag_key)
     if not parts:
         raise FileNotFoundError(f"loader: fragment {frag_key} has no parts")
     keep = _encoded_field_names(list(pq.read_schema(parts[0]).names), columns)
-    dec = [
-        decode_columns_batch(pq.read_table(p, columns=keep)) for p in parts
-    ]
-    return pa.concat_tables(dec)
+    return [pq.read_table(p, columns=keep) for p in parts]
+
+
+def _read_fragment(store_dir: str, frag_key: str, columns) -> pa.Table:
+    """One fragment's selected columns, decoded, rows in store order."""
+    parts = _read_parts(store_dir, frag_key, columns)
+    return pa.concat_tables(decode_columns_batch(t) for t in parts)
 
 
 # sidecars are a few KB: decompressing on the calling thread beats a
@@ -282,25 +289,26 @@ def plan_training_batches(
 
 
 def _materialize_fragment(store_dir, ent, cols, tokens_col):
-    """Read + decode one plan fragment into the serving arrays: flat int32
-    token values, int64 row offsets, and the id-column arrays. Pure
+    """Read one plan fragment's parts once and decode them into the
+    serving arrays: flat int32 token values and int64 row offsets, then
+    the id-column arrays. Tokens decode straight into the plan's row
+    order (``row_order``: the length/shuffle permutation or the
+    ``keep_sources`` subset), so no ``take`` is paid on them; the id
+    columns decode in store order and keep their cheap ``take``. Pure
     function of its arguments — safe to run ahead on a prefetch thread."""
-    tbl = _read_fragment(store_dir, ent["frag_key"], cols)
-    if "row_order" in ent:  # order="length": the plan's permutation
-        tbl = tbl.take(pa.array(ent["row_order"]))
-    toks = tbl[tokens_col]
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    flat = toks.flatten().to_numpy(zero_copy_only=False).astype(
-        np.int32, copy=False
+    parts = _read_parts(store_dir, ent["frag_key"], cols)
+    row_order = ent.get("row_order")
+    flat, offs = decode_list_rows(
+        pa.concat_tables(parts), tokens_col, row_order
     )
-    offs = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    id_arrays = {
-        c: tbl[c].to_numpy(zero_copy_only=False)
-        for c in cols
-        if c != tokens_col
-    }
-    return flat, offs, id_arrays
+    ids = [c for c in cols if c != tokens_col]
+    if not ids:
+        return flat, offs, {}
+    keep = _encoded_field_names(parts[0], ids)
+    tbl = pa.concat_tables(decode_columns_batch(t.select(keep)) for t in parts)
+    if row_order is not None:
+        tbl = tbl.take(pa.array(row_order))
+    return flat, offs, {c: tbl[c].to_numpy(zero_copy_only=False) for c in ids}
 
 
 def iter_training_batches(
@@ -326,6 +334,9 @@ def iter_training_batches(
     whose batches all precede it are skipped via the plan (their payloads
     never decode). The store's manifest is read once, by the plan; pass a
     precomputed ``plan`` to skip even that on restart.
+
+    Each fragment's parts are read once; its tokens decode straight into
+    the plan's row order (no ``take`` on tokens, no Arrow list built).
 
     ``prefetch`` (default on): fragment k+1's read+decode runs on ONE
     background thread while k's batches serve, bounded at one in-flight

@@ -15,9 +15,11 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from fsst_like_ray.codecs import CODECS
 from fsst_like_ray.pipelines.columnar import (
     columnar_stats_batch,
     decode_columns_batch,
+    decode_list_rows,
     encode_columns_batch,
 )
 
@@ -95,6 +97,58 @@ def test_roundtrip_all_families(null_frac):
     t = _wide_table(null_frac=null_frac)
     dec = decode_columns_batch(encode_columns_batch(t))
     _assert_tables_equal(t, dec)
+
+
+def _taken_flat(enc: pa.Table, column: str, rows):
+    """The reference for decode_list_rows: decode the whole batch, take
+    ``rows`` from the Arrow list column, flatten."""
+    arr = decode_columns_batch(enc)[column]
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    if rows is not None:
+        arr = arr.take(pa.array(np.asarray(rows, dtype=np.int64)))
+    flat = arr.flatten().to_numpy(zero_copy_only=False)
+    off = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    return np.ascontiguousarray(flat).view(np.int32), off - off[0]
+
+
+def _check_list_rows(enc: pa.Table, rows):
+    for column in ("tokens", "emb"):
+        flat, off = decode_list_rows(enc, column, rows)
+        exp_flat, exp_off = _taken_flat(enc, column, rows)
+        assert flat.dtype == np.int32 and off.dtype == np.int64
+        np.testing.assert_array_equal(off, exp_off)
+        np.testing.assert_array_equal(flat, exp_flat)
+
+
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_decode_list_rows_matches_take(name):
+    """decode_list_rows decodes a list column straight into ``rows``
+    order: equal to decoding every row, taking ``rows`` and flattening,
+    for every codec, with all rows, a permutation, a strict subset,
+    no rows and a zero-row batch — and across encode blocks whose
+    (codec, state) differ and whose rows interleave, which scatters."""
+    t = _wide_table(n=300, null_frac=0.1)
+    rng = np.random.default_rng(3)
+    enc = encode_columns_batch(t, codec_names=[name])
+    subset = np.flatnonzero(rng.random(300) < 0.4)
+    for rows in (None, rng.permutation(300), subset, rng.permutation(subset),
+                 np.zeros(0, dtype=np.int64)):
+        _check_list_rows(enc, rows)
+    for rows in (None, np.zeros(0, dtype=np.int64)):
+        _check_list_rows(enc.slice(0, 0), rows)
+
+    other = "varint" if name != "varint" else "bitpack"
+    blocks = [
+        encode_columns_batch(t.slice(0, 100), codec_names=[name]),
+        encode_columns_batch(t.slice(100, 100), codec_names=[other]),
+        encode_columns_batch(t.slice(200, 100), codec_names=[name]),
+    ]
+    cat = pa.concat_tables(blocks)
+    perm = rng.permutation(300)
+    assert len({int(i) // 100 for i in perm[:12]}) > 1  # rows interleave
+    for rows in (None, perm, rng.permutation(subset)):
+        _check_list_rows(cat, rows)
 
 
 def test_float_bit_exactness():

@@ -589,3 +589,129 @@ def test_store_without_seek_serves_identically_and_warns_once(
         np.testing.assert_array_equal(a["tokens"], c["tokens"])
         np.testing.assert_array_equal(b["tokens"], c["tokens"])
         np.testing.assert_array_equal(a["doc_id"], c["doc_id"])
+
+
+@pytest.fixture(scope="module")
+def multiblock_store(tmp_path_factory, ray_session):
+    """2 fragments × 2 parts × 8 blocks of 128 rows, tokens forced to
+    bitpack, whose per-block width state differs between blocks."""
+    from fsst_like_ray.sources.tokens import write_tokens_parquet
+
+    base = tmp_path_factory.mktemp("loader_multiblock")
+    src = str(base / "tokens")
+    write_tokens_parquet(
+        src, n_rows=4096, seed=11, rows_per_file=2048, max_tok=64,
+        row_group_size=256,
+    )
+    out = str(base / "store")
+    compress_table(src, out, batch_rows=128, codec_names=["bitpack"])
+    return out
+
+
+def _reference_batches(store, plan, with_ids):
+    """The batches a plan describes, built from the decoded store
+    (read_table_store) and each fragment's source row order with NumPy
+    indexing alone."""
+    tbl = _store_rows(store)
+    by_id = {
+        d: np.asarray(t, dtype=np.int32)
+        for d, t in zip(tbl["doc_id"].to_pylist(), tbl["tokens"].to_pylist())
+    }
+    out = []
+    for ent in plan:
+        ids = np.asarray(
+            pq.read_table(ent["fragment"], columns=["doc_id"])[
+                "doc_id"
+            ].to_pylist(),
+            dtype=object,
+        )
+        if "row_order" in ent:
+            ids = ids[ent["row_order"]]
+        bounds = ent["boundaries"]
+        for k in range(len(bounds) - 1):
+            sel = ids[bounds[k] : bounds[k + 1]]
+            rows = [by_id[d] for d in sel]
+            offs = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum([len(r) for r in rows], out=offs[1:])
+            b = {
+                "step": ent["first_step"] + k,
+                "tokens": np.concatenate(rows).astype(np.int32),
+                "row_offsets": offs,
+            }
+            if with_ids:
+                b["doc_id"] = sel.tolist()
+            out.append(b)
+    return out
+
+
+def _assert_batches_equal(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g["step"] == r["step"]
+        assert g["n_rows"] == len(r["row_offsets"]) - 1
+        assert g["n_tokens"] == len(r["tokens"])
+        assert g["tokens"].dtype == np.int32
+        assert g["row_offsets"].dtype == np.int64
+        np.testing.assert_array_equal(g["tokens"], r["tokens"])
+        np.testing.assert_array_equal(g["row_offsets"], r["row_offsets"])
+        assert ("doc_id" in g) == ("doc_id" in r)
+        if "doc_id" in r:
+            assert g["doc_id"].tolist() == r["doc_id"]
+
+
+def test_multiblock_store_has_mixed_runs(multiblock_store):
+    """The fixture exercises what the single-block store cannot: several
+    parts per fragment and differing (codec, state) runs in a part."""
+    from fsst_like_ray.pipelines.columnar import list_segment_runs
+    from fsst_like_ray.pipelines.tablestore import _fragment_parts
+
+    plan = plan_training_batches(multiblock_store, BUDGET)
+    assert len(plan) == 2
+    for ent in plan:
+        parts = _fragment_parts(
+            os.path.join(multiblock_store, "data"), ent["frag_key"]
+        )
+        assert len(parts) >= 2
+        segs = list_segment_runs(pq.read_table(parts[0]), "tokens")[0]
+        assert {name for _lo, _hi, name, _st in segs} == {"bitpack"}
+        assert len({st for _lo, _hi, _n, st in segs}) > 1
+
+
+@pytest.mark.parametrize("prefetch", [True, False])
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("order", ["store", "length", "shuffle"])
+def test_multiblock_batches_match_reference(
+    multiblock_store, order, keep, prefetch
+):
+    """Plan-order token decode over multi-block, multi-part fragments is
+    bit-identical to the reference for every order, with and without a
+    keep_sources subset, with prefetch on and off."""
+    keep_sources = ["web", "wiki"] if keep else None
+    kw = dict(order=order, epoch=(2, 1), keep_sources=keep_sources)
+    plan = plan_training_batches(multiblock_store, BUDGET, **kw)
+    got = list(
+        iter_training_batches(
+            multiblock_store, BUDGET, plan=plan, prefetch=prefetch, **kw
+        )
+    )
+    _assert_batches_equal(got, _reference_batches(multiblock_store, plan, True))
+
+
+def test_multiblock_tokens_only_and_numpy_path(multiblock_store, monkeypatch):
+    """columns=("tokens",) serves no id column; the NumPy codec path
+    (no C kernels) serves the same batches."""
+    from fsst_like_ray import native
+
+    kw = dict(order="shuffle", epoch=(4, 0))
+    plan = plan_training_batches(multiblock_store, BUDGET, **kw)
+    ref = _reference_batches(multiblock_store, plan, False)
+    got = list(
+        iter_training_batches(
+            multiblock_store, BUDGET, columns=("tokens",), plan=plan, **kw
+        )
+    )
+    _assert_batches_equal(got, ref)
+    ref_ids = _reference_batches(multiblock_store, plan, True)
+    monkeypatch.setattr(native, "lib", None)
+    got = list(iter_training_batches(multiblock_store, BUDGET, plan=plan, **kw))
+    _assert_batches_equal(got, ref_ids)

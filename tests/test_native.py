@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -115,12 +117,14 @@ def test_native_build_failure_is_visible(tmp_path, monkeypatch):
     monkeypatch.setattr(native, "_SRC", str(bad))
     monkeypatch.setattr(native, "lib", native.lib)
     monkeypatch.setattr(native, "build_error", native.build_error)
+    monkeypatch.setattr(native, "varint_simd", native.varint_simd)
     monkeypatch.setattr(native, "_warned", False)
     with pytest.warns(RuntimeWarning, match="NumPy fallback") as rec:
         native._load()
         native._load()
     assert len(rec) == 1
     assert native.lib is None
+    assert native.varint_simd is False
     assert native.build_error
     if shutil.which("cc"):  # the compiler's own message is kept
         assert "broken.c" in native.build_error
@@ -312,6 +316,85 @@ def test_numpy_codec_fallback_matches_native(name, monkeypatch):
     np.testing.assert_array_equal(po_np, po_c)
     np.testing.assert_array_equal(dec_np, values)
     np.testing.assert_array_equal(dec_c, values)
+
+
+_VARINT_EDGES = [0, 255, 256, 65535, 65536, 2**24 - 1, 2**24, 2**31 - 1,
+                 -1, -(2**31), -256]
+
+
+def _varint_rows(rng):
+    """Every row length 0-40 (across the 4-value control byte and the
+    16-value SIMD threshold), twice: once of byte-width edge values, once
+    of random values of random byte widths."""
+    rows = []
+    for n in range(41):
+        rows.append(rng.choice(_VARINT_EDGES, n).astype(np.int32))
+        w = rng.integers(0, 33, n)
+        rows.append((rng.integers(0, 2**32, n, dtype=np.uint64)
+                     >> (32 - w).astype(np.uint64)).astype(np.uint32)
+                    .view(np.int32))
+    return rows
+
+
+def test_varint_simd_scalar_numpy_agree(monkeypatch):
+    """varint_decode's SSSE3 body (rows of >= 16 values), its scalar loop
+    (shorter rows and every row's tail) and the NumPy decode all agree:
+    on every row length 0-40, on values at each byte-width boundary, with
+    the last row's data ending exactly at the end of the buffer, and with
+    per-row payload starts permuted into a different output order."""
+    import mmap
+    import platform
+
+    from fsst_like_ray.codecs import CODECS
+
+    if native.lib is None:
+        pytest.skip("no C compiler")
+    if platform.machine() in ("x86_64", "AMD64"):
+        assert native.varint_simd  # -march=native on x86-64 has SSSE3
+    rng = np.random.default_rng(8)
+    rows = _varint_rows(rng)
+    rng.shuffle(rows)
+    rows.append(np.full(17, 7, dtype=np.int32))  # 1-byte values, last
+    counts = np.array([len(r) for r in rows], dtype=np.int64)
+    off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    values = np.concatenate(rows).astype(np.int32)
+    c = CODECS["varint"]
+    buf, po = c.encode(values, off, b"")
+    assert po[-1] == buf.size
+
+    # the buffer ends flush against a PROT_NONE page: a SIMD load past
+    # the last row's data bytes faults instead of passing unnoticed
+    page = mmap.PAGESIZE
+    size = -(-buf.size // page) * page
+    region = mmap.mmap(-1, size + page)
+    libc = ctypes.CDLL(None)
+    libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+    mem = np.frombuffer(region, dtype=np.uint8)
+    guard = mem.ctypes.data + size
+    flush = mem[size - buf.size : size]
+    flush[:] = buf
+    assert libc.mprotect(guard, page, 0) == 0
+    try:
+        dec_c = c.decode(flush, po, counts, b"")
+        perm = rng.permutation(len(rows))
+        p_off = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts[perm], out=p_off[1:])
+        dec_perm = native.varint_decode(
+            flush, po[perm], p_off, int(p_off[-1])
+        ).view(np.int32)
+    finally:
+        assert libc.mprotect(guard, page, 3) == 0  # PROT_READ | PROT_WRITE
+        del mem, flush
+        region.close()
+
+    monkeypatch.setattr(native, "lib", None)
+    dec_np = c.decode(buf, po, counts, b"")
+    np.testing.assert_array_equal(dec_np, values)
+    np.testing.assert_array_equal(dec_c, values)
+    np.testing.assert_array_equal(
+        dec_perm, np.concatenate([rows[i] for i in perm]).astype(np.int32)
+    )
 
 
 def test_poly_rowhash_native_matches_numpy():

@@ -4,9 +4,14 @@ miniature, for fast iteration on a few queries.
 
 Usage: python tools/oracle_check.py /root/testdata/sf0.01 q1,q2,...
 """
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+# import the checkout this file lives in: this process through sys.path,
+# the local Ray cluster's workers through the PYTHONPATH they inherit
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+os.environ["PYTHONPATH"] = ROOT
 import duckdb
 import pandas as pd
 
