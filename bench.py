@@ -195,16 +195,6 @@ def run_dedup(sf_dir: str) -> dict:
     return {"sec": time.time() - t0, "dups": n}
 
 
-def run_window(sf_dir: str) -> dict:
-    """Keyed window functions over the events table (one key shuffle +
-    vectorized in-group frames) — the round-3 window-operator family."""
-    from fsst_like_ray.pipelines.queries import q_events_user_rolling
-
-    t0 = time.time()
-    n = q_events_user_rolling(sf_dir).count()
-    return {"sec": time.time() - t0, "rows": n}
-
-
 def run_columnar_table(sf_dir: str) -> dict:
     """Whole-table per-column encode + decode-verify over the events table
     (every Arrow family: int64 ids, timestamps, doubles, strings) — the
@@ -637,7 +627,6 @@ def main():
         queries["engine_rank"] = round(rank["sec"], 3)
         queries["dedup_minhash"] = round(run_dedup(sf_dir)["sec"], 3)
         queries["ann_topk"] = round(run_ann(sf_dir)["sec"], 3)
-        queries["window_rolling"] = round(run_window(sf_dir)["sec"], 3)
         # spec leg reported OUTSIDE queries: pipeline_suite_sec keeps the
         # definition the BASELINE records compare against
         col = run_columnar_table(sf_dir)

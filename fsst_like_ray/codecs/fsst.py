@@ -71,7 +71,7 @@ class FsstCodec(Codec):
         return buf, po
 
     def decode(self, buf, payload_offsets, counts, state):
-        table = fsstlib.SymbolTable.deserialize(state)
+        table = fsstlib.cached_table(bytes(state))
         out, ro = fsstlib.decode(
             buf, payload_offsets, table,
             out_nbytes=int(counts.astype(np.int64).sum()) * 4,

@@ -26,7 +26,7 @@ loop). Convergence is detected with an order-independent fingerprint
 (count + summed edge hash) computed as a per-block partial, so the driver
 only ever sees two integers per round. The edge set (duplicate-pair
 scale, NOT data scale) is materialized between rounds — the standard
-iterative-algorithm trade, same as kmeans.py.
+iterative-algorithm trade, same as similarity.py's IVF k-means.
 """
 
 from __future__ import annotations

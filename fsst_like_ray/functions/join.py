@@ -29,6 +29,34 @@ import ray
 import ray.data
 
 
+_SIDE = "__asof_side__"
+
+
+def _arrow_fields(ds: "ray.data.Dataset") -> list[tuple[str, pa.DataType]]:
+    s = ds.schema()
+    return list(zip(s.names, s.types))
+
+
+def _project(fields, have: dict, side: int):
+    """Batch fn mapping one side onto the unified schema (missing
+    columns null-filled), vectorized column-at-a-time."""
+
+    def fn(b: pa.Table) -> pa.Table:
+        n = b.num_rows
+        cols = {}
+        for name, typ in fields:
+            src = have.get(name)
+            if src is None:
+                cols[name] = pa.nulls(n, type=typ)
+            else:
+                c = b[src]
+                cols[name] = c.cast(typ) if c.type != typ else c
+        cols[_SIDE] = pa.array(np.full(n, side, dtype=np.int8))
+        return pa.table(cols)
+
+    return fn
+
+
 def put_broadcast(obj):
     """Put a small-side payload in the object store ONCE (the broadcast
     half of every broadcast op here); pass-through outside a Ray session
@@ -149,8 +177,6 @@ def shuffle_hash_join(
     while hot RIGHT rows are REPLICATED into every salt bucket, so one
     hot key's work parallelizes n_salt-ways instead of serializing in a
     single bucket (memory cost: |hot right rows| × n_salt)."""
-    from .asof import _arrow_fields, _project, _SIDE
-
     if how not in ("inner", "left", "right", "full"):
         raise ValueError(how)
     if hot_keys is not None and how in ("right", "full"):

@@ -1,8 +1,8 @@
 """Mergeable quantile sketch (KLL/MRL compactor family).
 
-The exact grouped-quantile operator (functions/quantiles.py) shuffles
-DISTINCT (key, value) pairs — bounded for quantized domains (integer
-cents, token counts) but unbounded for raw high-cardinality floats. The
+An exact grouped quantile shuffles DISTINCT (key, value) pairs —
+bounded for quantized domains (integer cents, token counts) but
+unbounded for raw high-cardinality floats. The
 standard 100-TB answer is a compactor sketch (Karnin-Lang-Liberty /
 Manku-Rajagopalan-Lindsay family, reimplemented from the published
 algorithm): per-block sketches of fixed size, one driver merge, any
@@ -140,7 +140,7 @@ def sketch_dataset(
 ) -> QuantileSketch:
     """ONE sketch per block (a few KB each, emitted as a single Arrow row
     of nested lists), merged on the driver — the shuffle-free mergeable-
-    partial shape shared with the HLL/CMS/Misra-Gries sketches. Ray's
+    partial shape shared with the HLL/Misra-Gries sketches. Ray's
     exactly-once block semantics mean a retried task cannot double-merge.
     ``values_fn(batch) -> np.ndarray`` overrides the plain-column read —
     the whole-table store sketches straight off its cached encoded

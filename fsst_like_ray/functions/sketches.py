@@ -97,64 +97,3 @@ def approx_distinct(ds, col: str = "text") -> int:
         for r in b.to_pylist()
     ]
     return hll_merge_estimate(rows)
-
-
-def grouped_hll_batch(
-    batch: pa.Table, group_col: str, value_col: str
-) -> pa.Table:
-    """Per-(block, group) HLL sketches: one argsort segments the batch by
-    group, each segment gets its own 4 KB sketch. The per-batch Python
-    loop is over DISTINCT GROUPS IN THE BATCH — the operator contract is
-    low-cardinality groups (event types, languages, sources), where this
-    is a handful of vectorized hll_batch calls."""
-    if batch.num_rows == 0:
-        return pa.table(
-            {
-                group_col: pa.array([], type=batch[group_col].type),
-                "hll": pa.array([], type=pa.binary()),
-            }
-        )
-    keys = batch[group_col].to_numpy(zero_copy_only=False)
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-    bounds = np.r_[starts, len(sk)]
-    groups, blobs = [], []
-    for i in range(len(starts)):
-        seg = batch.take(pa.array(order[bounds[i] : bounds[i + 1]]))
-        groups.append(sk[starts[i]])
-        blobs.append(hll_batch(seg, value_col)["hll"][0].as_py())
-    return pa.table(
-        {
-            group_col: pa.array(groups).cast(batch[group_col].type),
-            "hll": pa.array(blobs, type=pa.binary()),
-        }
-    )
-
-
-def grouped_approx_distinct(
-    ds, group_col: str, value_col: str
-) -> pa.Table:
-    """Approximate distinct ``value_col`` per ``group_col``: per-block
-    per-group sketches stream to the driver (blocks × groups × 4 KB) and
-    merge by elementwise max per group — rows never shuffle."""
-    per_group: dict = {}
-    for blk in ds.map_batches(
-        lambda b: grouped_hll_batch(b, group_col, value_col),
-        batch_format="pyarrow",
-    ).iter_batches(batch_size=1024, batch_format="pyarrow"):
-        gvals = blk[group_col].to_pylist()
-        for g, blob in zip(gvals, blk["hll"].to_pylist()):
-            prev = per_group.get(g)
-            cur = np.frombuffer(blob, dtype=np.uint8)
-            per_group[g] = cur if prev is None else np.maximum(prev, cur)
-    groups = sorted(per_group)
-    return pa.table(
-        {
-            group_col: pa.array(groups),
-            "approx_distinct": pa.array(
-                [hll_merge_estimate([per_group[g].tobytes()]) for g in groups],
-                type=pa.int64(),
-            ),
-        }
-    )

@@ -1123,7 +1123,7 @@ def _decode_segment(
     if scheme == S_PLAINB:
         out = _binary_from(pay_buf, pay_off, vseg)
     elif scheme == S_FSSTB:
-        table = fsstlib.SymbolTable.deserialize(r.b32())
+        table = fsstlib.cached_table(bytes(r.b32()))
         data, off = fsstlib.decode(pay_buf, pay_off, table)
         out = _binary_from(data, off, vseg)
     else:  # S_STRDICT
@@ -1446,7 +1446,7 @@ def eq_scan_mask(batch: pa.Table, column: str, value) -> np.ndarray:
             m = idx[rowidx_all[sel]] == target
         else:
             if scheme == S_FSSTB:
-                table = fsstlib.SymbolTable.deserialize(r.b32())
+                table = fsstlib.cached_table(bytes(r.b32()))
                 vdat = np.frombuffer(value, dtype=np.uint8)
                 voff = np.array([0, len(vdat)], dtype=np.int64)
                 ebuf, _epo = fsstlib.encode(vdat, voff, table)

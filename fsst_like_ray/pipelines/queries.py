@@ -22,7 +22,6 @@ from ray.data.aggregate import Count, Sum
 
 from ..codecs import CODECS
 from ..functions import dedup as F_dedup
-from ..functions import events as F_events
 from ..functions import similarity as F_sim
 from ..functions import textstats as F_text
 from ..functions import tokenops as T_tok
@@ -1925,7 +1924,7 @@ def q_columnar_store_agg_float(sf_dir: str):
     streams view back to float64 bit-exactly) must equal the plain-Arrow
     aggregates of the source; SUM matches within 1e-9 relative (float
     summation is rounding-order-dependent, so a hash compare would be
-    wrong by construction — the CMS/KLL gate pattern). All-true booleans,
+    wrong by construction — the KLL gate pattern). All-true booleans,
     SQL-gated."""
     import tempfile
 
@@ -2921,40 +2920,6 @@ def q_heavy_hitter_bigrams(sf_dir: str):
     return pa.table({"bigram": t["item"], "n": t["n"]})
 
 
-def q_events_type_users_approx(sf_dir: str):
-    """Grouped HyperLogLog (functions/sketches.py): approximate distinct
-    users per event type — per-(block, group) sketches, elementwise-max
-    merge, rows never shuffle. Gated within 5% of the exact per-group
-    distinct count (itself computed distributed: per-batch unique pairs →
-    tiny driver union)."""
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
-    )
-    from ..functions.sketches import grouped_approx_distinct
-
-    est_tbl = grouped_approx_distinct(ds, "event_type", "user_id")
-    pairs = set()
-    for blk in ds.map_batches(
-        lambda b: b.group_by(["event_type", "user_id"]).aggregate([]),
-        batch_format="pyarrow",
-    ).iter_batches(batch_size=65536, batch_format="pyarrow"):
-        pairs.update(
-            zip(blk["event_type"].to_pylist(), blk["user_id"].to_pylist())
-        )
-    exact: dict = {}
-    for t, _u in pairs:
-        exact[t] = exact.get(t, 0) + 1
-    types = est_tbl["event_type"].to_pylist()
-    ests = est_tbl["approx_distinct"].to_pylist()
-    ok = [
-        abs(e - exact.get(t, 0)) / max(exact.get(t, 0), 1) <= 0.05
-        for t, e in zip(types, ests)
-    ]
-    return pa.table(
-        {"event_type": pa.array(types), "within_5pct": pa.array(ok)}
-    )
-
-
 # ------------------------------------------------------------- similarity
 def q_ann_topk(sf_dir: str):
     import pyarrow.parquet as pq
@@ -2980,49 +2945,6 @@ def q_ann_ivf(sf_dir: str):
     )
     out = F_sim.ivf_topk(ds, np.asarray(q0, dtype=np.float64), k=10, n_centroids=8)
     return pd.DataFrame({"vec_id": out["vec_id"].astype("int64")})
-
-
-def q_multimodal(sf_dir: str):
-    from ..functions.multimodal import synth_media_table, decode_pipeline
-
-    ds = ray.data.from_arrow(synth_media_table(200))
-    return decode_pipeline(ds, fake=True).map_batches(
-        lambda b: b.select(["media_id", "decoded_ok"]), batch_format="pyarrow"
-    )
-
-
-def q_multimodal_real(sf_dir: str):
-    """REAL image decode (PNG/BMP/PNM via the library-free codecs): decoded
-    width/height are read from the PIXELS, so the oracle's dimension formula
-    only matches if the decoder actually parsed the payloads."""
-    from ..functions.multimodal import DecodeImage, synth_real_media_table
-
-    ds = ray.data.from_arrow(synth_real_media_table(120))
-
-    def project(b: pa.Table) -> pa.Table:
-        feats = b["features"]
-        if isinstance(feats, pa.ChunkedArray):
-            feats = feats.combine_chunks()
-        f = feats.flatten().to_numpy(zero_copy_only=False).reshape(len(b), -1)
-        return pa.table(
-            {
-                "media_id": b["media_id"],
-                "height": pa.array(f[:, 0].astype(np.int32), pa.int32()),
-                "width": pa.array(f[:, 1].astype(np.int32), pa.int32()),
-                "decoded_ok": b["decoded_ok"],
-            }
-        )
-
-    return (
-        ds.map_batches(
-            DecodeImage,
-            fn_constructor_kwargs={"fake": False},
-            batch_format="pyarrow",
-            batch_size=64,
-            concurrency=(1, 4),
-        )
-        .map_batches(project, batch_format="pyarrow")
-    )
 
 
 def q_tokens_corpus_roundtrip(sf_dir: str):
@@ -3052,67 +2974,7 @@ def q_tokens_corpus_roundtrip(sf_dir: str):
     )
 
 
-# ------------------------------------------------------------------ events
-def _events_ds(sf_dir: str):
-    return ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "user_id", "event_type", "value"]
-    )
-
-
-def q_events_window(sf_dir: str):
-    return F_events.tumbling_window_agg(_events_ds(sf_dir), window_s=3600)
-
-
-def q_events_hourly_ohlc(sf_dir: str):
-    """Per-(type, hour) OHLC bars — grouped FIRST/LAST-by-order
-    aggregates (functions/events.py hourly_ohlc): open/close are the
-    values at the min/max (ts, event_id) of the bucket, deterministic
-    under repartitioning; partials move one row per (key, hour, block)."""
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "event_type", "value"],
-    )
-    out = F_events.hourly_ohlc(ds)
-    return out.map_batches(
-        lambda b: pa.table(
-            {
-                "event_type": b["event_type"],
-                "hour": b["hour"].cast(pa.int64()),
-                "open_cents": b["open_cents"].cast(pa.int64()),
-                "high_cents": b["high_cents"].cast(pa.int64()),
-                "low_cents": b["low_cents"].cast(pa.int64()),
-                "close_cents": b["close_cents"].cast(pa.int64()),
-                "n": b["n"].cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    ).sort(["event_type", "hour"])
-
-
-def q_events_resample(sf_dir: str):
-    """Fixed-grid hourly resample with LOCF gap fill (functions/events.py
-    resample_locf): per event_type, every hour on the global grid carries
-    the bucket's last value (by (ts, event_id)) or the previous bucket's
-    forward-filled value (-1 before the first observation). One partial
-    pass + one groupby(key) of partial rows; the oracle rebuilds the grid
-    with generate_series + last_value(IGNORE NULLS)."""
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "event_type", "value"],
-    )
-    out = F_events.resample_locf(ds, step_s=3600)
-    return out.map_batches(
-        lambda b: pa.table(
-            {
-                "event_type": b["event_type"],
-                "bucket": b["bucket"].cast(pa.int64()),
-                "cents": b["cents"].cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
+# --------------------------------------- corpus prep / training consumption
 CHUNK_LEN = 100
 CHUNK_STRIDE = 80
 
@@ -3242,7 +3104,7 @@ def q_quantile_sketch_gate(sf_dir: str):
     merge, no shuffle), then verify each estimate's TRUE rank against the
     sketch's own self-reported worst-case tolerance — computed by one
     more streaming pass that counts values </<= each broadcast estimate
-    (the CMS-gate pattern: the operator's certificate is checked against
+    (the gate pattern: the operator's certificate is checked against
     exact distributed counts, and the oracle expects all-true)."""
     from ..functions.kll import sketch_dataset
 
@@ -3396,48 +3258,6 @@ def q_pipeline_pretrain_corpus(sf_dir: str):
     )
 
 
-def q_events_max_concurrent(sf_dir: str):
-    """Peak number of SIMULTANEOUS sessions — the sweep-line primitive the
-    keyed windows can't express: sessionize (existing op) → ±1 delta
-    stream at session start / end+1 → GLOBAL ordered prefix sum via the
-    two-phase block-offset scan (functions/prefix.py: range sort fixes
-    block structure, one tiny row per block to the driver, per-block
-    cumsum + broadcast offset, max reduce). Tie order (t, delta) puts
-    session ends before starts at the same microsecond — closed-open
-    interval semantics, mirrored exactly in the oracle's window ORDER."""
-    from ..functions.prefix import global_prefix_extremes
-
-    sessions = F_events.sessionize(_events_ds(sf_dir), gap_s=1800)
-
-    def deltas(b: pa.Table) -> pa.Table:
-        st = b["session_start_us"].to_numpy(zero_copy_only=False)
-        en = b["session_end_us"].to_numpy(zero_copy_only=False)
-        uid = (
-            b["user_id"].to_numpy(zero_copy_only=False) * (1 << 21)
-            + b["session_id"].to_numpy(zero_copy_only=False) * 2
-        )
-        return pa.table(
-            {
-                "t": pa.array(np.concatenate([st, en + 1])),
-                "delta": pa.array(
-                    np.concatenate(
-                        [
-                            np.ones(len(st), dtype=np.int64),
-                            -np.ones(len(en), dtype=np.int64),
-                        ]
-                    )
-                ),
-                "uid": pa.array(np.concatenate([uid, uid + 1])),
-            }
-        )
-
-    d = sessions.map_batches(deltas, batch_format="pyarrow")
-    ext = global_prefix_extremes(d, ["t", "delta", "uid"], "delta")
-    return pa.table(
-        {"max_concurrent": pa.array([ext["max"]], type=pa.int64())}
-    )
-
-
 def q_grouped_quantile_sketch_gate(sf_dir: str):
     """Per-KEY sketch-quantile contract gate: per-event-type value
     quantiles from (block, key) compactor sketches merged through ONE
@@ -3511,68 +3331,6 @@ def q_grouped_quantile_sketch_gate(sf_dir: str):
             "event_type": pa.array([r[0] for r in rows], type=pa.string()),
             "q": pa.array([r[1] for r in rows], type=pa.string()),
             "ok": pa.array([r[2] for r in rows], type=pa.bool_()),
-        }
-    )
-
-
-def q_online_dedup_epochs(sf_dir: str):
-    """Incremental (ONLINE) exact dedup across two ingestion epochs via
-    the sharded mutable-registry actors (functions/online_dedup.py — the
-    one shared-mutable-index case the Dataset API can't express). Epoch 0
-    ingests docs 0-249; epoch 1 ingests docs 250+ (new texts) PLUS planted
-    copies of the first PLANT_N epoch-0 texts (cross-epoch dups — must be
-    rejected by registry state from the previous pass) PLUS second copies
-    of PLANT_N epoch-1 texts (in-epoch dups). Output counts are
-    deterministic under concurrent ingest; keeper identity is not (and is
-    not reported)."""
-    import pyarrow.compute as pc
-
-    from ..functions.online_dedup import OnlineDedup
-
-    ds = _docs(sf_dir, ("doc_id", "text"))
-    half = ds.map_batches(
-        lambda b: b.filter(pa.compute.less(b["doc_id"], 250)),
-        batch_format="pyarrow",
-    )
-
-    def epoch1(b: pa.Table) -> pa.Table:
-        base = b.filter(pa.compute.greater_equal(b["doc_id"], 250))
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        cross = b.take(pa.array(np.flatnonzero(ids < PLANT_N)))
-        inep = b.take(
-            pa.array(np.flatnonzero((ids >= 250) & (ids < 250 + PLANT_N)))
-        )
-        return pa.concat_tables(
-            [
-                base.select(["doc_id", "text"]),
-                pa.table(
-                    {
-                        "doc_id": pc.add(cross["doc_id"], PLANT_OFFSET),
-                        "text": cross["text"],
-                    }
-                ),
-                pa.table(
-                    {
-                        "doc_id": pc.add(inep["doc_id"], PLANT_OFFSET2),
-                        "text": inep["text"],
-                    }
-                ),
-            ]
-        )
-
-    e1 = ds.map_batches(epoch1, batch_format="pyarrow")
-
-    reg = OnlineDedup(n_shards=4)
-    rows = []
-    for epoch, stream in ((0, half), (1, e1)):
-        n_in = stream.count()
-        n_kept = reg.filter(stream, text_col="text").count()  # drains fully
-        rows.append((epoch, n_in, n_kept))
-    return pa.table(
-        {
-            "epoch": pa.array([r[0] for r in rows], type=pa.int64()),
-            "n_in": pa.array([r[1] for r in rows], type=pa.int64()),
-            "n_kept": pa.array([r[2] for r in rows], type=pa.int64()),
         }
     )
 
@@ -4170,150 +3928,6 @@ def q_tokens_remove_spans_planted(sf_dir: str):
     return out.map_batches(tok_str_batch, batch_format="pyarrow")
 
 
-def q_docs_global_ntile(sf_dir: str):
-    """Global ROW_NUMBER + NTILE(4) over (n_chars, doc_id) WITHOUT a total
-    sort (functions/globalrank.py): exact value histogram → broadcast
-    prefix-sum base ranks + one keyed-window shuffle for tie positions."""
-    from ..functions.globalrank import global_rank
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
-    )
-    out = global_rank(ds, "n_chars", "doc_id", ntile=4)
-    return out.map_batches(
-        lambda b: pa.table(
-            {
-                "doc_id": b["doc_id"].cast(pa.int64()),
-                "rank": b["rank"],
-                "q4": b["q4"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_events_value_moments(sf_dir: str):
-    """Mergeable-moments aggregate: per event type the exact integer
-    (n, sum_cents, sumsq_cents) — the (count, sum, sum-of-squares)
-    partial-then-merge that mean/variance derive from, kept in int64 so
-    the result is order-independent and hash-comparable."""
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = np.rint(
-            b["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        t = pa.table(
-            {
-                "event_type": b["event_type"],
-                "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-                "sum_cents": pa.array(cents),
-                "sumsq_cents": pa.array(cents * cents),
-            }
-        )
-        g = t.group_by("event_type").aggregate(
-            [("n", "sum"), ("sum_cents", "sum"), ("sumsq_cents", "sum")]
-        )
-        return pa.table(
-            {
-                "event_type": g["event_type"],
-                "n": g["n_sum"].cast(pa.int64()),
-                "sum_cents": g["sum_cents_sum"].cast(pa.int64()),
-                "sumsq_cents": g["sumsq_cents_sum"].cast(pa.int64()),
-            }
-        )
-
-    merged = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sum_cents", alias_name="sum_cents"),
-            Sum("sumsq_cents", alias_name="sumsq_cents"),
-        )
-    )
-    return merged.map_batches(
-        lambda b: pa.table(
-            {
-                "event_type": b["event_type"],
-                "n": b["n"].cast(pa.int64()),
-                "sum_cents": b["sum_cents"].cast(pa.int64()),
-                "sumsq_cents": b["sumsq_cents"].cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_lineitem_corr(sf_dir: str):
-    """Grouped Pearson sufficient statistics (functions/corrstats.py):
-    per return flag the exact int64 (n, Σx, Σy, Σxy, Σx², Σy²) for
-    x = quantity, y = discount in basis points — the covariance family
-    as a partial-then-merge aggregate whose shuffle moves one tiny row
-    per (flag, block). Integer quantization before any sum makes every
-    statistic reduction-order-independent, hence hash-comparable."""
-    from ..functions.corrstats import grouped_corr_stats
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_quantity", "l_discount"],
-    )
-    return grouped_corr_stats(
-        ds, key="l_returnflag", x="l_quantity", y="l_discount",
-        x_scale=1, y_scale=100,
-    )
-
-
-def q_events_latest_per_user(sf_dir: str):
-    """Latest-version-per-key (the CDC/upsert merge shape): newest event
-    per user via grouped_topk k=1 — per-batch pre-pruning means the
-    shuffle moves ≤ one row per (user, block). Deterministic tie on
-    event_id. Oracle: ROW_NUMBER() OVER (... ORDER BY ts DESC) = 1."""
-    from ..functions.grouped_topk import grouped_topk
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"],
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "event_id": b["event_id"],
-                "ts_us": b["ts"].cast(pa.int64()),
-                "user_id": b["user_id"],
-                "event_type": b["event_type"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    out = grouped_topk(ds, key="user_id", score="ts_us", k=1, tiebreak="event_id")
-    return out.map_batches(
-        lambda b: pa.table(
-            {
-                "user_id": b["user_id"].cast(pa.int64()),
-                "event_id": b["event_id"].cast(pa.int64()),
-                "ts_us": b["ts_us"].cast(pa.int64()),
-                "event_type": b["event_type"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_events_funnel(sf_dir: str):
-    """Ordered funnel view→click→purchase (functions/events.py
-    funnel_completions): one hash shuffle of stage events, fully
-    vectorized per-bucket kernel (lexsort + one masked minimum.reduceat
-    per stage). Oracle: progressive per-user MIN chain in SQL."""
-    return F_events.funnel_completions(
-        ray.data.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["ts", "user_id", "event_type"],
-        )
-    )
-
-
 def q_users_purchase_and_error(sf_dir: str):
     """Distinct-set INTERSECT: users with BOTH a purchase and an error
     event — per-batch distinct (user, flags) partials, one small groupby
@@ -4362,63 +3976,6 @@ def q_users_purchase_and_error(sf_dir: str):
         lambda b: pa.table({"user_id": b["user_id"].cast(pa.int64())}),
         batch_format="pyarrow",
     )
-
-
-def q_events_sessionize(sf_dir: str):
-    return F_events.sessionize(_events_ds(sf_dir), gap_s=1800)
-
-
-def q_events_sessionize_sliced(sf_dir: str):
-    """Same sessions via the (user, time-slice) salted two-phase path —
-    oracle-gated equal to the single-shuffle sessionize."""
-    return F_events.sessionize(_events_ds(sf_dir), gap_s=1800, slice_s=3600)
-
-
-def q_events_top_type_per_window(sf_dir: str):
-    """Per-window ranking: the most frequent event_type in each hour window
-    (ties break alphabetically). Window aggregates are partial-then-merge;
-    the ranking runs per window group (windows ≪ events)."""
-    agg = F_events.tumbling_window_agg(_events_ds(sf_dir), window_s=3600)
-
-    def pick_bucket(g: pa.Table) -> pa.Table:
-        # vectorized across every window in the bucket: one sort, each
-        # window run's first row (count desc, type asc within window)
-        idx = pa.compute.sort_indices(
-            g,
-            sort_keys=[
-                ("window_start_s", "ascending"),
-                ("n_events", "descending"),
-                ("event_type", "ascending"),
-            ],
-        )
-        t = g.take(idx)
-        w = t["window_start_s"].to_numpy(zero_copy_only=False)
-        first = (
-            np.concatenate(([0], np.flatnonzero(w[1:] != w[:-1]) + 1))
-            if len(w)
-            else np.zeros(0, dtype=np.int64)
-        )
-        return t.take(pa.array(first, type=pa.int64())).select(
-            ["window_start_s", "event_type", "n_events"]
-        )
-
-    from ..functions.bucketed import bucketed_group_kernel
-
-    out = bucketed_group_kernel(agg, "window_start_s", pick_bucket)
-    return out.map_batches(
-        lambda b: pa.table(
-            {
-                "window_start_s": b["window_start_s"].cast(pa.int64()),
-                "event_type": b["event_type"],
-                "n_events": b["n_events"].cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_events_topk(sf_dir: str):
-    return F_events.topk_users_by_value(_events_ds(sf_dir), k=10)
 
 
 # ------------------------------------------------------------------- tpch
@@ -4734,124 +4291,6 @@ def q_tpch_region_suppliers(sf_dir: str):
             {"r_name": b["r_name"], "n_suppliers": b["n_suppliers"].cast(pa.int64())}
         ),
         batch_format="pyarrow",
-    )
-
-
-def q_events_sliding_window(sf_dir: str):
-    """Sliding-window event counts (size 3600 s, hop 900 s): each event
-    contributes to size/hop = 4 windows — emitted as per-batch partials
-    (4 tiny rows per window per block), merged by one small groupby. The
-    oracle is a DuckDB range join against generate_series."""
-    SIZE, HOP = 3600, 900
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        ts = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        sec = ts // 1_000_000
-        ks = SIZE // HOP
-        wins = np.concatenate(
-            [((sec - k * HOP) // SIZE) * SIZE + k * HOP for k in range(ks)]
-        )
-        # window start w covers [w, w+SIZE); keep only windows actually
-        # covering the event (first/last hops at the range edges)
-        ev = np.tile(sec, ks)
-        keep = (wins <= ev) & (ev < wins + SIZE)
-        w, c = np.unique(wins[keep], return_counts=True)
-        return pa.table(
-            {
-                "window_start_s": pa.array(w, type=pa.int64()),
-                "n": pa.array(c.astype(np.int64)),
-            }
-        )
-
-    merged = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("window_start_s")
-        .aggregate(Sum("n", alias_name="n_events"))
-    )
-    return merged.map_batches(
-        lambda b: pa.table(
-            {
-                "window_start_s": b["window_start_s"].cast(pa.int64()),
-                "n_events": b["n_events"].cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def _events_typed_side(sf_dir: str, etype: str):
-    """One event-type stream projected to the as-of join schema
-    (event_id, user_id, ts_us:int64, value) — type filter pushed into the
-    read's first map so only that stream enters the shuffle."""
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type", "value"],
-    )
-
-    def proj(b: pa.Table, t=etype) -> pa.Table:
-        f = b.filter(pa.compute.equal(b["event_type"], t))
-        return pa.table(
-            {
-                "event_id": f["event_id"],
-                "user_id": f["user_id"],
-                "ts_us": f["ts"].cast(pa.int64()),
-                "value": f["value"],
-            }
-        )
-
-    return ds.map_batches(proj, batch_format="pyarrow")
-
-
-def q_events_asof(sf_dir: str):
-    """Backward as-of join: each click gains the same user's most recent
-    purchase at-or-before it (ties on ts broken by highest event_id).
-    One hash shuffle on user_id; per-key sort-merge is vectorized
-    searchsorted (functions/asof.py). Clicks with no prior purchase drop
-    (inner)."""
-    from ..functions.asof import asof_join
-
-    j = asof_join(
-        _events_typed_side(sf_dir, "click"),
-        _events_typed_side(sf_dir, "purchase"),
-        by="user_id",
-        on="ts_us",
-        how="inner",
-        right_tiebreak="event_id",
-    )
-    return j.map_batches(
-        lambda b: b.append_column(
-            "lag_us",
-            pa.compute.subtract(b["ts_us"], b["ts_us_r"]).cast(pa.int64()),
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_events_range_join(sf_dir: str):
-    """Range-aggregate join: per purchase, the count and cents-sum of the
-    same user's clicks in the following hour [ts, ts+1h). Never builds
-    the pair blow-up — per-key prefix sums + two searchsorted probes."""
-    from ..functions.asof import range_agg_join
-
-    clicks = _events_typed_side(sf_dir, "click").map_batches(
-        lambda b: b.append_column(
-            "cents",
-            pa.compute.cast(
-                pa.compute.round(pa.compute.multiply(b["value"], 100.0)),
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
-    return range_agg_join(
-        _events_typed_side(sf_dir, "purchase"),
-        clicks,
-        by="user_id",
-        on="ts_us",
-        lo=0,
-        hi=3600 * 1_000_000,
-        value="cents",
     )
 
 
@@ -5484,26 +4923,6 @@ def q_tpch_q19_disjunctive(sf_dir: str):
     return pa.table({"revenue_cents": pa.array([total], type=pa.int64())})
 
 
-def q_ntok_quantiles(sf_dir: str):
-    """Exact per-source p50/p90/p99 of document length via histogram
-    partial-merge (functions/quantiles.py) — the shuffle moves distinct
-    (source, length) pairs, never rows."""
-    from ..functions.quantiles import grouped_quantiles
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text", "source"]
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "source": b["source"],
-                "n_tok": pa.compute.utf8_length(b["text"]).cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    return grouped_quantiles(ds, "source", "n_tok", qs=(0.5, 0.9, 0.99))
-
-
 def q_docs_top3_per_source(sf_dir: str):
     """Top-3 longest docs per source (ties → lowest doc_id): grouped
     top-k with per-batch pre-pruning, so the shuffle moves ≤ 3 rows per
@@ -5608,33 +5027,6 @@ def q_orders_monthly(sf_dir: str):
         .aggregate(
             Sum("cents", alias_name="cents"), Sum("n", alias_name="n")
         )
-    )
-
-
-def q_events_value_quantiles(sf_dir: str):
-    """Exact per-type quantiles of a FLOAT column by quantizing to the
-    bounded integer cents domain first (the documented pre-bucket path
-    of the histogram-merge quantile operator)."""
-    from ..functions.quantiles import grouped_quantiles
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "event_type": b["event_type"],
-                "cents": pa.array(
-                    np.floor(
-                        b["value"].to_numpy(zero_copy_only=False) * 100
-                        + 0.5
-                    ).astype(np.int64)
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    return grouped_quantiles(
-        ds, "event_type", "cents", qs=(0.5, 0.9, 0.99)
     )
 
 
@@ -5869,96 +5261,6 @@ def q_orders_rollup(sf_dir: str):
     return pa.Table.from_pandas(out, preserve_index=False)
 
 
-def q_events_pivot_hours(sf_dir: str):
-    """Distributed PIVOT: event_type × hour-of-day count matrix. Each
-    batch emits a WIDE partial (vectorized 2-D bincount → one row per
-    event_type, 24 count columns); the groupby merges 24 Sum aggregates
-    — the shuffle moves ≤ |types| wide rows per block, never events."""
-    from ray.data.aggregate import Sum
-
-    US_PER_H = 3_600_000_000
-
-    def partial(b: pa.Table) -> pa.Table:
-        ts = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        hour = (ts // US_PER_H) % 24
-        et = b["event_type"]
-        if isinstance(et, pa.ChunkedArray):
-            et = et.combine_chunks()
-        enc = et.dictionary_encode()
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        uniq = enc.dictionary
-        mat = np.zeros((len(uniq), 24), dtype=np.int64)
-        np.add.at(mat, (codes, hour), 1)
-        cols = {"event_type": uniq}
-        for h in range(24):
-            cols[f"h{h}"] = pa.array(mat[:, h])
-        return pa.table(cols)
-
-    agg = (
-        ray.data.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["ts", "event_type"]
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            *[Sum(f"h{h}", alias_name=f"h{h}") for h in range(24)]
-        )
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {"event_type": b["event_type"]}
-            | {f"h{h}": b[f"h{h}"].cast(pa.int64()) for h in range(24)}
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_events_user_rolling(sf_dir: str):
-    """Per-user moving 3-event spend and NTILE(4) time-quartile — the
-    frame/bucket flavors of the keyed window operator (cumsum-diff
-    rolling sum, SQL-exact NTILE split)."""
-    from ..functions.window_fn import keyed_window
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "value"],
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "event_id": b["event_id"],
-                "user_id": b["user_id"],
-                "ts_us": b["ts"].cast(pa.int64()),
-                "cents": pa.array(
-                    np.floor(
-                        b["value"].to_numpy(zero_copy_only=False) * 100
-                        + 0.5
-                    ).astype(np.int64)
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    out = keyed_window(
-        ds,
-        key="user_id",
-        order="ts_us",
-        tiebreak="event_id",
-        roll=("cents", 3),
-        ntile=4,
-    )
-    return out.map_batches(
-        lambda b: pa.table(
-            {
-                "event_id": b["event_id"],
-                "user_id": b["user_id"],
-                "roll3_cents": b["cents_roll3"],
-                "q4": b["q4"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
 def q_tpch_q18(sf_dir: str):
     """TPC-H Q18 shape — grouped HAVING filter feeding a join: lineitem
     quantity partial-merged per order, HAVING > 150 leaves a SMALL order
@@ -6067,172 +5369,6 @@ def q_docs_shuffled_head(sf_dir: str):
         batch_format="pyarrow",
     )
     return ds.sort(["h", "doc_id"]).limit(25)
-
-
-def q_kmeans_embeddings(sf_dir: str):
-    """Distributed Lloyd's k-means (functions/kmeans.py) over the
-    embeddings table: iterative broadcast-centroids / partial-merge fit,
-    then an embarrassingly-parallel assign pass; returns per-cluster
-    sizes. Rows-only (float iteration has no SQL twin); the oracle-gated
-    sibling is kmeans_planted."""
-    from ray.data.aggregate import Count
-
-    from ..functions.kmeans import kmeans_assign, kmeans_fit
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    cents, inertia, _ = kmeans_fit(ds, k=8, iters=8, tol=1e-3)
-    out = (
-        kmeans_assign(ds, cents)
-        .groupby("cluster")
-        .aggregate(Count(alias_name="n"))
-        .sort("cluster")
-    )
-    return out.map_batches(
-        lambda b: pa.table(
-            {
-                "cluster": b["cluster"].cast(pa.int64()),
-                "n": b["n"].cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_kmeans_planted(sf_dir: str):
-    """Recovery gate for kmeans_fit: 8 well-separated planted clusters
-    (deterministic fixture formula) must be recovered EXACTLY — every
-    planted group pure (one recovered label) and all 8 groups distinct.
-    The oracle recomputes the expected constant table."""
-    from ..functions.kmeans import kmeans_assign, kmeans_fit
-
-    rng = np.random.default_rng(7)
-    g_per, dim, k = 50, 16, 8
-    centers = np.zeros((k, dim))
-    for g in range(k):
-        centers[g, g % dim] = 10.0 * (1 + g // dim)
-    pts = np.repeat(centers, g_per, axis=0) + 0.05 * rng.standard_normal(
-        (k * g_per, dim)
-    )
-    t = pa.table(
-        {
-            "vec_id": pa.array(np.arange(k * g_per, dtype=np.int64)),
-            "grp": pa.array(
-                np.repeat(np.arange(k, dtype=np.int64), g_per)
-            ),
-            "embedding": pa.FixedSizeListArray.from_arrays(
-                pa.array(pts.ravel().astype(np.float32)), dim
-            ),
-        }
-    )
-    ds = ray.data.from_arrow(t).repartition(4)
-    cents, _, _ = kmeans_fit(ds, k=k, iters=10)
-    lab = (
-        kmeans_assign(ds, cents)
-        .to_pandas()
-        .sort_values("vec_id")["cluster"]
-        .to_numpy()
-        .reshape(k, g_per)
-    )
-    pure = (lab == lab[:, :1]).all(axis=1)
-    distinct = len(np.unique(lab[:, 0])) == k
-    return pa.table(
-        {
-            "grp": pa.array(np.arange(k, dtype=np.int64)),
-            "recovered": pa.array([bool(p) and distinct for p in pure]),
-        }
-    )
-
-
-def q_docs_above_p90(sf_dir: str):
-    """Composite: per-source p90 length (histogram-merge quantiles, small
-    result) BROADCAST back over the streaming document scan → filter →
-    per-source count. The quantile table is the only materialized
-    intermediate (one row per source)."""
-    from ray.data.aggregate import Sum
-
-    from ..functions.join import broadcast_hash_join
-    from ..functions.quantiles import grouped_quantiles
-
-    def lens(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "source": b["source"],
-                "len": pa.compute.utf8_length(b["text"]).cast(pa.int64()),
-            }
-        )
-
-    docs = lambda: ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text", "source"]
-    ).map_batches(lens, batch_format="pyarrow")
-
-    qt = grouped_quantiles(docs(), "source", "len", qs=(0.9,))
-    qt_tbl = pa.concat_tables(
-        [
-            b.select(["source", "p90"])
-            for b in qt.iter_batches(
-                batch_size=65536, batch_format="pyarrow"
-            )
-            if b.num_rows
-        ]
-    ).combine_chunks()
-
-    joined = broadcast_hash_join(docs(), qt_tbl, "source", "source")
-    return (
-        joined.map_batches(
-            lambda b: (
-                lambda f: pa.table(
-                    {
-                        "source": f["source"],
-                        "n_above": pa.array(
-                            np.ones(f.num_rows, dtype=np.int64)
-                        ),
-                    }
-                )
-            )(b.filter(pa.compute.greater(b["len"], b["p90"]))),
-            batch_format="pyarrow",
-        )
-        .groupby("source")
-        .aggregate(Sum("n_above", alias_name="n_above"))
-    )
-
-
-def q_events_props_extract(sf_dir: str):
-    """Regex field extraction from a semi-structured string column
-    (props='{"k": N}'): Arrow RE2 ``extract_regex`` per batch (the
-    decoded-path sibling of the compressed-domain ``like_regex`` engine),
-    then partial-then-merge sum/count per event_type."""
-    from ray.data.aggregate import Sum
-
-    def ex(b: pa.Table) -> pa.Table:
-        m = pa.compute.extract_regex(b["props"], r"(?P<num>[0-9]+)")
-        k = pa.compute.fill_null(
-            pa.compute.struct_field(m, "num").cast(pa.int64()), 0
-        )
-        g = (
-            pa.table({"event_type": b["event_type"], "k": k})
-            .group_by("event_type")
-            .aggregate([("k", "sum"), ("k", "count")])
-        )
-        return pa.table(
-            {
-                "event_type": g["event_type"],
-                "k_sum": g["k_sum"].cast(pa.int64()),
-                "n": g["k_count"].cast(pa.int64()),
-            }
-        )
-
-    return (
-        ray.data.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["event_type", "props"]
-        )
-        .map_batches(ex, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum("k_sum", alias_name="k_sum"), Sum("n", alias_name="n")
-        )
-    )
 
 
 SEARCH_TERMS = ("merge", "sort", "key")
@@ -7640,7 +6776,7 @@ def q_tpch_q21(sf_dir: str):
     pair stream and the F-order keys project onto ONE unified schema and
     union, so a SINGLE hash shuffle co-locates each order's pairs with
     its status marker; the per-order unique-argmax is a vectorized
-    lexsort+reduceat kernel per bucket (funnel kernel family);
+    lexsort+reduceat kernel per bucket;
     per-supplier counts merge tiny and the top 10 attach names from the
     broadcast supplier dim (tpch/queries/21.sql shape)."""
     BUCKET = "__q21_bucket__"
@@ -7803,85 +6939,6 @@ def q_roundtrip_embeddings(sf_dir: str):
     )
 
 
-def q_events_retention(sf_dir: str):
-    """Retention cohorts — the classic product-analytics matrix: users
-    grouped by first-activity day (cohort), counted distinct on each
-    subsequent active day offset. Per-user first timestamps are a
-    partial-then-merge Min; the cohort join is the co-partitioned
-    shuffle join (user cardinality is unbounded at 100 TB — no broadcast
-    of the user map); distinct counting ships per-batch distinct
-    (cohort, k, user) triples only. All-day math is exact integer
-    epoch-days."""
-    from ray.data.aggregate import Min
-
-    from ..functions.join import shuffle_hash_join
-
-    DAY = 86_400_000_000
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "user_id": b["user_id"],
-                "day": pa.array(
-                    b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-                    // DAY
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    def first_partial(b: pa.Table) -> pa.Table:
-        g = b.group_by(["user_id"]).aggregate([("day", "min")])
-        return pa.table(
-            {"user_id": g["user_id"], "d0": g["day_min"].cast(pa.int64())}
-        )
-
-    firsts = (
-        ev.map_batches(first_partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Min("d0", alias_name="d0"))
-    )
-
-    joined = shuffle_hash_join(ev, firsts, "user_id", "user_id")
-
-    def triple_partial(b: pa.Table) -> pa.Table:
-        d0 = b["d0_r"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = b["day"].to_numpy(zero_copy_only=False)
-        t = pa.table(
-            {
-                "cohort_day": pa.array(d0),
-                "day_k": pa.array(day - d0),
-                "user_id": b["user_id"],
-            }
-        )
-        g = t.group_by(["cohort_day", "day_k", "user_id"]).aggregate(
-            [("user_id", "count")]
-        )
-        return g.select(["cohort_day", "day_k", "user_id"])
-
-    return (
-        joined.map_batches(triple_partial, batch_format="pyarrow")
-        .groupby(["cohort_day", "day_k", "user_id"])
-        .aggregate(Count(alias_name="_c"))
-        .groupby(["cohort_day", "day_k"])
-        .aggregate(Count(alias_name="n_users"))
-        .sort(["cohort_day", "day_k"])
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "cohort_day": b["cohort_day"].cast(pa.int64()),
-                    "day_k": b["day_k"].cast(pa.int64()),
-                    "n_users": b["n_users"].cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    )
-
-
 def q_like_multiscan(sf_dir: str):
     """Multi-pattern LIKE in ONE corpus pass (pipelines/scan.py
     multi_like_scan): each batch decodes once and all three predicates
@@ -7892,71 +6949,6 @@ def q_like_multiscan(sf_dir: str):
     PATTERNS = ["%merge sort%", "%fast key%", "%window window%"]
     enc = encode_text_dataset(_docs(sf_dir, ("doc_id", "text")))
     return multi_like_scan(enc, PATTERNS)
-
-
-def q_events_user_mode(sf_dir: str):
-    """Grouped MODE — each user's most frequent event type, with the
-    deterministic (count desc, type asc) tiebreak spelled out in both
-    engines (SQL mode() breaks ties arbitrarily, so the oracle uses a
-    ROW_NUMBER window instead). Per-batch (user, type) count partials
-    merge in one groupby; the per-user argmax is a vectorized in-group
-    sort over ≤|event types| rows."""
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by(["user_id", "event_type"]).aggregate(
-            [("event_type", "count")]
-        )
-        return pa.table(
-            {
-                "user_id": g["user_id"],
-                "event_type": g["event_type"],
-                "n": g["event_type_count"].cast(pa.int64()),
-            }
-        )
-
-    counts = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby(["user_id", "event_type"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-    def top1_multi(g: pa.Table) -> pa.Table:
-        # vectorized across ALL users in the bucket: one sort, then each
-        # user run's first row (count desc, type asc within user)
-        idx = pa.compute.sort_indices(
-            g,
-            sort_keys=[
-                ("user_id", "ascending"),
-                ("n", "descending"),
-                ("event_type", "ascending"),
-            ],
-        )
-        t = g.take(idx)
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        first = np.concatenate(
-            ([0], np.flatnonzero(u[1:] != u[:-1]) + 1)
-        ) if len(u) else np.zeros(0, dtype=np.int64)
-        return t.take(pa.array(first))
-
-    from ..functions.bucketed import bucketed_group_kernel
-
-    return (
-        bucketed_group_kernel(counts, "user_id", top1_multi)
-        .sort("user_id")
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "user_id": b["user_id"],
-                    "event_type": b["event_type"],
-                    "n": b["n"].cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    )
 
 
 def q_source_top_terms(sf_dir: str):
@@ -8041,99 +7033,6 @@ def q_source_top_terms(sf_dir: str):
     )
 
 
-def q_docs_fuzzy(sf_dir: str):
-    """Typo-tolerant document lookup (functions/fuzzy.py): documents
-    containing a word within edit distance 1 of each probe. Vectorized
-    Levenshtein over each batch's DISTINCT words; the shuffle moves
-    per-batch distinct (target, doc_id) pairs only; oracled vs DuckDB
-    levenshtein."""
-    from ..functions.fuzzy import fuzzy_doc_pairs
-
-    TARGETS = ["joinn", "merg", "windoww"]
-    pairs = _docs(sf_dir, ("doc_id", "text")).map_batches(
-        lambda b: fuzzy_doc_pairs(b, TARGETS, max_dist=1),
-        batch_format="pyarrow",
-    )
-    out = (
-        pairs.groupby(["target", "doc_id"])
-        .aggregate(Count(alias_name="_c"))
-        .groupby("target")
-        .aggregate(Count(alias_name="n_docs"))
-        .sort("target")
-    )
-    return out.map_batches(
-        lambda b: pa.table(
-            {
-                "target": b["target"],
-                "n_docs": b["n_docs"].cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_cms_word_counts(sf_dir: str):
-    """Count-Min sketch gate (functions/cms.py): build one mergeable
-    D×W sketch over the documents word stream, point-estimate 8 probe
-    words (incl. an absent one), and check the CMS contract against
-    EXACT distributed counts — never an underestimate (ok_lower, a hard
-    CMS guarantee) and within 2·e/W·N additive error (ok_upper: the
-    1× bound only holds per counter row with prob 1−1/e, so the gate
-    doubles it — P[the min of D=4 rows exceeding 2×] ≲ 0.1% even on an
-    adversarial corpus, and the fixed gate corpora are verified passing).
-    The exact side's shuffle moves only per-batch (word, cnt) partials
-    for the 8 probes."""
-    from ..functions.cms import CMS_W, cms_build, cms_query
-    from ..functions.vocab import tokenize_rows
-
-    WORDS = sorted(
-        ["merge", "sort", "join", "spark", "window", "key", "data",
-         "zzzabsent"]
-    )
-    docs = _docs(sf_dir, ("doc_id", "text"))
-    mat, n = cms_build(docs)
-    est = cms_query(mat, WORDS)
-
-    wset = pa.array(WORDS, type=pa.string())
-
-    def exact_partial(b: pa.Table) -> pa.Table:
-        values, _rids, keep = tokenize_rows(b)
-        toks = values.filter(pa.array(keep))
-        sub = toks.filter(pa.compute.is_in(toks, value_set=wset))
-        if len(sub) == 0:
-            return pa.table(
-                {
-                    "word": pa.array([], type=pa.string()),
-                    "cnt": pa.array([], type=pa.int64()),
-                }
-            )
-        g = pa.table({"word": sub}).group_by("word").aggregate(
-            [("word", "count")]
-        )
-        return pa.table(
-            {"word": g["word"], "cnt": g["word_count"].cast(pa.int64())}
-        )
-
-    exact = (
-        docs.map_batches(exact_partial, batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-        .set_index("word")["cnt"]
-    )
-    bound = int(np.ceil(2 * np.e / CMS_W * n))
-    truth = np.array(
-        [int(exact.get(w, 0)) for w in WORDS], dtype=np.int64
-    )
-    return pa.table(
-        {
-            "word": pa.array(WORDS, type=pa.string()),
-            "ok_lower": pa.array((est >= truth).tolist()),
-            "ok_upper": pa.array((est <= truth + bound).tolist()),
-        }
-    )
-
-
 def q_profile_orders(sf_dir: str):
     """Profile the orders table (functions/profile.py): per column, row
     count / null count / EXACT distinct count / integer min-max, from one
@@ -8155,101 +7054,6 @@ def q_docs_repetition(sf_dir: str):
 
     return _docs(sf_dir, ("doc_id", "text")).map_batches(
         doc_repetition_stats, batch_format="pyarrow"
-    )
-
-
-def q_events_fill_forward(sf_dir: str):
-    """Time-series gap imputation: nulls PLANTED into every 7th event's
-    value are filled with the user's last prior non-null reading
-    (last_value IGNORE NULLS semantics — leading nulls stay null), one
-    key shuffle + vectorized maximum-accumulate in-group
-    (functions/window_fn.py fill_col)."""
-    from ..functions.window_fn import keyed_window
-
-    def prep(b: pa.Table) -> pa.Table:
-        eid = b["event_id"].to_numpy(zero_copy_only=False)
-        cents = np.floor(
-            b["value"].to_numpy(zero_copy_only=False) * 100 + 0.5
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "event_id": b["event_id"],
-                "user_id": b["user_id"],
-                "ts_us": b["ts"].cast(pa.int64()),
-                "cents": pa.array(cents, mask=eid % 7 == 0),
-            }
-        )
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "value"],
-    ).map_batches(prep, batch_format="pyarrow")
-    out = keyed_window(
-        ds,
-        key="user_id",
-        order="ts_us",
-        tiebreak="event_id",
-        fill_col="cents",
-    )
-    return out.map_batches(
-        lambda b: pa.table(
-            {
-                "event_id": b["event_id"].cast(pa.int64()),
-                "user_id": b["user_id"].cast(pa.int64()),
-                "cents_ffill": b["cents_ffill"].cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    ).sort("event_id")
-
-
-def q_events_user_running(sf_dir: str):
-    """Per-user ordered window functions over the event stream: row
-    number, running cents sum, and gap to the previous event (-1 for the
-    first). ONE key shuffle; all window math vectorized in-group
-    (functions/window_fn.py)."""
-    from ..functions.window_fn import keyed_window
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "value"],
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "event_id": b["event_id"],
-                "user_id": b["user_id"],
-                "ts_us": b["ts"].cast(pa.int64()),
-                "cents": pa.array(
-                    np.floor(
-                        b["value"].to_numpy(zero_copy_only=False) * 100
-                        + 0.5
-                    ).astype(np.int64)
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    out = keyed_window(
-        ds,
-        key="user_id",
-        order="ts_us",
-        sum_col="cents",
-        lag_col="ts_us",
-        tiebreak="event_id",
-    )
-    return out.map_batches(
-        lambda b: pa.table(
-            {
-                "event_id": b["event_id"],
-                "user_id": b["user_id"],
-                "rn": b["rn"],
-                "run_cents": b["cents_run"],
-                "gap_us": pa.compute.fill_null(
-                    pa.compute.subtract(b["ts_us"], b["ts_us_lag"]), -1
-                ),
-            }
-        ),
-        batch_format="pyarrow",
     )
 
 
@@ -9036,12 +7840,12 @@ DRIVER_WINDOW = [
     "docs_mixture_sample",
     "docs_decontaminate",
     "pipeline_pretrain_corpus",
-    # training consumption (session 10): epoch ordering, store→batch
-    # loader, versioned time travel, time-series gap fill
+    # training consumption: epoch ordering, store→batch loader,
+    # per-source loader filter, versioned time travel
     "docs_epoch_shuffle",
     "training_loader_gate",
     "store_time_travel",
-    "events_resample",
+    "training_loader_source_filter",
     # deduplication families
     "dedup_exact",
     "dedup_cc_exact",
@@ -9050,27 +7854,27 @@ DRIVER_WINDOW = [
     "dedup_ngram_jaccard",
     "dedup_embedding",
     "dedup_spans_planted",
-    "online_dedup_epochs",
-    # similarity / clustering
+    "dedup_simhash",
+    # similarity
     "bpe_apply_gate",
     "ann_ivf_recall",
-    "kmeans_planted",
+    "ann_ivf_index_recall",
     # sketches
     "approx_distinct_text",
     "heavy_hitter_bigrams",
     "quantile_sketch_gate",
-    # event windows / time-ordered joins
-    "events_sessionize",
+    # compressed-domain GROUP BY / COUNT / join on the events store
+    "columnar_store_groupby_time",
     "ingest_jsonl_gz",
-    "events_asof",
-    "events_range_join",
+    "columnar_store_count_where",
+    "columnar_store_join_dist",
     # relational joins / TPC-H shapes
     "tpch_q1",
     "tpch_q3",
-    # persisted index, ingestion, multimodal
+    # persisted index, ingestion, a second TPC-H join
     "docs_word_search_indexed",
     "ingest_jsonl",
-    "multimodal_decode",
+    "tpch_q10",
 ]
 
 
@@ -9181,7 +7985,6 @@ def build_queries() -> dict:
     q["approx_distinct_text"] = q_approx_distinct
     q["heavy_hitter_bigrams"] = q_heavy_hitter_bigrams
     q["docs_redact_pii"] = q_docs_redact_pii
-    q["events_type_users_approx"] = q_events_type_users_approx
     q["vocab_topk"] = q_vocab_topk
     q["sample_stratified"] = q_sample_stratified
     q["pack_sequences"] = q_pack_sequences
@@ -9193,30 +7996,18 @@ def build_queries() -> dict:
     q["ann_ivf"] = q_ann_ivf
     q["ann_ivf_recall"] = q_ann_ivf_recall
     q["ann_ivf_index_recall"] = q_ann_ivf_index_recall
-    q["multimodal_decode"] = q_multimodal
-    q["multimodal_decode_real"] = q_multimodal_real
     q["tokens_corpus_roundtrip"] = q_tokens_corpus_roundtrip
-    q["events_window_agg"] = q_events_window
-    q["events_hourly_ohlc"] = q_events_hourly_ohlc
-    q["events_sessionize"] = q_events_sessionize
-    q["events_funnel"] = q_events_funnel
-    q["events_latest_per_user"] = q_events_latest_per_user
     q["users_purchase_and_error"] = q_users_purchase_and_error
-    q["docs_global_ntile"] = q_docs_global_ntile
-    q["events_value_moments"] = q_events_value_moments
     q["docs_chunked"] = q_docs_chunked
     q["docs_mixture_sample"] = q_docs_mixture_sample
     q["docs_epoch_shuffle"] = q_docs_epoch_shuffle
     q["training_loader_gate"] = q_training_loader_gate
     q["training_loader_source_filter"] = q_training_loader_source_filter
     q["store_time_travel"] = q_store_time_travel
-    q["events_resample"] = q_events_resample
     q["docs_split"] = q_docs_split
     q["docs_decontaminate"] = q_docs_decontaminate
-    q["online_dedup_epochs"] = q_online_dedup_epochs
     q["quantile_sketch_gate"] = q_quantile_sketch_gate
     q["grouped_quantile_sketch_gate"] = q_grouped_quantile_sketch_gate
-    q["events_max_concurrent"] = q_events_max_concurrent
     q["pipeline_pretrain_corpus"] = q_pipeline_pretrain_corpus
     q["dedup_spans_planted"] = q_dedup_spans_planted
     q["dedup_spans_tokens_planted"] = q_dedup_spans_tokens_planted
@@ -9227,9 +8018,6 @@ def build_queries() -> dict:
     q["ingest_csv"] = q_ingest_csv
     q["docs_sample2_per_source"] = q_docs_sample2_per_source
     q["docs_normalize"] = q_docs_normalize
-    q["events_sessionize_sliced"] = q_events_sessionize_sliced
-    q["events_topk_users"] = q_events_topk
-    q["events_top_type_per_window"] = q_events_top_type_per_window
     q["tpch_q1"] = q_tpch_q1
     q["tpch_q6"] = q_tpch_q6
     q["tpch_q14"] = q_tpch_q14
@@ -9237,9 +8025,6 @@ def build_queries() -> dict:
     q["tpch_q13"] = q_tpch_q13
     q["tpch_segment_orders"] = q_tpch_segment_orders
     q["tpch_region_suppliers"] = q_tpch_region_suppliers
-    q["events_sliding_window"] = q_events_sliding_window
-    q["events_asof"] = q_events_asof
-    q["events_range_join"] = q_events_range_join
     q["token_stats_pushdown"] = q_token_stats_pushdown
     q["token_histogram_pushdown"] = q_token_histogram_pushdown
     q["contains_token_pushdown"] = q_contains_token_pushdown
@@ -9253,11 +8038,8 @@ def build_queries() -> dict:
     q["tpch_q4_exists"] = q_tpch_q4_exists
     q["tpch_q16_brand_suppliers"] = q_tpch_q16_brand_suppliers
     q["tpch_q19_disjunctive"] = q_tpch_q19_disjunctive
-    q["ntok_quantiles"] = q_ntok_quantiles
     q["docs_top3_per_source"] = q_docs_top3_per_source
     q["customers_no_urgent_orders"] = q_customers_no_urgent_orders
-    q["events_user_running"] = q_events_user_running
-    q["events_fill_forward"] = q_events_fill_forward
     q["tpch_q3"] = q_tpch_q3
     q["tpch_q5"] = q_tpch_q5
     q["tpch_q17"] = q_tpch_q17
@@ -9273,12 +8055,8 @@ def build_queries() -> dict:
     q["tpch_q12"] = q_tpch_q12
     q["tpch_q20"] = q_tpch_q20
     q["tpch_q21"] = q_tpch_q21
-    q["cms_word_counts"] = q_cms_word_counts
     q["roundtrip_embeddings"] = q_roundtrip_embeddings
-    q["docs_fuzzy"] = q_docs_fuzzy
-    q["events_retention"] = q_events_retention
     q["source_top_terms"] = q_source_top_terms
-    q["events_user_mode"] = q_events_user_mode
     q["like_multiscan"] = q_like_multiscan
     q["docs_repetition"] = q_docs_repetition
     q["like_trigram_indexed"] = q_like_trigram_indexed
@@ -9286,20 +8064,13 @@ def build_queries() -> dict:
     q["docs_word_search"] = q_docs_word_search
     q["docs_word_search_indexed"] = q_docs_word_search_indexed
     q["docs_phrase_search"] = q_docs_phrase_search
-    q["events_props_extract"] = q_events_props_extract
-    q["docs_above_p90"] = q_docs_above_p90
-    q["events_user_rolling"] = q_events_user_rolling
-    q["events_pivot_hours"] = q_events_pivot_hours
     q["orders_rollup"] = q_orders_rollup
     q["orders_cube"] = q_orders_cube
     q["docs_words_exploded"] = q_docs_words_exploded
     q["user_event_seq"] = q_user_event_seq
-    q["events_value_quantiles"] = q_events_value_quantiles
     q["orders_monthly"] = q_orders_monthly
     q["tpch_q18"] = q_tpch_q18
     q["docs_shuffled_head"] = q_docs_shuffled_head
-    q["kmeans_embeddings"] = q_kmeans_embeddings
-    q["kmeans_planted"] = q_kmeans_planted
     q["dedup_keep_best"] = q_dedup_keep_best
     q["bpe_train_gate"] = q_bpe_train_gate
     q["bpe_apply_gate"] = q_bpe_apply_gate
@@ -9316,7 +8087,6 @@ def build_queries() -> dict:
     q["tokens_fim"] = q_tokens_fim
     q["docs_quality_filter_tokens"] = q_docs_quality_filter_tokens
     q["ingest_text"] = q_ingest_text
-    q["lineitem_corr"] = q_lineitem_corr
     return _window_first(q)
 
 
@@ -9684,7 +8454,7 @@ def build_oracle_sql() -> dict:
         "(1=1) AS every_column_smaller"
     )
     # gate queries: the Ray side computes real precision/recall/accuracy
-    # booleans; the oracle is the all-true expectation (CMS/KLL gate pattern)
+    # booleans; the oracle is the all-true expectation (KLL gate pattern)
     _codec_values = ", ".join(f"('{n}')" for n in sorted(CODECS))
     sql["compression_stats"] = (
         "SELECT codec, (1=1) AS est_positive, (1=1) AS est_within_tol, "
@@ -9740,20 +8510,6 @@ def build_oracle_sql() -> dict:
                CAST(MIN(doc_id) OVER (PARTITION BY source, grp) AS BIGINT)
                  AS component
         FROM g
-    """
-    sql["multimodal_decode"] = """
-        SELECT format('m-{:06d}', i) AS media_id, (1=1) AS decoded_ok
-        FROM range(200) t(i)
-    """
-    # dims recomputed by the oracle from the fixture formula; the Ray side
-    # reads them from DECODED PIXELS — they agree only if the real decode
-    # parsed the PNG/BMP/PNM payloads correctly
-    sql["multimodal_decode_real"] = """
-        SELECT format('m-{:06d}', i) AS media_id,
-               CAST(16 AS INT) AS height,
-               CAST(16 + (i % 4) * 8 AS INT) AS width,
-               (1=1) AS decoded_ok
-        FROM range(120) t(i)
     """
     sql["tokens_corpus_roundtrip"] = (
         "SELECT CAST(4096 AS BIGINT) AS rows, (1=1) AS bit_identical"
@@ -9823,9 +8579,6 @@ def build_oracle_sql() -> dict:
         c AS (SELECT bigram, COUNT(*) AS cnt FROM bg GROUP BY bigram)
         SELECT bigram, CAST(cnt AS BIGINT) AS n
         FROM c, tot WHERE cnt >= CEIL({HH_SUPPORT} * tot.n)
-    """
-    sql["events_type_users_approx"] = """
-        SELECT DISTINCT event_type, (1=1) AS within_5pct FROM events
     """
     sql["docs_redact_pii"] = (
         """
@@ -10066,13 +8819,6 @@ def build_oracle_sql() -> dict:
                  vec_id
         LIMIT 10
     """
-    sql["events_window_agg"] = """
-        SELECT CAST((epoch_us(ts) // 3600000000) * 3600 AS BIGINT) AS window_start_s,
-               event_type,
-               CAST(count(*) AS BIGINT) AS n_events,
-               CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT) AS value_cents
-        FROM events GROUP BY 1, 2
-    """
     sql["docs_chunked"] = f"""
         WITH t AS (
           SELECT doc_id, n_chars AS n FROM documents WHERE n_chars > 0
@@ -10170,61 +8916,11 @@ def build_oracle_sql() -> dict:
         WHERE doc_id NOT IN (SELECT doc_id FROM contaminated)
         GROUP BY 1 ORDER BY 1
     """
-    sql["events_max_concurrent"] = """
-        WITH e AS (
-          SELECT user_id, epoch_us(ts) AS ts_us,
-                 CASE WHEN lag(epoch_us(ts)) OVER w IS NULL
-                        OR epoch_us(ts) - lag(epoch_us(ts)) OVER w
-                           > 1800000000
-                      THEN 1 ELSE 0 END AS new_sess
-          FROM events
-          WINDOW w AS (PARTITION BY user_id ORDER BY ts)
-        ), s AS (
-          SELECT *, SUM(new_sess) OVER (PARTITION BY user_id ORDER BY ts_us
-                     ROWS UNBOUNDED PRECEDING) AS session_id
-          FROM e
-        ), sess AS (
-          SELECT user_id, session_id,
-                 min(ts_us) AS st, max(ts_us) AS en
-          FROM s GROUP BY 1, 2
-        ), d AS (
-          SELECT st AS t, 1 AS delta FROM sess
-          UNION ALL SELECT en + 1, -1 FROM sess
-        )
-        SELECT CAST(max(run) AS BIGINT) AS max_concurrent FROM (
-          SELECT SUM(delta) OVER (ORDER BY t, delta
-                                  ROWS UNBOUNDED PRECEDING) AS run
-          FROM d
-        )
-    """
     sql["grouped_quantile_sketch_gate"] = """
         SELECT event_type, q, TRUE AS ok
         FROM (SELECT DISTINCT event_type FROM events),
              (VALUES ('0.5'), ('0.9'), ('0.99')) t(q)
         ORDER BY event_type, q
-    """
-    sql["online_dedup_epochs"] = f"""
-        WITH e0 AS (
-          SELECT doc_id, text FROM documents WHERE doc_id < 250
-        ), e1 AS (
-          SELECT doc_id, text FROM documents WHERE doc_id >= 250
-          UNION ALL
-          SELECT doc_id + {PLANT_OFFSET}, text FROM documents
-          WHERE doc_id < {PLANT_N}
-          UNION ALL
-          SELECT doc_id + {PLANT_OFFSET2}, text FROM documents
-          WHERE doc_id >= 250 AND doc_id < 250 + {PLANT_N}
-        )
-        SELECT CAST(0 AS BIGINT) AS epoch,
-               (SELECT CAST(count(*) AS BIGINT) FROM e0) AS n_in,
-               (SELECT CAST(count(DISTINCT text) AS BIGINT) FROM e0)
-                   AS n_kept
-        UNION ALL
-        SELECT CAST(1 AS BIGINT),
-               (SELECT CAST(count(*) AS BIGINT) FROM e1),
-               (SELECT CAST(count(DISTINCT text) AS BIGINT) FROM e1
-                WHERE text NOT IN (SELECT text FROM e0))
-        ORDER BY epoch
     """
     sql["docs_decontaminate"] = """
         WITH tok AS (
@@ -10309,35 +9005,6 @@ def build_oracle_sql() -> dict:
         SELECT 2, CAST(count(*) AS BIGINT), CAST(sum(n_tok) AS BIGINT),
                CAST(sum(vsum) AS BIGINT) FROM cp WHERE doc_id % 2 = 1
     """
-    sql["events_resample"] = """
-        WITH src AS (
-          SELECT event_type,
-                 CAST(floor(epoch(ts) / 3600) AS BIGINT) AS bucket,
-                 CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents,
-                 ts, event_id
-          FROM events),
-        lastv AS (
-          SELECT event_type, bucket, cents FROM (
-            SELECT event_type, bucket, cents,
-                   ROW_NUMBER() OVER (PARTITION BY event_type, bucket
-                                      ORDER BY ts DESC, event_id DESC) AS rn
-            FROM src) WHERE rn = 1),
-        bounds AS (SELECT min(bucket) AS b0, max(bucket) AS b1 FROM src),
-        grid AS (
-          SELECT t.event_type, g.bucket
-          FROM (SELECT DISTINCT event_type FROM src) t,
-               (SELECT unnest(range((SELECT b0 FROM bounds),
-                                    (SELECT b1 FROM bounds) + 1))
-                       AS bucket) g),
-        filled AS (
-          SELECT grid.event_type, grid.bucket,
-                 last_value(lastv.cents IGNORE NULLS) OVER (
-                   PARTITION BY grid.event_type ORDER BY grid.bucket
-                   ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW)
-                 AS cents
-          FROM grid LEFT JOIN lastv USING (event_type, bucket))
-        SELECT event_type, bucket, COALESCE(cents, -1) AS cents FROM filled
-    """
     sql["docs_split"] = f"""
         SELECT doc_id,
                CASE WHEN (CAST(doc_id AS HUGEINT) * 2654435761)
@@ -10370,102 +9037,10 @@ def build_oracle_sql() -> dict:
                  '\\s+', ' ', 'g')) AS text
         FROM documents WHERE doc_id < 120
     """
-    sql["docs_global_ntile"] = """
-        SELECT doc_id,
-               CAST(ROW_NUMBER() OVER (ORDER BY n_chars, doc_id) AS BIGINT)
-                 AS rank,
-               CAST(NTILE(4) OVER (ORDER BY n_chars, doc_id) AS BIGINT)
-                 AS q4
-        FROM documents
-    """
-    sql["events_value_moments"] = """
-        SELECT event_type,
-               CAST(count(*) AS BIGINT) AS n,
-               CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-                 AS sum_cents,
-               CAST(sum(CAST(round(value * 100) AS BIGINT)
-                        * CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-                 AS sumsq_cents
-        FROM events GROUP BY event_type
-    """
-    sql["events_latest_per_user"] = """
-        SELECT CAST(user_id AS BIGINT) AS user_id,
-               CAST(event_id AS BIGINT) AS event_id,
-               CAST(epoch_us(ts) AS BIGINT) AS ts_us,
-               event_type
-        FROM (
-          SELECT *, ROW_NUMBER() OVER (
-                   PARTITION BY user_id ORDER BY ts DESC, event_id ASC
-                 ) AS rn
-          FROM events
-        ) WHERE rn = 1
-    """
-    sql["events_funnel"] = """
-        WITH v AS (
-          SELECT user_id, MIN(ts) AS t1 FROM events
-          WHERE event_type = 'view' GROUP BY user_id
-        ), c AS (
-          SELECT e.user_id, MIN(e.ts) AS t2
-          FROM events e JOIN v ON e.user_id = v.user_id
-          WHERE e.event_type = 'click' AND e.ts > v.t1
-          GROUP BY e.user_id
-        ), p AS (
-          SELECT e.user_id, MIN(e.ts) AS t3
-          FROM events e JOIN c ON e.user_id = c.user_id
-          WHERE e.event_type = 'purchase' AND e.ts > c.t2
-          GROUP BY e.user_id
-        )
-        SELECT CAST(user_id AS BIGINT) AS user_id,
-               CAST(epoch_us(t3) AS BIGINT) AS completed_us
-        FROM p
-    """
     sql["users_purchase_and_error"] = """
         SELECT DISTINCT user_id FROM events WHERE event_type = 'purchase'
         INTERSECT
         SELECT DISTINCT user_id FROM events WHERE event_type = 'error'
-    """
-    sql["events_sessionize"] = """
-        WITH e AS (
-          SELECT user_id, epoch_us(ts) AS ts_us,
-                 CAST(round(value * 100) AS BIGINT) AS cents,
-                 CASE WHEN lag(epoch_us(ts)) OVER w IS NULL
-                        OR epoch_us(ts) - lag(epoch_us(ts)) OVER w > 1800000000
-                      THEN 1 ELSE 0 END AS new_sess
-          FROM events
-          WINDOW w AS (PARTITION BY user_id ORDER BY ts)
-        ), s AS (
-          SELECT *, SUM(new_sess) OVER (PARTITION BY user_id ORDER BY ts_us
-                     ROWS UNBOUNDED PRECEDING) AS session_id
-          FROM e
-        )
-        SELECT CAST(user_id AS BIGINT) AS user_id,
-               CAST(session_id AS BIGINT) AS session_id,
-               CAST(min(ts_us) AS BIGINT) AS session_start_us,
-               CAST(max(ts_us) AS BIGINT) AS session_end_us,
-               CAST(count(*) AS BIGINT) AS n_events,
-               CAST(sum(cents) AS BIGINT) AS value_cents
-        FROM s GROUP BY user_id, session_id
-    """
-    sql["events_sessionize_sliced"] = sql["events_sessionize"]
-    sql["events_top_type_per_window"] = """
-        SELECT window_start_s, event_type, n_events FROM (
-          SELECT CAST((epoch_us(ts) // 3600000000) * 3600 AS BIGINT)
-                   AS window_start_s,
-                 event_type, CAST(count(*) AS BIGINT) AS n_events
-          FROM events GROUP BY 1, 2
-        )
-        QUALIFY row_number() OVER (
-          PARTITION BY window_start_s
-          ORDER BY n_events DESC, event_type ASC
-        ) = 1
-    """
-    sql["events_topk_users"] = """
-        SELECT CAST(user_id AS BIGINT) AS user_id,
-               CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT) AS value_cents,
-               CAST(count(*) AS BIGINT) AS n_events
-        FROM events GROUP BY user_id
-        ORDER BY value_cents DESC, user_id
-        LIMIT 10
     """
     sql["tpch_q1"] = """
         SELECT l_returnflag, l_linestatus,
@@ -10527,54 +9102,6 @@ def build_oracle_sql() -> dict:
         JOIN nation ON s_nationkey = n_nationkey
         JOIN region ON n_regionkey = r_regionkey
         GROUP BY r_name
-    """
-    sql["events_sliding_window"] = """
-        WITH sec AS (SELECT epoch_us(ts) // 1000000 AS s FROM events),
-        w AS (
-          SELECT unnest(range(
-            (SELECT CAST(((min(s) - 3600) // 900) * 900 AS BIGINT) FROM sec),
-            (SELECT CAST(max(s) + 3600 AS BIGINT) FROM sec), 900)) AS ws
-        )
-        SELECT CAST(w.ws AS BIGINT) AS window_start_s,
-               CAST(count(*) AS BIGINT) AS n_events
-        FROM sec JOIN w ON w.ws <= sec.s AND sec.s < w.ws + 3600
-        GROUP BY w.ws
-    """
-    sql["events_asof"] = """
-        WITH l AS (SELECT event_id, user_id, epoch_us(ts) AS ts_us, value
-                   FROM events WHERE event_type = 'click'),
-             r AS (SELECT event_id, user_id, epoch_us(ts) AS ts_us, value
-                   FROM events WHERE event_type = 'purchase'),
-             j AS (
-               SELECT l.event_id, l.user_id, l.ts_us, l.value,
-                      r.event_id AS event_id_r, r.ts_us AS ts_us_r,
-                      r.value AS value_r,
-                      ROW_NUMBER() OVER (PARTITION BY l.event_id
-                          ORDER BY r.ts_us DESC, r.event_id DESC) AS rn
-               FROM l JOIN r
-                 ON r.user_id = l.user_id AND r.ts_us <= l.ts_us
-             )
-        SELECT CAST(event_id AS BIGINT) AS event_id,
-               CAST(user_id AS BIGINT) AS user_id,
-               CAST(ts_us AS BIGINT) AS ts_us, value,
-               CAST(event_id_r AS BIGINT) AS event_id_r,
-               CAST(ts_us_r AS BIGINT) AS ts_us_r, value_r,
-               CAST(ts_us - ts_us_r AS BIGINT) AS lag_us
-        FROM j WHERE rn = 1
-    """
-    sql["events_range_join"] = """
-        WITH l AS (SELECT event_id, user_id, epoch_us(ts) AS ts_us, value
-                   FROM events WHERE event_type = 'purchase'),
-             r AS (SELECT user_id, epoch_us(ts) AS ts_us,
-                          CAST(round(value * 100) AS BIGINT) AS cents
-                   FROM events WHERE event_type = 'click')
-        SELECT l.event_id, l.user_id, l.ts_us, l.value,
-               CAST(count(r.ts_us) AS BIGINT) AS n_r,
-               CAST(coalesce(sum(r.cents), 0) AS BIGINT) AS sum_r
-        FROM l LEFT JOIN r
-          ON r.user_id = l.user_id
-         AND r.ts_us >= l.ts_us AND r.ts_us < l.ts_us + 3600000000
-        GROUP BY l.event_id, l.user_id, l.ts_us, l.value
     """
     sql["token_stats_pushdown"] = """
         WITH t AS (
@@ -10669,13 +9196,6 @@ def build_oracle_sql() -> dict:
            OR (p_brand = 'Brand#22' AND p_size BETWEEN 1 AND 30
                AND l_quantity BETWEEN 20 AND 50)
     """
-    sql["ntok_quantiles"] = """
-        SELECT source, CAST(count(*) AS BIGINT) AS n,
-               CAST(quantile_disc(length(text), 0.5) AS BIGINT) AS p50,
-               CAST(quantile_disc(length(text), 0.9) AS BIGINT) AS p90,
-               CAST(quantile_disc(length(text), 0.99) AS BIGINT) AS p99
-        FROM documents GROUP BY source
-    """
     sql["docs_top3_per_source"] = """
         WITH r AS (
           SELECT doc_id, source,
@@ -10721,58 +9241,6 @@ def build_oracle_sql() -> dict:
           ON a.doc_id = b.doc_id AND b.j = a.j + 1
         WHERE a.w = 'merge' AND b.w = 'sort'
         ORDER BY a.doc_id
-    """
-    sql["events_hourly_ohlc"] = """
-        WITH e AS (
-          SELECT event_type, event_id, epoch_us(ts) AS ts_us,
-                 CAST(round(value * 100) AS BIGINT) AS cents,
-                 epoch_us(ts) // 3600000000 AS hour
-          FROM events
-        ), w AS (
-          SELECT event_type, hour, cents,
-                 first_value(cents) OVER win AS open_cents,
-                 last_value(cents) OVER (
-                   PARTITION BY event_type, hour
-                   ORDER BY ts_us, event_id
-                   ROWS BETWEEN UNBOUNDED PRECEDING
-                            AND UNBOUNDED FOLLOWING) AS close_cents
-          FROM e
-          WINDOW win AS (PARTITION BY event_type, hour
-                         ORDER BY ts_us, event_id)
-        )
-        SELECT event_type, CAST(hour AS BIGINT) AS hour,
-               CAST(min(open_cents) AS BIGINT) AS open_cents,
-               CAST(max(cents) AS BIGINT) AS high_cents,
-               CAST(min(cents) AS BIGINT) AS low_cents,
-               CAST(min(close_cents) AS BIGINT) AS close_cents,
-               CAST(count(*) AS BIGINT) AS n
-        FROM w GROUP BY 1, 2 ORDER BY 1, 2
-    """
-    sql["events_fill_forward"] = """
-        WITH e AS (
-          SELECT event_id, user_id, epoch_us(ts) AS ts_us,
-                 CASE WHEN event_id % 7 = 0 THEN NULL
-                      ELSE CAST(floor(value * 100 + 0.5) AS BIGINT)
-                 END AS cents
-          FROM events
-        )
-        SELECT CAST(event_id AS BIGINT) AS event_id,
-               CAST(user_id AS BIGINT) AS user_id,
-               last_value(cents IGNORE NULLS) OVER (
-                 PARTITION BY user_id ORDER BY ts_us, event_id
-                 ROWS UNBOUNDED PRECEDING) AS cents_ffill
-        FROM e ORDER BY event_id
-    """
-    sql["events_user_running"] = """
-        SELECT event_id, user_id,
-               ROW_NUMBER() OVER w AS rn,
-               CAST(SUM(CAST(floor(value * 100 + 0.5) AS BIGINT)) OVER w
-                    AS BIGINT) AS run_cents,
-               COALESCE(epoch_us(ts) - LAG(epoch_us(ts)) OVER w, -1)
-                   AS gap_us
-        FROM events
-        WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
-                     ROWS UNBOUNDED PRECEDING)
     """
     sql["tpch_q3"] = """
         SELECT l.l_orderkey,
@@ -11019,18 +9487,6 @@ def build_oracle_sql() -> dict:
         SELECT '%window window%' AS pattern, doc_id FROM documents
         WHERE text LIKE '%window window%'
     """
-    sql["events_user_mode"] = """
-        WITH c AS (
-          SELECT user_id, event_type, CAST(count(*) AS BIGINT) AS n
-          FROM events GROUP BY 1, 2
-        ), r AS (
-          SELECT *, row_number() OVER (
-            PARTITION BY user_id ORDER BY n DESC, event_type
-          ) AS rn FROM c
-        )
-        SELECT user_id, event_type, n FROM r WHERE rn = 1
-        ORDER BY user_id
-    """
     sql["source_top_terms"] = """
         WITH tok AS (
           SELECT source,
@@ -11053,38 +9509,9 @@ def build_oracle_sql() -> dict:
         SELECT source, word, score FROM r WHERE rn <= 3
         ORDER BY source, score DESC, word
     """
-    sql["events_retention"] = """
-        WITH e AS (
-          SELECT user_id, epoch_us(ts) // 86400000000 AS day FROM events
-        ), f AS (
-          SELECT user_id, min(day) AS d0 FROM e GROUP BY user_id
-        )
-        SELECT f.d0 AS cohort_day,
-               e.day - f.d0 AS day_k,
-               CAST(count(DISTINCT e.user_id) AS BIGINT) AS n_users
-        FROM e JOIN f ON e.user_id = f.user_id
-        GROUP BY 1, 2 ORDER BY 1, 2
-    """
-    sql["docs_fuzzy"] = """
-        WITH tok AS (
-          SELECT doc_id,
-                 unnest(string_split_regex(lower(text), '[^a-z0-9]+')) AS w
-          FROM documents
-        ), t AS (
-          SELECT unnest(['joinn', 'merg', 'windoww']) AS target
-        )
-        SELECT target, CAST(count(DISTINCT doc_id) AS BIGINT) AS n_docs
-        FROM t JOIN tok ON w <> '' AND levenshtein(w, target) <= 1
-        GROUP BY target ORDER BY target
-    """
     sql["roundtrip_embeddings"] = """
         SELECT (1 = 1) AS match, CAST(count(*) AS BIGINT) AS n_vecs
         FROM embeddings
-    """
-    sql["cms_word_counts"] = """
-        SELECT unnest(['data','join','key','merge','sort','spark',
-                       'window','zzzabsent']) AS word,
-               true AS ok_lower, true AS ok_upper
     """
     sql["tpch_q15"] = """
         WITH rev AS (
@@ -11173,25 +9600,6 @@ def build_oracle_sql() -> dict:
         WHERE a.w <> '' AND b.w <> ''
         GROUP BY 1 ORDER BY n DESC, bigram LIMIT 20
     """
-    sql["events_props_extract"] = """
-        SELECT event_type,
-               CAST(sum(COALESCE(TRY_CAST(regexp_extract(props, '[0-9]+')
-                                          AS BIGINT), 0)) AS BIGINT)
-                   AS k_sum,
-               CAST(count(*) AS BIGINT) AS n
-        FROM events GROUP BY event_type
-    """
-    sql["docs_above_p90"] = """
-        WITH q AS (
-          SELECT source,
-                 CAST(quantile_disc(length(text), 0.9) AS BIGINT) AS p90
-          FROM documents GROUP BY source
-        )
-        SELECT d.source, CAST(count(*) AS BIGINT) AS n_above
-        FROM documents d JOIN q USING (source)
-        WHERE length(d.text) > q.p90
-        GROUP BY d.source
-    """
     sql["orders_monthly"] = """
         SELECT strftime(date_trunc('month', o_orderdate), '%Y-%m')
                    AS month,
@@ -11199,18 +9607,6 @@ def build_oracle_sql() -> dict:
                     AS BIGINT) AS cents,
                CAST(count(*) AS BIGINT) AS n
         FROM orders GROUP BY 1
-    """
-    sql["events_value_quantiles"] = """
-        WITH c AS (
-          SELECT event_type,
-                 CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents
-          FROM events
-        )
-        SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-               CAST(quantile_disc(cents, 0.5) AS BIGINT) AS p50,
-               CAST(quantile_disc(cents, 0.9) AS BIGINT) AS p90,
-               CAST(quantile_disc(cents, 0.99) AS BIGINT) AS p99
-        FROM c GROUP BY event_type
     """
     sql["user_event_seq"] = """
         SELECT user_id,
@@ -11248,19 +9644,6 @@ def build_oracle_sql() -> dict:
         f"CAST(count(*) FILTER (WHERE hour(ts) = {h}) AS BIGINT) AS h{h}"
         for h in range(24)
     )
-    sql["events_pivot_hours"] = (
-        f"SELECT event_type, {hcols} FROM events GROUP BY event_type"
-    )
-    sql["events_user_rolling"] = """
-        SELECT event_id, user_id,
-               CAST(SUM(CAST(floor(value * 100 + 0.5) AS BIGINT))
-                    OVER (PARTITION BY user_id ORDER BY ts, event_id
-                          ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)
-                    AS BIGINT) AS roll3_cents,
-               CAST(NTILE(4) OVER (PARTITION BY user_id
-                                   ORDER BY ts, event_id) AS BIGINT) AS q4
-        FROM events
-    """
     sql["tpch_q18"] = """
         SELECT o.o_orderkey, o.o_custkey,
                epoch_us(o.o_orderdate) AS o_date_us,
@@ -11277,10 +9660,6 @@ def build_oracle_sql() -> dict:
                CAST((CAST(doc_id AS HUGEINT) * 2654435761) % 4294967296 AS BIGINT) AS h
         FROM documents
         ORDER BY h, doc_id LIMIT 25
-    """
-    sql["kmeans_planted"] = """
-        SELECT CAST(i AS BIGINT) AS grp, (1=1) AS recovered
-        FROM range(8) t(i)
     """
     sql["docs_compressibility_gate"] = f"""
         SELECT doc_id + {PLANT_OFFSET} AS doc_id, true AS is_flagged,
@@ -11508,24 +9887,6 @@ def build_oracle_sql() -> dict:
         WHERE text NOT LIKE '%' || chr(10) || '%'
           AND text NOT LIKE '%' || chr(13) || '%'
     """
-    sql["lineitem_corr"] = """
-        SELECT l_returnflag,
-               CAST(count(*) AS BIGINT) AS n,
-               CAST(sum(CAST(round(l_quantity) AS BIGINT)) AS BIGINT)
-                 AS sum_x,
-               CAST(sum(CAST(round(l_discount * 100) AS BIGINT)) AS BIGINT)
-                 AS sum_y,
-               CAST(sum(CAST(round(l_quantity) AS BIGINT)
-                        * CAST(round(l_discount * 100) AS BIGINT)) AS BIGINT)
-                 AS sum_xy,
-               CAST(sum(CAST(round(l_quantity) AS BIGINT)
-                        * CAST(round(l_quantity) AS BIGINT)) AS BIGINT)
-                 AS sum_xx,
-               CAST(sum(CAST(round(l_discount * 100) AS BIGINT)
-                        * CAST(round(l_discount * 100) AS BIGINT)) AS BIGINT)
-                 AS sum_yy
-        FROM lineitem GROUP BY l_returnflag
-    """
     sql["tokens_fim"] = f"""
         WITH base AS (
             SELECT doc_id, text, length(text) AS n,
@@ -11553,8 +9914,8 @@ def build_oracle_sql() -> dict:
         FROM sp
     """
     # rows-only (non-SQL-expressible) queries intentionally omitted:
-    # ann_ivf, kmeans_embeddings — each has an oracle-gated sibling
-    # (the *_recall gates, kmeans_planted). Since round 4,
+    # ann_ivf — its oracle-gated siblings are the *_recall gates. Since
+    # round 4,
     # compression_stats and the dedup_* family are themselves gate
     # queries (precision/recall/tolerance booleans) with exact oracles.
     return sql

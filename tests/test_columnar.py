@@ -151,6 +151,59 @@ def test_decode_list_rows_matches_take(name):
         _check_list_rows(cat, rows)
 
 
+def test_read_paths_build_each_symbol_table_once(monkeypatch):
+    """The fsstb string decode, the fsst list codec's decode and the fsstb
+    equality scan share fsstlib.cached_table: reading one encoded batch
+    twice builds each distinct symbol table once, with identical output."""
+    from fsst_like_ray import fsstlib
+    from fsst_like_ray.pipelines.columnar import eq_scan_mask
+
+    n = 400
+    rng = np.random.default_rng(5)
+    t = pa.table(
+        {
+            "text": pa.array(["the document number %06d body" % i for i in range(n)]),
+            "tokens": pa.array(
+                [rng.integers(0, 300, int(c)).tolist() for c in rng.integers(1, 40, n)],
+                type=pa.list_(pa.int32()),
+            ),
+        }
+    )
+    enc = pa.concat_tables(
+        [encode_columns_batch(t.slice(i, 200), codec_names=["fsst"]) for i in (0, 200)]
+    )
+    schemes = columnar_stats_batch(enc).to_pandas()
+    assert set(schemes.loc[schemes["column"] == "text", "scheme"]) == {"fsstb"}
+
+    built = []
+    deserialize = fsstlib.SymbolTable.deserialize
+
+    def counting(state):
+        built.append(bytes(state))
+        return deserialize(state)
+
+    monkeypatch.setattr(fsstlib.SymbolTable, "deserialize", staticmethod(counting))
+    fsstlib.cached_table.cache_clear()
+    reads = []
+    for _ in range(2):
+        reads.append(
+            (
+                decode_columns_batch(enc),
+                decode_list_rows(enc, "tokens", None),
+                eq_scan_mask(enc, "text", "the document number 000321 body"),
+            )
+        )
+    # two blocks x (text table + tokens codec state), each built once
+    assert len(built) == len(set(built)) == 4
+    (dec0, flat0, mask0), (dec1, flat1, mask1) = reads
+    _assert_tables_equal(t, dec0)
+    _assert_tables_equal(dec0, dec1)
+    for a, b in zip(flat0, flat1):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(mask0, mask1)
+    assert np.flatnonzero(mask0).tolist() == [321]
+
+
 def test_float_bit_exactness():
     # NaN payloads and signed zeros must survive: floats ride as bit views
     v = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-308], dtype=np.float64)

@@ -4,12 +4,8 @@ clean-doc negative — corners the random-corpus oracle sweep can't pin."""
 
 from __future__ import annotations
 
-import sys
-
 import pandas as pd
 import pytest
-
-sys.path.insert(0, "/root/repo")
 
 
 @pytest.fixture()

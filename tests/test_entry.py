@@ -4,13 +4,9 @@ local replica of the driver's CORRECTNESS gate."""
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import pandas as pd
 import pytest
-
-sys.path.insert(0, "/root/repo")
 
 SF = "/root/testdata/sf0.001"
 TABLES = [

@@ -1,6 +1,6 @@
 """Training-data operator tests: text stats (vs DuckDB formulas), dedup
 variants (planted duplicates must be found, keepers kept), similarity search
-(brute force == exact; IVF finds the near neighbors), multimodal plumbing."""
+(brute force == exact; IVF finds the near neighbors)."""
 
 from __future__ import annotations
 
@@ -213,29 +213,6 @@ def test_embedding_dedup(ray_session):
     ds = ray.data.from_arrow(t)
     dups = set(r["vec_id"] for r in embedding_duplicates(ds).take_all())
     assert set(ids.to_pylist()) <= dups
-
-
-def test_multimodal_stub(ray_session):
-    import ray.data
-    from fsst_like_ray.functions.multimodal import (
-        synth_media_table,
-        decode_pipeline,
-        DecodeImage,
-        SampleFrames,
-    )
-
-    t = synth_media_table(50)
-    ds = ray.data.from_arrow(t)
-    feats = decode_pipeline(ds, fake=True).take_all()
-    assert len(feats) == 50
-    assert all(len(r["features"]) == 8 for r in feats)
-    with pytest.raises(NotImplementedError):
-        DecodeImage(fake=False)(t)
-    frames = SampleFrames(every_n=10)(t)
-    fi = frames["frame_indices"].to_pylist()
-    nf = t["n_frames"].to_pylist()
-    for idxs, n in zip(fi, nf):
-        assert idxs == list(range(0, n, 10))
 
 
 def test_lang_id_runs(docs):
@@ -538,48 +515,6 @@ def test_word_bigram_partials_edges(ray_session):
     assert got == {"the fast": 1, "fast key": 1, "a b": 2}
 
 
-def test_kmeans_planted_recovery_and_determinism(ray_session):
-    """Well-separated planted clusters recovered exactly; fit is
-    identical across repartitionings (canonical partial-merge order)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-    from fsst_like_ray.functions.kmeans import kmeans_assign, kmeans_fit
-
-    rng = np.random.default_rng(3)
-    k, g_per, dim = 5, 40, 8
-    centers = np.eye(k, dim) * 20.0
-    pts = np.repeat(centers, g_per, axis=0) + 0.1 * rng.standard_normal(
-        (k * g_per, dim)
-    )
-    t = pa.table(
-        {
-            "vec_id": pa.array(np.arange(k * g_per, dtype=np.int64)),
-            "embedding": pa.FixedSizeListArray.from_arrays(
-                pa.array(pts.ravel().astype(np.float32)), dim
-            ),
-        }
-    )
-    fits = []
-    for parts in (1, 6):
-        ds = ray.data.from_arrow(t).repartition(parts)
-        cents, inertia, _ = kmeans_fit(ds, k=k, iters=10)
-        fits.append((np.sort(cents, axis=0), inertia))
-        lab = (
-            kmeans_assign(ds, cents)
-            .to_pandas()
-            .sort_values("vec_id")["cluster"]
-            .to_numpy()
-            .reshape(k, g_per)
-        )
-        assert (lab == lab[:, :1]).all(), "impure planted cluster"
-        assert len(np.unique(lab[:, 0])) == k, "merged planted clusters"
-        # near-true centers
-        rec = np.sort(cents, axis=0)
-        assert np.abs(rec - np.sort(centers, axis=0)).max() < 0.5
-    assert np.allclose(fits[0][0], fits[1][0], atol=1e-9)
-
-
 def test_grouped_topk_unsigned_scores(ray_session):
     """Descending order must not wrap unsigned scores (negated dense
     ranks, not -s)."""
@@ -662,64 +597,6 @@ def test_profile_table_with_nulls(ray_session):
     assert out.loc["a"]["min_i"] == 1 and out.loc["a"]["max_i"] == 5
     assert out.loc["s"]["n_null"] == 2 and out.loc["s"]["n_distinct"] == 2
     assert pd.isna(out.loc["s"]["min_i"])
-
-
-def test_edit_distances_match_reference():
-    """Vectorized Levenshtein vs a scalar DP on random short words,
-    including empty strings and padding edges."""
-    from fsst_like_ray.functions.fuzzy import edit_distances
-
-    def ref(a: str, b: str) -> int:
-        prev = list(range(len(b) + 1))
-        for i, ca in enumerate(a, 1):
-            cur = [i]
-            for j, cb in enumerate(b, 1):
-                cur.append(min(prev[j] + 1, cur[j - 1] + 1,
-                               prev[j - 1] + (ca != cb)))
-            prev = cur
-        return prev[-1]
-
-    rng = np.random.default_rng(9)
-    alphabet = list("abcde")
-    words = [""] + [
-        "".join(rng.choice(alphabet, size=rng.integers(1, 9)))
-        for _ in range(80)
-    ]
-    for target in ["", "abc", "edcba", "aaaaaaaaaa"]:
-        got = edit_distances(pa.array(words, type=pa.string()), target)
-        want = [ref(w, target) for w in words]
-        assert got.tolist() == want, target
-
-
-def test_fill_forward_window(ray_session):
-    """fill_col: leading nulls stay null, gaps take the last non-null in
-    (order, tiebreak) order, later values reset the carry."""
-    import numpy as np
-    import pandas as pd
-
-    import ray
-
-    from fsst_like_ray.functions.window_fn import keyed_window
-
-    df = pd.DataFrame(
-        {
-            "k": [1, 1, 1, 1, 2, 2],
-            "o": [10, 20, 30, 40, 10, 20],
-            "id": [0, 1, 2, 3, 4, 5],
-            "v": [None, 5.0, None, 7.0, None, None],
-        }
-    )
-    out = (
-        keyed_window(
-            ray.data.from_pandas(df).repartition(3),
-            key="k", order="o", tiebreak="id", fill_col="v",
-        )
-        .to_pandas()
-        .sort_values("id")
-    )
-    got = out["v_ffill"].tolist()
-    assert pd.isna(got[0]) and got[1:4] == [5.0, 5.0, 7.0]
-    assert pd.isna(got[4]) and pd.isna(got[5])
 
 
 def test_word_and_search_whole_words(ray_session):
@@ -970,57 +847,6 @@ def test_token_budget_sample(ray_session):
         ds = ray.data.from_arrow(tbl).repartition(nparts)
         got = token_budget_sample(ds, budget, bucket_bits=28).to_pandas()
         assert set(got["doc_id"]) == expect, nparts
-
-
-def test_grouped_corr_stats(ray_session):
-    """Exact-integer corr partials: nulls drop pairwise, sums match a
-    NumPy fold, pearson_from_stats reproduces np.corrcoef, and the
-    result is invariant under repartitioning."""
-    import ray
-
-    from fsst_like_ray.functions.corrstats import (
-        grouped_corr_stats,
-        pearson_from_stats,
-    )
-
-    rng = np.random.default_rng(7)
-    n = 500
-    key = rng.choice(["a", "b"], n)
-    x = rng.integers(0, 50, n).astype(float)
-    y = (x * 3 + rng.integers(0, 25, n)).astype(float) / 100.0
-    xv = x.copy()
-    xv[::17] = np.nan  # nulls must drop the PAIR
-    tbl = pa.table(
-        {
-            "k": pa.array(key),
-            "x": pa.array(xv, from_pandas=True),  # NaN → null
-            "y": pa.array(y),
-        }
-    )
-
-    base = {}
-    for g in ("a", "b"):
-        m = (key == g) & ~np.isnan(xv)
-        xi = np.rint(x[m]).astype(np.int64)
-        yi = np.rint(y[m] * 100).astype(np.int64)
-        base[g] = dict(
-            n=int(m.sum()), sum_x=int(xi.sum()), sum_y=int(yi.sum()),
-            sum_xy=int((xi * yi).sum()), sum_xx=int((xi * xi).sum()),
-            sum_yy=int((yi * yi).sum()),
-        )
-        r_np = np.corrcoef(xi, yi)[0, 1]
-        r_ours = pearson_from_stats(base[g])
-        assert abs(r_np - r_ours) < 1e-9
-
-    for nparts in (1, 5):
-        ds = ray.data.from_arrow(tbl).repartition(nparts)
-        out = grouped_corr_stats(
-            ds, key="k", x="x", y="y", x_scale=1, y_scale=100
-        ).to_pandas()
-        got = {r["k"]: r for _, r in out.iterrows()}
-        for g in ("a", "b"):
-            for c, v in base[g].items():
-                assert int(got[g][c]) == v, (nparts, g, c)
 
 
 def test_grouped_topk_many_keys_bucketed_merge(ray_session):

@@ -4,14 +4,10 @@ order-insensitive in its guarantees, and serialization must round-trip."""
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 
-sys.path.insert(0, "/root/repo")
-
-from fsst_like_ray.functions.kll import QuantileSketch  # noqa: E402
+from fsst_like_ray.functions.kll import QuantileSketch
 
 QS = np.array([0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
 

@@ -3,13 +3,9 @@ idempotence, OR mode, same-bucket term collisions, absent terms."""
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pandas as pd
 import pytest
-
-sys.path.insert(0, "/root/repo")
 
 
 @pytest.fixture(scope="module")

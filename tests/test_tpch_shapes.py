@@ -6,14 +6,10 @@ the driver compare in miniature."""
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import numpy as np
 import pandas as pd
 import pytest
-
-sys.path.insert(0, "/root/repo")
 
 
 @pytest.fixture(scope="module")

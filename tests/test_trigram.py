@@ -5,16 +5,13 @@ extraction edge cases."""
 from __future__ import annotations
 
 import os
-import sys
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-sys.path.insert(0, "/root/repo")
-
-from fsst_like_ray.pipelines.trigram import (  # noqa: E402
+from fsst_like_ray.pipelines.trigram import (
     build_trigram_index,
     like_scan_trigram,
     pattern_trigrams,

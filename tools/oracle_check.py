@@ -21,8 +21,8 @@ NAMES = sys.argv[2].split(",") if len(sys.argv) > 2 else []
 import ray
 
 if not ray.is_initialized():
-    ray.init(address="local", num_cpus=8, include_dashboard=False,
-             logging_level="ERROR")
+    ray.init(address="local", num_cpus=min(8, os.cpu_count() or 1),
+             include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 
 DataContext.get_current().enable_progress_bars = False
