@@ -455,9 +455,9 @@ def cmd_table_scan(args) -> int:
     zones, then block zone maps); --top K the zone-pruned top-k; --count
     the metadata-first COUNT; --isnull/--notnull the validity-bitmap
     null scan (lineage null counts prune fragments). Prints match count
-    + pruning stats, and for the --like/--lo/--hi/null scans the
-    executor that ran them ("driver" or "ray") with the surviving
-    parts' bytes (scan_bytes)."""
+    + pruning stats, and whenever part files were read the executor
+    that read them ("driver" or "ray") with the surviving parts' bytes
+    (scan_bytes)."""
     ray = _ray()
     from .pipelines.tablestore import (
         count_table_store,
@@ -498,7 +498,7 @@ def cmd_table_scan(args) -> int:
             args.store, [(op, args.column)], columns=cols, stats_out=stats
         )
         print(json.dumps({
-            "matches": ds.count(),
+            "matches": ds.to_arrow().num_rows,
             **stats,
             "sec": round(time.time() - t0, 3),
         }))
@@ -554,12 +554,11 @@ def cmd_table_scan(args) -> int:
             columns=cols, stats_out=stats,
         )
     if args.dest:
-        ds.write_parquet(args.dest)
-        import ray.data as rd
-
-        n = rd.read_parquet(args.dest).count()
+        out = ds.to_dataset().materialize()
+        out.write_parquet(args.dest)
+        n = out.count()
     else:
-        n = ds.count()
+        n = ds.to_arrow().num_rows
     print(json.dumps({
         "matches": n,
         **stats,

@@ -92,10 +92,6 @@ def _as_u32(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.int32).view(np.uint32)
 
 
-def _as_i32(values_u32: np.ndarray) -> np.ndarray:
-    return values_u32.view(np.int32)
-
-
 from .plain import PlainCodec  # noqa: E402
 from .bitpack import BitpackCodec  # noqa: E402
 from .forpack import ForCodec  # noqa: E402

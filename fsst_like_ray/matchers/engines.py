@@ -84,10 +84,6 @@ def match_decoded(text: pa.Array | pa.ChunkedArray, pat: LikePattern) -> np.ndar
 
 
 # ------------------------------------------------------- compressed prefilters
-def _expansions(table: fsstlib.SymbolTable) -> list[bytes]:
-    return table.symbols
-
-
 def _payload_rows_any(hits_u8: np.ndarray, po: np.ndarray) -> np.ndarray:
     """Per-row OR over a per-byte uint8 hit array."""
     n_rows = len(po) - 1
@@ -237,11 +233,6 @@ def required_code_prefilter(
 # indexing pass ≈ decode+find cost per requirement.
 _SKIP_CUTOFF_NATIVE = 0.8
 _SKIP_CUTOFF_NUMPY = 0.4
-# the C KMP walk costs at most one dummy payload pass (and less when
-# matches are dense — it early-exits), so single-segment contains should
-# leave the prefilter much earlier: prefilter+verify ≈ pass + frac×decode
-# crosses the KMP worst case near frac ≈ 0.5
-_KMP_ROUTE_CUTOFF = 0.5
 _SKIP_SAMPLE_ROWS = 512
 
 

@@ -2482,41 +2482,6 @@ def float_agg_scan_batch(
     )
 
 
-def columnar_agg_float(
-    enc_ds, column: str, ops=("min", "max", "sum", "count")
-) -> dict:
-    """Dataset-level (min, max, sum, count) over an encoded float column:
-    one tiny partial row per batch crosses the cluster (float sibling of
-    columnar_agg)."""
-    vmin = vmax = None
-    vsum = 0.0
-    cnt = 0
-    for b in enc_ds.map_batches(
-        lambda t: float_agg_scan_batch(t, column, ops),
-        batch_format="pyarrow",
-    ).iter_batches(batch_format="pyarrow"):
-        for row in b.to_pylist():
-            if row["cnt"]:
-                cnt += row["cnt"]
-                vsum += row["fsum"]
-                vmin = (
-                    row["fmin"] if vmin is None else min(vmin, row["fmin"])
-                )
-                vmax = (
-                    row["fmax"] if vmax is None else max(vmax, row["fmax"])
-                )
-    out = {}
-    if "min" in ops:
-        out["min"] = vmin
-    if "max" in ops:
-        out["max"] = vmax
-    if "sum" in ops:
-        out["sum"] = vsum
-    if "count" in ops:
-        out["count"] = cnt
-    return out
-
-
 def group_agg_batch(
     batch: pa.Table,
     group_col: str,
@@ -3161,17 +3126,16 @@ def columnar_distinct_ds(enc_ds, column: str, int_keys: bool | None = None):
     return bucketed_group_kernel(parts, key, first_bucket)
 
 
-def columnar_distinct(enc_ds, column: str) -> pa.Table:
-    """Dataset-level DISTINCT over an encoded column: per-batch partials
-    (bounded by per-batch cardinality) fold driver-side into one sorted
-    column — strings never materialize beyond dictionary entries, ints
-    never ship more than each batch's unique set."""
+def fold_distinct(partials, column: str) -> pa.Table:
+    """Driver fold of distinct_scan_batch partial tables (any iterable — a
+    Dataset's batches or in-process per-part outputs; each bounded by
+    per-batch cardinality) into one sorted ``value`` column — strings
+    never materialize beyond dictionary entries, ints never ship more
+    than each batch's unique set."""
     svals: set[bytes] = set()
     ivals: set[int] = set()
     text = True
-    for b in enc_ds.map_batches(
-        lambda t: distinct_scan_batch(t, column), batch_format="pyarrow"
-    ).iter_batches(batch_format="pyarrow"):
+    for b in partials:
         if "ivalue" in b.column_names:
             ivals.update(b["ivalue"].to_pylist())
         else:

@@ -631,7 +631,7 @@ def q_columnar_store_range_scan(sf_dir: str):
     )
     if stats["fragments_skipped"] < 2:
         raise ValueError(f"zone pruning did not engage: {stats}")
-    return out
+    return out.to_arrow()
 
 
 def q_columnar_store_cluster_scan(sf_dir: str):
@@ -672,7 +672,7 @@ def q_columnar_store_cluster_scan(sf_dir: str):
     )
     if stats["fragments_skipped"] <= stats["fragments_scanned"]:
         raise ValueError(f"cluster pruning did not engage: {stats}")
-    return out
+    return out.to_arrow()
 
 
 def q_columnar_store_count(sf_dir: str):
@@ -858,7 +858,7 @@ def q_columnar_store_eq_bloom(sf_dir: str):
     )
     if stats["fragments_skipped"] < 2:
         raise ValueError(f"value-bloom pruning did not engage: {stats}")
-    return got
+    return got.to_arrow()
 
 
 def _derive_event_cents(t: pa.Table) -> pa.Table:
@@ -1053,7 +1053,7 @@ def q_columnar_store_like_prune(sf_dir: str):
     got = like_table_store(
         store, "text", "%zqmarker%", columns=["doc_id"], stats_out=stats
     )
-    ids = sorted(r["doc_id"] for r in got.take_all())
+    ids = sorted(got.to_arrow()["doc_id"].to_pylist())
     return pa.table(
         {
             "pruned_ge_3": pa.array([stats["fragments_skipped"] >= 3]),
@@ -1226,7 +1226,7 @@ def q_columnar_store_semijoin(sf_dir: str):
         fact,
         [("in", "event_type", dim_keys)],
         columns=["event_id", "event_type", "user_id"],
-    )
+    ).to_arrow()
 
 
 def q_columnar_store_groupby_multi(sf_dir: str):
@@ -1376,7 +1376,7 @@ def q_columnar_store_sample(sf_dir: str):
     return sample_table_store(
         out, "event_id", rate=0.25, seed=7,
         columns=["event_id", "event_type", "user_id"],
-    )
+    ).to_arrow()
 
 
 def q_columnar_store_semijoin_int(sf_dir: str):
@@ -1401,7 +1401,7 @@ def q_columnar_store_semijoin_int(sf_dir: str):
         out,
         [("in", "user_id", keys)],
         columns=["event_id", "event_type", "user_id"],
-    )
+    ).to_arrow()
 
 
 def _store_join_sides(sf_dir: str):
@@ -1747,7 +1747,7 @@ def q_columnar_store_explain(sf_dir: str):
     n_scan = int((plan["decision"] == "scan").sum())
     st: dict = {}
     got = predicate_scan_table_store(store, preds, stats_out=st)
-    rows = got.count()
+    rows = got.to_arrow().num_rows
     ok_agree = (
         n_skip == st["fragments_skipped"]
         and n_scan == st["fragments_scanned"]

@@ -78,14 +78,14 @@ _INT_K = 4
 # Executor threshold of the store scans (_run_parts), in surviving part
 # file bytes. A Ray Data read → map_batches chain pays a fixed floor F
 # before its first batch returns; the same per-part kernel in the driver
-# pays bytes / R (R: in-driver throughput over part bytes) plus W to wrap
-# its output as a Dataset. On N CPUs Ray takes F + bytes / (R·N), so the
-# driver wins while bytes < (F − W)·R·N/(N−1); the constant is the N→∞
-# bound (F − W)·R, which holds on any cluster width. Measured on a 1-CPU
-# share of a Xeon VM (perfbench query stores, 3 runs): F 234–311 ms
-# (identity chain), W 46–79 ms, R 27.8–31.4 MB/s for LIKE, 30.8–35.1
-# for GROUP BY, 49–55 for COUNT → worst case (234 − 79) ms × 27.8 MB/s
-# = 4.3 MB, rounded down to 4 MiB.
+# pays bytes / R (R: in-driver throughput over part bytes) and hands its
+# tables back as they are (ScanResult). On N CPUs Ray takes
+# F + bytes / (R·N), so the driver wins while bytes < F·R·N/(N−1); the
+# constant is the N→∞ bound F·R, which holds on any cluster width.
+# Measured on a 1-CPU share of a Xeon VM (perfbench query stores, seed
+# 5, 6 runs): F 118–171 ms (identity chain), R 42.8–53.4 MB/s for LIKE,
+# 40.8–63.2 for GROUP BY, 46.3–63.2 for the range scan, 99.7–145.5 for
+# COUNT → worst case 118 ms × 40.8 MB/s = 4.8 MB, rounded down to 4 MiB.
 DRIVER_SCAN_BYTES = 4 << 20
 
 # Seek sidecar schema: the row-length column the loader plans batches
@@ -843,10 +843,11 @@ def _run_parts(paths, read_cols, fn, stats_out):
 
 
 def _tables(out):
-    """_run_parts output → iterable of pyarrow tables."""
+    """_run_parts output → iterable of pyarrow tables (the Ray side
+    yields its blocks as they are, without re-batching)."""
     if isinstance(out, list):
         return out
-    return out.iter_batches(batch_format="pyarrow")
+    return out.iter_batches(batch_format="pyarrow", batch_size=None)
 
 
 def _empty_decoded(any_parts, out_cols) -> pa.Table:
@@ -861,22 +862,49 @@ def _empty_decoded(any_parts, out_cols) -> pa.Table:
     return dec if out_cols is None else dec.select(list(out_cols))
 
 
+class ScanResult:
+    """The rows a store scan selected, from either executor of _run_parts:
+    the driver's per-part output tables, or the Ray executor's lazy
+    Dataset (nothing reads until it is iterated). ``iter_batches`` yields
+    pa.Tables from either side, ``to_arrow`` is their concatenation, and
+    ``to_dataset`` is for the callers that need Ray Data (a join side, a
+    parquet write). A scan with no surviving rows keeps the decoded
+    schema projected to its output columns."""
+
+    def __init__(self, out, empty):
+        self._out = out
+        self._empty = empty  # () -> the zero-row decoded table
+
+    def iter_batches(self, batch_format: str = "pyarrow"):
+        if batch_format != "pyarrow":
+            raise ValueError(
+                f"ScanResult.iter_batches: batch_format={batch_format!r}; "
+                "only 'pyarrow'"
+            )
+        if isinstance(self._out, list) and not self._out:
+            return iter([self._empty()])
+        return iter(_tables(self._out))
+
+    def to_arrow(self) -> pa.Table:
+        tables = list(self.iter_batches())
+        if not tables:
+            return self._empty()
+        return pa.concat_tables(tables, promote_options="default")
+
+    def to_dataset(self):
+        import ray.data
+
+        if isinstance(self._out, list):
+            return ray.data.from_arrow(self.to_arrow())
+        return self._out
+
+
 def _scan_pruned(paths, any_parts, out_cols, read_cols, batch_fn, stats_out):
     """Shared tail of the store scans: ``batch_fn`` over the surviving
     parts (_run_parts), read pruned to ``read_cols`` (output + scan
-    columns). Returns a Dataset either way: driver outputs wrap in one
-    ``from_arrow`` over their concatenation; no survivors → an empty
-    Dataset that keeps the decoded schema projected to ``out_cols``."""
-    import ray.data
-
+    columns), as a ScanResult."""
     out = _run_parts(paths, read_cols, batch_fn, stats_out)
-    if not isinstance(out, list):
-        return out
-    return ray.data.from_arrow(
-        pa.concat_tables(out, promote_options="default")
-        if out
-        else _empty_decoded(any_parts, out_cols)
-    )
+    return ScanResult(out, lambda: _empty_decoded(any_parts, out_cols))
 
 
 def scan_table_store(
@@ -1246,13 +1274,12 @@ def topk_table_store(
     fragments additionally prune on zones/blooms, survivors mask per
     batch in the compressed domain before ranking — the zone-ordered
     early stop stays sound because a fragment's zone bound upper-bounds
-    any row subset."""
-    from .columnar import (
-        _encoded_field_names,
-        column_topk_batch,
-        predicate_mask,
-    )
-    from .compress import read_parquet_blocks
+    any row subset.
+
+    ``stats_out`` receives fragments_scanned / fragments_skipped, and
+    executor / scan_bytes over the scanned fragments (each fragment's
+    parts run through _run_parts; "ray" if any of them went to Ray)."""
+    from .columnar import column_topk_batch, predicate_mask
 
     manifest = Manifest(out_dir)
     done = manifest.completed()
@@ -1272,6 +1299,12 @@ def topk_table_store(
             return None
         return z[1] if descending else z[0]
 
+    def part(bt: pa.Table) -> pa.Table:
+        return column_topk_batch(
+            bt, column, k, descending=descending, out_columns=columns,
+            mask=predicate_mask(bt, preds, engine) if preds else None,
+        )
+
     recs = sorted(done.values(), key=lambda rec: rec["frag_key"])
     # no-bound fragments first (they must always scan), then best-first
     recs.sort(
@@ -1280,10 +1313,12 @@ def topk_table_store(
             -(bound(rec) or 0) if descending else (bound(rec) or 0),
         )
     )
+    need = None if columns is None else set(columns) | {column} | pred_cols
+    order = [(column, "descending" if descending else "ascending")]
     best: pa.Table | None = None
-    scanned = skipped = 0
-    stopped = False
-    for i, rec in enumerate(recs):
+    scanned = skipped = nbytes = 0
+    on_ray = stopped = False
+    for rec in recs:
         if pred_checks and not all(c(rec) for c in pred_checks):
             skipped += 1
             continue
@@ -1302,49 +1337,32 @@ def topk_table_store(
             skipped += 1
             continue
         scanned += 1
-        parts = _fragment_parts(data_dir, rec["frag_key"])
-        kw = {}
-        if columns is not None:
-            kw["columns"] = _encoded_field_names(
-                list(pq.read_schema(parts[0]).names),
-                sorted(set(columns) | {column} | pred_cols),
-            )
-        order = [(column, "descending" if descending else "ascending")]
-        # each partial batch holds ≤k rows WITH the decoded Arrow schema;
-        # fold them into the running best-k as they stream — never
+        # each partial holds ≤k rows WITH the decoded Arrow schema; fold
+        # them into the running best-k as they stream — never
         # materialize all partials (O(k × batches)) on the driver
-        for t in (
-            read_parquet_blocks(parts, **kw)
-            .map_batches(
-                lambda bt: column_topk_batch(
-                    bt, column, k, descending=descending,
-                    out_columns=columns,
-                    mask=predicate_mask(bt, preds, engine) if preds else None,
-                ),
-                batch_format="pyarrow",
-            )
-            .iter_batches(batch_format="pyarrow")
-        ):
+        fs: dict = {}
+        parts = _fragment_parts(data_dir, rec["frag_key"])
+        for t in _tables(_run_parts(parts, need, part, fs)):
             if not t.num_rows:
                 continue
             best = t if best is None else pa.concat_tables(
                 [best.select(t.column_names), t]
             )
             best = best.sort_by(order).slice(0, k)
+        nbytes += fs["scan_bytes"]
+        on_ray |= fs["executor"] == "ray"
     if stats_out is not None:
-        stats_out["fragments_scanned"] = scanned
-        stats_out["fragments_skipped"] = skipped
+        stats_out.update(
+            fragments_scanned=scanned, fragments_skipped=skipped,
+            executor="ray" if on_ray else "driver", scan_bytes=nbytes,
+        )
     if best is None:
         if preds:
             # a predicate may legitimately match nothing: empty result
             # with the decoded schema, not an error
-            any_parts = _fragment_parts(data_dir, recs[0]["frag_key"])
-            from .columnar import decode_columns_batch
-
-            dec = decode_columns_batch(
-                pq.ParquetFile(any_parts[0]).schema_arrow.empty_table()
+            return _empty_decoded(
+                _fragment_parts(data_dir, recs[0]["frag_key"]), columns
             )
-            return dec if columns is None else dec.select(list(columns))
         raise ValueError(f"topk_table_store: column {column!r} has no rows")
     # ties at the k-th value are broken arbitrarily — rank on a unique
     # column when deterministic row identity matters
@@ -1453,9 +1471,9 @@ def count_table_store(
       fields and count mask bits — no row decodes.
 
     ``stats_out`` receives fragments_meta / fragments_scanned /
-    fragments_skipped."""
-    from .columnar import _encoded_field_names, range_scan_mask
-    from .compress import read_parquet_blocks
+    fragments_skipped, and executor / scan_bytes (_run_parts) when a
+    boundary fragment scans."""
+    from .columnar import range_scan_mask
 
     manifest = Manifest(out_dir)
     done = manifest.completed()
@@ -1501,20 +1519,13 @@ def count_table_store(
             fragments_skipped=skipped,
         )
     if scan_paths:
-        cols = _encoded_field_names(
-            list(pq.read_schema(scan_paths[0]).names), [column]
-        )
 
         def cnt(b: pa.Table) -> pa.Table:
             m = range_scan_mask(b, column, lo=lo, hi=hi)
             return pa.table({"n": pa.array([int(m.sum())], type=pa.int64())})
 
-        parts = (
-            read_parquet_blocks(scan_paths, columns=cols)
-            .map_batches(cnt, batch_format="pyarrow")
-            .take_all()
-        )
-        total += sum(int(r["n"]) for r in parts)
+        out = _run_parts(scan_paths, {column}, cnt, stats_out)
+        total += sum(sum(t["n"].to_pylist()) for t in _tables(out))
     return total
 
 
@@ -1550,18 +1561,13 @@ def agg_table_store(
 
     A min/max/count request over a fully-zoned null-free store opens no
     files at all. ``stats_out`` receives fragments_meta /
-    fragments_scanned.
+    fragments_scanned, and executor / scan_bytes (_run_parts) when a
+    fragment scans.
 
     Float columns aggregate too (float_agg_scan_batch): their zone fields
     hold bit patterns, so min/max/sum always scan — but a count-only
     request still answers from manifest rows − recorded nulls."""
-    from .columnar import (
-        _FLOAT_TYPES,
-        _encoded_field_names,
-        agg_scan_batch,
-        float_agg_scan_batch,
-    )
-    from .compress import read_parquet_blocks
+    from .columnar import _FLOAT_TYPES, agg_scan_batch
 
     manifest = Manifest(out_dir)
     done = manifest.completed()
@@ -1598,41 +1604,31 @@ def agg_table_store(
             fragments_meta=meta, fragments_scanned=len(recs) - meta
         )
     vsum = 0
-    if scan_paths:
-        cols = _encoded_field_names(
-            list(pq.read_schema(scan_paths[0]).names), [column]
-        )
-        scan_ops = tuple(set(ops) | {"count"})
-        parts = (
-            read_parquet_blocks(scan_paths, columns=cols)
-            .map_batches(
-                lambda b: agg_scan_batch(b, column, scan_ops),
-                batch_format="pyarrow",
-            )
-            .take_all()
-        )
-        for row in parts:
-            if not row["cnt"]:
-                continue
-            cnt += int(row["cnt"])
-            vsum += int(row["vsum"])
-            if row["vmin"] is not None:
-                vmin = (
-                    row["vmin"] if vmin is None else min(vmin, row["vmin"])
-                )
-                vmax = (
-                    row["vmax"] if vmax is None else max(vmax, row["vmax"])
-                )
-    out = {}
-    if "min" in ops:
-        out["min"] = vmin
-    if "max" in ops:
-        out["max"] = vmax
-    if "sum" in ops:
-        out["sum"] = vsum
-    if "count" in ops:
-        out["count"] = cnt
-    return out
+    scan_ops = tuple(set(ops) | {"count"})
+    rows = _part_rows(_run_parts(
+        scan_paths, {column},
+        lambda b: agg_scan_batch(b, column, scan_ops), stats_out,
+    )) if scan_paths else []
+    for row in rows:
+        if not row["cnt"]:
+            continue
+        cnt += int(row["cnt"])
+        vsum += int(row["vsum"])
+        if row["vmin"] is not None:
+            vmin = row["vmin"] if vmin is None else min(vmin, row["vmin"])
+            vmax = row["vmax"] if vmax is None else max(vmax, row["vmax"])
+    return _pick_aggs(ops, vmin, vmax, vsum, cnt)
+
+
+def _part_rows(out) -> list[dict]:
+    """_run_parts output of one-row partial tables → their rows."""
+    return [row for t in _tables(out) for row in t.to_pylist()]
+
+
+def _pick_aggs(ops, vmin, vmax, vsum, cnt) -> dict:
+    """The requested scalar aggregates, in min/max/sum/count order."""
+    got = {"min": vmin, "max": vmax, "sum": vsum, "count": cnt}
+    return {op: v for op, v in got.items() if op in ops}
 
 
 def _agg_store_float(
@@ -1641,8 +1637,7 @@ def _agg_store_float(
     """Float tail of agg_table_store: count-only answers from manifest
     rows − recorded nulls (zero file opens); anything else scans just
     this column's encoded fields and folds one float partial per batch."""
-    from .columnar import _encoded_field_names, float_agg_scan_batch
-    from .compress import read_parquet_blocks
+    from .columnar import float_agg_scan_batch
 
     meta_ok = not (set(ops) - {"count"}) and all(
         (rec.get("nulls") or {}).get(column) is not None for rec in recs
@@ -1660,36 +1655,19 @@ def _agg_store_float(
         paths.extend(_fragment_parts(data_dir, rec["frag_key"]))
     if stats_out is not None:
         stats_out.update(fragments_meta=0, fragments_scanned=len(recs))
-    cols = _encoded_field_names(
-        list(pq.read_schema(paths[0]).names), [column]
-    )
     vmin = vmax = None
     vsum = 0.0
     cnt = 0
-    parts = (
-        read_parquet_blocks(paths, columns=cols)
-        .map_batches(
-            lambda b: float_agg_scan_batch(b, column, ops),
-            batch_format="pyarrow",
-        )
-        .take_all()
-    )
-    for row in parts:
+    for row in _part_rows(_run_parts(
+        paths, {column}, lambda b: float_agg_scan_batch(b, column, ops),
+        stats_out,
+    )):
         if row["cnt"]:
             cnt += int(row["cnt"])
             vsum += row["fsum"]
             vmin = row["fmin"] if vmin is None else min(vmin, row["fmin"])
             vmax = row["fmax"] if vmax is None else max(vmax, row["fmax"])
-    out = {}
-    if "min" in ops:
-        out["min"] = vmin
-    if "max" in ops:
-        out["max"] = vmax
-    if "sum" in ops:
-        out["sum"] = vsum
-    if "count" in ops:
-        out["count"] = cnt
-    return out
+    return _pick_aggs(ops, vmin, vmax, vsum, cnt)
 
 
 def group_agg_table_store(
@@ -1800,38 +1778,33 @@ def distinct_table_store(
     dictionary entries (only referenced, non-null values; never more than
     O(distinct) strings per block materialize), int columns fold
     per-batch unique sets — reading ONLY this column's encoded fields
-    (columnar.columnar_distinct). ``distributed=True`` dedupes the
+    (columnar.fold_distinct). ``distributed=True`` dedupes the
     partials through one groupby shuffle and returns a Dataset — the
     unbounded-cardinality path where a driver-side set would not fit."""
-    from .columnar import (
-        _encoded_field_names,
-        columnar_distinct,
-        columnar_distinct_ds,
+    from .columnar import distinct_scan_batch, fold_distinct
+
+    paths, _ = _pruned_parts(
+        out_dir, "distinct_table_store", lambda rec: True, stats_out
     )
-    from .compress import read_parquet_blocks
-
-    manifest = Manifest(out_dir)
-    done = manifest.completed()
-    if not done:
-        raise FileNotFoundError(
-            f"distinct_table_store: no committed fragments under {out_dir!r}"
-        )
-    data_dir = os.path.join(out_dir, "data")
-    paths: list[str] = []
-    for rec in sorted(done.values(), key=lambda rec: rec["frag_key"]):
-        paths.extend(_fragment_parts(data_dir, rec["frag_key"]))
-    if stats_out is not None:
-        stats_out["fragments_scanned"] = len(done)
-    cols = _encoded_field_names(list(pq.read_schema(paths[0]).names), [column])
-    enc = read_parquet_blocks(paths, columns=cols)
     if distributed:
-        from .columnar import _STR_FAMILY
+        from .columnar import (
+            _STR_FAMILY,
+            _encoded_field_names,
+            columnar_distinct_ds,
+        )
+        from .compress import read_parquet_blocks
 
+        cols = _encoded_field_names(
+            list(pq.read_schema(paths[0]).names), [column]
+        )
         return columnar_distinct_ds(
-            enc, column,
+            read_parquet_blocks(paths, columns=cols), column,
             int_keys=_column_type_code(paths, column) not in _STR_FAMILY,
         )
-    return columnar_distinct(enc, column)
+    out = _run_parts(
+        paths, {column}, lambda b: distinct_scan_batch(b, column), stats_out
+    )
+    return fold_distinct(_tables(out), column)
 
 
 def sample_table_store(
@@ -1849,21 +1822,12 @@ def sample_table_store(
     the pruned output columns. Streams — never materializes the store."""
     from .columnar import sample_scan_batch
 
-    manifest = Manifest(out_dir)
-    done = manifest.completed()
-    if not done:
-        raise FileNotFoundError(
-            f"sample_table_store: no committed fragments under {out_dir!r}"
-        )
-    data_dir = os.path.join(out_dir, "data")
-    paths: list[str] = []
-    for rec in sorted(done.values(), key=lambda rec: rec["frag_key"]):
-        paths.extend(_fragment_parts(data_dir, rec["frag_key"]))
-    if stats_out is not None:
-        stats_out["fragments_scanned"] = len(done)
+    paths, any_parts = _pruned_parts(
+        out_dir, "sample_table_store", lambda rec: True, stats_out
+    )
     return _scan_pruned(
         paths,
-        paths,
+        any_parts,
         columns,
         None if columns is None else {id_col} | set(columns),
         lambda b: sample_scan_batch(b, id_col, rate, seed, columns),
@@ -2943,7 +2907,7 @@ def join_table_store(
         if preds:
             return predicate_scan_table_store(
                 out_dir, preds, columns=cols, stats_out=stats
-            )
+            ).to_dataset()
         return read_table_store(out_dir, columns=cols)
 
     lstats: dict = {}

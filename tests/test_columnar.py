@@ -866,7 +866,7 @@ def test_store_zone_pruned_scan(ray_session, tmp_path):
     got = scan_table_store(
         out, "event_id", lo=10_100, hi=10_200,
         columns=["event_id", "kind"], stats_out=stats,
-    ).to_pandas()
+    ).to_arrow().to_pandas()
     assert stats == _scan_stats(stats, 1, 2)
     assert sorted(got["event_id"]) == list(range(10_100, 10_201))
     assert set(got.columns) == {"event_id", "kind"}
@@ -877,8 +877,8 @@ def test_store_zone_pruned_scan(ray_session, tmp_path):
         out, "event_id", lo=99_999, hi=100_000,
         columns=["event_id", "kind"], stats_out=stats2,
     )
-    assert stats2["fragments_skipped"] == 3 and empty.count() == 0
-    assert empty.schema().names == ["event_id", "kind"]
+    assert stats2["fragments_skipped"] == 3 and empty.to_arrow().num_rows == 0
+    assert empty.to_arrow().schema.names == ["event_id", "kind"]
 
     # legacy manifests (pre-zones) scan everything — pruning is only ever
     # an optimization
@@ -891,7 +891,7 @@ def test_store_zone_pruned_scan(ray_session, tmp_path):
     got3 = scan_table_store(
         out, "event_id", lo=10_100, hi=10_200,
         columns=["event_id", "kind"], stats_out=stats3,
-    ).to_pandas()
+    ).to_arrow().to_pandas()
     assert stats3 == _scan_stats(stats3, 3, 0)
     assert sorted(got3["event_id"]) == list(range(10_100, 10_201))
 
@@ -935,7 +935,7 @@ def test_store_like_scan_and_append(ray_session, tmp_path):
     rx = re.compile(".*merge.*sort.*", re.S)
     exp = [i for i, v in enumerate(texts) if rx.match(v)]
     got = like_table_store(out, "text", "%merge%sort%", columns=["doc_id"])
-    assert sorted(r["doc_id"] for r in got.take_all()) == exp
+    assert sorted(r["doc_id"] for r in got.to_arrow().to_pylist()) == exp
 
     # append: new fragment only; committed part files keep their mtimes
     part0 = os.path.join(out, "data", "frag={}".format(
@@ -949,7 +949,7 @@ def test_store_like_scan_and_append(ray_session, tmp_path):
     assert os.path.getmtime(part0) == mtime0  # untouched by the append
     exp = [i for i, v in enumerate(texts) if rx.match(v)]
     got = like_table_store(out, "text", "%merge%sort%", columns=["doc_id"])
-    assert sorted(r["doc_id"] for r in got.take_all()) == exp
+    assert sorted(r["doc_id"] for r in got.to_arrow().to_pylist()) == exp
 
 
 def test_store_trigram_pruned_like(ray_session, tmp_path):
@@ -997,7 +997,7 @@ def test_store_trigram_pruned_like(ray_session, tmp_path):
         out, "text", "%xylophone%", columns=["doc_id"], stats_out=stats
     )
     assert stats == _scan_stats(stats, 1, 3)
-    assert sorted(r["doc_id"] for r in got.take_all()) == exp
+    assert sorted(r["doc_id"] for r in got.to_arrow().to_pylist()) == exp
 
     # underscore → no trigram evidence → full scan, same rows
     stats2: dict = {}
@@ -1005,15 +1005,15 @@ def test_store_trigram_pruned_like(ray_session, tmp_path):
         out, "text", "%xyl_phone%", columns=["doc_id"], stats_out=stats2
     )
     assert stats2["fragments_skipped"] == 0
-    assert sorted(r["doc_id"] for r in got2.take_all()) == exp
+    assert sorted(r["doc_id"] for r in got2.to_arrow().to_pylist()) == exp
 
     # absent literal → every fragment prunes, schema survives
     stats3: dict = {}
     empty = like_table_store(
         out, "text", "%notanywhere%", columns=["doc_id"], stats_out=stats3
     )
-    assert stats3["fragments_skipped"] == 4 and empty.count() == 0
-    assert empty.schema().names == ["doc_id"]
+    assert stats3["fragments_skipped"] == 4 and empty.to_arrow().num_rows == 0
+    assert empty.to_arrow().schema.names == ["doc_id"]
 
     # legacy manifests (no trigrams key) scan everything
     mdir = os.path.join(out, "_manifest")
@@ -1027,7 +1027,7 @@ def test_store_trigram_pruned_like(ray_session, tmp_path):
         out, "text", "%xylophone%", columns=["doc_id"], stats_out=stats4
     )
     assert stats4["fragments_skipped"] == 0
-    assert sorted(r["doc_id"] for r in got4.take_all()) == exp
+    assert sorted(r["doc_id"] for r in got4.to_arrow().to_pylist()) == exp
 
 
 def test_store_predicate_scan_combined_pruning(ray_session, tmp_path):
@@ -1076,7 +1076,7 @@ def test_store_predicate_scan_combined_pruning(ray_session, tmp_path):
     )
     exp = [r[0] for r in rows if "needletok" in r[1] and r[2] <= 1200]
     assert stats == _scan_stats(stats, 1, 3)
-    assert sorted(r["doc_id"] for r in got.take_all()) == exp
+    assert sorted(r["doc_id"] for r in got.to_arrow().to_pylist()) == exp
 
     # eq / IN literals absent from every bloom prune everything
     for preds in (
@@ -1087,7 +1087,7 @@ def test_store_predicate_scan_combined_pruning(ray_session, tmp_path):
         empty = predicate_scan_table_store(
             out, preds, columns=["doc_id"], stats_out=s
         )
-        assert s["fragments_skipped"] == 4 and empty.count() == 0
+        assert s["fragments_skipped"] == 4 and empty.to_arrow().num_rows == 0
 
     # range-only pruning composes with a present literal: zones drop 0-1,
     # bloom keeps all (word appears everywhere), intersection = 2-3
@@ -1100,7 +1100,7 @@ def test_store_predicate_scan_combined_pruning(ray_session, tmp_path):
     )
     exp2 = [r[0] for r in rows if r[2] >= 2000 and "merge" in r[1]]
     assert s2 == _scan_stats(s2, 2, 2)
-    assert sorted(r["doc_id"] for r in got2.take_all()) == exp2
+    assert sorted(r["doc_id"] for r in got2.to_arrow().to_pylist()) == exp2
 
     with pytest.raises(ValueError):
         predicate_scan_table_store(out, [("between", "score", 1, 2)])
@@ -1141,7 +1141,7 @@ def test_store_zone_pruned_topk(ray_session, tmp_path):
         out, "event_id", 25, descending=True,
         columns=["event_id", "kind"], stats_out=stats,
     )
-    assert stats == {"fragments_scanned": 1, "fragments_skipped": 3}
+    assert stats == _scan_stats(stats, 1, 3)
     assert sorted(top["event_id"].to_pylist(), reverse=True) == list(
         range(5999, 5974, -1)
     )
@@ -1152,7 +1152,7 @@ def test_store_zone_pruned_topk(ray_session, tmp_path):
         out, "event_id", 10, descending=False,
         columns=["event_id"], stats_out=stats2,
     )
-    assert stats2 == {"fragments_scanned": 1, "fragments_skipped": 3}
+    assert stats2 == _scan_stats(stats2, 1, 3)
     assert sorted(bot["event_id"].to_pylist()) == list(range(10))
 
     # k larger than one fragment: a second fragment must scan
@@ -1176,7 +1176,7 @@ def test_store_zone_pruned_topk(ray_session, tmp_path):
         out, "event_id", 25, descending=True,
         columns=["event_id"], stats_out=stats4,
     )
-    assert stats4 == {"fragments_scanned": 4, "fragments_skipped": 0}
+    assert stats4 == _scan_stats(stats4, 4, 0)
     assert sorted(top4["event_id"].to_pylist()) == list(range(5975, 6000))
 
 
@@ -1217,7 +1217,8 @@ def test_store_metadata_count(ray_session, tmp_path):
     s1: dict = {}
     got = count_table_store(out, "event_id", lo=0, hi=2 * n - 1, stats_out=s1)
     assert s1 == {
-        "fragments_meta": 1, "fragments_scanned": 1, "fragments_skipped": 1
+        "fragments_meta": 1, "fragments_scanned": 1, "fragments_skipped": 1,
+        "executor": "driver", "scan_bytes": s1["scan_bytes"],
     }
     assert got == n + sum(1 for i in range(n) if i % 10)
 
@@ -1265,7 +1266,7 @@ def test_cluster_table_store(ray_session, tmp_path):
     got = scan_table_store(
         out, "event_id", lo=100, hi=300, columns=["event_id"],
         stats_out=stats,
-    ).to_pandas()
+    ).to_arrow().to_pandas()
     assert sorted(got["event_id"]) == list(range(100, 301))
     assert stats["fragments_skipped"] > stats["fragments_scanned"]
     assert count_table_store(out) == 9000
@@ -1291,7 +1292,7 @@ def test_cluster_table_store(ray_session, tmp_path):
     ) == sorted_mtime  # no re-sort happened
     got2 = scan_table_store(
         out, "event_id", lo=100, hi=300, columns=["event_id"]
-    ).to_pandas()
+    ).to_arrow().to_pandas()
     assert sorted(got2["event_id"]) == list(range(100, 301))
     assert len(Manifest(out).completed()) == st["fragments"]
 
@@ -2182,8 +2183,8 @@ def test_store_hash_sample(ray_session, tmp_path):
     )
     assert other == ref_ids(0.3, 6) and other != ids
     # rate 0 and 1 are exact
-    assert sample_table_store(store, "id", 0.0).count() == 0
-    assert sample_table_store(store, "id", 1.0).count() == n
+    assert sample_table_store(store, "id", 0.0).to_arrow().num_rows == 0
+    assert sample_table_store(store, "id", 1.0).to_arrow().num_rows == n
 
 
 def test_store_group_multi_agg(ray_session, tmp_path):
@@ -2862,7 +2863,7 @@ def test_store_null_predicates(ray_session, tmp_path):
     got = predicate_scan_table_store(
         out, [("isnull", "score")], columns=["doc_id"], stats_out=s
     )
-    ids_null = sorted(r["doc_id"] for r in got.take_all())
+    ids_null = sorted(r["doc_id"] for r in got.to_arrow().to_pylist())
     assert s == _scan_stats(s, 2, 1)
     assert len(ids_null) > 0 and all(i >= 300 for i in ids_null)
 
@@ -2871,7 +2872,7 @@ def test_store_null_predicates(ray_session, tmp_path):
     got2 = predicate_scan_table_store(
         out, [("notnull", "score")], columns=["doc_id"], stats_out=s2
     )
-    ids_nn = sorted(r["doc_id"] for r in got2.take_all())
+    ids_nn = sorted(r["doc_id"] for r in got2.to_arrow().to_pylist())
     assert s2 == _scan_stats(s2, 2, 1)
     assert len(ids_null) + len(ids_nn) == 900
     assert not (set(ids_null) & set(ids_nn))
@@ -2884,7 +2885,7 @@ def test_store_null_predicates(ray_session, tmp_path):
         columns=["doc_id", "score"],
         stats_out=s3,
     )
-    rows3 = got3.take_all()
+    rows3 = got3.to_arrow().to_pylist()
     assert s3["fragments_scanned"] == 1
     assert all(r["score"] is not None and 300 <= r["doc_id"] <= 599 for r in rows3)
     assert len(rows3) == len([i for i in ids_nn if 300 <= i <= 599])
@@ -2963,7 +2964,7 @@ def test_float_range_scan_and_zones(ray_session, tmp_path):
     rows = scan_table_store(
         out, "score", lo=120.0, hi=170.0,
         columns=["doc_id", "score"], stats_out=stats,
-    ).take_all()
+    ).to_arrow().to_pylist()
     assert stats == _scan_stats(stats, 1, 2)
     assert rows and all(120.0 <= r["score"] <= 170.0 for r in rows)
 
@@ -3012,7 +3013,7 @@ def test_float_topk_table_store(ray_session, tmp_path):
     # fragment 1 contains NaN → its zone hi is +inf ("unknown"), so it
     # must scan before the early stop; the clean worst fragment still
     # prunes (2 scanned, 1 skipped instead of 1/2)
-    assert stats == {"fragments_scanned": 2, "fragments_skipped": 1}
+    assert stats == _scan_stats(stats, 2, 1)
     t2 = topk_table_store(out, "score", 3, descending=False, columns=["score"])
     assert t2["score"].to_pylist() == sorted(allvals)[:3]
 
@@ -3301,7 +3302,7 @@ def test_append_table_store(ray_session, tmp_path):
     stats = {}
     hits = scan_table_store(
         out, "id", lo=50_100, hi=50_200, stats_out=stats
-    ).to_pandas()
+    ).to_arrow().to_pandas()
     assert len(hits) == 101
     assert stats["fragments_skipped"] == 1
 
@@ -3772,7 +3773,7 @@ def test_union_table_store(ray_session, tmp_path):
     # zone pruning survives the merge
     st: dict = {}
     hits = scan_table_store(dst, "id", lo=1100, hi=1200, stats_out=st)
-    assert hits.count() == 101
+    assert hits.to_arrow().num_rows == 101
     assert st["fragments_skipped"] == 2 and st["fragments_scanned"] == 1
 
     # resume no-op
@@ -3838,7 +3839,7 @@ def test_explain_table_store(ray_session, tmp_path):
     st: dict = {}
     got = predicate_scan_table_store(store, preds, stats_out=st)
     # frag 1 overlaps the range but its bloom lacks "alpha": 0 rows
-    assert got.count() == 250
+    assert got.to_arrow().num_rows == 250
 
 
 def test_upsert_table_store_crash_resume(ray_session, tmp_path, monkeypatch):
@@ -3975,7 +3976,7 @@ def test_store_intkey_bloom_pruned_eq(ray_session, tmp_path):
     got = predicate_scan_table_store(
         out, [("eq", "user_id", target)], columns=["user_id", "kind"],
         stats_out=stats,
-    ).to_pandas()
+    ).to_arrow().to_pandas()
     assert stats == _scan_stats(stats, 1, 3)
     assert got["user_id"].tolist() == [target]
 
@@ -3984,7 +3985,7 @@ def test_store_intkey_bloom_pruned_eq(ray_session, tmp_path):
     got_in = predicate_scan_table_store(
         out, [("in", "user_id", [8, 2501])], columns=["user_id"],
         stats_out=stats_in,
-    ).to_pandas()
+    ).to_arrow().to_pandas()
     assert stats_in == _scan_stats(stats_in, 2, 2)
     assert sorted(got_in["user_id"]) == [8, 2501]
 
@@ -4007,7 +4008,7 @@ def test_store_intkey_bloom_pruned_eq(ray_session, tmp_path):
     # negatives guaranteed only), result must be empty either way
     got_absent = predicate_scan_table_store(
         out, [("eq", "user_id", n_keys + 1)], columns=["user_id"]
-    ).to_pandas()
+    ).to_arrow().to_pandas()
     assert len(got_absent) == 0
 
     # legacy manifests (no blooms) keep every fragment, same rows
@@ -4021,7 +4022,7 @@ def test_store_intkey_bloom_pruned_eq(ray_session, tmp_path):
     got_legacy = predicate_scan_table_store(
         out, [("eq", "user_id", target)], columns=["user_id"],
         stats_out=stats_legacy,
-    ).to_pandas()
+    ).to_arrow().to_pandas()
     assert stats_legacy["fragments_skipped"] == 0
     assert got_legacy["user_id"].tolist() == [target]
 
@@ -4186,7 +4187,7 @@ def test_store_derive_backfill(ray_session, tmp_path):
     hit = scan_table_store(
         dst, "value_cents", lo=150_000, hi=160_000,
         columns=["event_id", "value_cents"], stats_out=stats,
-    ).to_pandas()
+    ).to_arrow().to_pandas()
     assert stats["fragments_skipped"] == 2
     assert (hit["value_cents"].between(150_000, 160_000)).all()
     # and NDV lineage
@@ -4473,8 +4474,8 @@ def test_float64_xor_empty_block_and_version_stamp():
 @pytest.fixture(scope="module")
 def parity_store(ray_session, tmp_path_factory):
     """A 4-fragment store for the executor parity tests: int id/ts/x
-    (x with nulls), two string keys and a text column whose needle lives
-    in fragment 1 only (so LIKE prunes)."""
+    (x with nulls), two string keys, a text column whose needle lives
+    in fragment 1 only (so LIKE prunes) and a float column f."""
     from fsst_like_ray.pipelines.tablestore import compress_table
 
     base = tmp_path_factory.mktemp("parity")
@@ -4501,6 +4502,8 @@ def parity_store(ray_session, tmp_path_factory):
                     for i in range(n)
                 ]
             ),
+            # quarter steps: float sums stay exact in any fold order
+            "f": pa.array(rng.integers(-400, 400, n) / 4, type=pa.float64()),
         }
     )
     for f in range(4):
@@ -4528,13 +4531,14 @@ def _on_both_executors(monkeypatch, call):
     return out["ray"], out["driver"]
 
 
-def _ds_table(ds) -> pa.Table:
-    """A store scan's Dataset → one table sorted by every column (Ray may
-    deliver blocks in any order); empty results keep their schema."""
-    import ray
+def _same_stats(drv_st: dict, ray_st: dict) -> None:
+    """Both executors report the same stats, bar the executor itself."""
+    assert {**drv_st, "executor": None} == {**ray_st, "executor": None}
 
-    blocks = ray.get(ds.to_arrow_refs())
-    t = pa.concat_tables(blocks, promote_options="default")
+
+def _sorted(t: pa.Table) -> pa.Table:
+    """One table sorted by every column (Ray may deliver blocks in any
+    order)."""
     return t.sort_by([(c, "ascending") for c in t.column_names])
 
 
@@ -4544,13 +4548,15 @@ def _ds_table(ds) -> pa.Table:
         "like_all_cols", "like_proj", "like_kmp", "like_pruned",
         "scan_all_cols", "scan_proj", "scan_pruned",
         "pred_proj", "pred_kmp", "pred_pruned",
+        "sample_all_cols", "sample_proj",
     ],
 )
 def test_scan_executor_parity(parity_store, monkeypatch, what):
-    """like / scan / predicate_scan return identical tables (schema
-    included) and identical prune counters on the Ray and the driver
-    executor — for all columns and a projection, engine auto and a
-    forced engine, and an all-pruned predicate."""
+    """like / scan / predicate_scan / sample return identical tables
+    (schema included) and identical prune counters on the Ray and the
+    driver executor, read through to_arrow and through iter_batches —
+    for all columns and a projection, engine auto and a forced engine,
+    and all-pruned scans."""
     from fsst_like_ray.pipelines import tablestore as ts
 
     calls = {
@@ -4590,15 +4596,27 @@ def test_scan_executor_parity(parity_store, monkeypatch, what):
             parity_store, [("eq", "text", "zzzabsentvalue")],
             columns=["id"], stats_out=s,
         ),
+        "sample_all_cols": lambda s: ts.sample_table_store(
+            parity_store, "id", 0.3, seed=5, stats_out=s
+        ),
+        "sample_proj": lambda s: ts.sample_table_store(
+            parity_store, "id", 0.3, seed=5, columns=["ts", "g"],
+            stats_out=s,
+        ),
     }
-    (ray_ds, ray_st), (drv_ds, drv_st) = _on_both_executors(
+    (ray_r, ray_st), (drv_r, drv_st) = _on_both_executors(
         monkeypatch, calls[what]
     )
-    ray_t, drv_t = _ds_table(ray_ds), _ds_table(drv_ds)
-    assert drv_t.schema.equals(ray_t.schema), (drv_t.schema, ray_t.schema)
-    assert drv_t.equals(ray_t)
-    for k in ("fragments_scanned", "fragments_skipped", "scan_bytes"):
-        assert drv_st[k] == ray_st[k], k
+    drv_t = _sorted(drv_r.to_arrow())
+    for r in (ray_r, drv_r):
+        batches = list(r.iter_batches(batch_format="pyarrow"))
+        for t in (
+            r.to_arrow(), pa.concat_tables(batches, promote_options="default")
+        ):
+            t = _sorted(t)
+            assert t.schema.equals(drv_t.schema), (t.schema, drv_t.schema)
+            assert t.equals(drv_t)
+    _same_stats(drv_st, ray_st)
     if what.endswith("pruned"):
         assert drv_t.num_rows == 0 and drv_st["fragments_scanned"] == 0
     else:
@@ -4611,12 +4629,16 @@ def test_scan_executor_parity(parity_store, monkeypatch, what):
         "count", "count_kmp", "count_pruned",
         "group", "group_aggs", "group_composite", "group_bucket",
         "group_pruned", "group_aggs_pruned", "group_topk",
+        "count_range", "agg_int", "agg_float", "topk", "topk_preds",
+        "topk_pruned", "distinct_str", "distinct_int",
     ],
 )
 def test_agg_executor_parity(parity_store, monkeypatch, what):
     """count_where / group_agg (single key, aggs=, composite key,
-    bucket=, all-pruned) / group_topk give identical results and prune
-    counters on the Ray and the driver executor."""
+    bucket=, all-pruned) / group_topk / range count / scalar agg (int
+    and float) / topk (with and without preds, all-pruned) / distinct
+    give identical results and prune counters on the Ray and the driver
+    executor."""
     from fsst_like_ray.pipelines import tablestore as ts
 
     rng_pred = [("range", "id", 300, 2000)]
@@ -4659,6 +4681,31 @@ def test_agg_executor_parity(parity_store, monkeypatch, what):
             parity_store, "g", "id", 3, columns=["x"], preds=rng_pred,
             stats_out=s,
         ),
+        # fragment 1 counts from metadata, 0 and 2 scan, 3 skips
+        "count_range": lambda s: ts.count_table_store(
+            parity_store, "id", 500, 1300, stats_out=s
+        ),
+        "agg_int": lambda s: ts.agg_table_store(parity_store, "x", stats_out=s),
+        "agg_float": lambda s: ts.agg_table_store(
+            parity_store, "f", stats_out=s
+        ),
+        "topk": lambda s: ts.topk_table_store(
+            parity_store, "id", 5, columns=["id", "g"], stats_out=s
+        ),
+        "topk_preds": lambda s: ts.topk_table_store(
+            parity_store, "id", 4, descending=False,
+            preds=[("like", "text", "%needle%")], stats_out=s,
+        ),
+        "topk_pruned": lambda s: ts.topk_table_store(
+            parity_store, "id", 4, columns=["id", "x"],
+            preds=[("range", "id", -9, -1)], stats_out=s,
+        ),
+        "distinct_str": lambda s: ts.distinct_table_store(
+            parity_store, "g", stats_out=s
+        ),
+        "distinct_int": lambda s: ts.distinct_table_store(
+            parity_store, "x", stats_out=s
+        ),
     }
     (ray_r, ray_st), (drv_r, drv_st) = _on_both_executors(
         monkeypatch, calls[what]
@@ -4669,8 +4716,58 @@ def test_agg_executor_parity(parity_store, monkeypatch, what):
         assert (drv_r.num_rows == 0) == what.endswith("pruned")
     else:
         assert drv_r == ray_r and (drv_r == 0) == what.endswith("pruned")
-    for k in ("fragments_scanned", "fragments_skipped", "scan_bytes"):
-        assert drv_st[k] == ray_st[k], k
+    _same_stats(drv_st, ray_st)
+
+
+def test_driver_scans_skip_ray_data(parity_store, monkeypatch, tmp_path):
+    """Driver-executor LIKE, range scan, count and topk build no Ray
+    Dataset (neither read_parquet_blocks nor from_arrow runs), and a
+    Ray-executor scan stays lazy: its kernel first runs when
+    iter_batches is consumed."""
+    import os
+
+    import ray.data
+
+    from fsst_like_ray.pipelines import columnar, compress
+    from fsst_like_ray.pipelines import tablestore as ts
+
+    calls = []
+    for mod, name in ((compress, "read_parquet_blocks"), (ray.data, "from_arrow")):
+        real = getattr(mod, name)
+
+        def spy(*a, _real=real, _name=name, **kw):
+            calls.append(_name)
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(mod, name, spy)
+    like = ts.like_table_store(parity_store, "text", "%sort%", columns=["id"])
+    scan = ts.scan_table_store(parity_store, "id", 500, 1300, columns=["id"])
+    assert like.to_arrow().num_rows > 0
+    assert sum(b.num_rows for b in scan.iter_batches()) == 801
+    assert ts.count_table_store(parity_store, "id", 500, 1300) == 801
+    assert ts.topk_table_store(parity_store, "id", 3)["id"].to_pylist() == [
+        2399, 2398, 2397
+    ]
+    assert calls == []
+
+    marker = str(tmp_path / "kernel_ran")
+    real_kernel = columnar.range_scan_batch
+
+    def kernel(*a, **kw):
+        with open(marker, "a") as f:
+            f.write("x")
+        return real_kernel(*a, **kw)
+
+    monkeypatch.setattr(columnar, "range_scan_batch", kernel)
+    monkeypatch.setattr(ts, "DRIVER_SCAN_BYTES", 0)
+    stats: dict = {}
+    lazy = ts.scan_table_store(
+        parity_store, "id", 500, 1300, columns=["id"], stats_out=stats
+    )
+    assert stats["executor"] == "ray" and calls == ["read_parquet_blocks"]
+    assert not os.path.exists(marker)
+    assert sum(b.num_rows for b in lazy.iter_batches()) == 801
+    assert os.path.exists(marker)
 
 
 def test_large_store_scans_through_ray(parity_store, monkeypatch):
@@ -4699,7 +4796,7 @@ def test_large_store_scans_through_ray(parity_store, monkeypatch):
     big: dict = {}
     n = ts.like_table_store(
         parity_store, "text", "%sort%", columns=["id"], stats_out=big
-    ).count()
+    ).to_arrow().num_rows
     assert big["executor"] == "ray" and len(reads) == 1
     assert big["scan_bytes"] == stats["scan_bytes"] > ts.DRIVER_SCAN_BYTES
     assert n > 0
