@@ -62,7 +62,9 @@ class FsstCodec(Codec):
             end = max(end, start + 1)
             end = min(end, n_rows)
             chunk_off = bo[start : end + 1] - bo[start]
-            buf, po = fsstlib.encode(data[bo[start] : bo[end]], chunk_off, table)
+            buf, po, _used = fsstlib.encode(
+                data[bo[start] : bo[end]], chunk_off, table
+            )
             bufs.append(buf)
             pos.append(po[1:] + (pos[-1][-1] if pos else 0))
             start = end
@@ -114,7 +116,7 @@ class FsstCodec(Codec):
                 rows = held
         sample, so = gather_rows(data, bo[rows], np.diff(bo)[rows])
         table = fsstlib.SymbolTable.deserialize(state)
-        buf, _ = fsstlib.encode(sample, so, table)
+        buf, _po, _used = fsstlib.encode(sample, so, table)
         sampled = int(so[-1])
         ratio = buf.size / sampled if sampled else 1.0
         full_bytes = 4 * full_tokens if full_tokens is not None else total

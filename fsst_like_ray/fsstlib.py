@@ -372,9 +372,11 @@ def _parse(
 
 def encode(
     data: np.ndarray, offsets: np.ndarray, table: SymbolTable
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, bytes]:
     """Encode rows of ``data`` (uint8, rows per ``offsets``). Returns
-    (encoded buffer, per-row payload offsets).
+    (encoded buffer, per-row payload offsets, escaped-literal bitmap):
+    the bitmap is the 32-byte ``used_chars`` statistic of the whole
+    output (see escaped_literal_bitmap), gathered while encoding.
 
     Dispatches to the C kernel when available (bit-identical output,
     asserted in tests); the NumPy path below is the portable fallback."""
@@ -391,14 +393,16 @@ def encode(
     out = np.empty(int(out_off[-1]), dtype=np.uint8)
     out[out_off[:-1][~esc]] = code[~esc]
     ep = out_off[:-1][esc]
+    lits = data[pos[esc]]
     out[ep] = ESCAPE
-    out[ep + 1] = data[pos[esc]]
+    out[ep + 1] = lits
+    used = np.packbits(np.bincount(lits, minlength=256) > 0, bitorder="little")
     # per-row payload sizes: emitted positions are ascending, so the cumulative
     # output length at each row's first emitted position gives the offsets —
     # one searchsorted over n_rows, not over positions
     first_emit = np.searchsorted(pos, offsets)
     po = out_off[first_emit].astype(np.int64)
-    return out, po
+    return out, po, used.tobytes()
 
 
 def decode(
@@ -489,7 +493,9 @@ def escaped_literal_bitmap(
     encoded stream — the reference's ``used_chars`` block statistic
     (src/BenchmarkDriver.cpp:128-137): a predicate byte no symbol covers can
     only match via an escape, so a block whose bitmap lacks it is pruned
-    without touching payloads."""
+    without touching payloads. ``encode`` returns the same bytes for what
+    it encodes; this payload pass serves stores written before the fsstb
+    envelope carried them."""
     b = np.ascontiguousarray(buf, dtype=np.uint8)
     n = int(b.size)
     out = np.zeros(32, dtype=np.uint8)

@@ -51,9 +51,14 @@ def _bucket_partials(bucket_shift: int):
         src = batch["source"].to_numpy(zero_copy_only=False)
         ntok = batch["n_tok"].to_numpy(zero_copy_only=False).astype(np.int64)
         bucket = (ids >> bucket_shift).astype(np.int64)
-        # partial per (source, bucket) — pandas-free via np.unique on pairs
-        key = np.char.add(np.char.add(src.astype(str), "\x00"), bucket.astype(str))
-        uk, inv = np.unique(key, return_inverse=True)
+        # partial per (source, bucket) — pandas-free via np.unique on
+        # (source code, bucket) int pairs: a joined string key collides
+        # (NumPy str drops a trailing NUL, so "src1"+"\x00"+"10" and
+        # "src11"+"\x00"+"0" are equal)
+        _u, scode = np.unique(src.astype(str), return_inverse=True)
+        pairs = np.stack([scode.reshape(-1), bucket], axis=1)
+        uk, inv = np.unique(pairs, axis=0, return_inverse=True)
+        inv = inv.reshape(-1)
         sums = np.bincount(inv, weights=ntok).astype(np.int64)
         first = np.zeros(len(uk), dtype=np.int64)
         first[inv[::-1]] = np.arange(len(ids))[::-1]

@@ -35,6 +35,7 @@ import pyarrow.compute as pc
 from .. import fsstlib
 from .. import native as _native
 from ..buffers import _binary_buffers, _group_indices
+from ..codecs.bitutil import gather_rows
 from .pattern import LikePattern, parse_like
 
 ESCAPE = fsstlib.ESCAPE
@@ -265,13 +266,8 @@ def _sampled_candidate_fraction(
     sample (the auto engine's cost signal)."""
     n_rows = len(po) - 1
     stride = max(1, n_rows // _SKIP_SAMPLE_ROWS)
-    rows = np.arange(0, n_rows, stride)
-    counts = np.diff(po)[rows].astype(np.int64)
-    spo = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=spo[1:])
-    spay = np.empty(int(spo[-1]), dtype=np.uint8)
-    for k, r_i in enumerate(rows):
-        spay[spo[k] : spo[k + 1]] = pay[po[r_i] : po[r_i + 1]]
+    starts = po[:-1:stride]
+    spay, spo = gather_rows(pay, starts, po[1::stride] - starts)
     return float(_apply_requirements(spay, spo, reqs).mean())
 
 
@@ -319,7 +315,7 @@ def exact_payload_match(
     IDENTICALLY — payload equality is exact, no decode-verify needed."""
     n_rows = len(po) - 1
     data = np.frombuffer(const, dtype=np.uint8)
-    buf, cpo = fsstlib.encode(
+    buf, cpo, _used = fsstlib.encode(
         np.ascontiguousarray(data), np.array([0, len(const)], dtype=np.int64),
         table,
     )
@@ -689,12 +685,14 @@ def match_block(
     """Row mask for ``pat`` over ONE encoded block: payload bytes ``gpay``
     sliced by ``gpo``, symbol table ``table``, optional escaped-literal
     bitmap ``used`` (bytes, None, or a zero-arg callable resolved lazily —
-    only the skipping path consumes it, so callers whose bitmap costs a
-    payload pass defer it). ``decode_fn(cidx) -> pa.Array`` must return the
-    decoded text of block-local rows ``cidx`` — the decode-verify step for
-    candidates a prefilter cannot settle. This is the shared engine core
-    behind ``like_on_encoded`` (token-corpus schema) and the whole-table
-    engine's fsstb LIKE scan (pipelines/columnar.like_scan_batch)."""
+    only the skipping path consumes it, so a caller that must compute the
+    bitmap with a payload pass, as for an fsstb envelope written before
+    encode stored it, defers that pass). ``decode_fn(cidx) -> pa.Array``
+    must return the decoded text of block-local rows ``cidx`` — the
+    decode-verify step for candidates a prefilter cannot settle. This is
+    the shared engine core behind ``like_on_encoded`` (token-corpus
+    schema) and the whole-table engine's fsstb LIKE scan
+    (pipelines/columnar.like_scan_batch)."""
     n_rows = len(gpo) - 1
     shape = pat.shape
     result = np.zeros(n_rows, dtype=bool)
@@ -736,46 +734,38 @@ def match_block(
     ) > fsstlib.MAX_SYMBOL_LEN:
         cand = first_code_prefilter(gpay, gpo, table, pat.segments[0])
     elif eng == "skipping":
-        # cost-based dispatch under auto (reference factory-decline
-        # contract, src/algos/StdFind.hpp:102-135): sample the
-        # requirements' candidate fraction; when dense, a low-yield
-        # prefilter pass can't pay for itself — dense single-segment
-        # contains routes to the C KMP walk (exact, no decode, early
-        # exit on match: fastest engine on dense blocks), other shapes
-        # fall back to plain decode+find
         reqs = _segments_requirements(
             table, tuple(pat.segments), used() if callable(used) else used
         )
         if reqs is None:
             return result  # block pruned: no code/escape can spell a segment
-        # with the C kernel, single-segment contains routes straight to
-        # the KMP walk: one C payload pass with per-row early exit beats
-        # BOTH the NumPy requirements pass (same bytes, interpreter-rate)
-        # and decode+find at every observed density (r4 engine_rank:
-        # kmp 1.8 ms vs skipping 5.7 / decoded 8.7 on a 77%-dense
-        # pattern; also fastest on sparse ones) — the reqs-None check
-        # above already handled the provably-empty block, which is the
-        # only case the prefilter wins outright
-        kmp_route = (
-            engine == "auto"
-            and shape == "contains"
-            and _native.lib is not None
-        )
-        adaptive = (
-            engine == "auto"
-            and not kmp_route
-            and n_rows > 2 * _SKIP_SAMPLE_ROWS
-        )
+        # with the C kernel, unanchored contains routes straight to the
+        # KMP walk (one segment) or the meta-KMP walk (several): one C
+        # payload pass with per-row early exit, exact, so nothing
+        # decode-verifies. It beats BOTH the requirements pass and
+        # decode+find at every observed density (r4 engine_rank: kmp 1.8
+        # ms vs skipping 5.7 / decoded 8.7 on a 77%-dense pattern; also
+        # fastest on sparse ones) — the reqs-None check above already
+        # handled the provably-empty block, the only case the prefilter
+        # wins outright
+        if engine == "auto" and _native.lib is not None:
+            if shape == "contains":
+                return kmp_code_match(gpay, gpo, table, pat.segments[0])
+            if shape == "multi":
+                return meta_kmp_code_match(gpay, gpo, table, pat.segments)
+        # cost-based dispatch under auto (reference factory-decline
+        # contract, src/algos/StdFind.hpp:102-135): sample the
+        # requirements' candidate fraction; when dense, a low-yield
+        # prefilter pass can't pay for itself and the shape falls back to
+        # plain decode+find
         declined = False
-        if adaptive and reqs:
+        if engine == "auto" and reqs and n_rows > 2 * _SKIP_SAMPLE_ROWS:
             frac = _sampled_candidate_fraction(gpay, gpo, reqs)
             cutoff = (
                 _SKIP_CUTOFF_NATIVE if _native.lib is not None
                 else _SKIP_CUTOFF_NUMPY
             )
             declined = frac >= cutoff
-        if kmp_route:
-            return kmp_code_match(gpay, gpo, table, pat.segments[0])
         if not declined and reqs:
             cand = _apply_requirements(gpay, gpo, reqs)
         if shape == "suffix":

@@ -47,7 +47,7 @@ def _build():
         + [ctypes.c_int64]
         + [ctypes.c_void_p] * 3
         + [ctypes.c_int64]
-        + [ctypes.c_void_p] * 7
+        + [ctypes.c_void_p] * 8
     )
     l.fsst_decode.restype = ctypes.c_int64
     l.fsst_decode.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
@@ -179,15 +179,17 @@ def _prep(table):
 
 
 def encode(data: np.ndarray, offsets: np.ndarray, table):
-    """Native twin of fsstlib.encode: (out buffer, per-row payload offsets).
-    The kernel's gram loads are tail-safe, so the batch buffer is passed
-    as-is — no zeroed pad copy (2 extra passes over the batch)."""
+    """Native twin of fsstlib.encode: (out buffer, per-row payload offsets,
+    32-byte escaped-literal bitmap). The kernel's gram loads are
+    tail-safe, so the batch buffer is passed as-is — no zeroed pad copy
+    (2 extra passes over the batch)."""
     n = int(data.size)
     n_rows = len(offsets) - 1
     data = np.ascontiguousarray(data, dtype=np.uint8)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     out = np.empty(2 * n + 8, dtype=np.uint8)
     po = np.empty(n_rows + 1, dtype=np.int64)
+    used = np.zeros(32, dtype=np.uint8)
     len1, lut3, pfx_start, grams, lens, codes = _prep(table)
     has_long = int(lut3.size > 1)
     total = lib.fsst_encode(
@@ -195,9 +197,9 @@ def encode(data: np.ndarray, offsets: np.ndarray, table):
         _ptr(table.short_code), _ptr(table.short_len), _ptr(len1),
         has_long, _ptr(lut3), _ptr(pfx_start),
         _ptr(grams), _ptr(lens), _ptr(codes),
-        _ptr(out), _ptr(po),
+        _ptr(out), _ptr(po), _ptr(used),
     )
-    return out[:total], po
+    return out[:total], po, used.tobytes()
 
 
 def decode(buf: np.ndarray, payload_offsets: np.ndarray, table,

@@ -92,6 +92,8 @@ static inline int longest_match(const lookup_t *t, uint64_t g8, int cap,
  * the 2^24 direct-address table 3-byte prefix -> prefix id + 1, read only
  * when has_long). data needs NO tail padding (gram loads near the end are
  * tail-safe). out must hold 2 * total bytes; out_po has n_rows + 1 slots.
+ * used (32 bytes, zeroed by the caller) gets the bit of every byte value
+ * written as an escaped literal: the block's used_chars bitmap.
  * Returns total output bytes. */
 int64_t fsst_encode(
     const uint8_t *data, const int64_t *offsets, int64_t n_rows,
@@ -100,7 +102,7 @@ int64_t fsst_encode(
     int64_t has_long, const uint8_t *lut3, const uint8_t *pfx_start,
     const uint64_t *long_grams, const uint8_t *long_lens,
     const uint8_t *long_codes,
-    uint8_t *out, int64_t *out_po)
+    uint8_t *out, int64_t *out_po, uint8_t *used)
 {
     const lookup_t t = {short_code, short_len, len1_code, pfx_start,
                         long_grams, long_lens, long_codes};
@@ -125,8 +127,10 @@ int64_t fsst_encode(
                 out[o++] = (uint8_t)code;
                 p += len;
             } else {
+                const uint8_t lit = data[p];
                 out[o++] = ESCAPE;
-                out[o++] = data[p];
+                out[o++] = lit;
+                used[lit >> 3] |= (uint8_t)(1u << (lit & 7));
                 p += 1;
             }
         }

@@ -28,7 +28,10 @@ Encoded layout (self-describing, parquet-stable):
   back into the block-decoded vector.
 - per source column ``c``:
   - ``c__blk``     dict<binary> — block envelope: original type, validity
-    bitmap, codec name(s)/state(s), scalar payloads, plain-bytes accounting.
+    bitmap, codec name(s)/state(s), scalar payloads, plain-bytes accounting;
+    an ``fsstb`` body is the symbol table then the block's 32-byte
+    escaped-literal bitmap (bodies written before the bitmap end at the
+    table, and LIKE computes it from the payloads).
   - ``c__payload`` large_binary — per-row payload (list / fsstb / plainb
     families; empty otherwise).
   - ``c__n``       int32 — per-row element count (list families only; it is
@@ -750,7 +753,7 @@ def _encode_column(
             # skew contract).
             sdata, soff = _sample_bytes(data, off, FSSTB_SAMPLE_BYTES)
             ftable = fsstlib.train(sdata, soff)
-            sbuf, _spo = fsstlib.encode(sdata, soff, ftable)
+            sbuf, _spo, _used = fsstlib.encode(sdata, soff, ftable)
             sb = max(int(soff[-1]), 1)
             est[S_FSSTB] = int(len(sbuf) / sb * total) + len(ftable.serialize())
         scheme = min(est, key=lambda s: (est[s], s))
@@ -763,8 +766,11 @@ def _encode_column(
             [None, pa.py_buffer(off), pa.py_buffer(data)],
         )
     elif scheme == S_FSSTB:
-        buf, po = fsstlib.encode(data, off, ftable)
-        body = bytes([S_FSSTB]) + _pb32(ftable.serialize())
+        # the block's escaped-literal bitmap rides after the table (the
+        # reference's used_chars, src/BenchmarkDriver.cpp:128-137), so a
+        # LIKE prunes on it without a payload pass
+        buf, po, used = fsstlib.encode(data, off, ftable)
+        body = bytes([S_FSSTB]) + _pb32(ftable.serialize()) + used
         payload = payload_array(buf, po)
     else:  # S_STRDICT: dictionary + auto-int-coded indices, all in envelope
         # reuse the estimate pass's winning codec — re-selecting over the
@@ -1449,8 +1455,7 @@ def eq_scan_mask(batch: pa.Table, column: str, value) -> np.ndarray:
                 table = fsstlib.cached_table(bytes(r.b32()))
                 vdat = np.frombuffer(value, dtype=np.uint8)
                 voff = np.array([0, len(vdat)], dtype=np.int64)
-                ebuf, _epo = fsstlib.encode(vdat, voff, table)
-                needle = ebuf
+                needle, _epo, _used = fsstlib.encode(vdat, voff, table)
             else:  # S_PLAINB
                 needle = np.frombuffer(value, dtype=np.uint8)
             lo = pay_off[sel]
@@ -1546,7 +1551,7 @@ def in_scan_mask(batch: pa.Table, column: str, values) -> np.ndarray:
                 for v in vset:
                     vdat = np.frombuffer(v, dtype=np.uint8)
                     voff = np.array([0, len(vdat)], dtype=np.int64)
-                    ebuf, _epo = fsstlib.encode(vdat, voff, table)
+                    ebuf, _epo, _used = fsstlib.encode(vdat, voff, table)
                     needles.add(ebuf.tobytes())
             else:  # S_PLAINB
                 needles = vset
@@ -1644,6 +1649,9 @@ def like_scan_mask(
             m = dmask[idx[rowidx_all[sel]]]
         elif scheme == S_FSSTB:
             table = fsstlib.cached_table(r.b32())
+            # the whole block's escaped-literal bitmap: a superset of the
+            # bitmap of any subset of its rows, so pruning on it is sound
+            used = r.take(32)
             if len(sel) and np.all(np.diff(sel) == 1):
                 # contiguous row run (the common whole-block batch):
                 # zero-copy payload slice, no gather temporaries
@@ -1655,12 +1663,12 @@ def like_scan_mask(
                     pay_buf, pay_off[sel], pay_off[sel + 1] - pay_off[sel]
                 )
 
-            def used_fn(_gpay=gpay, _gpo=gpo):
-                # escaped-literal bitmap of exactly the rows under scan —
-                # the block-prune statistic the token-corpus schema persists
-                # (src/BenchmarkDriver.cpp:128-137), recomputed lazily (one
-                # vectorized pass) only when the engine path consumes it
-                return bytes(fsstlib.escaped_literal_bitmap(_gpay, _gpo))
+            if len(used) < 32:
+                # an envelope that ends after the table predates the
+                # stored bitmap: compute it over the rows under scan, and
+                # only if the engine path consumes it
+                def used(_gpay=gpay, _gpo=gpo):
+                    return fsstlib.escaped_literal_bitmap(_gpay, _gpo)
 
             def decode_fn(cidx, _gpay=gpay, _gpo=gpo, _table=table):
                 spay, spo = gather_rows(
@@ -1671,7 +1679,7 @@ def like_scan_mask(
                     pa.large_string()
                 )
 
-            m = match_block(gpay, gpo, table, used_fn, pat, engine, decode_fn)
+            m = match_block(gpay, gpo, table, used, pat, engine, decode_fn)
         else:  # S_PLAINB
             text = batch[f"{column}__payload"].take(pa.array(sel))
             if isinstance(text, pa.ChunkedArray):

@@ -2818,22 +2818,6 @@ def _store_zone_envelope(out_dir: str, column: str):
     return None if lo is None else (lo, hi)
 
 
-def _materialize_store_side(ds) -> pa.Table:
-    """Small-side materialization for the broadcast join path: pull the
-    Dataset's Arrow blocks by reference (no row-dict conversion) and
-    concat. Only ever called on a side whose LINEAGE row count already
-    passed the broadcast threshold."""
-    import ray
-
-    refs = ray.get(ds.to_arrow_refs())
-    tbls = [t for t in refs if t.num_rows]
-    if tbls:
-        return pa.concat_tables(tbls, promote_options="default")
-    if refs:
-        return refs[0]  # all-pruned side: keep the (empty) schema
-    raise ValueError("_materialize_store_side: dataset produced no blocks")
-
-
 def join_table_store(
     left_dir: str,
     right_dir: str,
@@ -2903,17 +2887,17 @@ def join_table_store(
         else list(dict.fromkeys([right_on, *right_columns]))
     )
 
-    def _side(out_dir, preds, cols, stats):
-        if preds:
-            return predicate_scan_table_store(
-                out_dir, preds, columns=cols, stats_out=stats
-            ).to_dataset()
-        return read_table_store(out_dir, columns=cols)
-
     lstats: dict = {}
     rstats: dict = {}
-    left_ds = _side(left_dir, lpreds, lcols, lstats)
-    right_ds = _side(right_dir, rpreds, rcols, rstats)
+    # a side with no predicates scans every fragment; either side is a
+    # ScanResult, so a driver-sized right side reaches the broadcast path
+    # as the tables its scan produced, never wrapped in a Dataset
+    left_ds = predicate_scan_table_store(
+        left_dir, lpreds, columns=lcols, stats_out=lstats
+    ).to_dataset()
+    right = predicate_scan_table_store(
+        right_dir, rpreds, columns=rcols, stats_out=rstats
+    )
 
     if distributed is None:
         if rpreds:
@@ -2936,7 +2920,7 @@ def join_table_store(
 
     path = "shuffle"
     if not distributed:
-        rt = _materialize_store_side(right_ds)
+        rt = right.to_arrow()
         keys = rt[right_on].to_numpy(zero_copy_only=False)
         if len(np.unique(keys)) == len(keys):
             path = "broadcast"
@@ -2954,7 +2938,7 @@ def join_table_store(
     else:
         out = shuffle_hash_join(
             left_ds,
-            right_ds,
+            right.to_dataset(),
             on,
             right_on,
             how=how,

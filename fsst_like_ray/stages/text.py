@@ -45,7 +45,7 @@ def encode_text_table(
             data, offsets[rows], np.diff(offsets)[rows]
         )
     table = fsstlib.train(sample_data, sample_off)
-    buf, po = fsstlib.encode(data, offsets, table)
+    buf, po, used = fsstlib.encode(data, offsets, table)
     n = batch.num_rows
     state = table.serialize()
     zeros = pa.array(np.zeros(n, dtype=np.int32))
@@ -54,7 +54,6 @@ def encode_text_table(
     )
     # used_chars block statistic (reference: src/BenchmarkDriver.cpp:128-137):
     # bitmap of escaped-literal bytes, for needle-byte block pruning
-    used = fsstlib.escaped_literal_bitmap(buf, po)
     used_col = pa.DictionaryArray.from_arrays(
         zeros, pa.array([used], type=pa.binary())
     )

@@ -2704,6 +2704,177 @@ def test_group_topk_table_store(ray_session, tmp_path):
     assert empty.num_rows == 0 and empty.column_names == ["g", "r"]
 
 
+def _fsstb_bitmap_and_payload(enc: pa.Table, column: str):
+    """(stored 32-byte bitmap, payload bytes, payload offsets) of the one
+    fsstb block of ``column`` in an encoded batch."""
+    from fsst_like_ray.buffers import _binary_buffers
+    from fsst_like_ray.pipelines.columnar import S_FSSTB, _parse_head, _Reader
+
+    env = bytes(enc[f"{column}__blk"].combine_chunks().dictionary[0].as_py())
+    r = _Reader(env)
+    _parse_head(r)
+    assert r.u8() == S_FSSTB
+    r.b32()  # symbol table
+    used = r.take(32)
+    assert len(used) == 32 and r.i == len(env)
+    pay, po = _binary_buffers(enc[f"{column}__payload"])
+    return used, pay, po
+
+
+@pytest.mark.parametrize("c_path", [True, False])
+def test_fsstb_envelope_carries_escape_bitmap(c_path, monkeypatch):
+    """The fsstb envelope stores the block's escaped-literal bitmap, equal
+    to escaped_literal_bitmap over the whole block payload, on the C and
+    NumPy encode paths, in auto and in spec mode; rows include bytes
+    >= 0x80, a literal 0xFF, empty rows and nulls."""
+    from fsst_like_ray import fsstlib, native
+    from fsst_like_ray.pipelines.columnar import S_FSSTB
+
+    if c_path and native.lib is None:
+        pytest.skip("no C compiler")
+    if not c_path:
+        monkeypatch.setattr(native, "lib", None)
+    rng = np.random.default_rng(23)
+    words = ["merge", "sort", "scan", "héllo", "日本語", "zap!", "\u00ff"]
+    texts = [" ".join(rng.choice(words, int(rng.integers(0, 12))))
+             for _ in range(600)]
+    texts[3], texts[4] = "", None
+    for i in range(5, 600, 20):  # rare code points the table cannot cover
+        texts[i] = "".join(map(chr, rng.integers(0x80, 0x3000, 30)))
+    blobs = [bytes(rng.integers(0, 256, int(rng.integers(0, 40)),
+                                dtype=np.uint8)) for _ in range(600)]
+    blobs[7], blobs[8] = b"", b"\xff\xff\x00\xff"
+    t = pa.table({"text": pa.array(texts, type=pa.string()),
+                  "blob": pa.array(blobs, type=pa.binary())})
+    # blob: a pinned table without 0xFF, so that byte must escape
+    small = fsstlib.SymbolTable([b"ab", b"x"]).serialize()
+    spec = {"text": {"scheme": S_FSSTB},
+            "blob": {"scheme": S_FSSTB, "fsst_table": small}}
+    for enc, cols in ((encode_columns_batch(t), ["text"]),
+                      (encode_columns_batch(t, spec=spec), ["text", "blob"])):
+        _assert_tables_equal(t, decode_columns_batch(enc))
+        for col in cols:
+            used, pay, po = _fsstb_bitmap_and_payload(enc, col)
+            assert used == fsstlib.escaped_literal_bitmap(pay, po)
+            bits = np.unpackbits(np.frombuffer(used, np.uint8),
+                                 bitorder="little")
+            assert bits[0x80:].any()  # multi-byte UTF-8 / random bytes
+            if col == "blob":
+                assert bits[0xFF]  # the literal 0xFF byte
+
+
+# one pattern of every shape the engines dispatch on (the benchmark's
+# query pool): prefix, suffix, contains, multi-segment and zero-match
+LIKE_POOL = [
+    "%scan%", "%merge%sort%", "the fast key %", "%join", "the %",
+    "spark window%", "% agg", "% sort dup", "%join line%",
+    "%small%filter%fast%", "%customer%row hash%", "%zebra%",
+    "%quartz fjord%", "group part slow big%",
+]
+
+
+@pytest.fixture(scope="module")
+def docs_store(ray_session, tmp_path_factory):
+    """(store, text list): a 3-fragment store of word-soup documents over
+    the benchmark vocabulary, 5% ending in ``dup``, with some rare code
+    points so the fsstb blocks carry escapes."""
+    from fsst_like_ray.pipelines.tablestore import compress_table
+
+    base = tmp_path_factory.mktemp("docs")
+    words = np.array(
+        "spark window merge table column vector stream value data small "
+        "join filter big group hash customer sort order slow line part fast "
+        "row the agg key query a scan batch".split()
+    )
+    rng = np.random.default_rng(29)
+    texts = [" ".join(rng.choice(words, int(rng.integers(10, 60))))
+             for _ in range(3000)]
+    texts = [t + " dup" if rng.random() < 0.05 else t for t in texts]
+    for i in range(0, 3000, 97):
+        texts[i] += " " + "".join(map(chr, rng.integers(0x80, 0x800, 8)))
+    t = pa.table({"doc_id": pa.array(np.arange(3000), type=pa.int64()),
+                  "text": pa.array(texts)})
+    src = base / "src"
+    src.mkdir()
+    for f in range(3):
+        pq.write_table(t.slice(f * 1000, 1000), src / f"f{f}.parquet")
+    store = str(base / "store")
+    compress_table(str(src), store)
+    return store, texts
+
+
+def _like_ids(store: str, pattern: str) -> list:
+    from fsst_like_ray.pipelines.tablestore import like_table_store
+
+    out = like_table_store(store, "text", pattern, columns=["doc_id"])
+    return sorted(out.to_arrow()["doc_id"].to_pylist())
+
+
+def _count_bitmap_passes(monkeypatch) -> list:
+    from fsst_like_ray import fsstlib
+
+    calls = []
+    real = fsstlib.escaped_literal_bitmap
+
+    def spy(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(fsstlib, "escaped_literal_bitmap", spy)
+    return calls
+
+
+def test_store_like_reads_stored_bitmap(docs_store, monkeypatch):
+    """A store LIKE over freshly written fsstb blocks prunes on the stored
+    bitmap: no pool pattern computes one from the payloads, and every
+    answer matches a Python LIKE over the source texts."""
+    store, texts = docs_store
+    calls = _count_bitmap_passes(monkeypatch)
+    for pat in LIKE_POOL:
+        rx = re.compile("^" + re.escape(pat).replace("%", ".*") + "$", re.S)
+        want = [i for i, v in enumerate(texts) if rx.match(v)]
+        assert _like_ids(store, pat) == want, pat
+    assert calls == []
+
+
+def test_store_like_old_fsstb_envelopes(docs_store, tmp_path, monkeypatch):
+    """A store whose fsstb envelopes end after the symbol table (written
+    before the envelope carried the bitmap) answers every pool LIKE as
+    the current format does, computing the bitmap from the payloads."""
+    import glob
+    import shutil
+
+    from fsst_like_ray.pipelines.columnar import S_FSSTB, _parse_head, _Reader
+
+    store, _texts = docs_store
+    old = str(tmp_path / "old")
+    shutil.copytree(store, old)
+    stripped = 0
+    for part in glob.glob(f"{old}/data/*/part-*.parquet"):
+        t = pq.read_table(part)
+        i = t.schema.get_field_index("text__blk")
+        chunks = []
+        for ch in t["text__blk"].chunks:
+            envs = []
+            for env in ch.dictionary.to_pylist():
+                r = _Reader(env)
+                _parse_head(r)
+                if r.u8() == S_FSSTB:
+                    r.b32()
+                    assert len(env) == r.i + 32
+                    env, stripped = env[: r.i], stripped + 1
+                envs.append(env)
+            chunks.append(pa.DictionaryArray.from_arrays(
+                ch.indices, pa.array(envs, type=ch.dictionary.type)))
+        t = t.set_column(i, t.schema.field(i), pa.chunked_array(chunks))
+        pq.write_table(t, part)
+    assert stripped
+    calls = _count_bitmap_passes(monkeypatch)
+    for pat in LIKE_POOL:
+        assert _like_ids(old, pat) == _like_ids(store, pat), pat
+    assert calls  # the old envelopes took the payload pass
+
+
 def test_alp_decimal_floats():
     """ALP transform (columnar.F64_ALP): decimal-rounded doubles encode as
     small scaled ints (~4x smaller than raw bit views) and decode
@@ -3207,7 +3378,7 @@ def test_join_table_store(ray_session, tmp_path):
     # Left fragments must NOT envelope-prune (stats say so), and the
     # result keeps all rows.
     got_l, stats_l = _got(how="left")
-    # no left predicates at all → the un-pruned read path (no stats keys)
+    # no left predicates at all → every left fragment scans
     assert stats_l["left_fragments"].get("fragments_skipped", 0) == 0
     assert len(got_l) == len(fact)
     assert got_l["label"].notna().sum() == len(exp)
@@ -3240,6 +3411,76 @@ def test_join_table_store(ray_session, tmp_path):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got2, exp2, check_dtype=False)
+
+
+def test_join_broadcast_side_skips_ray_data(ray_session, tmp_path, monkeypatch):
+    """A driver-sized right side reaches the broadcast join as the Arrow
+    table its predicate scan produced: no ray.data.from_arrow wraps it.
+    The left side, a driver scan too, is the one Dataset built, since
+    the probe streams it through map_batches."""
+    import pandas as pd
+    import ray.data
+
+    from fsst_like_ray.pipelines.tablestore import (
+        compress_table,
+        join_table_store,
+    )
+
+    fact_dir, dim_dir = tmp_path / "fact", tmp_path / "dim"
+    fact_dir.mkdir()
+    dim_dir.mkdir()
+    fact = pa.table(
+        {
+            "k": pa.array(np.arange(0, 900, 3, dtype=np.int64)),
+            "v": pa.array(np.arange(300, dtype=np.int64) % 11),
+        }
+    )
+    dim = pa.table(
+        {
+            "dk": pa.array(np.arange(100, 400, dtype=np.int64)),
+            "label": pa.array([f"l{i % 5}" for i in range(300)]),
+        }
+    )
+    pq.write_table(fact, fact_dir / "fact.parquet")
+    pq.write_table(dim, dim_dir / "dim.parquet")
+    lo, ro = str(tmp_path / "lo"), str(tmp_path / "ro")
+    compress_table(str(fact_dir), lo)
+    compress_table(str(dim_dir), ro)
+
+    wrapped = []
+    real = ray.data.from_arrow
+
+    def spy(tables, *a, **kw):
+        wrapped.append(tables.column_names)
+        return real(tables, *a, **kw)
+
+    monkeypatch.setattr(ray.data, "from_arrow", spy)
+    for how in ("left", "inner"):
+        wrapped.clear()
+        stats: dict = {}
+        got = (
+            join_table_store(
+                lo, ro, on="k", right_on="dk", how=how, stats_out=stats
+            )
+            .to_pandas()
+            .sort_values("k")
+            .reset_index(drop=True)
+        )
+        assert stats["path"] == "broadcast"
+        assert stats["right_fragments"]["executor"] == "driver"
+        assert wrapped == [["k", "v"]]  # the left side only
+        exp = (
+            fact.to_pandas()
+            .merge(dim.to_pandas(), left_on="k", right_on="dk", how=how)
+            .drop(columns=["dk"])
+            .sort_values("k")
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(
+            got.fillna({"label": ""}),
+            exp.fillna({"label": ""}),
+            check_dtype=False,
+        )
 
 
 def test_append_table_store(ray_session, tmp_path):

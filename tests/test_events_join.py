@@ -36,7 +36,7 @@ def test_escaped_literal_bitmap_exact():
     table = fsstlib.train(tr, np.array([0, len(tr)], dtype=np.int64))
     data = np.frombuffer(b"abQab\xffZ", dtype=np.uint8).copy()
     off = np.array([0, len(data)], dtype=np.int64)
-    buf, po = fsstlib.encode(data, off, table)
+    buf, po, _used = fsstlib.encode(data, off, table)
     bm = fsstlib.escaped_literal_bitmap(buf, po)
     covered = set()
     for sym in table.symbols:

@@ -492,6 +492,47 @@ def test_pack_sequences_matches_oracle(ray_session):
         assert mine == oracle, (shift, nparts)
 
 
+def test_pack_bucket_keys_do_not_collide(ray_session):
+    """(source, bucket) partials stay apart when the sources' names and
+    bucket numbers concatenate alike: ("src1", 10) and ("src11", 0) in
+    one batch are two plan entries, and packing that batch matches the
+    per-source oracle."""
+    import ray
+    from fsst_like_ray.functions.packing import (
+        _bucket_partials,
+        pack_sequences,
+        plan_bucket_bases,
+    )
+
+    shift = 4  # doc 160 -> bucket 10, doc 3 -> bucket 0
+    rows = [(3, "src11", [1, 2, 3]), (5, "src11", [4]), (160, "src1", [7, 8]),
+            (161, "src1", [9, 10, 11]), (20, "src1", [5, 6])]
+    t = pa.table(
+        {
+            "doc_id": pa.array([r[0] for r in rows], type=pa.int64()),
+            "source": pa.array([r[1] for r in rows]),
+            "tokens": pa.array([r[2] for r in rows], type=pa.list_(pa.int32())),
+            "n_tok": pa.array([len(r[2]) for r in rows], type=pa.int32()),
+        }
+    )
+    part = _bucket_partials(shift)(t).to_pylist()
+    assert sorted((r["source"], r["bucket"], r["tok"]) for r in part) == [
+        ("src1", 1, 2), ("src1", 10, 5), ("src11", 0, 4)
+    ]
+    ds = ray.data.from_arrow(t)
+    assert plan_bucket_bases(ds, shift) == {
+        ("src1", 1): 0, ("src1", 10): 2, ("src11", 0): 0
+    }
+    got = {
+        (r["source"], r["seq_id"]): list(r["tokens"])
+        for r in pack_sequences(ds, 3, bucket_shift=shift).take_all()
+    }
+    assert got == {
+        ("src1", 0): [5, 6, 7], ("src1", 1): [8, 9, 10], ("src1", 2): [11],
+        ("src11", 0): [1, 2, 3], ("src11", 1): [4],
+    }
+
+
 def test_word_bigram_partials_edges(ray_session):
     """Punctuation boundaries, empty/one-word rows, no cross-row pairs."""
     import pyarrow as pa

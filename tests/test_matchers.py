@@ -206,3 +206,74 @@ def test_underscore_with_explicit_engines(docs, encoded_docs):
     for engine in ("auto", "decoded", "skipping", "kmp", "prefix"):
         mask = like_on_encoded(encoded_docs, pattern, engine=engine)
         assert set(ids[mask].tolist()) == expect, engine
+
+
+# symbols a..e cover: "abc", "ab", "bc", "cde", "de", " " and "xyz";
+# 'q' has no symbol, so it only ever appears as an escaped literal
+MULTI_SYMBOLS = [b"abc", b"ab", b"bc", b"cde", b"de", b" ", b"xyz"]
+MULTI_CASES = {
+    # overlapping segments: "ab" and "bc" share the b of "abc"
+    "%ab%bc%": [b"abc", b"ab bc", b"abbc", b"bcab"],
+    # "ab" ends inside the symbol "abc"; its last byte opens "cde"
+    "%ab%cde%": [b"abcde", b"ab de", b"abde", b"xabcdex"],
+    # escaped literals inside segments
+    "%aq%qb%": [b"aqqb", b"aqb", b"q aq x qb", b"qqqq"],
+    "%q%b%q%": [b"qbq", b"qqb", b"abc q abc q", b"q"],
+    # more segments than the prefilter's 8-bit requirement mask
+    "%a%b%a%b%a%b%a%b%a%b%": [b"ab" * 5, b"ab" * 4, b"abc" * 6, b""],
+}
+
+
+def _multi_block(rows):
+    from fsst_like_ray import fsstlib
+
+    table = fsstlib.cached_table(fsstlib.SymbolTable(MULTI_SYMBOLS).serialize())
+    off = np.zeros(len(rows) + 1, dtype=np.int64)
+    off[1:] = np.cumsum([len(r) for r in rows])
+    data = np.frombuffer(b"".join(rows), dtype=np.uint8).copy()
+    pay, po, used = fsstlib.encode(data, off, table)
+    text = pa.array([r.decode() for r in rows], type=pa.large_string())
+    return pay, po, used, table, text
+
+
+@pytest.mark.parametrize("c_path", [True, False])
+def test_auto_multi_segment_matches_decoded(c_path, monkeypatch):
+    """engine="auto" on unanchored multi-segment patterns equals the
+    decoded LIKE; with the C kernels it is the exact meta-KMP walk (no
+    decode-verify), without them the prefilter + decode path."""
+    from fsst_like_ray import native
+    from fsst_like_ray.matchers import engines
+
+    if c_path and native.lib is None:
+        pytest.skip("no C compiler")
+    if not c_path:
+        monkeypatch.setattr(native, "lib", None)
+    meta_calls = []
+    real_meta = engines.meta_kmp_code_match
+
+    def meta_spy(*a, **kw):
+        meta_calls.append(1)
+        return real_meta(*a, **kw)
+
+    monkeypatch.setattr(engines, "meta_kmp_code_match", meta_spy)
+    rng = np.random.default_rng(3)
+    noise = [
+        bytes(rng.choice(np.frombuffer(b"abcdeqxyz ", np.uint8),
+                         int(rng.integers(0, 30))))
+        for _ in range(1500)
+    ]
+    for pattern, crafted in MULTI_CASES.items():
+        pat = parse_like(pattern)
+        assert pat.shape == "multi"
+        pay, po, used, table, text = _multi_block(crafted + noise)
+
+        def decode_fn(cidx, _text=text):
+            if c_path:
+                raise AssertionError("the meta-KMP route decode-verifies")
+            return _text.take(pa.array(cidx))
+
+        got = engines.match_block(pay, po, table, used, pat, "auto", decode_fn)
+        want = match_decoded(text, pat)
+        assert np.array_equal(got, want), pattern
+        assert want.any() and not want.all(), pattern
+    assert bool(meta_calls) == c_path

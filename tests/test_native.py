@@ -11,19 +11,12 @@ from fsst_like_ray import fsstlib, native
 
 
 def _numpy_encode(data, off, table):
-    """Call the NumPy implementation directly (bypassing dispatch)."""
-    pos, ml, code = fsstlib._parse(data, off, table)
-    esc = ml == 0
-    out_len = np.where(esc, 2, 1).astype(np.int64)
-    out_off = np.zeros(len(pos) + 1, dtype=np.int64)
-    np.cumsum(out_len, out=out_off[1:])
-    out = np.empty(int(out_off[-1]), dtype=np.uint8)
-    out[out_off[:-1][~esc]] = code[~esc]
-    ep = out_off[:-1][esc]
-    out[ep] = fsstlib.ESCAPE
-    out[ep + 1] = data[pos[esc]]
-    first_emit = np.searchsorted(pos, off)
-    return out, out_off[first_emit].astype(np.int64)
+    """fsstlib.encode on its NumPy path (the C kernels switched off)."""
+    lib, native.lib = native.lib, None
+    try:
+        return fsstlib.encode(data, off, table)
+    finally:
+        native.lib = lib
 
 
 def _random_rows(seed):
@@ -97,10 +90,11 @@ def test_native_train_matches_numpy(case, monkeypatch):
     data, off = _trainer_case(case)
     table = fsstlib.train(data, off)
     if data.size:
-        b_c, po_c = native.encode(data, off, table)
-        b_np, po_np = _numpy_encode(data, off, table)
+        b_c, po_c, u_c = native.encode(data, off, table)
+        b_np, po_np, u_np = _numpy_encode(data, off, table)
         assert bytes(b_c) == bytes(b_np)
         assert np.array_equal(po_c, po_np)
+        assert u_c == u_np == fsstlib.escaped_literal_bitmap(b_c, po_c)
     monkeypatch.setattr(native, "lib", None)
     assert table.symbols == fsstlib.train(data, off).symbols
     if case == "pairs_across_rows":
@@ -136,10 +130,11 @@ def test_native_encode_decode_bit_identical(seed):
     data, off = _random_rows(seed)
     table = fsstlib.train(data, off)
 
-    b_np, po_np = _numpy_encode(data, off, table)
-    b_c, po_c = native.encode(data, off, table)
+    b_np, po_np, u_np = _numpy_encode(data, off, table)
+    b_c, po_c, u_c = native.encode(data, off, table)
     assert np.array_equal(po_np, po_c)
     assert np.array_equal(b_np, b_c)
+    assert u_np == u_c == fsstlib.escaped_literal_bitmap(b_c, po_c)
 
     d_c, ro_c = native.decode(b_c, po_c, table)
     assert bytes(d_c) == bytes(data)
@@ -151,8 +146,12 @@ def test_native_empty_table_and_rows():
     table = fsstlib.SymbolTable([])
     data = np.frombuffer(b"xyz\xff", dtype=np.uint8).copy()
     off = np.array([0, 0, 4, 4], dtype=np.int64)  # empty rows at both ends
-    buf, po = native.encode(data, off, table)
+    buf, po, used = native.encode(data, off, table)
     assert list(po) == [0, 0, 8, 8]  # all escaped: 2 bytes per input byte
+    bits = np.unpackbits(np.frombuffer(used, np.uint8), bitorder="little")
+    assert np.flatnonzero(bits).tolist() == [0x78, 0x79, 0x7A, 0xFF]
+    assert _numpy_encode(data, off, table)[2] == used
+    assert fsstlib.escaped_literal_bitmap(buf, po) == used
     dec, ro = native.decode(buf, po, table)
     assert bytes(dec) == bytes(data)
     assert list(ro) == list(off)
@@ -186,7 +185,7 @@ def test_numpy_decode_fallback_matches_native(monkeypatch):
         np.frombuffer(b"abcdefgh \xff123", dtype=np.uint8), int(off[-1])
     ).copy()
     table = fsstlib.train(data, off)
-    buf, po = fsstlib.encode(data, off, table)
+    buf, po, _used = fsstlib.encode(data, off, table)
     d_c, ro_c = fsstlib.decode(buf, po, table)
     monkeypatch.setattr(native, "lib", None)
     d_np, ro_np = fsstlib.decode(buf, po, table)
@@ -231,7 +230,7 @@ def _random_encoded_corpus(seed, n_rows=1500):
     off[1:] = np.cumsum([len(r) for r in rows])
     flat = np.frombuffer(b"".join(rows), dtype=np.uint8)
     table = fsstlib.train(flat, off)
-    pay, po = fsstlib.encode(flat, off, table)
+    pay, po, _used = fsstlib.encode(flat, off, table)
     return pay, po, table, rows
 
 

@@ -97,7 +97,7 @@ def test_fsst_handles_all_byte_values():
     data = np.concatenate([data, np.full(32, 255, dtype=np.uint8), data[::-1]])
     off = np.array([0, 256, 256 + 32, len(data)], dtype=np.int64)
     table = fsstlib.train(data, off)
-    buf, po = fsstlib.encode(data, off, table)
+    buf, po, _used = fsstlib.encode(data, off, table)
     dec, ro = fsstlib.decode(buf, po, table)
     assert bytes(dec) == bytes(data)
     assert list(ro) == list(off)
