@@ -12,8 +12,11 @@ reference: sketch.cc:515-523, re-expressed for Arrow list<int32> token columns):
   (reference analog: sketch.cc:770-785 selected-row decompression).
 - ``decode(buf, payload_offsets, counts, state) -> values: int32[]`` — exact
   (bit-identical) inverse.
-- ``estimate_size(values, offsets) -> int`` — estimated encoded bytes incl.
-  state, used by the auto-selector.
+- ``size(stats) -> int`` / ``price(stats, full_tokens, full_rows) -> int`` —
+  encoded bytes incl. state, in closed form from one
+  :func:`.stats.stream_stats` pass, exact for the sampled stream and
+  extrapolated to the full block; the auto-selector prices every integer
+  codec from one such pass.
 
 All kernels are pure NumPy — vectorized, no per-row Python loops on the hot
 path. ``values`` is the flattened int32 token stream; ``offsets`` the int64
@@ -45,12 +48,6 @@ class Codec:
     ) -> np.ndarray:
         raise NotImplementedError
 
-    def estimate_size(self, values: np.ndarray, offsets: np.ndarray) -> int:
-        """Default: actually train+encode (callers pass a sample, so cheap)."""
-        state = self.train(values, offsets)
-        buf, _ = self.encode(values, offsets, state)
-        return int(buf.size) + len(state)
-
     def train_encode(
         self, values: np.ndarray, offsets: np.ndarray
     ) -> tuple[bytes, np.ndarray, np.ndarray]:
@@ -62,6 +59,26 @@ class Codec:
         buf, po = self.encode(values, offsets, state)
         return state, buf, po
 
+    def size(self, stats) -> int:
+        """Exact encoded bytes (payloads + state) of the stream that
+        ``stats`` (a :class:`.stats.StreamStats`) describes, in closed
+        form — what ``train_encode`` would produce, without encoding."""
+        raise NotImplementedError
+
+    def price(
+        self, stats, full_tokens: int | None = None,
+        full_rows: int | None = None,
+    ) -> int:
+        """Estimated bytes of the FULL block the stats' sample was drawn
+        from (``full_tokens``/``full_rows``; when omitted the sample IS the
+        block). The default scales :meth:`size` linearly per token, correct
+        for codecs whose state is O(1); codecs with per-row costs or a
+        sublinear dictionary override it."""
+        est = self.size(stats)
+        if full_tokens is not None and stats.n and full_tokens != stats.n:
+            est = int(est * (full_tokens / stats.n))
+        return est
+
     def estimate(
         self,
         values: np.ndarray,
@@ -69,23 +86,20 @@ class Codec:
         full_tokens: int | None = None,
         full_rows: int | None = None,
     ) -> tuple[int, bytes | None]:
-        """(estimated bytes, reusable state or None) for the FULL block the
-        sample was drawn from (``full_tokens``/``full_rows``; when omitted the
-        sample IS the block). A codec returns a state only when a
-        sample-trained state encodes the FULL block correctly (true for fsst
-        — unseen bytes escape; false for e.g. dict, whose sample dictionary
-        would miss values).
+        """(estimated FULL-block bytes, reusable state or None) for a
+        sample. A codec returns a state only when a sample-trained state
+        encodes the FULL block correctly (true for fsst — unseen bytes
+        escape; false for e.g. dict, whose sample dictionary would miss
+        values). Integer codecs price the sample's statistics; fsst
+        overrides this with a held-out train+encode."""
+        from .stats import stream_stats
 
-        The default linear per-token extrapolation is correct for codecs
-        whose state is O(1) (plain/rle/for/bitpack); dict and fsst override
-        it because naive scaling is biased (dict: dictionary overhead does
-        not grow linearly; fsst: the evaluation must be held out from the
-        training rows or the estimate measures training fit)."""
-        est = self.estimate_size(values, offsets)
-        n = int(offsets[-1] - offsets[0])
-        if full_tokens is not None and n and full_tokens != n:
-            est = int(est * (full_tokens / n))
-        return est, None
+        return self.price(stream_stats(values, offsets), full_tokens,
+                          full_rows), None
+
+    def estimate_size(self, values: np.ndarray, offsets: np.ndarray) -> int:
+        """Estimated bytes when the sample is the whole block."""
+        return self.estimate(values, offsets)[0]
 
 
 def _as_u32(values: np.ndarray) -> np.ndarray:

@@ -2,6 +2,11 @@
 every registered codec, pick the minimum (north-rule requirement; the
 reference's fixed always-FSST choice generalized).
 
+Statistics first (BtrBlocks, Kuschewski et al., SIGMOD 2023): one
+:func:`.stats.stream_stats` pass over the sample feeds every integer
+codec's closed-form :meth:`~.Codec.price`; only fsst, whose size depends on
+a trained symbol table, still trains and encodes (behind the screen below).
+
 Deterministic: the sample is a fixed stride over the block's rows; ties break
 by codec name order in the registry.
 """
@@ -11,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitutil import gather_rows
+from .stats import stream_stats
 
 
 def _sample(
@@ -73,8 +79,8 @@ def select_codec(
     the winner's sample-trained state when reusable — saves the auto path a
     second training pass for expensive codecs like fsst). Deterministic:
     the sample, the screen and every tie-break are pure functions of the
-    block content. An estimator that fails raises: a codec silently scored
-    out of the race would change the choice without a trace."""
+    block content. A pricing or estimate error raises: a codec silently
+    scored out of the race would change the choice without a trace."""
     from . import CODECS
 
     names = codec_names or list(CODECS)
@@ -90,8 +96,11 @@ def select_codec(
         )
 
     cheap = [n for n in names if n not in SCREEN_CODECS]
-    for name in cheap:
-        run(name, sv, so)
+    if cheap:
+        stats = stream_stats(sv, so)
+        for name in cheap:
+            estimates[name] = CODECS[name].price(stats, full_tokens, full_rows)
+            states[name] = None
     best_cheap = min(
         (estimates[n] for n in cheap), default=np.iinfo(np.int64).max
     )

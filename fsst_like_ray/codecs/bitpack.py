@@ -26,7 +26,6 @@ class BitpackCodec(Codec):
         width = state[0]
         return unpack_rows(buf, payload_offsets, counts, width).view(np.int32)
 
-    def estimate_size(self, values, offsets):
-        width = bit_width_for(_as_u32(values))
-        counts = np.diff(offsets)
-        return int(packed_row_nbytes(counts, width).sum()) + 1
+    def size(self, st):
+        width = st.or_all.bit_length()
+        return int(packed_row_nbytes(st.counts, width).sum()) + 1

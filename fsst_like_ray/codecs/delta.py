@@ -174,10 +174,12 @@ class DeltaCodec(Codec):
         zz = unpack_rows(packed, po, dcounts, width)
         return cumsum_rows(firsts, unzigzag32(zz), counts, nz)
 
-    def estimate_size(self, values, offsets):
-        zz, _, counts, nz = _delta_stream(values, offsets)
-        width = bit_width_for(zz)
-        dcounts = np.maximum(counts - 1, 0)
+    def size(self, st):
+        width = st.zz_max.bit_length()
+        dcounts = np.maximum(st.counts - 1, 0)
         return int(
-            (packed_row_nbytes(dcounts, width) + np.where(nz, 4, 0)).sum()
+            (
+                packed_row_nbytes(dcounts, width)
+                + np.where(st.counts > 0, 4, 0)
+            ).sum()
         ) + 1

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import Codec, _as_u32
-from .bitutil import bit_width_for, packed_row_nbytes
+from .bitutil import packed_row_nbytes
 from .delta import (
     DeltaCodec,
     _delta_stream,
@@ -65,15 +65,13 @@ class Delta2Codec(Codec):
         )
         return cumsum_rows(firsts, du, counts, nz)
 
-    def estimate_size(self, values, offsets):
-        zz, doff, counts, nz = _delta_stream(values, offsets)
-        zz2, _, _, _ = _delta_stream(unzigzag32(zz).view(np.int32), doff)
-        width = bit_width_for(zz2)
-        ddcounts = np.maximum(counts - 2, 0)
+    def size(self, st):
+        width = st.zz2_max.bit_length()
+        counts = st.counts
         return int(
             (
-                packed_row_nbytes(ddcounts, width)
-                + np.where(nz, 4, 0)
+                packed_row_nbytes(np.maximum(counts - 2, 0), width)
+                + np.where(counts > 0, 4, 0)
                 + np.where(counts > 1, 4, 0)
             ).sum()
         ) + 1

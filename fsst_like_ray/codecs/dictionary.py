@@ -72,27 +72,24 @@ class DictCodec(Codec):
             return np.zeros(0, dtype=np.int32)
         return dict_values[idx].astype(np.int32)
 
-    def estimate_size(self, values, offsets):
-        uniq = np.unique(np.ascontiguousarray(values, dtype=np.int32))
-        width = max(int(len(uniq) - 1).bit_length(), 0) if len(uniq) else 0
-        counts = np.diff(offsets)
-        return int(packed_row_nbytes(counts, width).sum()) + 5 + 4 * len(uniq)
+    def size(self, st):
+        u = st.distinct[2]
+        width = max(int(u - 1).bit_length(), 0) if u else 0
+        return int(packed_row_nbytes(st.counts, width).sum()) + 5 + 4 * u
 
-    def estimate(self, values, offsets, full_tokens=None, full_rows=None):
-        """Full-block estimate with sublinear dictionary growth: the unique
+    def price(self, st, full_tokens=None, full_rows=None):
+        """Full-block price with sublinear dictionary growth: the unique
         count follows a power law in sample size for heavy-tailed token
         streams (Heaps' law), so u(full) is extrapolated from the unique
-        counts of the half- and whole-sample, clamped to [u_sample,
-        full_tokens]. Naive linear scaling penalized dict by charging the
-        sample's full dictionary against half a block's tokens — auto then
-        picked fsst on blocks where dict actually compresses better."""
-        n = int(offsets[-1] - offsets[0])
+        counts of the quarter-, half- and whole-sample, clamped to
+        [u_sample, full_tokens]. Naive linear scaling penalized dict by
+        charging the sample's full dictionary against half a block's
+        tokens — auto then picked fsst on blocks where dict actually
+        compresses better."""
+        n = st.n
         if full_tokens is None or n == 0 or full_tokens <= n:
-            return self.estimate_size(values, offsets), None
-        v = np.ascontiguousarray(values, dtype=np.int32)
-        u_s = len(np.unique(v))
-        u_h = len(np.unique(v[: n // 2])) if n // 2 else u_s
-        u_q = len(np.unique(v[: n // 4])) if n // 4 else u_h
+            return self.size(st)
+        u_q, u_h, u_s = st.distinct
         # growth exponent per doubling DECAYS as the heavy tail thins out —
         # a straight power-law fit over-extrapolated u by ~8% (enough to tip
         # the packed width by a bit); three sample points give the decay
@@ -116,7 +113,7 @@ class DictCodec(Codec):
             d -= step
         u_est = int(np.clip(u_s * 2.0 ** min(exp_sum, 62), u_s, full_tokens))
         width = max(int(u_est - 1).bit_length(), 0) if u_est else 0
-        rows = full_rows if full_rows is not None else len(offsets) - 1
+        rows = full_rows if full_rows is not None else st.rows
         # per-row payloads are byte-aligned: expected padding ≈ 0.5 B/row
         payload = (full_tokens * width + 7) // 8 + rows // 2
-        return int(payload) + 5 + 4 * u_est, None
+        return int(payload) + 5 + 4 * u_est

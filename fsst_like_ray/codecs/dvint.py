@@ -20,6 +20,7 @@ import numpy as np
 from . import Codec, _as_u32
 from .bitutil import gather_segments, scatter_segments
 from .delta import _delta_stream
+from .stats import split_price
 from .varint import VarintCodec
 
 _V = VarintCodec()
@@ -88,21 +89,16 @@ class DvintCodec(Codec):
         vals = (g - np.repeat(base, counts[nz])).astype(np.uint32)
         return vals.view(np.int32)
 
-    def _parts(self, values, offsets) -> tuple[int, int]:
-        zz, doff, counts, nz = _delta_stream(values, offsets)
-        tok, row = _V._parts(zz.view(np.int32), doff)
-        return tok, row + 4 * int(nz.sum())
+    def price(self, st, full_tokens=None, full_rows=None):
+        """Varint price of the within-row zigzag differences (as
+        :meth:`VarintCodec.price` splits it), plus a 4-byte first value
+        per non-empty row, a per-row cost."""
+        dcounts = np.maximum(st.counts - 1, 0)
+        ctrl = int(((dcounts + 3) // 4).sum())
+        q = int(dcounts.sum()) // 4
+        firsts = 4 * int((st.counts > 0).sum())
+        return split_price(st.zz_varint_bytes + q, ctrl - q + firsts, st,
+                           full_tokens, full_rows)
 
-    def estimate_size(self, values, offsets):
-        tok, row = self._parts(values, offsets)
-        return tok + row
-
-    def estimate(self, values, offsets, full_tokens=None, full_rows=None):
-        tok, row = self._parts(values, offsets)
-        n = int(offsets[-1] - offsets[0])
-        r = len(offsets) - 1
-        if full_tokens is not None and n and full_tokens != n:
-            tok = int(tok * (full_tokens / n))
-        if full_rows is not None and r and full_rows != r:
-            row = int(row * (full_rows / r))
-        return tok + row, None
+    def size(self, st):
+        return self.price(st)

@@ -86,9 +86,11 @@ class ForCodec(Codec):
         values = np.repeat(refs, counts) + deltas
         return values.astype(np.int32)
 
-    def estimate_size(self, values, offsets):
-        _, deltas, counts = _deltas(values, offsets)
-        width = bit_width_for(deltas)
+    def size(self, st):
+        width = st.span_max.bit_length()
         return int(
-            (packed_row_nbytes(counts, width) + np.where(counts > 0, 4, 0)).sum()
+            (
+                packed_row_nbytes(st.counts, width)
+                + np.where(st.counts > 0, 4, 0)
+            ).sum()
         ) + 1

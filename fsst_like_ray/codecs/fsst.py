@@ -39,15 +39,18 @@ def _sample_rows(byte_offsets: np.ndarray, target: int) -> np.ndarray:
     return np.arange(0, n_rows, stride)
 
 
+def _train_table(values, offsets) -> fsstlib.SymbolTable:
+    data, bo = _byte_view(values, offsets)
+    rows = _sample_rows(bo, TRAIN_SAMPLE_BYTES)
+    sample, so = gather_rows(data, bo[rows], np.diff(bo)[rows])
+    return fsstlib.train(sample, so)
+
+
 class FsstCodec(Codec):
     name = "fsst"
 
     def train(self, values, offsets):
-        data, bo = _byte_view(values, offsets)
-        rows = _sample_rows(bo, TRAIN_SAMPLE_BYTES)
-        sample, so = gather_rows(data, bo[rows], np.diff(bo)[rows])
-        table = fsstlib.train(sample, so)
-        return table.serialize()
+        return _train_table(values, offsets).serialize()
 
     def encode(self, values, offsets, state):
         table = fsstlib.SymbolTable.deserialize(state)
@@ -83,9 +86,6 @@ class FsstCodec(Codec):
             raise ValueError("fsst decode: row size mismatch")
         return np.ascontiguousarray(out).view(np.int32)
 
-    def estimate_size(self, values, offsets):
-        return self.estimate(values, offsets)[0]
-
     def estimate(self, values, offsets, full_tokens=None, full_rows=None):
         """Returns the trained state for reuse: an fsst table trained on the
         selection sample encodes any block (unseen bytes escape), so the
@@ -101,7 +101,8 @@ class FsstCodec(Codec):
         (a ~1% incompressible row class expands ~2× under escapes), so a
         small row subset misses the expensive tail and stays optimistic
         by ~5% — enough to flip the dict/fsst decision."""
-        state = self.train(values, offsets)
+        table = _train_table(values, offsets)
+        state = table.serialize()
         data, bo = _byte_view(values, offsets)
         n_rows = len(bo) - 1
         total = int(bo[-1])
@@ -115,7 +116,6 @@ class FsstCodec(Codec):
             if held.size:
                 rows = held
         sample, so = gather_rows(data, bo[rows], np.diff(bo)[rows])
-        table = fsstlib.SymbolTable.deserialize(state)
         buf, _po, _used = fsstlib.encode(sample, so, table)
         sampled = int(so[-1])
         ratio = buf.size / sampled if sampled else 1.0

@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import Codec, _as_u32
+from .stats import split_price
 from .bitutil import (
     gather_segments,
     pack_rows,
@@ -48,15 +49,21 @@ def _bit_lengths(d: np.ndarray) -> np.ndarray:
 
 def _best_width(d: np.ndarray, counts: np.ndarray) -> int:
     """Width minimizing estimated encoded bytes for deltas ``d``."""
-    if d.size == 0:
+    return _hist_width(
+        np.bincount(_bit_lengths(d), minlength=33), d.size, counts
+    )
+
+
+def _hist_width(hist: np.ndarray, n: int, counts: np.ndarray) -> int:
+    """:func:`_best_width` from the deltas' 33-bin bit-length histogram."""
+    if n == 0:
         return 0
-    hist = np.bincount(_bit_lengths(d), minlength=33)
     covered = np.cumsum(hist)  # covered[w] = #values with bit_length <= w
-    n_exc = d.size - covered  # exceptions at width w
+    n_exc = n - covered  # exceptions at width w
     widths = np.arange(33, dtype=np.int64)
     n_nonempty = int((counts > 0).sum())
     # token bits + exception patches + row overhead (n_exc field + ~0.5B pad)
-    cost = d.size * widths + n_exc * (_EXC_BYTES * 8)
+    cost = n * widths + n_exc * (_EXC_BYTES * 8)
     cost = cost + n_nonempty * (_NEXC_BYTES * 8 + 4)
     return int(np.argmin(cost))
 
@@ -163,32 +170,19 @@ class PforCodec(Codec):
             ).astype(np.uint32)
         return (d + base).astype(np.uint32).view(np.int32)
 
-    def _parts(self, values, offsets) -> tuple[int, int]:
-        """(per-token-proportional bytes, per-row-proportional bytes) for
-        this block at the width train would pick — exact, no encode."""
-        u = _as_u32(values).astype(np.uint32, copy=False)
-        counts = np.diff(offsets)
-        base = int(u.min()) if u.size else 0
-        d = (u - np.uint32(base)).astype(np.uint32)
-        width = _best_width(d, counts)
-        mask = (1 << width) - 1
-        exc = int((d > mask).sum()) if width < 32 else 0
+    def price(self, st, full_tokens=None, full_rows=None):
+        """Bytes at the width train would pick, from the statistics'
+        bit-length histogram of ``u - umin``: a per-token part (bits +
+        exception patches) and a per-row part (padding + n_exc fields),
+        each extrapolated by its own ratio."""
+        counts = st.counts
+        width = _hist_width(st.width_hist, st.n, counts)
+        exc = st.n - int(st.width_hist[: width + 1].sum())
         low = packed_row_nbytes(counts, width)
-        tok_part = int(u.size * width) // 8 + exc * _EXC_BYTES
-        row_part = int(low.sum()) - int(u.size * width) // 8
-        row_part += _NEXC_BYTES * int((counts > 0).sum())
-        return tok_part, row_part
+        tok = st.n * width // 8 + exc * _EXC_BYTES
+        row = int(low.sum()) - st.n * width // 8
+        row += _NEXC_BYTES * int((counts > 0).sum())
+        return split_price(tok, row, st, full_tokens, full_rows) + 5
 
-    def estimate_size(self, values, offsets):
-        tok, row = self._parts(values, offsets)
-        return tok + row + 5
-
-    def estimate(self, values, offsets, full_tokens=None, full_rows=None):
-        tok, row = self._parts(values, offsets)
-        n = int(offsets[-1] - offsets[0])
-        r = len(offsets) - 1
-        if full_tokens is not None and n and full_tokens != n:
-            tok = int(tok * (full_tokens / n))
-        if full_rows is not None and r and full_rows != r:
-            row = int(row * (full_rows / r))
-        return tok + row + 5, None
+    def size(self, st):
+        return self.price(st)

@@ -21,5 +21,5 @@ class PlainCodec(Codec):
     def decode(self, buf, payload_offsets, counts, state):
         return np.ascontiguousarray(buf).view(np.int32)
 
-    def estimate_size(self, values, offsets):
-        return int(values.size) * 4
+    def size(self, st):
+        return st.n * 4

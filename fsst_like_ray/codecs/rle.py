@@ -52,7 +52,5 @@ class RleCodec(Codec):
         run_lengths = pairs[:, 1].astype(np.int64)
         return np.repeat(run_values, run_lengths)
 
-    def estimate_size(self, values, offsets):
-        values = np.ascontiguousarray(values, dtype=np.int32)
-        run_values, _, _ = _runs(values, offsets)
-        return int(len(run_values)) * 8
+    def size(self, st):
+        return st.runs * 8

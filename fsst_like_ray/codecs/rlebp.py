@@ -98,16 +98,12 @@ class RleBitpackCodec(Codec):
         dl = unpack_rows(lcat, lpo, nruns, rw).astype(np.int64)
         return np.repeat((dv + minv).astype(np.int32), dl + 1)
 
-    def estimate_size(self, values, offsets):
-        values = np.ascontiguousarray(values, dtype=np.int32)
-        rv, rl, runs_per_row = _runs(values, offsets)
-        minv = int(rv.min()) if rv.size else 0
-        vw = bit_width_for((rv.astype(np.int64) - minv).astype(np.uint32))
-        rw = bit_width_for((rl.astype(np.int64) - 1).astype(np.uint32))
+    def size(self, st):
+        # the run values are the stream's values, so their range is the
+        # stream's signed range
+        vw = (st.smax - st.smin).bit_length()
+        rw = max(st.max_run - 1, 0).bit_length()
+        rpr = st.runs_per_row
         return int(
-            (
-                4
-                + packed_row_nbytes(runs_per_row, vw)
-                + packed_row_nbytes(runs_per_row, rw)
-            ).sum()
+            (4 + packed_row_nbytes(rpr, vw) + packed_row_nbytes(rpr, rw)).sum()
         ) + 6

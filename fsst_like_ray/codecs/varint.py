@@ -16,9 +16,10 @@ Per-row payload (byte aligned, independently decodable given the count):
 Empty rows take 0 bytes. Stateless (state = b""); values are the uint32
 bit patterns of the int32 tokens, so negatives cost 4 bytes + control —
 never more than 1.07x plain. Encode and decode run the C kernels in
-:mod:`..native` when they are built: decode uses Stream VByte's SSSE3
-``pshufb`` step (4 values per control byte) while >= 16 values are left
-in a row, and a scalar loop for the rest. The NumPy path below, whole-block
+:mod:`..native` when they are built: encode lays each row out (its control
+and data byte counts) in a C counting pass before the fill; decode uses
+Stream VByte's SSSE3 ``pshufb`` step (4 values per control byte) while
+>= 16 values are left in a row, and a scalar loop for the rest. The NumPy path below, whole-block
 vectorized (length codes, control-byte pack, data-byte mask), is the
 reference and the fallback; all paths are bit-identical
 (tests/test_native.py).
@@ -29,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import Codec, _as_u32
+from .stats import split_price
 from .bitutil import gather_segments, scatter_segments
 
 _THRESH = np.array([1 << 8, 1 << 16, 1 << 24], dtype=np.uint32)
@@ -59,22 +61,18 @@ class VarintCodec(Codec):
 
     def encode(self, values, offsets, state):
         u = _as_u32(values).astype(np.uint32, copy=False)
-        counts = np.diff(offsets)
-        n_rows = len(counts)
-        lens = _lengths(u)
-        ctrl_nb, data_nb = _row_layout(counts, lens, offsets)
-
-        po = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(ctrl_nb + data_nb, out=po[1:])
 
         from .. import native
 
         if native.lib is not None:
-            return (
-                native.varint_encode(u, offsets, po, int(po[-1])),
-                po,
-            )
+            return native.varint_encode(u, offsets)
 
+        counts = np.diff(offsets)
+        n_rows = len(counts)
+        lens = _lengths(u)
+        ctrl_nb, data_nb = _row_layout(counts, lens, offsets)
+        po = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(ctrl_nb + data_nb, out=po[1:])
         buf = np.zeros(int(po[-1]), dtype=np.uint8)
 
         if u.size:
@@ -144,25 +142,13 @@ class VarintCodec(Codec):
         out4[keep] = data_stream
         return out4.view("<u4").ravel().astype(np.uint32).view(np.int32)
 
-    def _parts(self, values, offsets) -> tuple[int, int]:
-        u = _as_u32(values).astype(np.uint32, copy=False)
-        counts = np.diff(offsets)
-        lens = _lengths(u)
-        ctrl_nb, _ = _row_layout(counts, lens, offsets)
-        tok_part = int(lens.sum(dtype=np.int64)) + int(u.size) // 4
-        row_part = int(ctrl_nb.sum()) - int(u.size) // 4  # control padding
-        return tok_part, row_part
+    def price(self, st, full_tokens=None, full_rows=None):
+        """Data bytes plus a quarter byte of control per value scale per
+        token; each row's control padding scales per row."""
+        ctrl = int(((st.counts + 3) // 4).sum())
+        q = st.n // 4
+        return split_price(st.varint_bytes + q, ctrl - q, st, full_tokens,
+                           full_rows)
 
-    def estimate_size(self, values, offsets):
-        tok, row = self._parts(values, offsets)
-        return tok + row
-
-    def estimate(self, values, offsets, full_tokens=None, full_rows=None):
-        tok, row = self._parts(values, offsets)
-        n = int(offsets[-1] - offsets[0])
-        r = len(offsets) - 1
-        if full_tokens is not None and n and full_tokens != n:
-            tok = int(tok * (full_tokens / n))
-        if full_rows is not None and r and full_rows != r:
-            row = int(row * (full_rows / r))
-        return tok + row, None
+    def size(self, st):
+        return self.price(st)

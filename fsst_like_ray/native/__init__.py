@@ -84,10 +84,16 @@ def _build():
     l.seg_gather.restype = None
     l.seg_gather.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64,
                                                      ctypes.c_void_p]
+    l.varint_layout.restype = ctypes.c_int64
+    l.varint_layout.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
+                                ctypes.c_int64, ctypes.c_void_p]
     l.varint_encode.restype = None
     l.varint_encode.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
                                 ctypes.c_int64, ctypes.c_void_p,
                                 ctypes.c_void_p]
+    l.stream_stats.restype = ctypes.c_int
+    l.stream_stats.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
+                               ctypes.c_int64] + [ctypes.c_void_p] * 3
     l.varint_decode.restype = None
     l.varint_decode.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
                                 ctypes.c_void_p, ctypes.c_int64,
@@ -269,15 +275,36 @@ def seg_gather(buf, src_base, seg_nbytes, total):
     return out
 
 
-def varint_encode(values_u32, offsets, payload_offsets, total_bytes):
-    """Native Stream-VByte pack; caller precomputed the row payload offsets."""
+def varint_encode(values_u32, offsets):
+    """Native Stream-VByte pack → (buf, per-row payload offsets): a
+    counting pass lays the rows out, then the fill writes every byte."""
     vals = np.ascontiguousarray(values_u32, dtype=np.uint32)
     off = np.ascontiguousarray(offsets, dtype=np.int64)
-    po = np.ascontiguousarray(payload_offsets, dtype=np.int64)
-    out = np.zeros(int(total_bytes), dtype=np.uint8)
-    lib.varint_encode(_ptr(vals), _ptr(off), len(off) - 1, _ptr(po),
-                      _ptr(out))
-    return out
+    n_rows = len(off) - 1
+    po = np.empty(n_rows + 1, dtype=np.int64)
+    total = lib.varint_layout(_ptr(vals), _ptr(off), n_rows, _ptr(po))
+    out = np.empty(total + 3, dtype=np.uint8)  # + the fill's store slack
+    lib.varint_encode(_ptr(vals), _ptr(off), n_rows, _ptr(po), _ptr(out))
+    return out[:total], po
+
+
+N_STREAM_STATS = 15  # scalar slots of fsstkern.c stream_stats
+
+
+def stream_stats(values, offsets):
+    """(int64[N_STREAM_STATS] scalars, int64 runs per row, int64[33]
+    bit-length histogram) of rows[values, offsets], offsets[0] being 0;
+    slot meanings in fsstkern.c stream_stats."""
+    v = np.ascontiguousarray(values, dtype=np.int32)
+    off = np.ascontiguousarray(offsets, dtype=np.int64)
+    n_rows = len(off) - 1
+    out = np.empty(N_STREAM_STATS, dtype=np.int64)
+    rpr = np.empty(n_rows, dtype=np.int64)
+    hist = np.empty(33, dtype=np.int64)
+    if lib.stream_stats(_ptr(v), _ptr(off), n_rows, _ptr(out), _ptr(rpr),
+                        _ptr(hist)):
+        raise MemoryError("stream_stats: out of memory")
+    return out, rpr, hist
 
 
 def poly_rowhash_u32(values_u32, offsets):

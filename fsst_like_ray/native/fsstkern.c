@@ -848,11 +848,214 @@ long dict_unique(const int32_t *v, int64_t n,
     return (long)u;
 }
 
+/* Stream-VByte length code of x: its data bytes minus one (0..3). */
+static inline unsigned vb_code(uint32_t x)
+{
+    return (x >= (1u << 8)) + (x >= (1u << 16)) + (x >= (1u << 24));
+}
+
+static inline uint32_t zigzag32(uint32_t d)
+{
+    return (d << 1) ^ (uint32_t)((int32_t)d >> 31);
+}
+
+static inline int bit_len32(uint32_t x)
+{
+    return x ? 32 - __builtin_clz(x) : 0;
+}
+
+/* ---- codec-selection statistics (codecs/stats.py) -----------------------
+ * Everything the integer codecs' size formulas read: a walk over the
+ * rows (a few simple loops per row, each of which vectorizes), then one
+ * sweep over the sample, once its umin is known, for the pfor histogram
+ * and dict's distinct counts. v[0:off[n_rows]] must
+ * be the rows, in order (off[0] = 0). Slots of out (bit-identical to
+ * codecs/stats._numpy_stats, the NumPy reference):
+ *   0 smin  1 smax  2 umin  3 umax  4 OR of all values
+ *   5 varint data bytes of the values
+ *   6 runs (never crossing a row start)  7 longest run
+ *   8 largest row span (row max - row min, for's delta range)
+ *   9 largest within-row zigzag first difference  10 its varint bytes
+ *  11 largest within-row zigzag second difference
+ *  12..14 distinct values in v[:n/4], v[:n/2], v
+ * rpr[r] is row r's run count; hist[b] counts values with
+ * bit_length(u - umin) == b. Differences wrap mod 2^32 as in the codecs.
+ * An empty stream leaves every slot 0. Returns 0, or -1 when out of
+ * memory. */
+#define N_STREAM_STATS 15
+#define DIRECT_SPAN (1u << 23) /* values counted in a bitmap of <= 1 MB */
+
+static inline uint64_t set_slot(uint64_t key, int lg)
+{
+    return (key * 0x9E3779B97F4A7C15ULL) >> (64 - lg);
+}
+
+/* Insert key (nonzero) into the open-addressing set *slots of 2^*lg
+ * slots holding *fill keys, doubling it past load 1/2. Returns -1 when
+ * out of memory (the set is then freed). */
+static int set_add(uint64_t **slots, int *lg, uint64_t *fill, uint64_t key)
+{
+    uint64_t *t = *slots;
+    const uint64_t mask = (1ULL << *lg) - 1;
+    uint64_t p = set_slot(key, *lg);
+    while (t[p] && t[p] != key) p = (p + 1) & mask;
+    if (t[p]) return 0;
+    t[p] = key;
+    if (2 * ++*fill <= mask + 1) return 0;
+    uint64_t *g = calloc(2 * (mask + 1), 8);
+    if (!g) {
+        free(t);
+        *slots = NULL;
+        return -1;
+    }
+    for (uint64_t i = 0; i <= mask; i++) {
+        if (!t[i]) continue;
+        uint64_t q = set_slot(t[i], *lg + 1);
+        while (g[q]) q = (q + 1) & (2 * mask + 1);
+        g[q] = t[i];
+    }
+    free(t);
+    *slots = g;
+    ++*lg;
+    return 0;
+}
+
+int stream_stats(const int32_t *v, const int64_t *off, int64_t n_rows,
+                 int64_t *out, int64_t *rpr, int64_t *hist)
+{
+    int32_t smin = INT32_MAX, smax = INT32_MIN;
+    uint32_t umin = UINT32_MAX, umax = 0, orv = 0;
+    uint32_t span = 0, zmax = 0, z2max = 0;
+    int64_t vlen = 0, runs = 0, maxrun = 0, zlen = 0;
+    const int64_t n = off[n_rows];
+    memset(hist, 0, 33 * sizeof(int64_t));
+    memset(out, 0, N_STREAM_STATS * sizeof(int64_t));
+    for (int64_t r = 0; r < n_rows; r++) {
+        const int64_t s = off[r], e = off[r + 1];
+        rpr[r] = 0;
+        if (e <= s) continue;
+        const int32_t *x = v + s;
+        const uint32_t *u = (const uint32_t *)x;
+        const int64_t c = e - s;
+        int32_t rmin = x[0], rmax = x[0];
+        uint32_t rumin = u[0], rumax = u[0], ror = 0, zm = 0, z2m = 0;
+        int64_t rl = 0, rz = 0, same = 0;
+        for (int64_t j = 0; j < c; j++) {
+            rmin = x[j] < rmin ? x[j] : rmin;
+            rmax = x[j] > rmax ? x[j] : rmax;
+            rumin = u[j] < rumin ? u[j] : rumin;
+            rumax = u[j] > rumax ? u[j] : rumax;
+            ror |= u[j];
+            rl += vb_code(u[j]) + 1;
+        }
+        for (int64_t j = 1; j < c; j++) {
+            const uint32_t z = zigzag32(u[j] - u[j - 1]);
+            zm = z > zm ? z : zm;
+            rz += vb_code(z) + 1;
+            same += u[j] == u[j - 1];
+        }
+        for (int64_t j = 2; j < c; j++) {
+            const uint32_t z2 =
+                zigzag32((u[j] - u[j - 1]) - (u[j - 1] - u[j - 2]));
+            z2m = z2 > z2m ? z2 : z2m;
+        }
+        if (same) { /* only a row with a repeat has a run longer than 1 */
+            int64_t run = 1;
+            for (int64_t j = 1; j < c; j++) {
+                run = u[j] == u[j - 1] ? run + 1 : 1;
+                maxrun = run > maxrun ? run : maxrun;
+            }
+        }
+        maxrun = maxrun > 1 ? maxrun : 1;
+        vlen += rl;
+        zlen += rz;
+        zmax = zm > zmax ? zm : zmax;
+        z2max = z2m > z2max ? z2m : z2max;
+        rpr[r] = c - same;
+        runs += c - same;
+        smin = rmin < smin ? rmin : smin;
+        smax = rmax > smax ? rmax : smax;
+        umin = rumin < umin ? rumin : umin;
+        umax = rumax > umax ? rumax : umax;
+        orv |= ror;
+        const uint32_t sp = (uint32_t)((int64_t)rmax - (int64_t)rmin);
+        span = sp > span ? sp : span;
+    }
+    if (!n) return 0;
+    /* distinct counts: a bitmap over the values up to DIRECT_SPAN above
+     * umin, an open-addressing set of u + 1 (0 = empty) for the rest,
+     * doubled at load 1/2 */
+    const uint64_t range = (uint64_t)umax - umin + 1;
+    const uint64_t nbits = range < DIRECT_SPAN ? range : DIRECT_SPAN;
+    uint64_t *bits = calloc((nbits + 63) / 64, 8);
+    int lg = 10;
+    uint64_t fill = 0, *slots = calloc(1u << lg, 8);
+    if (!bits || !slots) {
+        free(bits);
+        free(slots);
+        return -1;
+    }
+    int64_t h4[4][33];
+    memset(h4, 0, sizeof h4);
+    const int64_t mark[3] = {n / 4, n / 2, n};
+    int64_t distinct = 0;
+    int m = 0;
+    while (m < 3 && mark[m] == 0) m++; /* an empty prefix: 0 */
+    for (int64_t j = 0; j < n; j++) {
+        const uint32_t u = (uint32_t)v[j];
+        const uint32_t d = u - umin;
+        h4[j & 3][bit_len32(d)]++;
+        if (d < nbits) {
+            const uint64_t w = bits[d >> 6], b = 1ULL << (d & 63);
+            distinct += !(w & b);
+            bits[d >> 6] = w | b;
+        } else if (set_add(&slots, &lg, &fill, (uint64_t)u + 1)) {
+            free(bits);
+            return -1;
+        }
+        while (m < 3 && mark[m] == j + 1) out[12 + m++] = distinct + fill;
+    }
+    for (int b = 0; b < 33; b++)
+        hist[b] = h4[0][b] + h4[1][b] + h4[2][b] + h4[3][b];
+    free(bits);
+    free(slots);
+    out[0] = smin;
+    out[1] = smax;
+    out[2] = umin;
+    out[3] = umax;
+    out[4] = orv;
+    out[5] = vlen;
+    out[6] = runs;
+    out[7] = maxrun;
+    out[8] = span;
+    out[9] = zmax;
+    out[10] = zlen;
+    out[11] = z2max;
+    return 0;
+}
+
 /* ---- Stream-VByte-style varint (codecs/varint.py's hot loops) ----------
  * Layout per row: ceil(count/4) control bytes (2-bit length codes, LE
  * slot order) followed by the data bytes (1-4 LE low bytes per value).
  * Bit-identical to the NumPy path in codecs/varint.py (asserted in
- * tests/test_native.py). buf must arrive zeroed (control uses |=). */
+ * tests/test_native.py). varint_layout writes the row payload offsets
+ * po[0..n_rows] (po[0] = 0) and returns the total; varint_encode then
+ * fills every byte of buf[0:total], so buf need not be zeroed, but it
+ * must hold total + 3 bytes. */
+int64_t varint_layout(const uint32_t *v, const int64_t *off, int64_t n_rows,
+                      int64_t *po) {
+    int64_t p = 0;
+    po[0] = 0;
+    for (int64_t r = 0; r < n_rows; r++) {
+        const int64_t s = off[r], e = off[r + 1];
+        p += (e - s + 3) >> 2;
+        for (int64_t j = s; j < e; j++)
+            p += vb_code(v[j]) + 1;
+        po[r + 1] = p;
+    }
+    return p;
+}
+
 void varint_encode(const uint32_t *v, const int64_t *off, int64_t n_rows,
                    const int64_t *po, uint8_t *buf) {
     for (int64_t r = 0; r < n_rows; r++) {
@@ -861,15 +1064,21 @@ void varint_encode(const uint32_t *v, const int64_t *off, int64_t n_rows,
         if (!cnt) continue;
         uint8_t *ctrl = buf + po[r];
         uint8_t *data = ctrl + ((cnt + 3) >> 2);
+        unsigned c = 0;
         for (int64_t i = 0; i < cnt; i++) {
             uint32_t x = v[s + i];
-            unsigned code = (x >= (1u << 8)) + (x >= (1u << 16)) +
-                            (x >= (1u << 24));
-            ctrl[i >> 2] |= (uint8_t)(code << ((i & 3) << 1));
-            data[0] = (uint8_t)x;
-            if (code >= 1) data[1] = (uint8_t)(x >> 8);
-            if (code >= 2) data[2] = (uint8_t)(x >> 16);
-            if (code >= 3) data[3] = (uint8_t)(x >> 24);
+            unsigned code = vb_code(x);
+            c |= code << ((i & 3) << 1);
+            if ((i & 3) == 3 || i == cnt - 1) {
+                ctrl[i >> 2] = (uint8_t)c;
+                c = 0;
+            }
+            /* all 4 little-endian bytes: the 0-3 past the value's length
+             * land on bytes written later (or on the caller's 3 bytes of
+             * slack after the last row) */
+            const uint8_t le[4] = {(uint8_t)x, (uint8_t)(x >> 8),
+                                   (uint8_t)(x >> 16), (uint8_t)(x >> 24)};
+            memcpy(data, le, 4);
             data += code + 1;
         }
     }

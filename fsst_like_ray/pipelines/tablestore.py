@@ -295,6 +295,19 @@ def _merge_tri(dst: dict, src: dict) -> None:
             dst[c] = base64.b64encode(merged.tobytes()).decode()
 
 
+def _part_writer(out_path: str, schema: pa.Schema) -> pq.ParquetWriter:
+    """Part-file writer with parquet statistics on every column but the
+    ``__blk`` block envelopes: an envelope (a symbol table is ~2 KB) would
+    be stored again as page-header and footer min/max, and nothing reads
+    parquet statistics of an encoded column (its zones live in the
+    manifest)."""
+    return pq.ParquetWriter(
+        out_path,
+        schema,
+        write_statistics=[n for n in schema.names if not n.endswith("__blk")],
+    )
+
+
 def _encode_fragment(
     path: str,
     fdir: str,
@@ -349,7 +362,7 @@ def _encode_fragment(
                 t = transform(t)
             enc = encode_columns_batch(t, codec_names, spec)
             if writer is None:
-                writer = pq.ParquetWriter(out_path, enc.schema)
+                writer = _part_writer(out_path, enc.schema)
             writer.write_table(enc)
             n_rows += t.num_rows
             add_seek(t)
@@ -369,7 +382,7 @@ def _encode_fragment(
             if transform is not None:
                 t = transform(t)
             enc = encode_columns_batch(t, codec_names, spec)
-            writer = pq.ParquetWriter(out_path, enc.schema)
+            writer = _part_writer(out_path, enc.schema)
             writer.write_table(enc)
             add_seek(t)
         writer.close()

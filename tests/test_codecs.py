@@ -125,13 +125,13 @@ def test_selector_picks_sane_codecs():
 
 
 def test_select_codec_raises_on_estimator_error(monkeypatch):
-    """An estimator that fails must surface, not silently drop its codec
+    """A pricing that fails must surface, not silently drop its codec
     from the race (a hidden failure would change the choice)."""
 
     def broken(*_a, **_k):
         raise RuntimeError("estimator failed")
 
-    monkeypatch.setattr(CODECS["rle"], "estimate", broken)
+    monkeypatch.setattr(CODECS["rle"], "price", broken)
     values, offsets = _lists_to_buffers([[1, 1, 1, 2], [3, 3]])
     with pytest.raises(RuntimeError, match="estimator failed"):
         select_codec(values, offsets, ["plain", "rle"])
@@ -195,7 +195,7 @@ def test_generator_deterministic_and_partition_independent():
     assert a.slice(60, 40).to_pydict() == c.to_pydict()
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 
 @given(
@@ -394,3 +394,81 @@ def test_delta2_edge_rows():
         CODECS["delta2"],
         [[], [5], [5, 5], [-(2**31), 2**31 - 1, 0], [], [1, 2**31 - 1, -5]],
     )
+
+
+INT_CODECS = sorted(n for n in CODECS if n != "fsst")
+_INT32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
+
+
+@pytest.fixture(params=["c", "numpy"])
+def kernels(request, monkeypatch):
+    """Run a test once on the C kernels and once on the NumPy fallback."""
+    from fsst_like_ray import native
+
+    if request.param == "c" and native.lib is None:
+        pytest.skip("no C compiler")
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "lib", None)
+    return request.param
+
+
+def _assert_price_is_size(rows):
+    from fsst_like_ray.codecs.stats import stream_stats
+
+    values, offsets = _lists_to_buffers(rows)
+    stats = stream_stats(values, offsets)
+    for name in INT_CODECS:
+        state, buf, _po = CODECS[name].train_encode(values, offsets)
+        size = int(buf.size) + len(state)
+        assert CODECS[name].price(stats) == size, name
+        assert CODECS[name].size(stats) == size, name
+
+
+@given(rows=st.lists(st.lists(_INT32, max_size=40), max_size=30))
+@settings(
+    max_examples=40,
+    deadline=None,
+    # kernels is chosen once per test, not per example
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_price_is_encoded_size_hypothesis(kernels, rows):
+    """On an unsampled block every integer codec's closed-form price is
+    exactly the bytes ``train_encode`` produces (payload + state)."""
+    _assert_price_is_size(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[]],
+        [[], [7], [], [7, 7]],
+        [[5] * 50, [5] * 3, [5]],
+        [[-(2**31), 2**31 - 1], [2**31 - 1, -(2**31), 0, -1]],
+        [[-3, -2, -1, 0, 1, 2], [-(2**31)] * 4, [0, 2**31 - 1] * 9],
+        [list(range(1000, 1100))] * 5 + [[9] * 300],
+    ],
+)
+def test_price_is_encoded_size_edges(kernels, rows):
+    _assert_price_is_size(rows)
+
+
+def test_select_codec_same_on_c_and_numpy(monkeypatch):
+    """Selection reads the statistics only, so the C kernel and the NumPy
+    reference pick the same codec with the same estimates, on a sampled
+    token block (where the Heaps, tok/row and linear extrapolations all
+    run) and on each of its scalar-like single rows."""
+    from fsst_like_ray import native
+    from fsst_like_ray.buffers import list_buffers
+
+    if native.lib is None:
+        pytest.skip("no C compiler")
+    values, offsets = list_buffers(tokens_table(3000, seed=4)["tokens"])
+    cases = [(values, offsets, None), (values, offsets, INT_CODECS)]
+    for r in (0, 7, 1234):
+        row = values[offsets[r] : offsets[r + 1]]
+        cases.append((row, np.array([0, row.size], np.int64), INT_CODECS))
+    got_c = [select_codec(v, o, names)[:2] for v, o, names in cases]
+    monkeypatch.setattr(native, "lib", None)
+    got_np = [select_codec(v, o, names)[:2] for v, o, names in cases]
+    assert got_c == got_np

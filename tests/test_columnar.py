@@ -1106,6 +1106,107 @@ def test_store_predicate_scan_combined_pruning(ray_session, tmp_path):
         predicate_scan_table_store(out, [("between", "score", 1, 2)])
 
 
+def test_store_parts_write_no_blk_statistics(ray_session, tmp_path):
+    """Part files carry no parquet statistics on their ``__blk`` envelope
+    columns (the envelope would be stored again as min/max), keep them on
+    every other column, and a store written with statistics on everywhere
+    reads and prunes exactly like one written without."""
+    import os
+    import shutil
+
+    from fsst_like_ray.pipelines import tablestore
+
+    src = tmp_path / "src"
+    src.mkdir()
+    rng = np.random.default_rng(7)
+    words = ["merge", "sort", "ray", "scan"]
+    for f in range(3):
+        txt = [
+            "frag%d " % f + " ".join(rng.choice(words, size=3))
+            for _ in range(200)
+        ]
+        pq.write_table(
+            pa.table(
+                {
+                    "doc_id": pa.array(
+                        range(f * 200, f * 200 + 200), type=pa.int64()
+                    ),
+                    "text": pa.array(txt),
+                    "score": pa.array(
+                        rng.integers(f * 1000, f * 1000 + 999, 200),
+                        type=pa.int64(),
+                    ),
+                }
+            ),
+            src / f"p{f}.parquet",
+        )
+
+    def parts(store):
+        return sorted(
+            os.path.join(d, f)
+            for d, _s, fs in os.walk(os.path.join(store, "data"))
+            for f in fs
+            if f.endswith(".parquet")
+        )
+
+    def stats_set(part):
+        md = pq.ParquetFile(part).metadata
+        out = {}
+        for g in range(md.num_row_groups):
+            for c in range(md.num_columns):
+                col = md.row_group(g).column(c)
+                out[col.path_in_schema] = (
+                    out.get(col.path_in_schema, False) or col.is_stats_set
+                )
+        return out
+
+    def queries(store):
+        """(matching doc ids, stats_out without the part bytes) a query."""
+        got = []
+        for scan, args in [
+            (tablestore.like_table_store, ("text", p))
+            for p in ("%frag1%", "%scan%", "%absentword%")
+        ] + [
+            (tablestore.scan_table_store, ("score", lo, hi))
+            for lo, hi in ((None, 999), (1500, 2500), (5000, None))
+        ]:
+            st: dict = {}
+            t = scan(store, *args, columns=["doc_id"], stats_out=st)
+            st.pop("scan_bytes")
+            got.append((sorted(t.to_arrow()["doc_id"].to_pylist()), st))
+        return got
+
+    plain = str(tmp_path / "plain")
+    tablestore.compress_table(str(src), plain)
+    for part in parts(plain):
+        flags = stats_set(part)
+        blk = {c: v for c, v in flags.items() if c.endswith("__blk")}
+        assert blk and not any(blk.values()), flags
+        assert flags["__rowidx"], flags
+
+    # the same store with statistics on every column, as part files were
+    # written before: each part rewritten row group by row group
+    full = str(tmp_path / "full")
+    shutil.copytree(plain, full)
+    for part in parts(full):
+        pf = pq.ParquetFile(part)
+        with pq.ParquetWriter(part + ".tmp", pf.schema_arrow) as w:
+            for g in range(pf.num_row_groups):
+                w.write_table(pf.read_row_group(g))
+        os.replace(part + ".tmp", part)
+    # (an envelope over parquet's statistics size cap gets none either way)
+    assert any(
+        v for p in parts(full) for c, v in stats_set(p).items()
+        if c.endswith("__blk")
+    )
+    got = queries(plain)
+    assert got == queries(full)
+    assert [st["fragments_skipped"] for _ids, st in got] == [2, 0, 3, 2, 1, 3]
+    assert sum(os.path.getsize(p) for p in parts(plain)) < sum(
+        os.path.getsize(p) for p in parts(full)
+    )
+
+
 def test_store_zone_pruned_topk(ray_session, tmp_path):
     """topk_table_store: fragments process best-bound-first and the scan
     stops when the k-th best beats every remaining zone; legacy records

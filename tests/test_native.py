@@ -6,6 +6,7 @@ import ctypes
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsst_like_ray import fsstlib, native
 
@@ -419,3 +420,115 @@ def test_poly_rowhash_native_matches_numpy():
     got = native.poly_rowhash_u32(values, off)
     want = _poly_rowhash(values.astype(np.uint64), off)
     np.testing.assert_array_equal(got, want)
+
+
+def _stats_pair(rows):
+    """stream_stats of ``rows`` on the C kernel and on the NumPy
+    reference, as field dicts."""
+    from fsst_like_ray.codecs.stats import _numpy_stats, stream_stats
+
+    off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=off[1:])
+    v = np.array([x for r in rows for x in r], dtype=np.int64).astype(
+        np.int32
+    )
+    return stream_stats(v, off)._asdict(), _numpy_stats(v, off)._asdict()
+
+
+def _assert_stats_equal(rows):
+    got, ref = _stats_pair(rows)
+    for field, want in ref.items():
+        assert np.array_equal(got[field], want), (field, got[field], want)
+        if isinstance(want, np.ndarray):
+            assert got[field].dtype == want.dtype, field
+
+
+_STATS_EDGES = [
+    [],
+    [[]],
+    [[], [], []],
+    [[7]],
+    [[3, 3]],
+    [[1, 2], [], [2, 1]],
+    [[9] * 40, [9], [9, 9, 9]],
+    [[-1, -5, -(2**31)], [-2, -2]],
+    [[2**31 - 1, -(2**31), 2**31 - 1, -(2**31)]],
+    [[0, 2**31 - 1, -(2**31), 0, -1, 1]],
+    [[-(2**31), 2**31 - 1], [2**31 - 1, -(2**31)], [-1, 0, -1, 0]],
+    [[x * 65536 for x in range(-40, 40)], [1 << 30, -(1 << 30), 1 << 30]],
+]
+
+
+@pytest.mark.skipif(native.lib is None, reason="no C compiler")
+@pytest.mark.parametrize("rows", _STATS_EDGES)
+def test_stream_stats_matches_numpy_edges(rows):
+    """C stream_stats equals the NumPy reference field for field: empty
+    rows, one- and two-value rows, all-equal rows, negative int32, values
+    either side of 2^31 in the unsigned view, and int32 min/max next to
+    each other, where first and second differences wrap."""
+    _assert_stats_equal(rows)
+
+
+@pytest.mark.skipif(native.lib is None, reason="no C compiler")
+@given(
+    rows=st.lists(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-(2**31), max_value=2**31 - 1),
+                st.integers(min_value=-3, max_value=3),
+                st.sampled_from([-(2**31), 2**31 - 1, 1 << 23, -1]),
+            ),
+            max_size=40,
+        ),
+        max_size=30,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_stream_stats_matches_numpy_hypothesis(rows):
+    _assert_stats_equal(rows)
+
+
+@pytest.mark.skipif(native.lib is None, reason="no C compiler")
+def test_stream_stats_distinct_counts_large():
+    """The distinct counts take the bitmap for values near the minimum
+    and the growing hash set for the rest; both must count exactly, at
+    all three prefixes, on a stream large enough to grow the set."""
+    rng = np.random.default_rng(3)
+    for hi in (1 << 10, 1 << 22, 1 << 31):
+        v = rng.integers(0, hi, 50_000).astype(np.int64)
+        v[::7] = rng.integers(-(2**31), 2**31 - 1, v[::7].size)
+        rows = np.array_split(v, 300)
+        _assert_stats_equal([list(r) for r in rows])
+
+
+@given(
+    rows=st.lists(
+        st.lists(
+            st.integers(min_value=-(2**31), max_value=2**31 - 1), max_size=40
+        ),
+        max_size=30,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_varint_encode_layout_matches_numpy_hypothesis(rows):
+    """The C varint encode lays out its own rows: its payload and row
+    offsets equal the NumPy layout and fill for any rows."""
+    from fsst_like_ray.codecs import CODECS
+
+    if native.lib is None:
+        pytest.skip("no C compiler")
+    off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=off[1:])
+    v = np.array([x for r in rows for x in r], dtype=np.int64).astype(
+        np.int32
+    )
+    c = CODECS["varint"]
+    buf_c, po_c = c.encode(v, off, b"")
+    lib, native.lib = native.lib, None
+    try:
+        buf_np, po_np = c.encode(v, off, b"")
+    finally:
+        native.lib = lib
+    assert bytes(buf_c) == bytes(buf_np)
+    np.testing.assert_array_equal(po_c, po_np)
+    assert po_c[-1] == buf_c.size
