@@ -25,17 +25,22 @@ Encoded layout (self-describing, parquet-stable):
 - ``__rowidx`` int32 — row position inside its encode-time block. Scalar
   kinds carry the block payload once (dictionary-encoded envelope), and a
   parquet rewrite may re-slice blocks: ``__rowidx`` maps any row subset
-  back into the block-decoded vector.
+  back into the block-decoded vector. Parquet: DELTA_BINARY_PACKED.
 - per source column ``c``:
   - ``c__blk``     dict<binary> — block envelope: original type, validity
     bitmap, codec name(s)/state(s), scalar payloads, plain-bytes accounting;
     an ``fsstb`` body is the symbol table then the block's 32-byte
     escaped-literal bitmap (bodies written before the bitmap end at the
-    table, and LIKE computes it from the payloads).
+    table, and LIKE computes it from the payloads). Parquet: dictionary.
   - ``c__payload`` large_binary — per-row payload (list / fsstb / plainb
-    families; empty otherwise).
+    families; empty otherwise). Parquet: DELTA_LENGTH_BYTE_ARRAY, no
+    dictionary.
   - ``c__n``       int32 — per-row element count (list families only; it is
-    the decode ``counts`` argument).
+    the decode ``counts`` argument). Parquet: dictionary.
+
+The parquet encodings are those of the store's part writer
+(tablestore._part_writer); readers take any encoding, so parts written
+with dictionaries on every field read the same.
 
 Everything is vectorized NumPy / Arrow; no per-row Python on either path.
 """

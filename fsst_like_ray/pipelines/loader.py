@@ -49,7 +49,6 @@ import warnings
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from ..state.manifest import Manifest
 from .columnar import (
@@ -57,7 +56,13 @@ from .columnar import (
     decode_columns_batch,
     decode_list_rows,
 )
-from .tablestore import N_TOK_COL, SOURCE_COL, _fragment_parts, seek_path
+from .tablestore import (
+    N_TOK_COL,
+    SOURCE_COL,
+    _fragment_parts,
+    _read_part,
+    seek_path,
+)
 
 
 def greedy_boundaries(
@@ -114,8 +119,7 @@ def _read_parts(store_dir: str, frag_key: str, columns) -> list[pa.Table]:
     parts = _fragment_parts(os.path.join(store_dir, "data"), frag_key)
     if not parts:
         raise FileNotFoundError(f"loader: fragment {frag_key} has no parts")
-    keep = _encoded_field_names(list(pq.read_schema(parts[0]).names), columns)
-    return [pq.read_table(p, columns=keep) for p in parts]
+    return [_read_part(p, columns) for p in parts]
 
 
 def _read_fragment(store_dir: str, frag_key: str, columns) -> pa.Table:

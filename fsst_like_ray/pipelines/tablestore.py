@@ -42,6 +42,7 @@ import pyarrow.parquet as pq
 
 from ..state.manifest import Manifest, fragment_key
 from .columnar import (
+    _encoded_field_names,
     assert_bit_equal,
     columnar_nulls_batch,
     columnar_stats_batch,
@@ -83,10 +84,15 @@ _INT_K = 4
 # F + bytes / (R·N), so the driver wins while bytes < F·R·N/(N−1); the
 # constant is the N→∞ bound F·R, which holds on any cluster width.
 # Measured on a 1-CPU share of a Xeon VM (perfbench query stores, seed
-# 5, 6 runs): F 118–171 ms (identity chain), R 42.8–53.4 MB/s for LIKE,
-# 40.8–63.2 for GROUP BY, 46.3–63.2 for the range scan, 99.7–145.5 for
-# COUNT → worst case 118 ms × 40.8 MB/s = 4.8 MB, rounded down to 4 MiB.
-DRIVER_SCAN_BYTES = 4 << 20
+# 5, 6 runs of the perfbench request mix, R over warm runs 2-6): F
+# 122–174 ms (identity chain), R 60.4–67.5 MB/s for LIKE, 24.7–27.6 for
+# GROUP BY, 27.4–30.5 for the range scan, 50.2–56.1 for COUNT → worst
+# case 122 ms × 24.7 MB/s = 3.0 MB, rounded down to 2 MiB. R is in file
+# bytes, so it fell when the parts shrank (__rowidx and payloads left
+# dictionary encoding; events parts are 39% smaller) while the per-row
+# work stayed: the same script put the earlier parts at 123 ms ×
+# 33.6 MB/s = 4.1 MB, the 4 MiB this constant was before.
+DRIVER_SCAN_BYTES = 2 << 20
 
 # Seek sidecar schema: the row-length column the loader plans batches
 # from, and the optional domain column its ``keep_sources`` filters on.
@@ -296,16 +302,50 @@ def _merge_tri(dst: dict, src: dict) -> None:
 
 
 def _part_writer(out_path: str, schema: pa.Schema) -> pq.ParquetWriter:
-    """Part-file writer with parquet statistics on every column but the
-    ``__blk`` block envelopes: an envelope (a symbol table is ~2 KB) would
-    be stored again as page-header and footer min/max, and nothing reads
-    parquet statistics of an encoded column (its zones live in the
-    manifest)."""
+    """The one writer of part files. Each field's parquet encoding follows
+    its name (columnar.py, "Encoded layout"):
+
+    - ``__rowidx`` (0..n-1 per encode block) is DELTA_BINARY_PACKED: a few
+      hundred bytes a row group, where a dictionary page held every
+      distinct position (~46 KB per 8,192 rows);
+    - ``*__payload`` (per-row bytes, unique by construction) is
+      DELTA_LENGTH_BYTE_ARRAY with no dictionary. Measured against PLAIN on
+      the seed-5 perfbench stores: PLAIN made the parts 13% larger on
+      events (a 4-byte length per empty scalar-family payload) and 6% on
+      docs, for ~15% faster reads of the token store's payloads, so the
+      lengths are delta-coded;
+    - every other field (the ``*__blk`` envelopes, ``*__n``) keeps
+      dictionary encoding: one envelope per block repeats on every row.
+
+    No parquet statistics are written: zones live in the manifest and
+    nothing reads parquet statistics of an encoded field, while an
+    envelope's min/max would store it twice more. Readers need no
+    switch; parquet decodes any of these encodings, so parts written
+    with dictionaries and statistics everywhere read the same."""
+    encoding = {"__rowidx": "DELTA_BINARY_PACKED"} | {
+        n: "DELTA_LENGTH_BYTE_ARRAY"
+        for n in schema.names
+        if n.endswith("__payload")
+    }
     return pq.ParquetWriter(
         out_path,
         schema,
-        write_statistics=[n for n in schema.names if not n.endswith("__blk")],
+        use_dictionary=[n for n in schema.names if n not in encoding],
+        column_encoding=encoding,
+        write_statistics=False,
     )
+
+
+def _read_part(path: str, columns=None) -> pa.Table:
+    """One committed part's encoded fields for the logical ``columns``
+    (None: every field), read straight from the parquet file: no dataset
+    discovery, and the field names come from the footer this open parses.
+    Dictionary fields come back one chunk per row group, the others as
+    one chunk; the kernels combine chunks per field."""
+    pf = pq.ParquetFile(path)
+    if columns is not None:
+        columns = _encoded_field_names(pf.schema_arrow.names, columns)
+    return pf.read(columns=columns)
 
 
 def _encode_fragment(
@@ -710,7 +750,6 @@ def read_table_store(out_dir: str, columns=None):
     (compress.read_parquet_blocks).
     ``columns`` prunes AT THE READ: only the selected columns' encoded
     fields leave storage, and only they decode."""
-    from .columnar import _encoded_field_names
     from .compress import read_parquet_blocks
 
     manifest = Manifest(out_dir)
@@ -835,7 +874,6 @@ def _run_parts(paths, read_cols, fn, stats_out):
     back as its lazy Dataset (_tables iterates either). ``stats_out``
     records the choice: ``executor`` ("driver"/"ray") and ``scan_bytes``
     (the surviving parts' file bytes)."""
-    from .columnar import _encoded_field_names
     from .compress import read_parquet_blocks
 
     nbytes = sum(os.path.getsize(p) for p in paths)
@@ -843,13 +881,14 @@ def _run_parts(paths, read_cols, fn, stats_out):
     if stats_out is not None:
         stats_out["executor"] = "driver" if driver else "ray"
         stats_out["scan_bytes"] = nbytes
-    cols = None
-    if paths and read_cols is not None:
-        cols = _encoded_field_names(
-            list(pq.read_schema(paths[0]).names), sorted(read_cols)
-        )
+    read_cols = None if read_cols is None else sorted(read_cols)
     if driver:
-        return [fn(pq.read_table(p, columns=cols)) for p in paths]
+        return [fn(_read_part(p, read_cols)) for p in paths]
+    cols = None
+    if read_cols is not None:
+        cols = _encoded_field_names(
+            list(pq.read_schema(paths[0]).names), read_cols
+        )
     return read_parquet_blocks(paths, columns=cols).map_batches(
         fn, batch_format="pyarrow"
     )
@@ -1724,7 +1763,6 @@ def group_agg_table_store(
     it); ``bucket`` is then a {column: bucket} dict. Composite keys use
     the driver fold only (cardinality-bounded contract)."""
     from .columnar import (
-        _encoded_field_names,
         columnar_group_agg_ds,
         fold_group_agg,
         fold_group_multi_agg,
@@ -1800,11 +1838,7 @@ def distinct_table_store(
         out_dir, "distinct_table_store", lambda rec: True, stats_out
     )
     if distributed:
-        from .columnar import (
-            _STR_FAMILY,
-            _encoded_field_names,
-            columnar_distinct_ds,
-        )
+        from .columnar import _STR_FAMILY, columnar_distinct_ds
         from .compress import read_parquet_blocks
 
         cols = _encoded_field_names(
@@ -1990,12 +2024,7 @@ def quantiles_table_store(
     compactor partial per batch, driver merge, no shuffle. Returns the
     merged QuantileSketch (``.quantile(qs)`` / ``.rank_tolerance()``)."""
     from ..functions.kll import sketch_dataset
-    from .columnar import (
-        _FLOAT_TYPES,
-        _encoded_field_names,
-        _float_values,
-        _int_values,
-    )
+    from .columnar import _FLOAT_TYPES, _float_values, _int_values
     from .compress import read_parquet_blocks
 
     manifest = Manifest(out_dir)
@@ -2023,7 +2052,6 @@ def quantiles_table_store(
 def _store_column_enc(out_dir: str, column: str):
     """(encoded Dataset pruned to one column, its part paths) — the
     shared read head of the single-column store sketches."""
-    from .columnar import _encoded_field_names
     from .compress import read_parquet_blocks
 
     manifest = Manifest(out_dir)
@@ -3651,7 +3679,7 @@ def sort_table_store(
     import ray
     import ray.data
 
-    from .columnar import _encoded_field_names, decode_columns_batch
+    from .columnar import decode_columns_batch
 
     by = [by] if isinstance(by, str) else list(by)
     if not by:
@@ -3724,14 +3752,9 @@ def sort_table_store(
             outs = []
             for i in ids["id"].to_pylist():
                 u = us[i]
-                kw = {}
-                if read_cols is not None:
-                    kw["columns"] = _encoded_field_names(
-                        list(pq.read_schema(u["parts"][0]).names), read_cols
-                    )
                 t = pa.concat_tables(
                     [
-                        decode_columns_batch(pq.read_table(p, **kw))
+                        decode_columns_batch(_read_part(p, read_cols))
                         for p in u["parts"]
                     ]
                 )

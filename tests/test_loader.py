@@ -409,6 +409,7 @@ def _no_parquet_reads(monkeypatch):
 
     monkeypatch.setattr(pq, "read_table", refuse)
     monkeypatch.setattr(pq, "read_schema", refuse)
+    monkeypatch.setattr(pq, "ParquetFile", refuse)
 
 
 def test_compress_writes_seek_sidecars(store):
