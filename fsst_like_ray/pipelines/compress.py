@@ -1,7 +1,8 @@
 """Parquet read helpers the table store shares.
 
 - ``discover_fragments`` / ``read_parquet_blocks``: input-fragment
-  listing and a read whose parallelism never drops below cluster width;
+  listing and a read whose parallelism never drops below cluster width
+  (``cluster_cpus``);
 - ``_rowgroup_specs``: the driver-side row-group split that turns one
   large input fragment into many parallel work units
   (pipelines/tablestore.py ``compress_table``).
@@ -29,6 +30,18 @@ def discover_fragments(path: str | list[str]) -> list[str]:
     )
 
 
+def cluster_cpus() -> int:
+    """The CPU count work is sized by: the Ray cluster's when a session is
+    up, else the host's. Ray may not be initialized yet on a first call
+    (the first read or ray.put auto-inits), and a hard-coded fallback would
+    cap that call's parallelism on a big machine."""
+    import ray
+
+    if ray.is_initialized():
+        return int(ray.cluster_resources().get("CPU", 4))
+    return os.cpu_count() or 4
+
+
 def read_parquet_blocks(
     path: str | list[str], min_blocks_per_cpu: int = 2, **kwargs
 ) -> "ray.data.Dataset":
@@ -38,11 +51,8 @@ def read_parquet_blocks(
     block and serializes every downstream stage; at 100 TB the auto sizing is
     fine, but per-fragment parallelism must never drop below the cluster
     width. Files with multiple row groups can split beyond file granularity."""
-    import ray
-
     files = discover_fragments(path)
-    ncpu = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    onb = max(len(files), min_blocks_per_cpu * ncpu)
+    onb = max(len(files), min_blocks_per_cpu * cluster_cpus())
     return ray.data.read_parquet(files, override_num_blocks=onb, **kwargs)
 
 
@@ -50,8 +60,10 @@ def read_parquet_blocks(
 # SCHEDULING. Specs are capped at ~2 encode batches (~2 M tokens ≈ 16 MB of
 # values): measured at 32 procs, 4 M-token working sets inflate per-core
 # CPU ~2× (cache/bandwidth contention: 39.7 vs 80.8 M tokens/s on the same
-# 520 M-token corpus); tasks then process a GROUP of specs sequentially —
-# same peak footprint, far fewer dispatches for small clusters.
+# 520 M-token corpus). A task then processes a contiguous GROUP of specs
+# sequentially (tablestore._map_tasks launches at most max(4·CPUs, 16)
+# tasks a round, ~1.3 ms each) — same peak footprint: the group bounds the
+# launches, the spec cap bounds the memory.
 MAX_SPEC_ROWS_FACTOR = 2
 
 
@@ -69,8 +81,12 @@ def _rowgroup_specs(
     assumption; our own sinks write 2048-row groups).
 
     ``target_specs`` (≈4× cluster CPUs) coarsens specs when the round would
-    otherwise produce far more: per-spec dispatch costs ~4 ms of driver
-    time, so thousands of 1 M-token specs throttle a small cluster, while
+    otherwise produce far more. Each spec pays ~14 ms of fixed cost for its
+    own part file (writer, footer, seek sidecar, lineage stats; a 16-row
+    spec on a 1-CPU VM share), while launching a task costs ~1.3 ms
+    (tablestore._map_tasks; the Ray Data range → map_batches chain it
+    replaced paid ~11 ms a block plus ~35 ms a call). So thousands of
+    1 M-token specs throttle a small cluster through part overhead, while
     ~4 waves per CPU still levels content skew. The coarsening is capped at
     ``MAX_SPEC_ROWS_FACTOR`` encode batches per spec so one task never reads
     an unbounded slice of the round into memory (state granularity is

@@ -39,6 +39,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
 from ..state.manifest import Manifest, fragment_key
 from .columnar import (
@@ -50,7 +51,7 @@ from .columnar import (
     decode_columns_dataset,
     encode_columns_batch,
 )
-from .compress import discover_fragments
+from .compress import _rowgroup_specs, cluster_cpus, discover_fragments
 
 DEFAULT_BATCH_ROWS = 8192
 
@@ -480,23 +481,6 @@ def _merge_zones(dst: dict, src: dict) -> None:
         )
 
 
-_STATS_SCHEMA = pa.schema(
-    [
-        ("fragment", pa.string()),
-        ("frag_key", pa.string()),
-        ("rows", pa.int64()),
-        ("plain_bytes", pa.int64()),
-        ("encoded_bytes", pa.int64()),
-        ("columns_json", pa.string()),
-        ("zones_json", pa.string()),
-        ("tri_json", pa.string()),
-        ("ndv_json", pa.string()),
-        ("nulls_json", pa.string()),
-        ("seek", pa.bool_()),
-    ]
-)
-
-
 def _empty_stats() -> dict:
     return {
         "rows": 0, "plain_bytes": 0, "encoded_bytes": 0,
@@ -522,39 +506,6 @@ def _add_stats(dst: dict, st: dict) -> None:
     dst["seek"] = dst["seek"] and bool(st.get("seek"))
 
 
-def _stats_row(fragment: str, frag_key: str, stats: dict) -> dict:
-    """A stats dict → one _STATS_SCHEMA row (the per-column dicts travel
-    through Ray Data as JSON)."""
-    return {
-        "fragment": fragment,
-        "frag_key": frag_key,
-        "rows": stats["rows"],
-        "plain_bytes": stats["plain_bytes"],
-        "encoded_bytes": stats["encoded_bytes"],
-        "columns_json": json.dumps(stats["columns"]),
-        "zones_json": json.dumps(stats["zones"]),
-        "tri_json": json.dumps(stats["trigrams"]),
-        "ndv_json": json.dumps(stats["ndv"]),
-        "nulls_json": json.dumps(stats["nulls"]),
-        "seek": stats["seek"],
-    }
-
-
-def _row_stats(r: dict) -> dict:
-    """The inverse of _stats_row, minus the fragment identity."""
-    return {
-        "rows": int(r["rows"]),
-        "plain_bytes": int(r["plain_bytes"]),
-        "encoded_bytes": int(r["encoded_bytes"]),
-        "columns": json.loads(r["columns_json"]),
-        "zones": json.loads(r["zones_json"]),
-        "trigrams": json.loads(r["tri_json"]),
-        "ndv": json.loads(r["ndv_json"]),
-        "nulls": json.loads(r["nulls_json"]),
-        "seek": bool(r["seek"]),
-    }
-
-
 def _stamp_seek(rec: dict) -> dict:
     """Turn a record's boolean ``seek`` into the manifest flag: ``"seek":
     1`` when every part of the fragment has a sidecar, else no key (so a
@@ -564,15 +515,12 @@ def _stamp_seek(rec: dict) -> dict:
     return rec
 
 
-def _stats_record(r: dict, **lineage) -> dict:
-    """A _STATS_SCHEMA row → the fragment's manifest record."""
+def _stats_record(
+    fragment: str, frag_key: str, stats: dict, **lineage
+) -> dict:
+    """A fragment's stats dict → its manifest record."""
     return _stamp_seek(
-        {
-            "fragment": r["fragment"],
-            "frag_key": r["frag_key"],
-            **_row_stats(r),
-            **lineage,
-        }
+        {"fragment": fragment, "frag_key": frag_key, **stats, **lineage}
     )
 
 
@@ -599,42 +547,53 @@ def _fragment_parts(data_dir: str, frag_key: str) -> list[str]:
     )
 
 
-class _EncodeSpecsTask:
-    """Grouped tasks over ROW-GROUP SPECS (compress._rowgroup_specs, the
-    skew answer): a multi-GB source fragment splits into many
-    specs that encode in parallel as part-<rg0>.parquet files, instead of
-    one straggler task per fragment. Spec list rides the object store
-    once; ray.get ONCE per task; peak memory = one batch."""
+@ray.remote(max_retries=-1, scheduling_strategy="SPREAD")
+def _run_group(fn, items: list, *shared) -> list:
+    return [fn(item, *shared) for item in items]
 
-    def __init__(
-        self, data_dir: str, specs_ref, codec_names, batch_rows: int, spec=None
-    ):
-        self.data_dir = data_dir
-        self.specs_ref = specs_ref
-        self.codec_names = codec_names
-        self.batch_rows = batch_rows
-        self.spec = spec  # small dict; rides the task closure
 
-    def __call__(self, ids: pa.Table) -> pa.Table:
-        import ray
+def _map_tasks(fn, items: list, *shared) -> list:
+    """``[fn(item, *shared) for item in items]`` as plain Ray tasks: the
+    launcher of the store lifecycle ops, whose per-item work opens its own
+    files, so no data flows through the launch. On a 1-CPU VM share a
+    task costs ~1.3 ms and a call ~4 ms; the Ray Data range → map_batches
+    → take_all chain this replaces paid ~11 ms a block and ~35 ms a call.
+    Items split into ``min(len(items), max(4·CPUs, 16))`` contiguous
+    groups, one task each: the floor of 16 keeps a 2-CPU straggler tail
+    short, the cap bounds the task count of a 10^5-fragment round.
+    ``shared`` values reach every task as top-level arguments, so an
+    ObjectRef (upsert's ray.put key set) resolves in the worker without a
+    copy per item. Results come back in item order. The call returns, or
+    raises the first failed group's error, only after EVERY task has
+    finished: a straggler still writing after a failed call would race the
+    next resume's rmtree of uncommitted fragment dirs. Like Ray Data's
+    map tasks, the tasks spread over the cluster's nodes and retry on
+    worker death (every item rewrites its outputs from scratch), never on
+    an exception."""
+    if not items:
+        return []
+    n_groups = min(len(items), max(4 * cluster_cpus(), 16))
+    cuts = [len(items) * g // n_groups for g in range(n_groups + 1)]
+    refs = [
+        _run_group.remote(fn, items[lo:hi], *shared)
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    ray.wait(refs, num_returns=len(refs))
+    return [r for group in ray.get(refs) for r in group]
 
-        specs = ray.get(self.specs_ref)
-        rows = []
-        for i in ids["id"].to_pylist():
-            s = specs[i]
-            stats = _encode_fragment(
-                s["path"],
-                os.path.join(self.data_dir, f"frag={s['frag']}"),
-                self.codec_names,
-                self.batch_rows,
-                self.spec,
-                row_groups=(
-                    None if s["rg1"] < 0 else list(range(s["rg0"], s["rg1"]))
-                ),
-                part_name=f"part-{s['rg0']:06d}.parquet",
-            )
-            rows.append(_stats_row(s["path"], s["frag"], stats))
-        return pa.Table.from_pylist(rows, schema=_STATS_SCHEMA)
+
+def _encode_spec(s: dict, data_dir: str, codec_names, batch_rows: int, spec):
+    """Encode one row-group spec (compress._rowgroup_specs) as its
+    fragment's ``part-<rg0>.parquet``; → the part's stats dict."""
+    return _encode_fragment(
+        s["path"],
+        os.path.join(data_dir, f"frag={s['frag']}"),
+        codec_names,
+        batch_rows,
+        spec,
+        row_groups=None if s["rg1"] < 0 else list(range(s["rg0"], s["rg1"])),
+        part_name=f"part-{s['rg0']:06d}.parquet",
+    )
 
 
 def compress_table(
@@ -656,9 +615,6 @@ def compress_table(
     input fails the call naming the file, with nothing committed.
     A fragment whose every spec wrote a seek sidecar commits with
     ``"seek": 1``."""
-    import ray
-    import ray.data
-
     fragments = discover_fragments(input_path)
     manifest = Manifest(out_dir)
     pending = manifest.pending(fragments) if resume else fragments
@@ -683,62 +639,29 @@ def compress_table(
                 os.path.join(data_dir, f"frag={fragment_key(f)}"),
                 ignore_errors=True,
             )
-        # host-cpu fallback: Ray may not be initialized yet on round 1
-        # (ray.put below auto-inits) and a hardcoded 4 would cap the first
-        # round's parallelism on a big machine
-        ncpu = (
-            int(ray.cluster_resources().get("CPU", 4))
-            if ray.is_initialized()
-            else (os.cpu_count() or 4)
-        )
         # row-group specs level content skew (compress._rowgroup_specs):
         # a giant fragment becomes many parallel specs, not one straggler
-        from .compress import _rowgroup_specs
-
         path_to_key = {f: fragment_key(f) for f in round_frags}
         specs = _rowgroup_specs(
-            round_frags, 8 * batch_rows, path_to_key, target_specs=4 * ncpu
+            round_frags, 8 * batch_rows, path_to_key,
+            target_specs=4 * cluster_cpus(),
         )
-        specs_ref = ray.put(specs)
-        # wave floor of 16: at 2 CPUs, 4 waves means 8 coarse tasks and the
-        # straggler tail idles a whole core for ~a task length
-        n_groups = max(1, min(len(specs), max(4 * ncpu, 16)))
-        stat_rows = (
-            ray.data.range(len(specs), override_num_blocks=n_groups)
-            .map_batches(
-                _EncodeSpecsTask(
-                    data_dir, specs_ref, codec_names, batch_rows, spec
-                ),
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
-            )
-            .take_all()
+        part_stats = _map_tasks(
+            _encode_spec, specs, data_dir, codec_names, batch_rows, spec
         )
-        expected = {}
-        for s in specs:
-            expected[s["frag"]] = expected.get(s["frag"], 0) + 1
+        # a fragment commits only once every one of its specs has encoded
         merged: dict[str, dict] = {}
-        for r in stat_rows:
+        for s, st in zip(specs, part_stats):
             m = merged.setdefault(
-                r["frag_key"],
+                s["frag"],
                 {
-                    "fragment": r["fragment"],
-                    "frag_key": r["frag_key"],
+                    "fragment": s["path"],
+                    "frag_key": s["frag"],
                     **_empty_stats(),
-                    "n_specs": 0,
                 },
             )
-            _add_stats(m, _row_stats(r))
-            m["n_specs"] += 1
-        # a fragment commits only when EVERY one of its specs reported —
-        # iterate EXPECTED so a fragment with zero returned rows raises too
-        for key, n_expected in expected.items():
-            m = merged.get(key)
-            if m is None or m.pop("n_specs") != n_expected:
-                raise RuntimeError(
-                    f"compress_table: fragment {key} missing spec results"
-                )
+            _add_stats(m, st)
+        for m in merged.values():
             manifest.commit(_stamp_seek(m))
     return manifest.stats()
 
@@ -1883,17 +1806,16 @@ def sample_table_store(
 
 
 def _transform_fragment(
+    rec: dict,
     src_data: str,
-    fdir: str,
-    frag_key: str,
+    dst_data: str,
     codec_names,
     spec,
     batch_rows: int,
-    expect_rows: int,
     derive=None,
     project=None,
 ) -> dict:
-    """Transcode ONE committed fragment (all its part files, 1:1 part
+    """Transcode ONE committed fragment ``rec`` (all its part files, 1:1 part
     names preserved): stream-decode → re-encode via _encode_fragment
     (same write/zero-row/cleanup path and per-column lineage stats as a
     fresh encode), then self-verify — lineage row count and a bit-exact
@@ -1923,6 +1845,9 @@ def _transform_fragment(
         )
     else:
         transform = decode_columns_batch
+    frag_key = rec["frag_key"]
+    fdir = os.path.join(dst_data, f"frag={frag_key}")
+    expect_rows = int(rec["rows"])
     src_parts = _fragment_parts(src_data, frag_key)
     stats = _empty_stats()
     written = []
@@ -1971,48 +1896,6 @@ def _transform_fragment(
             _remove_part(w)
         raise
     return stats
-
-
-class _TranscodeTask:
-    """Grouped per-round transcode tasks (same scale contract as
-    _EncodeSpecsTask: the round's record list rides the object store
-    once, ray.get ONCE per task, group count bounded by 4*ncpu with the
-    16-wave floor)."""
-
-    def __init__(
-        self, src_data, dst_data, recs_ref, codec_names, spec, batch_rows,
-        derive=None, project=None,
-    ):
-        self.src_data = src_data
-        self.dst_data = dst_data
-        self.recs_ref = recs_ref
-        self.codec_names = codec_names
-        self.spec = spec
-        self.batch_rows = batch_rows
-        self.derive = derive
-        self.project = project
-
-    def __call__(self, ids: pa.Table) -> pa.Table:
-        import ray
-
-        recs = ray.get(self.recs_ref)
-        out = []
-        for i in ids["id"].to_pylist():
-            rec = recs[i]
-            key = rec["frag_key"]
-            stats = _transform_fragment(
-                self.src_data,
-                os.path.join(self.dst_data, f"frag={key}"),
-                key,
-                self.codec_names,
-                self.spec,
-                self.batch_rows,
-                int(rec["rows"]),
-                derive=self.derive,
-                project=self.project,
-            )
-            out.append(_stats_row(rec["fragment"], key, stats))
-        return pa.Table.from_pylist(out, schema=_STATS_SCHEMA)
 
 
 def quantiles_table_store(
@@ -2321,17 +2204,17 @@ def compact_table_store(
 
 
 def _filter_fragment(
+    rec: dict,
     src_data: str,
-    fdir: str,
-    frag_key: str,
+    dst_data: str,
     preds,
     engine: str,
     batch_rows: int,
     negate: bool = False,
 ) -> dict:
-    """Filter-rewrite ONE committed fragment: each part streams through
-    the compressed-domain predicate mask (only survivors decode), the
-    survivors re-encode through _encode_fragment's write path, then the
+    """Filter-rewrite ONE committed fragment ``rec``: each part streams
+    through the compressed-domain predicate mask (only survivors decode),
+    the survivors re-encode through _encode_fragment's write path, then the
     fragment SELF-VERIFIES by zip-comparing the decoded destination
     against a recomputed filtered decode of the source. Any failure
     removes every written destination part. ``negate=True`` keeps the
@@ -2342,6 +2225,8 @@ def _filter_fragment(
         mask = predicate_mask(b, preds, engine)
         return _decode_survivors(b, ~mask if negate else mask, None)
 
+    frag_key = rec["frag_key"]
+    fdir = os.path.join(dst_data, f"frag={frag_key}")
     src_parts = _fragment_parts(src_data, frag_key)
     stats = _empty_stats()
     written = []
@@ -2372,38 +2257,6 @@ def _filter_fragment(
             _remove_part(w)
         raise
     return stats
-
-
-class _FilterTask:
-    """Grouped per-round filter-rewrite tasks (same object-store contract
-    as _TranscodeTask: record list ships once, ray.get once per task)."""
-
-    def __init__(self, src_data, dst_data, recs_ref, preds, engine, batch_rows):
-        self.src_data = src_data
-        self.dst_data = dst_data
-        self.recs_ref = recs_ref
-        self.preds = preds
-        self.engine = engine
-        self.batch_rows = batch_rows
-
-    def __call__(self, ids: pa.Table) -> pa.Table:
-        import ray
-
-        recs = ray.get(self.recs_ref)
-        out = []
-        for i in ids["id"].to_pylist():
-            rec = recs[i]
-            key = rec["frag_key"]
-            stats = _filter_fragment(
-                self.src_data,
-                os.path.join(self.dst_data, f"frag={key}"),
-                key,
-                self.preds,
-                self.engine,
-                self.batch_rows,
-            )
-            out.append(_stats_row(rec["fragment"], key, stats))
-        return pa.Table.from_pylist(out, schema=_STATS_SCHEMA)
 
 
 def _preds_prove_all_match(rec: dict, preds) -> bool:
@@ -2455,9 +2308,6 @@ def filter_table_store(
     skip on re-run; uncommitted partials clear first. ``stats_out``
     receives fragments_dropped / fragments_copied /
     fragments_rewritten."""
-    import ray
-    import ray.data
-
     src_manifest = Manifest(src_out)
     done_src = src_manifest.completed()
     if not done_src:
@@ -2511,27 +2361,17 @@ def filter_table_store(
                 os.path.join(dst_data, f"frag={rec['frag_key']}"),
                 ignore_errors=True,
             )
-        recs_ref = ray.put(round_recs)
-        ncpu = (
-            int(ray.cluster_resources().get("CPU", 4))
-            if ray.is_initialized()
-            else (os.cpu_count() or 4)
+        part_stats = _map_tasks(
+            _filter_fragment, round_recs, src_data, dst_data, preds, engine,
+            batch_rows,
         )
-        n_groups = max(1, min(len(round_recs), max(4 * ncpu, 16)))
-        rows = (
-            ray.data.range(len(round_recs), override_num_blocks=n_groups)
-            .map_batches(
-                _FilterTask(
-                    src_data, dst_data, recs_ref, preds, engine, batch_rows
-                ),
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
+        for rec, st in zip(round_recs, part_stats):
+            dst_manifest.commit(
+                _stats_record(
+                    rec["fragment"], rec["frag_key"], st,
+                    filtered_from=src_out,
+                )
             )
-            .take_all()
-        )
-        for r in rows:
-            dst_manifest.commit(_stats_record(r, filtered_from=src_out))
             rewritten += 1
     if stats_out is not None:
         stats_out.update(
@@ -2562,9 +2402,6 @@ def transcode_table_store(
     as compress_table. ``_derive``/``_lineage_tag`` are
     derive_table_store's internals — use that entry point for
     backfills."""
-    import ray
-    import ray.data
-
     src_manifest = Manifest(src_out)
     done_src = src_manifest.completed()
     if not done_src:
@@ -2582,31 +2419,17 @@ def transcode_table_store(
                 os.path.join(dst_data, f"frag={rec['frag_key']}"),
                 ignore_errors=True,
             )
-        recs_ref = ray.put(round_recs)
-        # host-cpu fallback: Ray may not be initialized yet on round 1
-        # (ray.put below auto-inits) and a hardcoded 4 would cap the first
-        # round's parallelism on a big machine
-        ncpu = (
-            int(ray.cluster_resources().get("CPU", 4))
-            if ray.is_initialized()
-            else (os.cpu_count() or 4)
+        part_stats = _map_tasks(
+            _transform_fragment, round_recs, src_data, dst_data, codec_names,
+            spec, batch_rows, _derive, _project,
         )
-        n_groups = max(1, min(len(round_recs), max(4 * ncpu, 16)))
-        rows = (
-            ray.data.range(len(round_recs), override_num_blocks=n_groups)
-            .map_batches(
-                _TranscodeTask(
-                    src_data, dst_data, recs_ref, codec_names, spec,
-                    batch_rows, derive=_derive, project=_project,
-                ),
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
+        for rec, st in zip(round_recs, part_stats):
+            dst_manifest.commit(
+                _stats_record(
+                    rec["fragment"], rec["frag_key"], st,
+                    **{_lineage_tag: src_out},
+                )
             )
-            .take_all()
-        )
-        for r in rows:
-            dst_manifest.commit(_stats_record(r, **{_lineage_tag: src_out}))
     return dst_manifest.stats()
 
 
@@ -2753,6 +2576,26 @@ def _zip_compare_decoded(enc_a, enc_b, batch_rows: int) -> int:
     )
 
 
+def _verify_unit(u: dict, batch_rows: int) -> int:
+    """Stream-compare one store part against its source row-group range;
+    → the verified row count."""
+    pf = pq.ParquetFile(u["src"])
+    rg1 = pf.metadata.num_row_groups if u["rg1"] < 0 else u["rg1"]
+    rgs = list(range(u["rg0"], rg1))
+    src_iter = (
+        pa.Table.from_batches([rb])
+        for rb in pf.iter_batches(
+            batch_size=batch_rows, row_groups=rgs or None
+        )
+    )
+    return _zip_tables(
+        src_iter,
+        _decoded_iter(u["part"], batch_rows),
+        u["src"],
+        sides=("source", "store"),
+    )
+
+
 def verify_table_store(
     input_path: str | list[str],
     out_dir: str,
@@ -2766,9 +2609,6 @@ def verify_table_store(
     are reported in ``uncommitted`` and make ``ok`` False — a verify that
     checked nothing (or skipped a killed run's leftovers) never reports
     success."""
-    import ray
-    import ray.data
-
     manifest = Manifest(out_dir)
     done = manifest.completed()
     all_frags = discover_fragments(input_path)
@@ -2790,47 +2630,10 @@ def verify_table_store(
                     "rg1": rg0s[j + 1] if j + 1 < len(parts) else -1,
                 }
             )
-    units_ref = ray.put(units)
-
-    def check(ids: pa.Table) -> pa.Table:
-        us = ray.get(units_ref)
-        out = []
-        for i in ids["id"].to_pylist():
-            u = us[i]
-            pf = pq.ParquetFile(u["src"])
-            rg1 = pf.metadata.num_row_groups if u["rg1"] < 0 else u["rg1"]
-            rgs = list(range(u["rg0"], rg1))
-            src_iter = (
-                pa.Table.from_batches([rb])
-                for rb in pf.iter_batches(
-                    batch_size=batch_rows, row_groups=rgs or None
-                )
-            )
-            n = _zip_tables(
-                src_iter,
-                _decoded_iter(u["part"], batch_rows),
-                u["src"],
-                sides=("source", "store"),
-            )
-            out.append({"rows": n})
-        return pa.Table.from_pylist(
-            out, schema=pa.schema([("rows", pa.int64())])
-        )
-
-    ncpu = (
-        int(ray.cluster_resources().get("CPU", 4))
-        if ray.is_initialized()
-        else (os.cpu_count() or 4)
-    )
-    n_groups = max(1, min(len(units), max(4 * ncpu, 16)))
-    rows = (
-        ray.data.range(len(units), override_num_blocks=n_groups)
-        .map_batches(check, batch_format="pyarrow", batch_size=None)
-        .take_all()
-    )
+    rows = _map_tasks(_verify_unit, units, batch_rows)
     return {
         "fragments": len(fragments),
-        "rows": int(sum(r["rows"] for r in rows)),
+        "rows": sum(rows),
         "uncommitted": uncommitted,
         "ok": uncommitted == 0,
     }
@@ -3038,48 +2841,24 @@ def append_table_store(
     return stats
 
 
-class _UpsertTask:
-    """Grouped per-round upsert-rewrite tasks: each fragment drops its
-    rows whose key appears in the delta key set (anti-join via the
-    negated compressed-domain IN mask), re-encodes and self-verifies.
-    The SORTED global key container ships once via ray.put; an int-keyed
-    fragment slices it to its own zone before the per-batch mask, so
-    membership cost tracks the fragment's overlap, not the delta size."""
-
-    def __init__(self, src_data, dst_data, recs_ref, key, keys_ref, batch_rows):
-        self.src_data = src_data
-        self.dst_data = dst_data
-        self.recs_ref = recs_ref
-        self.key = key
-        self.keys_ref = keys_ref
-        self.batch_rows = batch_rows
-
-    def __call__(self, ids: pa.Table) -> pa.Table:
-        import ray
-
-        recs = ray.get(self.recs_ref)
-        keys = ray.get(self.keys_ref)
-        out = []
-        for i in ids["id"].to_pylist():
-            rec = recs[i]
-            fk = rec["frag_key"]
-            subset = keys
-            z = (rec.get("zones") or {}).get(self.key)
-            if isinstance(keys, np.ndarray) and z is not None:
-                i0 = np.searchsorted(keys, z[0], "left")
-                i1 = np.searchsorted(keys, z[1], "right")
-                subset = keys[i0:i1]
-            stats = _filter_fragment(
-                self.src_data,
-                os.path.join(self.dst_data, f"frag={fk}"),
-                fk,
-                [("in", self.key, subset)],
-                "auto",
-                self.batch_rows,
-                negate=True,
-            )
-            out.append(_stats_row(rec["fragment"], fk, stats))
-        return pa.Table.from_pylist(out, schema=_STATS_SCHEMA)
+def _drop_keys_rec(
+    rec: dict, src_data, dst_data, key, batch_rows, keys
+) -> dict:
+    """Rewrite one committed fragment without the rows whose ``key`` is in
+    ``keys`` (anti-join via the negated compressed-domain IN mask), then
+    self-verify; → its stats. ``keys`` is the SORTED global key container
+    (shipped once via ray.put); an int-keyed fragment slices it to its own
+    zone first, so membership cost tracks the fragment's overlap, not the
+    delta size."""
+    z = (rec.get("zones") or {}).get(key)
+    if isinstance(keys, np.ndarray) and z is not None:
+        i0 = np.searchsorted(keys, z[0], "left")
+        i1 = np.searchsorted(keys, z[1], "right")
+        keys = keys[i0:i1]
+    return _filter_fragment(
+        rec, src_data, dst_data, [("in", key, keys)], "auto", batch_rows,
+        negate=True,
+    )
 
 
 def upsert_table_store(
@@ -3218,9 +2997,6 @@ def _drop_keys_rewrite(
     the rest through the negated compressed-domain IN mask. Returns
     (fragments_copied, fragments_rewritten, rows_dropped) for THIS run
     (already-committed destination fragments skip under resume)."""
-    import ray
-    import ray.data
-
     src_manifest = Manifest(src_out)
     done_src = src_manifest.completed()
     src_data = os.path.join(src_out, "data")
@@ -3251,7 +3027,6 @@ def _drop_keys_rewrite(
         )
         copied += 1
 
-    src_rows_by_key = {r["frag_key"]: int(r["rows"]) for r in recs}
     rows_dropped = 0
     rewritten = 0
     keys_ref = ray.put(keys_sorted) if rewrite_recs else None
@@ -3262,28 +3037,18 @@ def _drop_keys_rewrite(
                 os.path.join(dst_data, f"frag={rec['frag_key']}"),
                 ignore_errors=True,
             )
-        recs_ref = ray.put(round_recs)
-        ncpu = (
-            int(ray.cluster_resources().get("CPU", 4))
-            if ray.is_initialized()
-            else (os.cpu_count() or 4)
+        part_stats = _map_tasks(
+            _drop_keys_rec, round_recs, src_data, dst_data, key, batch_rows,
+            keys_ref,
         )
-        n_groups = max(1, min(len(round_recs), max(4 * ncpu, 16)))
-        rows = (
-            ray.data.range(len(round_recs), override_num_blocks=n_groups)
-            .map_batches(
-                _UpsertTask(
-                    src_data, dst_data, recs_ref, key, keys_ref, batch_rows
-                ),
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
+        for rec, st in zip(round_recs, part_stats):
+            dst_manifest.commit(
+                _stats_record(
+                    rec["fragment"], rec["frag_key"], st,
+                    upserted_from=src_out,
+                )
             )
-            .take_all()
-        )
-        for r in rows:
-            dst_manifest.commit(_stats_record(r, upserted_from=src_out))
-            rows_dropped += src_rows_by_key[r["frag_key"]] - int(r["rows"])
+            rows_dropped += int(rec["rows"]) - st["rows"]
             rewritten += 1
     return copied, rewritten, rows_dropped
 
@@ -3407,29 +3172,13 @@ def explain_table_store(out_dir: str, preds) -> pa.Table:
     )
 
 
-class _UnionCopyTask:
-    """Per-round union copy tasks: each task byte-copies one source
-    fragment's parts into the destination fragment dir and verifies
-    size; the (src_data, entries) list ships once via ray.put."""
-
-    def __init__(self, entries_ref):
-        self.entries_ref = entries_ref
-
-    def __call__(self, ids: pa.Table) -> pa.Table:
-        import ray
-
-        entries = ray.get(self.entries_ref)
-        out = []
-        for i in ids["id"].to_pylist():
-            src_data, rec, dst_fdir = entries[i]
-            shutil.rmtree(dst_fdir, ignore_errors=True)
-            os.makedirs(dst_fdir, exist_ok=True)
-            seek = _copy_parts(src_data, rec, dst_fdir)
-            out.append({"id": int(i), "seek": seek})
-        return pa.Table.from_pylist(
-            out,
-            schema=pa.schema([("id", pa.int64()), ("seek", pa.bool_())]),
-        )
+def _union_copy(entry: tuple) -> bool:
+    """Byte-copy one source fragment's parts into its destination dir
+    (each part verified by size); → whether every part had a sidecar."""
+    src_data, rec, dst_fdir = entry
+    shutil.rmtree(dst_fdir, ignore_errors=True)
+    os.makedirs(dst_fdir, exist_ok=True)
+    return _copy_parts(src_data, rec, dst_fdir)
 
 
 def union_table_store(
@@ -3453,9 +3202,6 @@ def union_table_store(
     small fragments afterwards with compact_table_store if the sources
     were fine-grained; nothing re-encodes here."""
     from .columnar import decode_columns_batch
-
-    import ray
-    import ray.data
 
     if len(src_outs) < 1:
         raise ValueError("union_table_store: need at least one source")
@@ -3531,30 +3277,10 @@ def union_table_store(
     copied = 0
     for start in range(0, len(entries), fragments_per_round):
         batch = entries[start : start + fragments_per_round]
-        entries_ref = ray.put([(d, r, f) for d, r, f, _n in batch])
-        ncpu = (
-            int(ray.cluster_resources().get("CPU", 4))
-            if ray.is_initialized()
-            else (os.cpu_count() or 4)
-        )
-        n_groups = max(1, min(len(batch), max(4 * ncpu, 16)))
-        rows = (
-            ray.data.range(len(batch), override_num_blocks=n_groups)
-            .map_batches(
-                _UnionCopyTask(entries_ref),
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
-            )
-            .take_all()
-        )
-        seek_by_id = {int(r["id"]): bool(r["seek"]) for r in rows}
-        for j, (_d, _r, _f, new_rec) in enumerate(batch):
-            if j in seek_by_id:
-                dst_manifest.commit(
-                    _stamp_seek({**new_rec, "seek": seek_by_id[j]})
-                )
-                copied += 1
+        seeks = _map_tasks(_union_copy, [(d, r, f) for d, r, f, _n in batch])
+        for (_d, _r, _f, new_rec), seek in zip(batch, seeks):
+            dst_manifest.commit(_stamp_seek({**new_rec, "seek": seek}))
+            copied += 1
     if stats_out is not None:
         stats_out.update(
             fragments_copied=copied,
