@@ -5,7 +5,7 @@ reference's fixed always-FSST choice generalized).
 Statistics first (BtrBlocks, Kuschewski et al., SIGMOD 2023): one
 :func:`.stats.stream_stats` pass over the sample feeds every integer
 codec's closed-form :meth:`~.Codec.price`; only fsst, whose size depends on
-a trained symbol table, still trains and encodes (behind the screen below).
+a trained symbol table, trains and encodes, past the gate and screen below.
 
 Deterministic: the sample is a fixed stride over the block's rows; ties break
 by codec name order in the registry.
@@ -58,13 +58,16 @@ def _sample(
     return gather_rows(values, offsets[rows], counts)
 
 
-# train-heavy estimators (symbol-table training per estimate) are SCREENED:
-# a tiny-prefix estimate runs first, and the full-sample estimate only runs
-# when the codec is within SCREEN_SLACK of the best cheap estimate — on
-# integer token corpora fsst trails varint/pfor by 40%+, so the expensive
-# train+encode drops out of the selector hot path entirely while text-like
-# blocks (where fsst IS the winner) still get the full-fidelity estimate.
+# train-heavy estimators (symbol-table training per estimate) are GATED, then
+# SCREENED. Gate: no estimate when the best cheap one is ≤ FSST_GATE × plain.
+# 0.55 sits between bitpack at 17 bits (17/32) and 18 bits (18/32): fsst reads
+# int32 as bytes and wins only where the cheap codecs fail (wide values with
+# repeated byte patterns); below the gate it won one block (+538 B) across the
+# perfbench stores and the sf0.01/sf0.1 tables (BASELINE.md). Screen: past the
+# gate a tiny-prefix estimate runs first, and the full-sample one only when the
+# codec is within SCREEN_SLACK of the best cheap estimate.
 SCREEN_CODECS = ("fsst",)
+FSST_GATE = 0.55
 SCREEN_TOKENS = 1 << 14
 SCREEN_SLACK = 1.15
 
@@ -104,6 +107,8 @@ def select_codec(
     best_cheap = min(
         (estimates[n] for n in cheap), default=np.iinfo(np.int64).max
     )
+    if cheap and best_cheap <= FSST_GATE * estimates.get("plain", 4 * full_tokens):
+        names = cheap
     for name in names:
         if name in estimates:
             continue

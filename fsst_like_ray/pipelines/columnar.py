@@ -108,10 +108,10 @@ def _est64_cost(v: np.ndarray) -> tuple[int, str | None, str | None]:
     the real encode runs, so transform choices (bits vs xor) optimize the
     actual target, and the chosen transform's per-stream winners are
     PINNED downstream (the estimate is paid once). fsst is excluded from
-    the candidates exactly like _encode_stream's cheap stage (its
-    estimate trains a table; a pinned stream still fully retrains its
-    state on the real block, so a sample-biased pick costs ratio only,
-    never correctness)."""
+    the candidates outright, not gated as in select_codec (its estimate
+    trains a table; a pinned stream still fully retrains its state on the
+    real block, so a sample-biased pick costs ratio only, never
+    correctness)."""
     n = len(v)
     if n == 0:
         return 0, None, None
@@ -373,7 +373,8 @@ def _encode_stream(
     sampler's row stride can't engage and an 8 K-row block paid ~11
     full-column estimates per stream (measured 40-70 ms/column; ~8x the
     actual encode). Contiguous windows preserve the run/delta adjacency
-    statistics; the ENCODE still sees every value as one row."""
+    statistics; the ENCODE still sees every value as one row, and one
+    ``select_codec`` call (its fsst gate included) picks the codec."""
     v = np.ascontiguousarray(v, dtype=np.int32)
     n = len(v)
     off = np.array([0, n], dtype=np.int64)
@@ -385,19 +386,7 @@ def _encode_stream(
     seg = np.arange(0, n + _SEL_SEG, _SEL_SEG, dtype=np.int64)
     seg = seg[seg < n]
     seg = np.append(seg, n)
-    names = list(codec_names) if codec_names else list(CODECS)
-    # two-stage selection: fsst's estimate TRAINS a symbol table (~80% of
-    # scalar-stream selection cost, profiled); on int streams it only wins
-    # when the cheap codecs fail, so try it solely when the cheap best
-    # stays above 55% of plain (bitpack at <=17 bits already beats that)
-    cheap = [c for c in names if c != "fsst"]
-    name, est, state = select_codec(v, seg, cheap or names, sample_rows=_SEL_ROWS)
-    if "fsst" in names and cheap and min(est.values()) > 0.55 * est.get(
-        "plain", 4 * n
-    ):
-        fname, fest, fstate = select_codec(v, seg, ["fsst"], sample_rows=_SEL_ROWS)
-        if fest["fsst"] < min(est.values()):
-            name, state = fname, fstate
+    name, _est, state = select_codec(v, seg, codec_names, sample_rows=_SEL_ROWS)
     c = CODECS[name]
     if state is None:
         state, buf, _po = c.train_encode(v, off)
@@ -750,7 +739,9 @@ def _encode_column(
         )
         est[S_STRDICT] = int(doff[-1]) + 4 * (nd + 1) + int(min(iest.values())) + 32
         ftable = None
-        if total:
+        # one FSST code byte covers ≤ 8 input bytes, so the fsstb estimate is
+        # ≥ total // 8: training cannot win when plainb or strdict beats that
+        if total and min(est.values()) >= total // 8:
             # byte-capped sample → train → sampled-ratio extrapolation. The
             # cap is on BYTES, not rows: per-row contributions clip at 4 KiB
             # and the cumulative budget cuts the row set, so one giant

@@ -270,26 +270,29 @@ COMPRESSION_EST_TOL = 0.15
 
 def q_compression_stats(sf_dir: str):
     """Encoded-size accounting as a per-codec GATE (all-true booleans, so
-    the driver's DuckDB oracle is exact): each batch runs the auto-selector
-    (the sampled estimates used for codec choice, reference compressed-size
-    accounting sketch.cc:738-755) AND a real per-codec train+encode; totals
-    are compared driver-side. Booleans asserted per codec:
+    the DuckDB oracle is exact): each batch prices every codec on
+    the auto-selector's sample (``Codec.estimate`` with the full block's
+    size, ungated, so fsst is priced too; reference compressed-size
+    accounting sketch.cc:738-755) AND runs a real per-codec train+encode;
+    totals are compared after the map. Booleans asserted per codec:
     ``est_positive``   — the estimator returned a real size;
     ``est_within_tol`` — |estimate − exact| ≤ 15% of exact (the fsst
                          held-out estimator is calibrated to ~2-4%);
     ``no_blowup``      — exact encoded bytes ≤ 2× plain + state (every
                          codec's documented worst case: fsst/rle at most
                          double their input, the rest stay under plain)."""
-    from ..codecs import select_codec
+    from ..codecs.auto import _sample
     from ..buffers import list_buffers
 
     names = sorted(CODECS)
 
     def per_batch(b: pa.Table) -> pa.Table:
         values, offsets = list_buffers(b["tokens"])
-        _name, est, _state = select_codec(values, offsets)
-        exact, state_sz = [], []
+        sv, so = _sample(values, offsets, 1024)
+        full = {"full_tokens": int(offsets[-1]), "full_rows": len(offsets) - 1}
+        est, exact, state_sz = [], [], []
         for n in names:
+            est.append(int(CODECS[n].estimate(sv, so, **full)[0]))
             state, buf, _po = CODECS[n].train_encode(values, offsets)
             exact.append(int(buf.size) + len(state))
             state_sz.append(len(state))
@@ -297,9 +300,7 @@ def q_compression_stats(sf_dir: str):
         return pa.table(
             {
                 "codec": pa.array(names, type=pa.string()),
-                "est_bytes": pa.array(
-                    [int(est[n]) for n in names], type=pa.int64()
-                ),
+                "est_bytes": pa.array(est, type=pa.int64()),
                 "exact_bytes": pa.array(exact, type=pa.int64()),
                 "plain_bytes": pa.array([plain] * len(names), type=pa.int64()),
                 "state_bytes": pa.array(state_sz, type=pa.int64()),

@@ -139,10 +139,13 @@ def test_select_codec_raises_on_estimator_error(monkeypatch):
 
 def test_full_block_estimates_are_calibrated():
     """The selector's FULL-BLOCK estimates must be honest: for realistic
-    mixed-content blocks, every codec's estimate lands within 15% of its
-    actual train+encode size, and the PICKED codec's actual size is within
-    5% of the best actual — the round-3 bias fix (held-out fsst eval,
-    Heaps dict growth) stated as an invariant."""
+    mixed-content blocks, every codec's estimate on the selector's sample
+    lands within 15% of its actual train+encode size, and the PICKED
+    codec's actual size is within 5% of the best actual — the round-3 bias
+    fix (held-out fsst eval, Heaps dict growth) stated as an invariant.
+    Each codec is priced directly: the selector's fsst gate gives fsst no
+    estimate on token blocks."""
+    from fsst_like_ray.codecs.auto import _sample
     from fsst_like_ray.sources.tokens import tokens_table
     from fsst_like_ray.buffers import list_buffers
 
@@ -159,17 +162,21 @@ def test_full_block_estimates_are_calibrated():
             continue
         v = values[offsets[lo] : offsets[hi]]
         o = offsets[lo : hi + 1] - offsets[lo]
-        name, est, state = select_codec(v, o)
+        name, _est, state = select_codec(v, o)
+        sv, so = _sample(v, o, 1024)
         actual = {}
         for cn in [
             "plain", "bitpack", "for", "rle", "dict", "fsst", "pfor", "varint",
         ]:
             c = CODECS[cn]
+            est, _st = c.estimate(
+                sv, so, full_tokens=int(o[-1]), full_rows=len(o) - 1
+            )
             st = state if (cn == name and state is not None) else c.train(v, o)
             buf, _po = c.encode(v, o, st)
             actual[cn] = buf.size + len(st)
-            assert abs(est[cn] - actual[cn]) / actual[cn] < 0.15, (
-                cn, est[cn], actual[cn]
+            assert abs(est - actual[cn]) / actual[cn] < 0.15, (
+                cn, est, actual[cn]
             )
         best = min(actual.values())
         assert actual[name] <= best * 1.05, (name, actual)
@@ -187,6 +194,63 @@ def test_fsst_escape_bound():
     assert buf.size <= 2 * values.size * 4 + 16
 
 
+def _text_like_stream(seed=3, n_words=200, n=20000):
+    """int32 view of text over a random ``n_words``-word vocabulary, in
+    64-token rows: too many distinct 4-byte values for dict or bitpack
+    (the cheap best is ~0.6 × plain), but the words are FSST symbols."""
+    rng = np.random.default_rng(seed)
+    letters = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz", np.uint8)
+    words = [bytes(rng.choice(letters, rng.integers(4, 8)))
+             for _ in range(n_words)]
+    txt = b" ".join(rng.choice(words, n))
+    v = np.frombuffer(txt[: len(txt) // 4 * 4], dtype=np.int32).copy()
+    o = np.unique(np.append(np.arange(0, len(v), 64), len(v))).astype(np.int64)
+    return v, o
+
+
+def _count_fsst_estimates(monkeypatch) -> list:
+    calls = []
+    fsst = CODECS["fsst"]
+    real = fsst.estimate
+
+    def counted(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    monkeypatch.setattr(fsst, "estimate", counted)
+    return calls
+
+
+def test_fsst_gate_skips_packed_streams(monkeypatch):
+    """A token-like list stream whose best cheap estimate is within the
+    gate never trains fsst: no estimate call, no fsst figure."""
+    from fsst_like_ray.buffers import list_buffers
+    from fsst_like_ray.codecs.auto import FSST_GATE
+
+    calls = _count_fsst_estimates(monkeypatch)
+    values, offsets = list_buffers(tokens_table(3000, seed=4)["tokens"])
+    name, est, _state = select_codec(values, offsets)
+    assert min(est.values()) <= FSST_GATE * est["plain"]
+    assert calls == [] and "fsst" not in est and name != "fsst"
+
+
+def test_fsst_screened_when_cheap_codecs_fail(monkeypatch):
+    """Past the gate fsst is still screened, and wins where it should."""
+    from fsst_like_ray.codecs.auto import FSST_GATE
+
+    calls = _count_fsst_estimates(monkeypatch)
+    v, o = _text_like_stream()
+    name, est, state = select_codec(v, o)
+    cheap = min(e for n, e in est.items() if n != "fsst")
+    assert cheap > FSST_GATE * est["plain"]
+    assert calls and name == "fsst" and state is not None
+    # a forced fsst-only race (no cheap codecs) is never gated
+    calls.clear()
+    values, offsets = _lists_to_buffers([[1, 2, 3] * 50] * 4)
+    assert select_codec(values, offsets, ["fsst"])[0] == "fsst"
+    assert calls
+
+
 def test_generator_deterministic_and_partition_independent():
     a = tokens_table(100, seed=42)
     b = tokens_table(100, seed=42)
@@ -195,7 +259,7 @@ def test_generator_deterministic_and_partition_independent():
     assert a.slice(60, 40).to_pydict() == c.to_pydict()
 
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 
 @given(
@@ -437,6 +501,39 @@ def test_price_is_encoded_size_hypothesis(kernels, rows):
     _assert_price_is_size(rows)
 
 
+_WORDS = st.sampled_from([b"merge", b"sort", b"scan", b"fsst"])
+
+
+@given(
+    rows=st.one_of(
+        st.lists(st.binary(max_size=120), max_size=60),
+        st.lists(st.lists(_WORDS, max_size=40).map(b" ".join), max_size=60),
+        st.lists(st.integers(0, 200).map(lambda k: b"a" * k), max_size=60),
+    )
+)
+@example(rows=[b"a" * 64] * 10)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_fsst_code_byte_covers_at_most_8_bytes(kernels, rows):
+    """The exact bound behind skipping fsstb training: a row of L bytes
+    encodes to at least ceil(L / 8) bytes under the table trained on it,
+    on the C and the NumPy encoders, for random, highly repetitive and
+    single-byte input (where 8-byte symbols make the bound tight)."""
+    from fsst_like_ray import fsstlib
+
+    lens = np.array([len(r) for r in rows], dtype=np.int64)
+    off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lens, out=off[1:])
+    data = np.frombuffer(b"".join(rows), dtype=np.uint8)
+    _buf, po, _used = fsstlib.encode(data, off, fsstlib.train(data, off))
+    assert (np.diff(po) >= -(-lens // 8)).all()
+    if rows and set(rows) == {b"a" * 64}:
+        assert (np.diff(po) == 8).all()
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -457,7 +554,8 @@ def test_select_codec_same_on_c_and_numpy(monkeypatch):
     """Selection reads the statistics only, so the C kernel and the NumPy
     reference pick the same codec with the same estimates, on a sampled
     token block (where the Heaps, tok/row and linear extrapolations all
-    run) and on each of its scalar-like single rows."""
+    run), on each of its scalar-like single rows, and on one gated and one
+    screened all-codec race."""
     from fsst_like_ray import native
     from fsst_like_ray.buffers import list_buffers
 
@@ -468,6 +566,9 @@ def test_select_codec_same_on_c_and_numpy(monkeypatch):
     for r in (0, 7, 1234):
         row = values[offsets[r] : offsets[r + 1]]
         cases.append((row, np.array([0, row.size], np.int64), INT_CODECS))
+    # gated (no fsst estimate) and screened (fsst trains and wins)
+    cases.append((row, np.array([0, row.size], np.int64), None))
+    cases.append((*_text_like_stream(), None))
     got_c = [select_codec(v, o, names)[:2] for v, o, names in cases]
     monkeypatch.setattr(native, "lib", None)
     got_np = [select_codec(v, o, names)[:2] for v, o, names in cases]

@@ -289,6 +289,92 @@ def test_scheme_selection_sanity():
     assert ratios["text"] > 2.0
 
 
+def test_string_bound_skips_fsstb_training(monkeypatch):
+    """fsstb's estimate is never under total // 8 bytes (one code byte
+    covers at most 8 input bytes), so a low-cardinality block whose strdict
+    estimate beats that trains no table; unique document text still
+    trains and picks fsstb."""
+    from fsst_like_ray import fsstlib
+
+    calls = []
+    real = fsstlib.train
+    monkeypatch.setattr(
+        fsstlib, "train", lambda *a: calls.append(1) or real(*a)
+    )
+    rng = np.random.default_rng(5)
+    n = 2000
+    low = pa.table({"s": pa.array(rng.choice(["alpha", "beta", "gamma"], n))})
+    text = pa.table({"s": pa.array(
+        ["the quick brown fox number %06d jumps over the lazy dog" % i
+         for i in range(n)]
+    )})
+    for t, scheme, trains in [(low, "strdict", 0), (text, "fsstb", 1)]:
+        calls.clear()
+        enc = encode_columns_batch(t)
+        assert len(calls) == trains, scheme
+        assert columnar_stats_batch(enc)["scheme"].to_pylist() == [scheme]
+        _assert_tables_equal(t, decode_columns_batch(enc))
+
+
+def _two_stage_pick(v: np.ndarray) -> str:
+    """Reference: the scalar-stream rule before the fsst gate moved into
+    select_codec — a cheap-codec race, then an fsst-only race only when
+    the cheap best is above 0.55 × plain, fsst taken only if strictly
+    smaller."""
+    from fsst_like_ray.codecs import select_codec
+    from fsst_like_ray.pipelines.columnar import _SEL_ROWS, _SEL_SEG
+
+    n = len(v)
+    seg = np.append(np.arange(0, n, _SEL_SEG, dtype=np.int64), n)
+    cheap = [c for c in CODECS if c != "fsst"]
+    name, est, _ = select_codec(v, seg, cheap, sample_rows=_SEL_ROWS)
+    if min(est.values()) > 0.55 * est["plain"]:
+        _f, fest, _ = select_codec(v, seg, ["fsst"], sample_rows=_SEL_ROWS)
+        if fest["fsst"] < min(est.values()):
+            name = "fsst"
+    return name
+
+
+def test_encode_stream_one_selection_matches_two_stage_rule(monkeypatch):
+    """_encode_stream makes one select_codec call per stream, and its
+    gate picks what the old two-stage rule picked on int32, float32 bits,
+    float64 lo/hi words, high-entropy and text-like streams."""
+    from fsst_like_ray.pipelines import columnar
+
+    rng = np.random.default_rng(20)
+    f64 = rng.normal(size=8000).view(np.uint64)
+    letters = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz", np.uint8)
+    words = [bytes(rng.choice(letters, rng.integers(4, 8))) for _ in range(200)]
+    txt = b" ".join(rng.choice(words, 8000))
+    streams = {
+        "int32_small": rng.integers(0, 1000, 8000, dtype=np.int32),
+        "int32_wide": rng.integers(-(2**31), 2**31 - 1, 8000, dtype=np.int32),
+        "int32_runs": np.repeat(rng.integers(0, 50, 80, dtype=np.int32), 100),
+        "float32_bits": rng.normal(size=8000).astype(np.float32).view(np.int32),
+        "f64_lo": (f64 & np.uint64(0xFFFFFFFF)).astype(np.uint32),
+        "f64_hi": (f64 >> np.uint64(32)).astype(np.uint32),
+        "text": np.frombuffer(txt[: len(txt) // 4 * 4], np.int32),
+    }
+    real = columnar.select_codec
+    calls = []
+    monkeypatch.setattr(
+        columnar, "select_codec", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    picks = {}
+    for label, s in streams.items():
+        v = np.ascontiguousarray(s).view(np.int32)
+        expect = _two_stage_pick(v)
+        calls.clear()
+        name, state, payload = columnar._encode_stream(v)
+        assert len(calls) == 1, label
+        assert name == expect, (label, name, expect)
+        picks[label] = name
+        out = columnar._decode_stream(name, state, payload, len(v))
+        assert np.array_equal(out, v), label
+    # both branches ran: gated streams and a screened fsst win
+    assert picks["text"] == "fsst" and picks["int32_small"] == "bitpack"
+
+
 def test_stats_account_every_column_block():
     t = _wide_table(n=300)
     enc = pa.concat_tables(
