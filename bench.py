@@ -152,16 +152,18 @@ def run_decode_verify(out_dir: str) -> dict:
 
 def run_like(sf_dir: str) -> dict:
     import ray.data
-    from fsst_like_ray.pipelines.scan import encode_text_dataset, like_count
+    from fsst_like_ray.pipelines.columnar import encode_columns_dataset, like_count
+    from fsst_like_ray.pipelines.rank import FSSTB_TEXT
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    enc = encode_text_dataset(ds).materialize()  # small table; scan it 4×
+    # small table; scan it 4×
+    enc = encode_columns_dataset(ds, spec=FSSTB_TEXT).materialize()
     t0 = time.time()
     counts = {}
     for pattern in ["%scan%", "%merge%sort%", "the fast key %", "%join"]:
-        counts[pattern] = like_count(enc, pattern)
+        counts[pattern] = like_count(enc, "text", pattern)
     return {"sec": time.time() - t0, "counts": counts}
 
 
@@ -170,14 +172,14 @@ def run_rank(sf_dir: str) -> dict:
     same encoded corpus, raw vs fsst, counts oracle-asserted, ranked by
     in-UDF matcher time (sketch.cc:1306-1371 analog)."""
     import ray.data
-    from fsst_like_ray.pipelines.scan import encode_text_dataset
-    from fsst_like_ray.pipelines.rank import rank_engines
+    from fsst_like_ray.pipelines.columnar import encode_columns_dataset
+    from fsst_like_ray.pipelines.rank import FSSTB_TEXT, rank_engines
     from fsst_like_ray.pipelines.queries import RANK_PATTERNS
 
     raw = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     ).materialize()
-    enc = encode_text_dataset(raw).materialize()
+    enc = encode_columns_dataset(raw, spec=FSSTB_TEXT).materialize()
     t0 = time.time()
     table = rank_engines(raw, enc, RANK_PATTERNS, repeats=2)
     return {"sec": time.time() - t0, "table": table}

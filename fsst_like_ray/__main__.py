@@ -42,52 +42,39 @@ def _ray():
     return ray
 
 
+def _fsstb_text(args):
+    """The ``like`` / ``rank`` input: one ``text`` column (renamed from
+    ``--text-col``) as a materialized Dataset, plus its per-column encoding
+    with the text pinned to fsstb so every engine scans FSST payloads."""
+    import ray.data
+
+    from .pipelines.columnar import encode_columns_dataset
+    from .pipelines.rank import FSSTB_TEXT
+
+    if args.file.endswith((".csv", ".txt")):
+        # the reference's input format: one text value per line
+        # (scripts/data-setup.sh exports l_comment.csv / p_type.csv)
+        raw = ray.data.read_text(args.file)
+    else:
+        raw = ray.data.read_parquet(args.file, columns=[args.text_col])
+        if args.text_col != "text":
+            raw = raw.map_batches(
+                lambda b: b.rename_columns(["text"]), batch_format="pyarrow"
+            )
+    raw = raw.materialize()
+    return raw, encode_columns_dataset(raw, spec=FSSTB_TEXT).materialize()
+
+
 def cmd_like(args) -> int:
     """The reference's flagship run (src/BenchmarkDriver.cpp:54-85): encode
     the column, scan the pattern on the compressed representation, print the
     match count + timing."""
     ray = _ray()
-    import ray.data
+    from .pipelines.columnar import like_count
 
-    from .pipelines.scan import encode_text_dataset, like_count
-
-    if args.file.endswith((".csv", ".txt")):
-        # the reference's input format: one text value per line
-        # (scripts/data-setup.sh exports l_comment.csv / p_type.csv). Line
-        # number ids are batch-local — LIKE counting needs no global ids.
-        import numpy as np
-        import pyarrow as pa
-
-        def lines_to_rows(b: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "doc_id": pa.array(
-                        np.arange(b.num_rows, dtype=np.int64)
-                    ),
-                    "text": b["text"],
-                }
-            )
-
-        ds = ray.data.read_text(args.file).map_batches(
-            lines_to_rows, batch_format="pyarrow"
-        )
-    else:
-        ds = ray.data.read_parquet(
-            args.file, columns=[args.id_col, args.text_col]
-        )
-    if args.text_col != "text" and not args.file.endswith((".csv", ".txt")):
-        import pyarrow as pa
-
-        def rename(b: pa.Table) -> pa.Table:
-            return b.rename_columns(
-                ["doc_id" if c == args.id_col else "text" if c == args.text_col
-                 else c for c in b.column_names]
-            )
-
-        ds = ds.map_batches(rename, batch_format="pyarrow")
-    enc = encode_text_dataset(ds).materialize()
+    _raw, enc = _fsstb_text(args)
     t0 = time.time()
-    n = like_count(enc, args.pattern, engine=args.engine)
+    n = like_count(enc, "text", args.pattern, engine=args.engine)
     dt = time.time() - t0
     out = {"pattern": args.pattern, "engine": args.engine,
            "matches": n, "scan_sec": round(dt, 4)}
@@ -96,7 +83,7 @@ def cmd_like(args) -> int:
         # shadow, sketch.cc:1147): every compressed-domain engine must
         # report the same count as the decoded oracle path
         t1 = time.time()
-        n_plain = like_count(enc, args.pattern, engine="decoded")
+        n_plain = like_count(enc, "text", args.pattern, engine="decoded")
         out["shadow_matches"] = n_plain
         out["shadow_sec"] = round(time.time() - t1, 4)
         out["shadow_agrees"] = bool(n == n_plain)
@@ -113,37 +100,12 @@ def cmd_rank(args) -> int:
     oracle-asserted, ranked by matcher time. Prints one JSON line per
     ranked row (CSV-convertible, like the reference's ranking output)."""
     ray = _ray()
-    import ray.data
-
     from .pipelines.rank import rank_engines
-    from .pipelines.scan import encode_text_dataset
 
-    raw = ray.data.read_parquet(args.file, columns=[args.id_col, args.text_col])
-    if (args.id_col, args.text_col) != ("doc_id", "text"):
-        import pyarrow as pa
-
-        def rename(b: pa.Table) -> pa.Table:
-            return b.rename_columns(
-                ["doc_id" if c == args.id_col else "text" for c in b.column_names]
-            )
-
-        raw = raw.map_batches(rename, batch_format="pyarrow")
-    raw = raw.materialize()
-    enc = encode_text_dataset(raw).materialize()
+    raw, enc = _fsstb_text(args)
     rows = rank_engines(raw, enc, args.patterns, repeats=args.repeats)
     for r in rows:
         print(json.dumps(r))
-    ray.shutdown()
-    return 0
-
-
-def cmd_trigram_index(args) -> int:
-    ray = _ray()
-    from .pipelines.trigram import build_trigram_index
-
-    t0 = time.time()
-    stats = build_trigram_index(args.corpus, text_col=args.text_col)
-    print(json.dumps({**stats, "sec": round(time.time() - t0, 3)}))
     ray.shutdown()
     return 0
 
@@ -1125,7 +1087,6 @@ def main(argv=None) -> int:
                    choices=("auto", "decoded", "prefix", "skipping", "kmp",
                             "dummy"))  # dummy = cost floor, reports 0 matches
     l.add_argument("--text-col", default="text")
-    l.add_argument("--id-col", default="doc_id")
     l.add_argument("--shadow", action="store_true",
                    help="also run the decoded path and assert equal counts "
                         "(the reference's DEBUG shadow run)")
@@ -1135,18 +1096,8 @@ def main(argv=None) -> int:
     r.add_argument("file")
     r.add_argument("patterns", nargs="+")
     r.add_argument("--text-col", default="text")
-    r.add_argument("--id-col", default="doc_id")
     r.add_argument("--repeats", type=int, default=2)
     r.set_defaults(fn=cmd_rank)
-
-    tg = sub.add_parser(
-        "trigram-index",
-        help="build the per-file trigram bloom index over a text corpus "
-             "(<corpus>/index/trigrams.parquet; prunes LIKE scans)",
-    )
-    tg.add_argument("corpus")
-    tg.add_argument("--text-col", default="text")
-    tg.set_defaults(fn=cmd_trigram_index)
 
     pf = sub.add_parser(
         "profile",

@@ -52,6 +52,22 @@ def _binary_buffers(arr) -> tuple[np.ndarray, np.ndarray]:
     return data, offsets - base
 
 
+def string_buffers(arr) -> tuple[np.ndarray, np.ndarray]:
+    """(utf8 bytes, int64 offsets from 0) of a string/binary array, large
+    or not — the one (bytes, offsets) view every string consumer takes."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    arr = arr.cast(pa.large_binary())
+    off = np.frombuffer(
+        arr.buffers()[1], dtype=np.int64, count=len(arr) + 1 + arr.offset
+    )[arr.offset :]
+    base = off[0]
+    data = np.frombuffer(arr.buffers()[2] or b"", dtype=np.uint8)[
+        base : off[-1]
+    ]
+    return np.ascontiguousarray(data), (off - base).astype(np.int64)
+
+
 def _group_indices(col) -> tuple[np.ndarray, list]:
     """(per-row group index, group values) for a possibly dictionary-encoded
     column — reuses parquet's existing dictionary instead of re-hashing

@@ -41,7 +41,7 @@ def key_hash(col) -> np.ndarray:
         or pa.types.is_binary(col.type)
         or pa.types.is_large_binary(col.type)
     ):
-        from ..stages.text import string_buffers
+        from ..buffers import string_buffers
         from ..stages.verify import _poly_rowhash
 
         data, offsets = string_buffers(col)  # casts to large_binary

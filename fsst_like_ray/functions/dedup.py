@@ -22,7 +22,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..stages.text import string_buffers
+from ..buffers import string_buffers
 
 _PRIME = np.uint64(0x9E3779B97F4A7C15)
 MAX_WORD_HASH_BYTES = 64  # simhash word-hash prefix cap (see simhash_batch)

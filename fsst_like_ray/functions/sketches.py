@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..stages.text import string_buffers
+from ..buffers import string_buffers
 from ..stages.verify import _poly_rowhash
 
 _P = 12  # 4096 registers

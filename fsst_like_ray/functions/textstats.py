@@ -12,7 +12,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.text import string_buffers
+from ..buffers import string_buffers
 
 M31 = np.uint64((1 << 31) - 1)
 

@@ -1,4 +1,4 @@
 from .pattern import LikePattern, parse_like
-from .engines import match_decoded, like_on_encoded, ENGINES
+from .engines import match_decoded, ENGINES
 
-__all__ = ["LikePattern", "parse_like", "match_decoded", "like_on_encoded", "ENGINES"]
+__all__ = ["LikePattern", "parse_like", "match_decoded", "ENGINES"]

@@ -34,9 +34,8 @@ import pyarrow.compute as pc
 
 from .. import fsstlib
 from .. import native as _native
-from ..buffers import _binary_buffers, _group_indices
 from ..codecs.bitutil import gather_rows
-from .pattern import LikePattern, parse_like
+from .pattern import LikePattern
 
 ESCAPE = fsstlib.ESCAPE
 
@@ -618,61 +617,6 @@ def dummy_walk(pay: np.ndarray, po: np.ndarray) -> np.ndarray:
 ENGINES = ("decoded", "prefix", "skipping", "kmp", "auto", "dummy")
 
 
-def like_on_encoded(
-    batch: pa.Table, pattern: str | LikePattern, engine: str = "auto"
-) -> np.ndarray:
-    """Row mask for a LIKE pattern over an encoded text table (one or more
-    blocks; rows are grouped by symbol table)."""
-    from ..stages.text import decode_text_table
-
-    pat = parse_like(pattern) if isinstance(pattern, str) else pattern
-    shape = pat.shape
-    n = batch.num_rows
-    if shape == "all":
-        return np.ones(n, dtype=bool)
-
-    pay, po = _binary_buffers(batch["payload"])
-    si, state_vals = _group_indices(batch["state"])
-    used_col = None
-    seg_key = si
-    if "used_chars" in batch.column_names:
-        uc = batch["used_chars"]
-        if isinstance(uc, pa.ChunkedArray):
-            uc = uc.combine_chunks()
-        used_col = uc.cast(pa.binary())
-        # segment runs on (state, used_chars) JOINTLY: two encode blocks can
-        # share a serialized symbol table but differ in escaped-literal
-        # bitmaps — merging them into one run would prune rows with the
-        # first block's bitmap and miss matches in the second
-        ui, _uvals = _group_indices(batch["used_chars"])
-        seg_key = si * (int(ui.max()) + 1 if n else 1) + ui
-
-    result = np.zeros(n, dtype=bool)
-    # rows sharing a (state, used_chars) are contiguous runs — zero-copy
-    # payload slices
-    seg = (
-        np.concatenate(([0], np.flatnonzero(np.diff(seg_key)) + 1, [n]))
-        if n
-        else np.array([0, 0])
-    )
-    for k in range(len(seg) - 1):
-        lo, hi = int(seg[k]), int(seg[k + 1])
-        if lo == hi:
-            continue
-        rows = np.arange(lo, hi)
-        table = fsstlib.cached_table(state_vals[int(si[lo])])
-        used = used_col[lo].as_py() if used_col is not None else None
-        gpay = pay[po[lo] : po[hi]]
-        gpo = po[lo : hi + 1] - po[lo]
-
-        def decode_fn(cidx, _rows=rows):
-            sub = batch.take(pa.array(_rows[cidx]))
-            return decode_text_table(sub)["text"]
-
-        result[rows] = match_block(gpay, gpo, table, used, pat, engine, decode_fn)
-    return result
-
-
 def match_block(
     gpay: np.ndarray,
     gpo: np.ndarray,
@@ -690,9 +634,8 @@ def match_block(
     encode stored it, defers that pass). ``decode_fn(cidx) -> pa.Array``
     must return the decoded text of block-local rows ``cidx`` — the
     decode-verify step for candidates a prefilter cannot settle. This is
-    the shared engine core behind ``like_on_encoded`` (token-corpus
-    schema) and the whole-table engine's fsstb LIKE scan
-    (pipelines/columnar.like_scan_batch)."""
+    the engine core behind the fsstb LIKE scan
+    (pipelines/columnar.like_scan_mask / like_scan_batch)."""
     n_rows = len(gpo) - 1
     shape = pat.shape
     result = np.zeros(n_rows, dtype=bool)

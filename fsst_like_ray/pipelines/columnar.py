@@ -55,11 +55,15 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import fsstlib
-from ..buffers import _binary_buffers, _group_indices, payload_array
+from ..buffers import (
+    _binary_buffers,
+    _group_indices,
+    payload_array,
+    string_buffers,
+)
 from ..codecs import CODECS
 from ..codecs.auto import select_codec
 from ..codecs.bitutil import gather_rows, scatter_segments
-from ..stages.text import string_buffers
 
 # v2: numeric families carry a (vmin, vmax) zone map. No v1 read shim on
 # purpose: v1 existed for one session with no persisted artifacts beyond
@@ -2127,6 +2131,23 @@ def columnar_agg(enc_ds, column: str, ops=("min", "max", "sum", "count")) -> dic
     if "count" in ops:
         out["count"] = cnt
     return out
+
+
+def like_count(enc_ds, column: str, pattern: str, engine: str = "auto") -> int:
+    """Global LIKE match count over an encoded string column (the
+    reference's headline metric, src/BenchmarkDriver.cpp:66-79): one count
+    row per batch crosses the cluster, nothing decodes but candidates."""
+    counts = enc_ds.map_batches(
+        lambda t: pa.table(
+            {"n": [int(like_scan_mask(t, column, pattern, engine).sum())]}
+        ),
+        batch_format="pyarrow",
+    )
+    return sum(
+        int(n)
+        for b in counts.iter_batches(batch_format="pyarrow")
+        for n in b["n"].to_pylist()
+    )
 
 
 def group_count_batch(batch: pa.Table, column: str) -> pa.Table:

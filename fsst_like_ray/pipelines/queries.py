@@ -26,8 +26,14 @@ from ..functions import similarity as F_sim
 from ..functions import textstats as F_text
 from ..functions import tokenops as T_tok
 from ..functions.textstats import codepoints
-from .columnar import decode_columns_dataset, encode_columns_dataset
-from .scan import encode_text_dataset, like_scan, like_count
+from .columnar import (
+    decode_column,
+    decode_columns_dataset,
+    encode_columns_dataset,
+    like_count,
+    like_scan_batch,
+    like_scan_mask,
+)
 
 
 # ---------------------------------------------------------------- helpers
@@ -141,43 +147,52 @@ LIKE_PATTERNS = {
 }
 
 
-def _collect_ids(
-    out, col: str, src_col: str | None = None, empty_type=None
-) -> pa.Table:
+def _collect_ids(out, col: str) -> pa.Table:
     """Stream a Dataset's id column into ONE typed arrow table. When every
-    block is empty, the result is seeded with a typed empty column (an
-    all-empty Ray Dataset drops its schema, which the driver's compare
-    would read as a mismatch vs the oracle's typed empty frame) — the type
-    comes from the first collected block when any rows exist, else from
-    ``empty_type`` (default int64, the testdata id type; pass e.g.
-    ``pa.string()`` for string-keyed tables). No per-row Python; the driver
-    materializes results to compare them anyway."""
-    src = src_col or col
-    parts = []
-    for b in out.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        if b.num_rows:
-            t = b.select([src])
-            if src != col:
-                t = t.rename_columns([col])
-            parts.append(t)
+    block is empty, the result is seeded with a typed empty int64 column
+    (an all-empty Ray Dataset drops its schema, which the driver's compare
+    would read as a mismatch vs the oracle's typed empty frame). No
+    per-row Python; the driver materializes results to compare them
+    anyway."""
+    parts = [
+        b.select([col])
+        for b in out.iter_batches(batch_size=65536, batch_format="pyarrow")
+        if b.num_rows
+    ]
     if not parts:
-        return pa.table({col: pa.array([], type=empty_type or pa.int64())})
+        return pa.table({col: pa.array([], type=pa.int64())})
     return pa.concat_tables(parts).combine_chunks()
+
+
+def _encoded_docs(sf_dir: str):
+    """(doc_id, text) documents, per-column encoded (auto scheme per
+    block): the one compressed form every LIKE query scans."""
+    return encode_columns_dataset(_docs(sf_dir, ("doc_id", "text")))
+
+
+def _like_ids(enc, pattern: str, engine: str = "auto", id_col: str = "doc_id"):
+    """``id_col`` of the encoded rows whose ``text`` matches ``pattern``:
+    compressed-domain LIKE per batch, only the matches' ids decode."""
+    out = enc.map_batches(
+        lambda b: like_scan_batch(
+            b, "text", pattern, out_columns=[id_col], engine=engine
+        ),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    return _collect_ids(out, id_col)
 
 
 def make_like(pattern: str, engine: str):
     def q(sf_dir: str):
-        enc = encode_text_dataset(_docs(sf_dir, ("doc_id", "text")))
-        out = like_scan(enc, pattern, engine=engine, decode_matches=False)
-        return _collect_ids(out, "doc_id")
+        return _like_ids(_encoded_docs(sf_dir), pattern, engine)
 
     return q
 
 
 def make_like_count(pattern: str, engine: str):
     def q(sf_dir: str):
-        enc = encode_text_dataset(_docs(sf_dir, ("doc_id", "text")))
-        n = like_count(enc, pattern, engine=engine)
+        n = like_count(_encoded_docs(sf_dir), "text", pattern, engine=engine)
         return pa.table({"n": pa.array([n], type=pa.int64())})
 
     return q
@@ -188,11 +203,18 @@ REGEX_PATTERN = "(scan|merge) the (fast|slow)"
 
 def q_like_regex(sf_dir: str):
     """Regex predicate on the encoded corpus (cpp_regex analog,
-    sketch.cc:572-587): decode + RE2 match per batch, streaming."""
-    from .scan import regex_scan
+    sketch.cc:572-587): regexes have no sound compressed-domain prefilter
+    in general, so each batch decodes ONLY its text column and RE2-matches
+    it (``pyarrow.compute.match_substring_regex``), streaming."""
+    import pyarrow.compute as pc
 
-    enc = encode_text_dataset(_docs(sf_dir, ("doc_id", "text")))
-    out = regex_scan(enc, REGEX_PATTERN)
+    def scan(b: pa.Table) -> pa.Table:
+        hit = pc.match_substring_regex(decode_column(b, "text"), REGEX_PATTERN)
+        return pa.table({"doc_id": decode_column(b, "doc_id").filter(hit)})
+
+    out = _encoded_docs(sf_dir).map_batches(
+        scan, batch_format="pyarrow", zero_copy_batch=True
+    )
     return _collect_ids(out, "doc_id")
 
 
@@ -207,10 +229,10 @@ def q_engine_rank(sf_dir: str):
     engine-ranking bench — every applicable engine over the same encoded
     corpus; rank_engines itself raises if any engine disagrees with the
     decoded oracle, so a passing run certifies count agreement."""
-    from .rank import engine_rank_counts
+    from .rank import FSSTB_TEXT, engine_rank_counts
 
     raw = _docs(sf_dir, ("doc_id", "text")).materialize()
-    enc = encode_text_dataset(raw).materialize()
+    enc = encode_columns_dataset(raw, spec=FSSTB_TEXT).materialize()
     return engine_rank_counts(raw, enc, RANK_PATTERNS)
 
 
@@ -2346,9 +2368,7 @@ def q_like_exact(sf_dir: str):
         .as_py()
     )
     assert "%" not in const and "_" not in const  # keep the shape 'exact'
-    enc = encode_text_dataset(_docs(sf_dir, ("doc_id", "text")))
-    out = like_scan(enc, const, engine="auto", decode_matches=False)
-    return _collect_ids(out, "doc_id")
+    return _like_ids(_encoded_docs(sf_dir), const)
 
 
 PLANT_N = 50
@@ -4161,16 +4181,16 @@ def q_tpch_q14(sf_dir: str):
 
 def q_tpch_ptype_like(sf_dir: str):
     """The reference's second flagship column (part.p_type,
-    scripts/data-setup.sh:14-18): FSST-encode it, LIKE-scan compressed."""
+    scripts/data-setup.sh:14-18), here p_name: per-column encode (auto
+    scheme per block: fsstb where FSST wins, strdict — dictionary
+    pushdown — where the names repeat), then LIKE-scan compressed."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name"]
     ).map_batches(
-        lambda b: pa.table({"doc_id": b["p_partkey"], "text": b["p_name"]}),
+        lambda b: pa.table({"p_partkey": b["p_partkey"], "text": b["p_name"]}),
         batch_format="pyarrow",
     )
-    enc = encode_text_dataset(ds)
-    out = like_scan(enc, "%blue%", engine="auto", decode_matches=False)
-    return _collect_ids(out, "p_partkey", src_col="doc_id")
+    return _like_ids(encode_columns_dataset(ds), "%blue%", id_col="p_partkey")
 
 
 def q_tpch_q13(sf_dir: str):
@@ -4343,44 +4363,38 @@ def q_contains_token_pushdown(sf_dir: str):
 
 
 def q_like_trigram_indexed(sf_dir: str):
-    """Trigram-index-pruned LIKE scan (pipelines/trigram.py): documents
-    are staged as a partitioned corpus, a per-file trigram bloom index is
-    built in one streaming pass, and the LIKE pipeline (encode →
-    compressed-domain match) reads ONLY files whose bloom holds every
-    pattern trigram. Result must equal the unpruned scan — the oracle is
-    the plain SQL LIKE. A second, absent-literal pattern is asserted to
-    prune to ZERO files (the index's point at 100 TB: no bytes read)."""
+    """Trigram-pruned LIKE on the table store: documents are staged as an
+    8-file corpus and compressed into a store whose manifest carries a
+    trigram bloom per (fragment, string column); like_table_store opens
+    ONLY fragments whose bloom holds every pattern trigram. An
+    absent-literal pattern must prune to ZERO fragments (no
+    part file read), then the ``%merge sort%`` rows are returned — equal
+    to the unpruned scan, so the oracle is the plain SQL LIKE."""
     import shutil
 
-    from .trigram import build_trigram_index, like_scan_trigram
+    from .tablestore import compress_table, like_table_store
 
     scratch = os.path.join(
         "/tmp", f"fsst_tridx_{os.path.basename(os.path.normpath(sf_dir))}"
     )
     corpus = os.path.join(scratch, "docs")
+    store = os.path.join(scratch, "store")
     shutil.rmtree(scratch, ignore_errors=True)
     os.makedirs(corpus, exist_ok=True)
     _docs(sf_dir, ("doc_id", "text")).repartition(8).write_parquet(corpus)
-    build_trigram_index(corpus)
-    none_ds, scanned0, total = like_scan_trigram(
-        corpus, "%quantum entangle%", decode_matches=False
+    compress_table(corpus, store)
+    stats: dict = {}
+    none = like_table_store(
+        store, "text", "%quantum entangle%", columns=["doc_id"],
+        stats_out=stats,
     )
-    assert scanned0 == 0 and total > 0, (scanned0, total)
-    assert none_ds.count() == 0
-    ds, _scanned, _total = like_scan_trigram(corpus, "%merge sort%")
-    parts = [
-        b.select(["doc_id", "text"])
-        for b in ds.iter_batches(batch_size=65536, batch_format="pyarrow")
-        if b.num_rows
-    ]
-    if not parts:
-        return pa.table(
-            {
-                "doc_id": pa.array([], type=pa.int64()),
-                "text": pa.array([], type=pa.string()),
-            }
-        )
-    return pa.concat_tables(parts).combine_chunks()
+    if stats["fragments_scanned"] or not stats["fragments_skipped"]:
+        raise ValueError(f"absent literal did not prune every fragment: {stats}")
+    if none.to_arrow().num_rows:
+        raise ValueError("absent literal matched rows")
+    return like_table_store(
+        store, "text", "%merge sort%", columns=["doc_id", "text"]
+    ).to_arrow()
 
 
 def q_compaction_roundtrip(sf_dir: str):
@@ -6941,15 +6955,30 @@ def q_roundtrip_embeddings(sf_dir: str):
 
 
 def q_like_multiscan(sf_dir: str):
-    """Multi-pattern LIKE in ONE corpus pass (pipelines/scan.py
-    multi_like_scan): each batch decodes once and all three predicates
-    run against the same decoded column — decode cost amortized across
-    the pattern set. Oracle: UNION ALL of tagged single-pattern LIKEs."""
-    from .scan import multi_like_scan
-
+    """Multi-pattern LIKE in ONE corpus pass: each encoded batch runs one
+    compressed-domain ``like_scan_mask`` per pattern, and its doc_id
+    column decodes once for all of them — one (pattern, doc_id) row per
+    match. Oracle: UNION ALL of tagged single-pattern LIKEs."""
     PATTERNS = ["%merge sort%", "%fast key%", "%window window%"]
-    enc = encode_text_dataset(_docs(sf_dir, ("doc_id", "text")))
-    return multi_like_scan(enc, PATTERNS)
+
+    def scan(b: pa.Table) -> pa.Table:
+        ids = decode_column(b, "doc_id").combine_chunks()
+        masks = [like_scan_mask(b, "text", p) for p in PATTERNS]
+        return pa.table(
+            {
+                "pattern": pa.array(
+                    [p for p, m in zip(PATTERNS, masks) for _ in range(m.sum())],
+                    type=pa.string(),
+                ),
+                "doc_id": pa.concat_arrays(
+                    [ids.filter(pa.array(m)) for m in masks]
+                ),
+            }
+        )
+
+    return _encoded_docs(sf_dir).map_batches(
+        scan, batch_format="pyarrow", zero_copy_batch=True
+    )
 
 
 def q_source_top_terms(sf_dir: str):

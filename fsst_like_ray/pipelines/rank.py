@@ -3,6 +3,11 @@ artifact (sketch.cc:1306-1371: every applicable AlgType over the same column,
 raw vs fsst, oracle-checked counts, ranked by throughput; engines registered
 in multiplicity in main.cpp:19-40), re-expressed over a Ray Data stream.
 
+The encoded side is the per-column layout with the text column pinned to
+``fsstb`` (``encode_columns_dataset(raw, spec=FSSTB_TEXT)``), so every
+block is FSST payloads and every named engine really runs; each engine is
+one ``columnar.like_scan_mask`` call per batch.
+
 Timing design: the ranked quantity is the SUM of in-UDF matcher seconds
 across batches (a per-core number, like the reference's single-thread
 ms/pass), NOT pipeline wall time — per-task scheduling noise (~0.1 s) would
@@ -23,7 +28,12 @@ import pyarrow as pa
 
 import ray.data
 
-from ..matchers import like_on_encoded, match_decoded, parse_like
+from ..matchers import match_decoded, parse_like
+from .columnar import S_FSSTB, like_scan_mask
+
+# spec mode pins the text column's scheme: auto would hand a repetitive or
+# tiny block to strdict/plainb, where no compressed-domain engine runs
+FSSTB_TEXT = {"text": {"scheme": S_FSSTB}}
 
 # applicable engines per pattern shape (reference: BenchmarkDriver registers
 # every engine valid for the pattern class, main.cpp:19-40). "auto" is the
@@ -51,12 +61,12 @@ class _TimedEncodedScan:
     """Times ONLY the matcher call per batch; ships one tiny stat row."""
 
     def __init__(self, pattern: str, engine: str):
-        self.pat = parse_like(pattern)
+        self.pattern = pattern
         self.engine = engine
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         t0 = time.perf_counter()
-        mask = like_on_encoded(batch, self.pat, engine=self.engine)
+        mask = like_scan_mask(batch, "text", self.pattern, self.engine)
         dt = time.perf_counter() - t0
         return pa.table(
             {

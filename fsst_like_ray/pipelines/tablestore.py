@@ -58,8 +58,7 @@ DEFAULT_BATCH_ROWS = 8192
 # per-(fragment, string column) trigram bloom recorded in the lineage
 # manifest (base64) — like_table_store prunes fragments whose bloom lacks a
 # pattern trigram before opening any part file. 8 KB/column balances
-# manifest size against fpr (a fragment is ~one row group; the standalone
-# trigram index, pipelines/trigram.py, spends 32 KB per FILE).
+# manifest size against fpr (a fragment is ~one row group).
 TRI_BLOOM_BYTES = 1 << 13
 _TRI_K = 4
 
@@ -945,9 +944,9 @@ def like_table_store(
     trigram pruning first: the lineage manifest carries a per-(fragment,
     string column) trigram bloom, so a fragment whose bloom lacks one of
     the pattern's trigrams never opens a part file (no false negatives —
-    pipelines/trigram.py's per-file prune lifted into the store manifest;
-    the reference's used_chars block prune, src/BenchmarkDriver.cpp:128-137,
-    at fragment granularity). Fragments whose lineage predates trigram
+    pipelines/trigram.py holds the trigram extraction; the reference's
+    used_chars block prune, src/BenchmarkDriver.cpp:128-137, at fragment
+    granularity). Fragments whose lineage predates trigram
     blooms, and patterns with no sound trigram evidence, scan
     unconditionally. Only the scan + output columns' encoded fields leave
     storage; only surviving rows decode."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..buffers import list_buffers
+from ..buffers import list_buffers, string_buffers
 
 _P = np.uint64(0x100000001B3)  # FNV-ish odd multiplier
 
@@ -82,12 +82,7 @@ def row_hashes(batch: pa.Table) -> np.ndarray:
         id_h = _poly_rowhash(v, np.arange(len(v) + 1, dtype=np.int64))
         with np.errstate(over="ignore"):
             return tok_h * np.uint64(0x9E3779B97F4A7C15) + id_h
-    ids = ids.cast(pa.large_binary())
-    off = np.frombuffer(ids.buffers()[1], dtype=np.int64, count=len(ids) + 1 + ids.offset)[
-        ids.offset :
-    ]
-    base = off[0]
-    dat = np.frombuffer(ids.buffers()[2], dtype=np.uint8)[base : off[-1]]
-    id_h = _poly_rowhash(dat.astype(np.uint64), (off - base).astype(np.int64))
+    dat, off = string_buffers(ids)
+    id_h = _poly_rowhash(dat.astype(np.uint64), off)
     with np.errstate(over="ignore"):
         return tok_h * np.uint64(0x9E3779B97F4A7C15) + id_h

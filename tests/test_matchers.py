@@ -1,7 +1,10 @@
 """LIKE-engine oracle tests (SURVEY.md §5b): every engine must return the
 exact row set DuckDB returns for the same LIKE pattern on the raw table —
 the reference's computeOracle + assert philosophy (sketch.cc:1124-1143,
-:1336-1337). Pure batch-level (no Ray session needed)."""
+:1336-1337). Corpora are per-column encoded with the text column pinned to
+fsstb (auto could pick strdict/plainb, where no named engine runs) and
+scanned through columnar.like_scan_mask. Pure batch-level (no Ray session
+needed)."""
 
 from __future__ import annotations
 
@@ -11,9 +14,19 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from fsst_like_ray.matchers import parse_like, like_on_encoded, match_decoded
-from fsst_like_ray.matchers.engines import kmp_code_match, required_code_prefilter
-from fsst_like_ray.stages.text import encode_text_table, decode_text_table
+from fsst_like_ray import fsstlib
+from fsst_like_ray.buffers import _binary_buffers
+from fsst_like_ray.matchers import parse_like, match_decoded
+from fsst_like_ray.matchers.engines import required_code_prefilter
+from fsst_like_ray.pipelines.columnar import (
+    S_FSSTB,
+    _parse_head,
+    _Reader,
+    decode_columns_batch,
+    encode_columns_batch,
+    like_scan_mask,
+)
+from fsst_like_ray.pipelines.rank import FSSTB_TEXT
 
 SF = "/root/testdata/sf0.001"
 
@@ -34,9 +47,26 @@ def docs():
     return pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
 
 
+def fsstb_encode(table: pa.Table) -> pa.Table:
+    return encode_columns_batch(table, spec=FSSTB_TEXT)
+
+
+def fsstb_block(enc: pa.Table):
+    """(payload bytes, offsets, symbol table, used bitmap) of a one-block
+    fsstb text column."""
+    env = enc["text__blk"].combine_chunks().dictionary[0].as_py()
+    r = _Reader(bytes(env))
+    _parse_head(r)
+    assert r.u8() == S_FSSTB
+    table = fsstlib.cached_table(r.b32())
+    used = r.take(32)
+    pay, po = _binary_buffers(enc["text__payload"])
+    return pay, po, table, used
+
+
 @pytest.fixture(scope="module")
 def encoded_docs(docs):
-    return encode_text_table(docs)
+    return fsstb_encode(docs)
 
 
 def oracle_ids(pattern: str, table: pa.Table) -> set:
@@ -49,13 +79,13 @@ def oracle_ids(pattern: str, table: pa.Table) -> set:
 
 
 def test_text_roundtrip(docs, encoded_docs):
-    dec = decode_text_table(encoded_docs)
+    dec = decode_columns_batch(encoded_docs)
     assert dec["text"].to_pylist() == docs["text"].to_pylist()
     assert dec["doc_id"].to_pylist() == docs["doc_id"].to_pylist()
-    # compression sanity: encoded smaller than plain text
+    # compression sanity: fsstb payload bytes smaller than plain text
     plain = sum(len(t) for t in docs["text"].to_pylist())
-    enc = int(pa.compute.sum(encoded_docs["payload_nbytes"]).as_py())
-    assert enc < plain
+    pay, _po, _table, _used = fsstb_block(encoded_docs)
+    assert len(pay) < plain
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)
@@ -63,7 +93,7 @@ def test_engines_match_oracle(docs, encoded_docs, pattern):
     expect = oracle_ids(pattern, docs)
     ids = np.array(docs["doc_id"].to_pylist())
     for engine in ["decoded", "skipping", "auto"]:
-        mask = like_on_encoded(encoded_docs, pattern, engine=engine)
+        mask = like_scan_mask(encoded_docs, "text", pattern, engine)
         got = set(ids[mask].tolist())
         assert got == expect, (engine, pattern)
 
@@ -72,7 +102,7 @@ def test_engines_match_oracle(docs, encoded_docs, pattern):
 def test_kmp_engine_matches_oracle(docs, encoded_docs, pattern):
     expect = oracle_ids(pattern, docs)
     ids = np.array(docs["doc_id"].to_pylist())
-    mask = like_on_encoded(encoded_docs, pattern, engine="kmp")
+    mask = like_scan_mask(encoded_docs, "text", pattern, "kmp")
     assert set(ids[mask].tolist()) == expect, pattern
 
 
@@ -83,20 +113,20 @@ def test_long_prefix_engine(docs, encoded_docs):
     pattern = prefix + "%"
     expect = oracle_ids(pattern.replace("\\", "\\\\"), docs)
     ids = np.array(docs["doc_id"].to_pylist())
-    mask = like_on_encoded(encoded_docs, pattern, engine="prefix")
+    mask = like_scan_mask(encoded_docs, "text", pattern, "prefix")
     assert set(ids[mask].tolist()) == expect
-    mask_auto = like_on_encoded(encoded_docs, pattern, engine="auto")
+    mask_auto = like_scan_mask(encoded_docs, "text", pattern, "auto")
     assert set(ids[mask_auto].tolist()) == expect
 
 
 def test_p_type_patterns():
     part = pq.read_table(f"{SF}/part.parquet", columns=["p_partkey", "p_type"])
     t = pa.table({"doc_id": part["p_partkey"].cast(pa.string()), "text": part["p_type"]})
-    enc = encode_text_table(t)
+    enc = fsstb_encode(t)
     for pattern in ["PROMO%", "%ECONOMY%", "STANDARD%"]:
         expect = oracle_ids(pattern, t)
         ids = np.array(t["doc_id"].to_pylist())
-        mask = like_on_encoded(enc, pattern, engine="auto")
+        mask = like_scan_mask(enc, "text", pattern, "auto")
         assert set(ids[mask].tolist()) == expect, pattern
 
 
@@ -114,14 +144,9 @@ def test_pattern_parser():
 
 def test_prefilter_is_sound(docs, encoded_docs):
     """The skipping prefilter must never exclude a true match."""
-    ids = np.array(docs["doc_id"].to_pylist())
-    from fsst_like_ray.buffers import _binary_buffers
-    from fsst_like_ray import fsstlib
     import pyarrow.compute as pc
 
-    pay, po = _binary_buffers(encoded_docs["payload"])
-    state = encoded_docs["state"][0].as_py()
-    table = fsstlib.SymbolTable.deserialize(state)
+    pay, po, table, _used = fsstb_block(encoded_docs)
     for needle in [b"scan", b"join", b"the", b"qqq"]:
         cand = required_code_prefilter(pay, po, table, needle)
         truth = pc.match_substring(docs["text"], needle.decode()).to_numpy(
@@ -135,17 +160,8 @@ def test_position_code_sets_consistency(docs, encoded_docs):
     ACROSS symbol boundaries, and prune strictly tighter than plain
     byte-membership on nonsense needles."""
     import pyarrow.compute as pc
-    from fsst_like_ray.buffers import _binary_buffers
-    from fsst_like_ray import fsstlib
-    from fsst_like_ray.matchers.engines import required_code_prefilter
 
-    pay, po = _binary_buffers(encoded_docs["payload"])
-    table = fsstlib.SymbolTable.deserialize(encoded_docs["state"][0].as_py())
-    used = (
-        encoded_docs["used_chars"][0].as_py()
-        if "used_chars" in encoded_docs.column_names
-        else None
-    )
+    pay, po, table, used = fsstb_block(encoded_docs)
     # multi-word needles span symbol boundaries; 'zzzqqq' matches nothing
     for needle in [b"the fast key", b"fast key", b"zzzqqq"]:
         truth = pc.match_substring(docs["text"], needle.decode()).to_numpy(
@@ -163,12 +179,9 @@ def test_position_code_sets_consistency(docs, encoded_docs):
 def test_last_code_suffix_prefilter(docs, encoded_docs):
     """Suffix prefilter soundness + the auto path returning oracle rows."""
     import pyarrow.compute as pc
-    from fsst_like_ray.buffers import _binary_buffers
-    from fsst_like_ray import fsstlib
     from fsst_like_ray.matchers.engines import last_code_prefilter
 
-    pay, po = _binary_buffers(encoded_docs["payload"])
-    table = fsstlib.SymbolTable.deserialize(encoded_docs["state"][0].as_py())
+    pay, po, table, _used = fsstb_block(encoded_docs)
     ids = np.array(docs["doc_id"].to_pylist())
     for suf in [b"join", b"sort", b"a", b"zzz"]:
         truth = pc.ends_with(docs["text"], suf.decode()).to_numpy(
@@ -177,7 +190,7 @@ def test_last_code_suffix_prefilter(docs, encoded_docs):
         cand = last_code_prefilter(pay, po, table, suf)
         assert not (truth & ~cand).any(), suf
     for pattern in ["%join", "%rt", "%zzz"]:
-        mask = like_on_encoded(encoded_docs, pattern, engine="auto")
+        mask = like_scan_mask(encoded_docs, "text", pattern, "auto")
         assert set(ids[mask].tolist()) == oracle_ids(pattern, docs), pattern
 
 
@@ -188,11 +201,13 @@ def test_exact_payload_match(docs, encoded_docs):
     target = texts[3]
     if "%" in target or "_" in target:
         target = texts[5]
-    mask = like_on_encoded(encoded_docs, target, engine="auto")
+    mask = like_scan_mask(encoded_docs, "text", target, "auto")
     expect = {i for i, t in zip(ids, texts) if t == target}
     assert set(ids[mask].tolist()) == expect
     # no-match constant
-    mask0 = like_on_encoded(encoded_docs, "definitely not a row", engine="auto")
+    mask0 = like_scan_mask(
+        encoded_docs, "text", "definitely not a row", "auto"
+    )
     assert mask0.sum() == 0
 
 
@@ -204,7 +219,7 @@ def test_underscore_with_explicit_engines(docs, encoded_docs):
     pattern = "%sc_n%"
     expect = oracle_ids(pattern, docs)
     for engine in ("auto", "decoded", "skipping", "kmp", "prefix"):
-        mask = like_on_encoded(encoded_docs, pattern, engine=engine)
+        mask = like_scan_mask(encoded_docs, "text", pattern, engine)
         assert set(ids[mask].tolist()) == expect, engine
 
 
@@ -225,8 +240,6 @@ MULTI_CASES = {
 
 
 def _multi_block(rows):
-    from fsst_like_ray import fsstlib
-
     table = fsstlib.cached_table(fsstlib.SymbolTable(MULTI_SYMBOLS).serialize())
     off = np.zeros(len(rows) + 1, dtype=np.int64)
     off[1:] = np.cumsum([len(r) for r in rows])
@@ -277,3 +290,28 @@ def test_auto_multi_segment_matches_decoded(c_path, monkeypatch):
         assert np.array_equal(got, want), pattern
         assert want.any() and not want.all(), pattern
     assert bool(meta_calls) == c_path
+
+
+def test_mixed_table_batch_every_engine(docs):
+    """A batch concatenated from two fsstb blocks with DIFFERENT symbol
+    tables (and a slice crossing the join): like_scan_mask groups rows by
+    envelope, so each block's rows scan under their own table and bitmap.
+    Every engine and every pattern shape, '_' included, equals DuckDB."""
+    half = docs.num_rows // 2
+    a, b = fsstb_encode(docs.slice(0, half)), fsstb_encode(docs.slice(half))
+    assert fsstb_block(a)[2].serialize() != fsstb_block(b)[2].serialize()
+    enc = pa.concat_tables([a, b])
+    texts = docs["text"].to_pylist()
+    patterns = PATTERNS + [
+        "%sc_n%", "the fast key %", "%f_st%k_y%", texts[half + 1],
+    ]
+    for lo, n in ((0, docs.num_rows), (half - 40, 80)):
+        raw, batch = docs.slice(lo, n), enc.slice(lo, n)
+        ids = np.array(raw["doc_id"].to_pylist())
+        for pattern in patterns:
+            expect = oracle_ids(pattern, raw)
+            for engine in ("decoded", "prefix", "skipping", "kmp", "auto"):
+                mask = like_scan_mask(batch, "text", pattern, engine)
+                assert set(ids[mask].tolist()) == expect, (lo, pattern, engine)
+            # the cost floor walks the payloads and reports no matches
+            assert not like_scan_mask(batch, "text", pattern, "dummy").any()

@@ -14,8 +14,11 @@ import pytest
 
 from fsst_like_ray import fsstlib
 from fsst_like_ray.codecs import CODECS
-from fsst_like_ray.matchers.engines import like_on_encoded
-from fsst_like_ray.stages.text import encode_text_table
+from fsst_like_ray.pipelines.columnar import encode_columns_batch, like_scan_mask
+
+# the random corpora are small: FSSTB_TEXT pins fsstb so auto never picks
+# strdict/plainb and every named engine runs on FSST payloads
+from fsst_like_ray.pipelines.rank import FSSTB_TEXT
 
 
 def _random_corpus(seed: int, n_rows: int = 2000):
@@ -44,7 +47,7 @@ def test_like_engines_agree_with_python(seed):
         {"doc_id": pa.array(range(len(texts)), type=pa.int64()),
          "text": pa.array(texts)}
     )
-    enc = encode_text_table(batch)
+    enc = encode_columns_batch(batch, spec=FSSTB_TEXT)
     rng = np.random.default_rng(seed + 100)
     # patterns of lengths 1..9 drawn from corpus substrings (guaranteed
     # matches) plus random strings (mostly non-matches)
@@ -58,7 +61,7 @@ def test_like_engines_agree_with_python(seed):
     for needle in pats:
         oracle = np.array([needle in t for t in texts])
         for engine in ("decoded", "skipping", "kmp"):
-            got = like_on_encoded(enc, f"%{needle}%", engine=engine)
+            got = like_scan_mask(enc, "text", f"%{needle}%", engine)
             assert np.array_equal(got, oracle), (needle, engine)
 
 
@@ -112,7 +115,7 @@ def test_meta_kmp_multi_segment_agrees(seed):
         {"doc_id": pa.array(range(len(texts)), type=pa.int64()),
          "text": pa.array(texts)}
     )
-    enc = encode_text_table(batch)
+    enc = encode_columns_batch(batch, spec=FSSTB_TEXT)
     rng = np.random.default_rng(seed + 50)
 
     def oracle(t, segs):
@@ -134,7 +137,7 @@ def test_meta_kmp_multi_segment_agrees(seed):
             segs.append(src[st : st + m] or "a")
         pat = "%" + "%".join(segs) + "%"
         exp = np.array([oracle(t, segs) for t in texts])
-        got = like_on_encoded(enc, pat, engine="kmp")
+        got = like_scan_mask(enc, "text", pat, "kmp")
         assert np.array_equal(got, exp), pat
 
 
@@ -163,7 +166,7 @@ def test_like_all_shapes_agree(seed):
         {"doc_id": pa.array(range(len(texts)), type=pa.int64()),
          "text": pa.array(texts)}
     )
-    enc = encode_text_table(batch)
+    enc = encode_columns_batch(batch, spec=FSSTB_TEXT)
     rng = np.random.default_rng(seed + 7)
     pats: list[str] = []
     for _ in range(6):
@@ -178,7 +181,7 @@ def test_like_all_shapes_agree(seed):
         pats.append(s + "%" + s[:2])  # general anchored p1%p2
     for pattern in pats:
         oracle = _like_oracle(pattern, texts)
-        mask = like_on_encoded(enc, pattern, engine="auto")
+        mask = like_scan_mask(enc, "text", pattern, "auto")
         assert (mask == oracle).all(), pattern
 
 

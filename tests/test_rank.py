@@ -15,14 +15,14 @@ SF = "/root/testdata/sf0.001"
 def ranked(ray_session):
     import ray.data
 
+    from fsst_like_ray.pipelines.columnar import encode_columns_dataset
     from fsst_like_ray.pipelines.queries import RANK_PATTERNS
-    from fsst_like_ray.pipelines.rank import rank_engines
-    from fsst_like_ray.pipelines.scan import encode_text_dataset
+    from fsst_like_ray.pipelines.rank import FSSTB_TEXT, rank_engines
 
     raw = ray.data.read_parquet(
         f"{SF}/documents.parquet", columns=["doc_id", "text"]
     ).materialize()
-    enc = encode_text_dataset(raw).materialize()
+    enc = encode_columns_dataset(raw, spec=FSSTB_TEXT).materialize()
     # rank_engines raises internally on any engine/oracle count mismatch
     return rank_engines(raw, enc, RANK_PATTERNS)
 

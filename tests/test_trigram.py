@@ -1,28 +1,70 @@
-"""Trigram file-pruning index (pipelines/trigram.py): soundness (never
-drops a matching file), pruning effectiveness, and pattern-trigram
-extraction edge cases."""
+"""Trigram fragment pruning on the table store (pipelines/trigram.py
+extracts the trigrams; the store's per-(fragment, string column) blooms
+hold them): soundness (never drops a matching fragment), pruning
+effectiveness, and pattern-trigram extraction edge cases. Every scan's
+rows equal DuckDB's LIKE over the source files."""
 
 from __future__ import annotations
 
 import os
 
+import duckdb
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 from fsst_like_ray.pipelines.trigram import (
-    build_trigram_index,
-    like_scan_trigram,
+    _trigram_keys,
+    _utf8_flat,
     pattern_trigrams,
-    trigram_candidate_files,
 )
+
+
+def _write_store(src_dir, out_dir, files: list[list[tuple[str, int]]]) -> str:
+    """One source parquet file — one store fragment — per list of
+    (text, doc_id) rows; returns the compressed store's path."""
+    from fsst_like_ray.pipelines.tablestore import compress_table
+
+    os.makedirs(src_dir)
+    for k, rows in enumerate(files):
+        pq.write_table(
+            pa.table(
+                {
+                    "doc_id": pa.array([r[1] for r in rows], type=pa.int64()),
+                    "text": pa.array([r[0] for r in rows]),
+                }
+            ),
+            os.path.join(src_dir, f"part{k}.parquet"),
+        )
+    compress_table(str(src_dir), str(out_dir))
+    return str(out_dir)
+
+
+def _scan(store: str, src_dir, pattern: str) -> tuple[list[int], dict]:
+    """(sorted matching doc_ids, prune stats) of a store LIKE, asserted
+    equal to DuckDB's LIKE over the source files."""
+    from fsst_like_ray.pipelines.tablestore import like_table_store
+
+    stats: dict = {}
+    got = like_table_store(
+        store, "text", pattern, columns=["doc_id"], stats_out=stats
+    )
+    ids = sorted(got.to_arrow()["doc_id"].to_pylist())
+    expect = sorted(
+        r[0]
+        for r in duckdb.sql(
+            f"SELECT doc_id FROM '{src_dir}/*.parquet' WHERE text LIKE ?",
+            params=[pattern],
+        ).fetchall()
+    )
+    assert ids == expect, (pattern, ids, expect)
+    return ids, stats
 
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory, ray_session):
-    d = tmp_path_factory.mktemp("tri") / "docs"
-    os.makedirs(d)
+    base = tmp_path_factory.mktemp("tri")
     rows = [
         ("zebra quilt jumps", 0),
         ("the quick brown fox", 1),
@@ -31,21 +73,10 @@ def corpus(tmp_path_factory, ray_session):
         ("plain text no rare words", 4),
         ("", 5),
     ]
-    # two docs per file → 3 files with distinct trigram populations
-    for k in range(3):
-        part = rows[2 * k : 2 * k + 2]
-        pq.write_table(
-            pa.table(
-                {
-                    "doc_id": pa.array([r[1] for r in part], type=pa.int64()),
-                    "text": pa.array([r[0] for r in part]),
-                }
-            ),
-            str(d / f"part{k}.parquet"),
-        )
-    info = build_trigram_index(str(d))
-    assert info["files"] == 3
-    return str(d)
+    # two docs per file → 3 fragments with distinct trigram populations
+    files = [rows[2 * k : 2 * k + 2] for k in range(3)]
+    store = _write_store(base / "docs", base / "store", files)
+    return store, base / "docs"
 
 
 def test_pattern_trigrams_edges():
@@ -56,92 +87,75 @@ def test_pattern_trigrams_edges():
     assert pattern_trigrams("%%") is None
 
 
-def test_pruning_sound_and_effective(corpus):
-    idx = os.path.join(corpus, "index", "trigrams.parquet")
-    # 'quick' appears in files 0 (doc 1) and 1 (doc 3) only
-    cand, total = trigram_candidate_files(idx, "%quick%")
-    assert total == 3 and len(cand) <= 2
-    ds, scanned, tot = like_scan_trigram(corpus, "%quick%")
-    got = sorted(
-        r["doc_id"]
-        for b in ds.iter_batches(batch_size=100, batch_format="pyarrow")
-        for r in b.to_pylist()
+def test_trigram_keys_sliced_nulls():
+    """The bloom keys of a sliced, chunked, null-bearing column are exactly
+    the within-row 3-byte windows of its UTF-8 rows (nulls read as '')."""
+    texts = ["x", "naïve café", None, "abcd", "", "日本語", None, "abab"]
+    col = pa.chunked_array(
+        [pa.array(texts[:3]), pa.array(texts[3:])]
+    ).combine_chunks().slice(1, 6)
+    want = sorted(
+        {
+            (b[i] << 16) | (b[i + 1] << 8) | b[i + 2]
+            for t in texts[1:7]
+            for b in [(t or "").encode()]
+            for i in range(len(b) - 2)
+        }
     )
-    assert got == [1, 3]
-    assert scanned <= 2 and tot == 3
-    # absent literal → zero files read, zero rows
-    ds0, s0, _ = like_scan_trigram(corpus, "%wombat volcano%")
-    assert s0 == 0 and ds0.count() == 0
+    for c in (col, pa.chunked_array([col.slice(0, 2), col.slice(2)])):
+        keys = _trigram_keys(*_utf8_flat(c))
+        assert keys.dtype == np.int64
+        assert keys.tolist() == want
+    assert _trigram_keys(*_utf8_flat(pa.array([None, ""], pa.string()))).size == 0
+
+
+def test_pruning_sound_and_effective(corpus):
+    store, src = corpus
+    # 'quick' appears in fragments 0 (doc 1) and 1 (doc 3) only
+    ids, st = _scan(store, src, "%quick%")
+    assert ids == [1, 3]
+    assert st["fragments_scanned"] <= 2
+    assert st["fragments_scanned"] + st["fragments_skipped"] == 3
+    # absent literal → zero fragments read, zero rows
+    ids0, st0 = _scan(store, src, "%wombat volcano%")
+    assert ids0 == [] and st0["fragments_scanned"] == 0
 
 
 def test_no_trigram_pattern_keeps_all_files(corpus):
-    idx = os.path.join(corpus, "index", "trigrams.parquet")
-    cand, total = trigram_candidate_files(idx, "%ox%")
-    assert len(cand) == total == 3
-    ds, scanned, _ = like_scan_trigram(corpus, "%ox%", decode_matches=False)
-    got = sorted(
-        r["doc_id"]
-        for b in ds.iter_batches(batch_size=100, batch_format="pyarrow")
-        for r in b.to_pylist()
-    )
-    assert got == [1, 2] and scanned == 3  # fox, box
+    store, src = corpus
+    ids, st = _scan(store, src, "%ox%")  # too short for a trigram
+    assert ids == [1, 2]  # fox, box
+    assert st["fragments_scanned"] == 3 and st["fragments_skipped"] == 0
+    # '_' makes the segment non-literal: no evidence, every fragment scans
+    ids, st = _scan(store, src, "%qu_ck%")
+    assert ids == [1, 3]
+    assert st["fragments_scanned"] == 3 and st["fragments_skipped"] == 0
 
 
 def test_multi_segment_requires_all_segments(corpus):
-    # 'quick' in files 0,1; 'silver' only in file 1 → intersection = file 1
-    idx = os.path.join(corpus, "index", "trigrams.parquet")
-    cand, _ = trigram_candidate_files(idx, "%quick%silver%")
-    assert len(cand) == 1
-    ds, _, _ = like_scan_trigram(corpus, "%quick%silver%", decode_matches=False)
-    got = [
-        r["doc_id"]
-        for b in ds.iter_batches(batch_size=100, batch_format="pyarrow")
-        for r in b.to_pylist()
-    ]
-    assert got == [3]
-
-
-def test_rebuild_is_idempotent(corpus):
-    idx = os.path.join(corpus, "index", "trigrams.parquet")
-    before = pq.read_table(idx)
-    build_trigram_index(corpus)
-    after = pq.read_table(idx)
-    assert before.equals(after)
+    # 'quick' in fragments 0,1; 'silver' only in 1 → intersection = 1
+    store, src = corpus
+    ids, st = _scan(store, src, "%quick%silver%")
+    assert ids == [3]
+    assert st["fragments_scanned"] == 1 and st["fragments_skipped"] == 2
 
 
 def test_multibyte_utf8_trigrams(tmp_path, ray_session):
     """Trigrams are BYTE-grams: multibyte UTF-8 literals still prune
-    soundly (a needle's bytes appear in a file iff the text contains it)."""
-    d = tmp_path / "docs"
-    os.makedirs(d)
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array([0, 1], type=pa.int64()),
-                "text": pa.array(["naïve café forêt", "plain ascii text"]),
-            }
-        ),
-        str(d / "p0.parquet"),
+    soundly (a needle's bytes appear in a fragment iff its text holds
+    them)."""
+    store = _write_store(
+        tmp_path / "docs",
+        tmp_path / "store",
+        [
+            [("naïve café forêt", 0), ("plain ascii text", 1)],
+            [("日本語のテキスト", 2)],
+        ],
     )
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array([2], type=pa.int64()),
-                "text": pa.array(["日本語のテキスト"]),
-            }
-        ),
-        str(d / "p1.parquet"),
-    )
-    build_trigram_index(str(d))
-    for pat, want in [("%café%", [0]), ("%日本語%", [2]), ("%müller%", [])]:
-        ds, scanned, total = like_scan_trigram(
-            str(d), pat, decode_matches=False
-        )
-        got = sorted(
-            r["doc_id"]
-            for b in ds.iter_batches(batch_size=10, batch_format="pyarrow")
-            for r in b.to_pylist()
-        )
-        assert got == want, (pat, got)
-        if not want:
-            assert scanned == 0  # absent multibyte literal → zero files
+    for pat, want, scanned in [
+        ("%café%", [0], 1), ("%日本語%", [2], 1), ("%müller%", [], 0),
+    ]:
+        ids, st = _scan(store, tmp_path / "docs", pat)
+        assert ids == want, (pat, ids)
+        # each literal lives in one fragment (or none): the rest prune
+        assert st["fragments_scanned"] == scanned, (pat, st)
