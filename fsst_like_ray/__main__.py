@@ -73,6 +73,10 @@ def cmd_like(args) -> int:
     from .pipelines.columnar import like_count
 
     _raw, enc = _fsstb_text(args)
+    # one trivial chain over every block first: the first Ray Data chain
+    # of a process pays its start-up (workers included), which scan_sec
+    # would otherwise time instead of the scan
+    enc.map_batches(lambda b: b.slice(0, 0), batch_format="pyarrow").count()
     t0 = time.time()
     n = like_count(enc, "text", args.pattern, engine=args.engine)
     dt = time.time() - t0

@@ -32,9 +32,12 @@ Encoded layout (self-describing, parquet-stable):
     an ``fsstb`` body is the symbol table then the block's 32-byte
     escaped-literal bitmap (bodies written before the bitmap end at the
     table, and LIKE computes it from the payloads). Parquet: dictionary.
-  - ``c__payload`` large_binary — per-row payload (list / fsstb / plainb
-    families; empty otherwise). Parquet: DELTA_LENGTH_BYTE_ARRAY, no
-    dictionary.
+  - ``c__payload`` large_binary — per-row payload. Only list and
+    string/binary columns have the field (its rows are empty in strdict
+    blocks); scalar families keep every value in the envelope and write
+    none. Readers go through ``_payload_buffers``, which reads an absent
+    field as empty rows and refuses blocks that need the bytes.
+    Parquet: DELTA_LENGTH_BYTE_ARRAY, no dictionary.
   - ``c__n``       int32 — per-row element count (list families only; it is
     the decode ``counts`` argument). Parquet: dictionary.
 
@@ -514,8 +517,9 @@ def _plain_nbytes(arr: pa.Array) -> int:
 
 def _encode_column(
     arr: pa.Array, n: int, codec_names=None, col_spec: dict | None = None
-) -> tuple[bytes, pa.Array, np.ndarray | None]:
-    """→ (envelope, per-row payload array, per-row counts or None).
+) -> tuple[bytes, pa.Array | None, np.ndarray | None]:
+    """→ (envelope, per-row payload array or None for the scalar
+    families, per-row counts or None).
     ``col_spec`` (from train_columnar_spec) pins this column's choices
     and skips all selection work."""
     tc, unit, tz = _type_code(arr.type)
@@ -594,7 +598,7 @@ def _encode_column(
             + _pack_codec(name, state)
             + _pb64(payload)
         )
-        return env, _empty_payload(n), None
+        return env, None, None
 
     if tc in _I64_FAMILY:
         a = arr
@@ -697,7 +701,7 @@ def _encode_column(
             + _pack_codec(hname, hstate)
             + _pb64(hpay)
         )
-        return env, _empty_payload(n), None
+        return env, None, None
 
     # string / binary family
     a = arr.cast(pa.large_binary())
@@ -901,7 +905,8 @@ def encode_columns_batch(
         cols[f"{name}__blk"] = pa.DictionaryArray.from_arrays(
             zero, pa.array([env], type=pa.binary())
         )
-        cols[f"{name}__payload"] = payload
+        if payload is not None:
+            cols[f"{name}__payload"] = payload
         if counts is not None:
             cols[f"{name}__n"] = pa.array(
                 counts.astype(np.int32), type=pa.int32()
@@ -1156,6 +1161,41 @@ def _env_runs(blk, n: int):
         yield lo, hi, bytes(envs[int(gi[lo])])
 
 
+def _needs_payload(env: bytes) -> bool:
+    """Whether a block's rows keep bytes in ``c__payload``: the list
+    family, and string/binary blocks stored fsstb or plainb."""
+    if env[1] in _LIST_FAMILY:
+        return True
+    if env[1] not in _STR_FAMILY:
+        return False
+    r = _Reader(env)
+    _parse_head(r)
+    return r.u8() != S_STRDICT
+
+
+def _payload_buffers(batch: pa.Table, column: str, envs=None):
+    """(bytes, int64 offsets) of ``column``'s per-row payloads — the one
+    reader of ``c__payload``. Scalar columns have no such field, and a
+    store scan leaves it unread where every block is strdict; their rows
+    read as empty. A batch without the field whose blocks need payloads
+    raises ValueError instead of decoding them as empty. ``envs`` (the
+    column's envelopes, when the caller holds them) spares the
+    ``c__blk`` walk of that check."""
+    field = f"{column}__payload"
+    if field in batch.column_names:
+        return _binary_buffers(batch[field])
+    if envs is None:
+        envs = _group_indices(batch[f"{column}__blk"])[1]
+    if any(_needs_payload(bytes(e)) for e in envs):
+        raise ValueError(
+            f"columnar: column {column!r} has blocks with per-row payloads "
+            f"but the batch has no {field!r} field"
+        )
+    return np.zeros(0, dtype=np.uint8), np.zeros(
+        batch.num_rows + 1, dtype=np.int64
+    )
+
+
 def list_segment_runs(batch: pa.Table, column: str):
     """A list-family column of an encoded batch as codec-kernel inputs →
     ``(segments, pay_buf, pay_off, counts)``: one ``(lo, hi, codec name,
@@ -1163,13 +1203,14 @@ def list_segment_runs(batch: pa.Table, column: str):
     the per-row payloads and the ``__n`` counts. The compressed-domain
     kernels (codecs/pushdown.py) take these exactly as ``Codec.decode``
     does."""
-    segments = []
+    segments, envs = [], []
     for lo, hi, env in _env_runs(batch[f"{column}__blk"], batch.num_rows):
         r = _Reader(env)
         if _parse_head(r)[0] not in _LIST_FAMILY:
             raise TypeError(f"columnar: {column!r} is not a list column")
         segments.append((lo, hi, *r.codec()))
-    pay_buf, pay_off = _binary_buffers(batch[f"{column}__payload"])
+        envs.append(env)
+    pay_buf, pay_off = _payload_buffers(batch, column, envs)
     counts = batch[f"{column}__n"].to_numpy().astype(np.int64)
     return segments, pay_buf, pay_off, counts
 
@@ -1242,7 +1283,10 @@ def decode_columns_batch(batch: pa.Table) -> pa.Table:
         if not enc_name.endswith("__blk"):
             continue
         name = enc_name[: -len("__blk")]
-        pay_buf, pay_off = _binary_buffers(batch[f"{name}__payload"])
+        runs = list(_env_runs(batch[enc_name], n))
+        pay_buf, pay_off = _payload_buffers(
+            batch, name, [env for _lo, _hi, env in runs]
+        )
         counts = (
             batch[f"{name}__n"].to_numpy().astype(np.int64)
             if f"{name}__n" in batch.column_names
@@ -1256,7 +1300,7 @@ def decode_columns_batch(batch: pa.Table) -> pa.Table:
                 pay_off[lo : hi + 1] - pay_off[lo],
                 None if counts is None else counts[lo:hi],
             )
-            for lo, hi, env in _env_runs(batch[enc_name], n)
+            for lo, hi, env in runs
         ]
         if not parts:
             envs = _group_indices(batch[enc_name])[1]
@@ -1305,7 +1349,7 @@ def columnar_stats_batch(batch: pa.Table) -> pa.Table:
             continue
         name = enc_name[: -len("__blk")]
         gi, envs = _group_indices(batch[enc_name])
-        _buf, pay_off = _binary_buffers(batch[f"{name}__payload"])
+        _buf, pay_off = _payload_buffers(batch, name, envs)
         for k, env in enumerate(envs):
             env = bytes(env)
             sel = np.flatnonzero(gi == k)
@@ -1422,7 +1466,7 @@ def eq_scan_mask(batch: pa.Table, column: str, value) -> np.ndarray:
     if isinstance(value, str):
         value = value.encode()
     gi, envs = _group_indices(batch[f"{column}__blk"])
-    pay_buf, pay_off = _binary_buffers(batch[f"{column}__payload"])
+    pay_buf, pay_off = _payload_buffers(batch, column, envs)
     rowidx_all = batch["__rowidx"].to_numpy().astype(np.int64)
     mask = np.zeros(n, dtype=bool)
     for k, env in enumerate(envs):
@@ -1519,7 +1563,7 @@ def in_scan_mask(batch: pa.Table, column: str, values) -> np.ndarray:
                 f"in_scan: values must be str/bytes, got {type(v).__name__}"
             )
     gi, envs = _group_indices(batch[f"{column}__blk"])
-    pay_buf, pay_off = _binary_buffers(batch[f"{column}__payload"])
+    pay_buf, pay_off = _payload_buffers(batch, column, envs)
     rowidx_all = batch["__rowidx"].to_numpy().astype(np.int64)
     mask = np.zeros(n, dtype=bool)
     if not vset:
@@ -1628,7 +1672,7 @@ def like_scan_mask(
     pat = parse_like(pattern)
     n = batch.num_rows
     gi, envs = _group_indices(batch[f"{column}__blk"])
-    pay_buf, pay_off = _binary_buffers(batch[f"{column}__payload"])
+    pay_buf, pay_off = _payload_buffers(batch, column, envs)
     rowidx_all = batch["__rowidx"].to_numpy().astype(np.int64)
     mask = np.zeros(n, dtype=bool)
     for k, env in enumerate(envs):
@@ -1681,9 +1725,10 @@ def like_scan_mask(
 
             m = match_block(gpay, gpo, table, used, pat, engine, decode_fn)
         else:  # S_PLAINB
-            text = batch[f"{column}__payload"].take(pa.array(sel))
-            if isinstance(text, pa.ChunkedArray):
-                text = text.combine_chunks()
+            data, off = gather_rows(
+                pay_buf, pay_off[sel], pay_off[sel + 1] - pay_off[sel]
+            )
+            text = _binary_from(data, off, None)
             m = match_decoded(text.cast(pa.large_string()), pat)
         if valid is not None:
             m &= valid[rowidx_all[sel]]
@@ -2158,7 +2203,7 @@ def group_count_batch(batch: pa.Table, column: str) -> pa.Table:
     column. Emits (value, n) partial rows — combine with one tiny
     groupby-sum downstream."""
     gi, envs = _group_indices(batch[f"{column}__blk"])
-    pay_buf, pay_off = _binary_buffers(batch[f"{column}__payload"])
+    pay_buf, pay_off = _payload_buffers(batch, column, envs)
     rowidx_all = batch["__rowidx"].to_numpy().astype(np.int64)
     counts: dict[bytes, int] = {}
     is_text = True
@@ -2251,7 +2296,7 @@ def _group_codes(
     column only, then dictionary-encode. Key ids are batch-local:
     partials combine on the key BYTES downstream."""
     gi, envs = _group_indices(batch[f"{column}__blk"])
-    pay_buf, pay_off = _binary_buffers(batch[f"{column}__payload"])
+    pay_buf, pay_off = _payload_buffers(batch, column, envs)
     rowidx_all = batch["__rowidx"].to_numpy().astype(np.int64)
     codes = np.full(len(rowidx_all), -1, dtype=np.int64)
     keys: list[bytes] = []

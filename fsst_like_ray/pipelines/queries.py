@@ -365,11 +365,12 @@ def q_compression_ratio_gate(sf_dir: str):
     documents, fsst winning each block; the reference's FSST achieves ~2x
     on raw TEXT bytes, and the int32 code points hold each byte in 4)."""
 
-    from ..buffers import _binary_buffers, _group_indices
+    from ..buffers import _group_indices
+    from .columnar import _payload_buffers
 
     def summarize(b: pa.Table) -> pa.Table:
         # one encoded block per call: its envelopes (codec states) count once
-        _buf, pay_off = _binary_buffers(b["tokens__payload"])
+        _buf, pay_off = _payload_buffers(b, "tokens")
         envs = _group_indices(b["tokens__blk"])[1]
         enc_bytes = int(pay_off[-1]) + sum(len(e) for e in envs)
         plain = int(b["tokens__n"].to_numpy().astype(np.int64).sum()) * 4
@@ -1877,11 +1878,12 @@ def q_columnar_store_quantiles(sf_dir: str):
     quantile_sketch_gate pattern, lifted whole onto the store)."""
     import tempfile
 
-    from .columnar import _encoded_field_names, _int_values
+    from .columnar import _int_values
     from .compress import read_parquet_blocks as _rpb
     from .tablestore import (
         Manifest,
         _fragment_parts,
+        _part_fields,
         compress_table,
         quantiles_table_store,
     )
@@ -1897,9 +1899,7 @@ def q_columnar_store_quantiles(sf_dir: str):
     paths: list[str] = []
     for rec in sorted(done.values(), key=lambda rec: rec["frag_key"]):
         paths.extend(_fragment_parts(os.path.join(out, "data"), rec["frag_key"]))
-    cols = _encoded_field_names(
-        list(pq.read_schema(paths[0]).names), ["user_id"]
-    )
+    cols = _part_fields(pq.read_schema(paths[0]), ["user_id"])[0]
 
     def counts(b: pa.Table) -> pa.Table:
         vals, ok = _int_values(b, "user_id")
@@ -7420,8 +7420,8 @@ def q_docs_compressibility_gate(sf_dir: str):
     states), and under 20 % of the original corpus may flag. Each chunk
     of ≤ COMPRESS_SIG_STATE_TOKENS tokens encodes as its own columnar
     block; a row's bytes are its ``tokens__payload`` length."""
-    from ..buffers import _binary_buffers, list_buffers
-    from .columnar import encode_columns_batch
+    from ..buffers import list_buffers
+    from .columnar import _payload_buffers, encode_columns_batch
 
     ds = _docs(sf_dir, ("doc_id", "text"))
 
@@ -7459,7 +7459,7 @@ def q_docs_compressibility_gate(sf_dir: str):
         nb = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             enc = encode_columns_batch(tok.select(["tokens"]).slice(lo, hi - lo))
-            nb.append(np.diff(_binary_buffers(enc["tokens__payload"])[1]))
+            nb.append(np.diff(_payload_buffers(enc, "tokens")[1]))
         nb = np.concatenate(nb)
         nt = tok["n_tok"].to_numpy(zero_copy_only=False).astype(np.float64)
         ratio = nb / np.maximum(nt, 1.0)

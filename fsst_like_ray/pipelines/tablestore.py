@@ -43,6 +43,8 @@ import ray
 
 from ..state.manifest import Manifest, fragment_key
 from .columnar import (
+    _LIST_FAMILY,
+    _STR_FAMILY,
     _encoded_field_names,
     assert_bit_equal,
     columnar_nulls_batch,
@@ -308,12 +310,14 @@ def _part_writer(out_path: str, schema: pa.Schema) -> pq.ParquetWriter:
     - ``__rowidx`` (0..n-1 per encode block) is DELTA_BINARY_PACKED: a few
       hundred bytes a row group, where a dictionary page held every
       distinct position (~46 KB per 8,192 rows);
-    - ``*__payload`` (per-row bytes, unique by construction) is
-      DELTA_LENGTH_BYTE_ARRAY with no dictionary. Measured against PLAIN on
-      the seed-5 perfbench stores: PLAIN made the parts 13% larger on
-      events (a 4-byte length per empty scalar-family payload) and 6% on
-      docs, for ~15% faster reads of the token store's payloads, so the
-      lengths are delta-coded;
+    - ``*__payload`` (per-row bytes, unique by construction; only list
+      and string/binary columns have one) is DELTA_LENGTH_BYTE_ARRAY with
+      no dictionary. PLAIN stores a 4-byte length per row, empty rows
+      (a strdict block's) included; measured on the seed-5 perfbench
+      stores while scalar columns still wrote empty payloads, it made
+      the parts 13% larger on events and 6% on docs, for ~15% faster
+      reads of the token store's payloads, so the lengths are
+      delta-coded;
     - every other field (the ``*__blk`` envelopes, ``*__n``) keeps
       dictionary encoding: one envelope per block repeats on every row.
 
@@ -336,16 +340,56 @@ def _part_writer(out_path: str, schema: pa.Schema) -> pq.ParquetWriter:
     )
 
 
+def _reads_payload(schema: pa.Schema, column: str, recs) -> bool:
+    """Whether a store read asks for ``column``'s ``__payload`` field:
+    only if its ``columnar_tc`` is a string, binary or list type code
+    (a part without the metadata keeps any payload field it has), and,
+    when the kept fragments' manifest ``recs`` are given, some record
+    lists a scheme other than strdict for it or no schemes at all."""
+    if f"{column}__payload" not in schema.names:
+        return False
+    tc = (schema.field(f"{column}__blk").metadata or {}).get(b"columnar_tc")
+    if tc is not None and int(tc) not in _STR_FAMILY | _LIST_FAMILY:
+        return False
+    return recs is None or any(
+        ((rec.get("columns") or {}).get(column) or {}).get("schemes")
+        != ["strdict"]
+        for rec in recs
+    )
+
+
+def _part_fields(schema: pa.Schema, columns=None, recs=None):
+    """The read rule of every store read → (the encoded fields of the
+    logical ``columns`` to read — None: every column — and the sorted
+    columns whose ``__payload`` is left unread; _reads_payload decides).
+    Scalar payload fields, which parts written before the writer dropped
+    them still hold, and strdict-only ones are never read, so one field
+    list, taken from any one part's ``schema``, fits every part of a
+    store that mixes both layouts."""
+    names = schema.names
+    if columns is None:
+        columns = [n[: -len("__blk")] for n in names if n.endswith("__blk")]
+    skipped = sorted(
+        c for c in columns
+        if f"{c}__blk" in names and not _reads_payload(schema, c, recs)
+    )
+    drop = {f"{c}__payload" for c in skipped}
+    fields = [
+        f for f in _encoded_field_names(list(names), columns)
+        if f not in drop
+    ]
+    return fields, skipped
+
+
 def _read_part(path: str, columns=None) -> pa.Table:
     """One committed part's encoded fields for the logical ``columns``
-    (None: every field), read straight from the parquet file: no dataset
-    discovery, and the field names come from the footer this open parses.
-    Dictionary fields come back one chunk per row group, the others as
-    one chunk; the kernels combine chunks per field."""
+    (None: every column; _part_fields decides which payloads), read
+    straight from the parquet file: no dataset discovery, and the field
+    names come from the footer this open parses. Dictionary fields come
+    back one chunk per row group, the others as one chunk; the kernels
+    combine chunks per field."""
     pf = pq.ParquetFile(path)
-    if columns is not None:
-        columns = _encoded_field_names(pf.schema_arrow.names, columns)
-    return pf.read(columns=columns)
+    return pf.read(columns=_part_fields(pf.schema_arrow, columns)[0])
 
 
 def _encode_fragment(
@@ -684,12 +728,8 @@ def read_table_store(out_dir: str, columns=None):
         raise FileNotFoundError(
             f"read_table_store: no committed fragments under {out_dir!r}"
         )
-    kw = {}
-    if columns is not None:
-        kw["columns"] = _encoded_field_names(
-            list(pq.read_schema(paths[0]).names), columns
-        )
-    return decode_columns_dataset(read_parquet_blocks(paths, **kw))
+    fields = _part_fields(pq.read_schema(paths[0]), columns)[0]
+    return decode_columns_dataset(read_parquet_blocks(paths, columns=fields))
 
 
 def _bloom_keeps(rec: dict, column: str, tris) -> bool:
@@ -761,7 +801,8 @@ def store_lineage_rollup(out_dir: str) -> dict:
 def _pruned_parts(out_dir: str, what: str, keep_rec, stats_out):
     """Shared manifest walk of the store scans: committed fragments in
     frag_key order, each kept or pruned by ``keep_rec(rec)``. Returns
-    (kept part paths, fallback parts for schema recovery)."""
+    (kept part paths, fallback parts for schema recovery, kept records
+    for the payload half of the read rule, _part_fields)."""
     manifest = Manifest(out_dir)
     done = manifest.completed()
     if not done:
@@ -769,7 +810,7 @@ def _pruned_parts(out_dir: str, what: str, keep_rec, stats_out):
             f"{what}: no committed fragments under {out_dir!r}"
         )
     data_dir = os.path.join(out_dir, "data")
-    paths, any_parts, skipped = [], [], 0
+    paths, any_parts, kept, skipped = [], [], [], 0
     for rec in sorted(done.values(), key=lambda rec: rec["frag_key"]):
         parts = _fragment_parts(data_dir, rec["frag_key"])
         any_parts = any_parts or parts
@@ -777,6 +818,7 @@ def _pruned_parts(out_dir: str, what: str, keep_rec, stats_out):
             skipped += 1
             continue
         paths.extend(parts)
+        kept.append(rec)
     if not any_parts:
         raise FileNotFoundError(
             f"{what}: committed fragments have no part files in {out_dir!r}"
@@ -784,34 +826,40 @@ def _pruned_parts(out_dir: str, what: str, keep_rec, stats_out):
     if stats_out is not None:
         stats_out["fragments_scanned"] = len(done) - skipped
         stats_out["fragments_skipped"] = skipped
-    return paths, any_parts
+    return paths, any_parts, kept
 
 
-def _run_parts(paths, read_cols, fn, stats_out):
+def _run_parts(paths, read_cols, fn, stats_out, recs=None):
     """One per-part kernel, two executors: ``fn`` runs over each surviving
     part's encoded fields for ``read_cols`` (logical column names; None
-    reads every field). Parts totalling at most DRIVER_SCAN_BYTES run in
-    this process, part by part, and come back as the list of ``fn``
-    outputs; larger scans keep the Ray read → map_batches chain and come
-    back as its lazy Dataset (_tables iterates either). ``stats_out``
-    records the choice: ``executor`` ("driver"/"ray") and ``scan_bytes``
-    (the surviving parts' file bytes)."""
+    reads every column), the field list decided once from the first
+    part's footer and the kept fragments' records ``recs`` (None: the
+    type-code half of the rule only; _part_fields). Parts totalling at
+    most DRIVER_SCAN_BYTES run in this process, part by part, and come
+    back as the list of ``fn`` outputs; larger scans keep the Ray read →
+    map_batches chain and come back as its lazy Dataset (_tables iterates
+    either). ``stats_out`` records the choice: ``executor``
+    ("driver"/"ray"), ``scan_bytes`` (the surviving parts' file bytes)
+    and ``payload_skipped`` (the columns whose payload stayed unread)."""
     from .compress import read_parquet_blocks
 
     nbytes = sum(os.path.getsize(p) for p in paths)
     driver = nbytes <= DRIVER_SCAN_BYTES
+    read_cols = None if read_cols is None else sorted(read_cols)
+    first = pq.ParquetFile(paths[0]) if paths else None
+    fields, skipped = (
+        _part_fields(first.schema_arrow, read_cols, recs) if paths else ([], [])
+    )
     if stats_out is not None:
         stats_out["executor"] = "driver" if driver else "ray"
         stats_out["scan_bytes"] = nbytes
-    read_cols = None if read_cols is None else sorted(read_cols)
+        stats_out["payload_skipped"] = skipped
     if driver:
-        return [fn(_read_part(p, read_cols)) for p in paths]
-    cols = None
-    if read_cols is not None:
-        cols = _encoded_field_names(
-            list(pq.read_schema(paths[0]).names), read_cols
-        )
-    return read_parquet_blocks(paths, columns=cols).map_batches(
+        return [
+            fn((first if i == 0 else pq.ParquetFile(p)).read(columns=fields))
+            for i, p in enumerate(paths)
+        ]
+    return read_parquet_blocks(paths, columns=fields).map_batches(
         fn, batch_format="pyarrow"
     )
 
@@ -873,11 +921,12 @@ class ScanResult:
         return self._out
 
 
-def _scan_pruned(paths, any_parts, out_cols, read_cols, batch_fn, stats_out):
+def _scan_pruned(pruned, out_cols, read_cols, batch_fn, stats_out):
     """Shared tail of the store scans: ``batch_fn`` over the surviving
-    parts (_run_parts), read pruned to ``read_cols`` (output + scan
-    columns), as a ScanResult."""
-    out = _run_parts(paths, read_cols, batch_fn, stats_out)
+    parts of ``pruned`` (_pruned_parts → _run_parts), read pruned to
+    ``read_cols`` (output + scan columns), as a ScanResult."""
+    paths, any_parts, recs = pruned
+    out = _run_parts(paths, read_cols, batch_fn, stats_out, recs)
     return ScanResult(out, lambda: _empty_decoded(any_parts, out_cols))
 
 
@@ -919,11 +968,9 @@ def scan_table_store(
         # interleaved keys share one zone envelope but not one key set
         return not point or _intkey_keeps(rec, column, [int(lo)])
 
-    paths, any_parts = _pruned_parts(
-        out_dir, "scan_table_store", keep, stats_out
-    )
+    pruned = _pruned_parts(out_dir, "scan_table_store", keep, stats_out)
     return _scan_pruned(
-        paths, any_parts, columns,
+        pruned, columns,
         None if columns is None else set(columns) | {column},
         lambda b: range_scan_batch(b, column, lo=lo, hi=hi, out_columns=columns),
         stats_out,
@@ -954,14 +1001,14 @@ def like_table_store(
     from .trigram import pattern_trigrams
 
     tris = pattern_trigrams(pattern)
-    paths, any_parts = _pruned_parts(
+    pruned = _pruned_parts(
         out_dir,
         "like_table_store",
         lambda rec: _bloom_keeps(rec, column, tris),
         stats_out,
     )
     return _scan_pruned(
-        paths, any_parts, columns,
+        pruned, columns,
         None if columns is None else set(columns) | {column},
         lambda b: like_scan_batch(
             b, column, pattern, out_columns=columns, engine=engine
@@ -1109,15 +1156,14 @@ def predicate_scan_table_store(
     from .columnar import predicate_scan_batch
 
     scan_cols, checks = _predicate_checks(preds)
-    paths, any_parts = _pruned_parts(
+    pruned = _pruned_parts(
         out_dir,
         "predicate_scan_table_store",
         lambda rec: all(c(rec) for c in checks),
         stats_out,
     )
     return _scan_pruned(
-        paths,
-        any_parts,
+        pruned,
         columns,
         None if columns is None else scan_cols | set(columns),
         lambda b: predicate_scan_batch(
@@ -1155,7 +1201,7 @@ def group_topk_table_store(
         keep = lambda rec: all(c(rec) for c in checks)  # noqa: E731
     else:
         keep = lambda rec: True  # noqa: E731
-    paths, any_parts = _pruned_parts(
+    paths, any_parts, recs = _pruned_parts(
         out_dir, "group_topk_table_store", keep, stats_out
     )
     out_cols = (
@@ -1169,7 +1215,7 @@ def group_topk_table_store(
         )
 
     cands = [
-        t for t in _tables(_run_parts(paths, need, part, stats_out))
+        t for t in _tables(_run_parts(paths, need, part, stats_out, recs))
         if t.num_rows
     ]
     if not cands:
@@ -1198,7 +1244,7 @@ def count_where_table_store(
     from .columnar import predicate_mask
 
     scan_cols, checks = _predicate_checks(preds)
-    paths, _ = _pruned_parts(
+    paths, _, recs = _pruned_parts(
         out_dir,
         "count_where_table_store",
         lambda rec: all(c(rec) for c in checks),
@@ -1216,6 +1262,7 @@ def count_where_table_store(
             }
         ),
         stats_out,
+        recs,
     )
     return sum(sum(t["n"].to_pylist()) for t in _tables(out))
 
@@ -1292,6 +1339,7 @@ def topk_table_store(
     best: pa.Table | None = None
     scanned = skipped = nbytes = 0
     on_ray = stopped = False
+    unread: set | None = None  # payloads no scanned fragment read
     for rec in recs:
         if pred_checks and not all(c(rec) for c in pred_checks):
             skipped += 1
@@ -1316,7 +1364,7 @@ def topk_table_store(
         # materialize all partials (O(k × batches)) on the driver
         fs: dict = {}
         parts = _fragment_parts(data_dir, rec["frag_key"])
-        for t in _tables(_run_parts(parts, need, part, fs)):
+        for t in _tables(_run_parts(parts, need, part, fs, [rec])):
             if not t.num_rows:
                 continue
             best = t if best is None else pa.concat_tables(
@@ -1325,10 +1373,14 @@ def topk_table_store(
             best = best.sort_by(order).slice(0, k)
         nbytes += fs["scan_bytes"]
         on_ray |= fs["executor"] == "ray"
+        if parts:
+            got = set(fs["payload_skipped"])
+            unread = got if unread is None else unread & got
     if stats_out is not None:
         stats_out.update(
             fragments_scanned=scanned, fragments_skipped=skipped,
             executor="ray" if on_ray else "driver", scan_bytes=nbytes,
+            payload_skipped=sorted(unread or ()),
         )
     if best is None:
         if preds:
@@ -1713,29 +1765,25 @@ def group_agg_table_store(
         keep = lambda rec: all(c(rec) for c in checks)  # noqa: E731
     else:
         keep = lambda rec: True  # noqa: E731
-    paths, any_parts = _pruned_parts(
+    paths, any_parts, recs = _pruned_parts(
         out_dir, "group_agg_table_store", keep, stats_out
     )
     if distributed:
         import ray.data
-
-        from .columnar import _STR_FAMILY
 
         if not paths:
             empty = pq.read_schema(any_parts[0]).empty_table()
             return columnar_group_agg_ds(
                 ray.data.from_arrow(empty), group_col, agg_col, ops
             )
-        cols = _encoded_field_names(
-            list(pq.read_schema(paths[0]).names), sorted(need)
-        )
+        cols = _part_fields(pq.read_schema(paths[0]), sorted(need), recs)[0]
         return columnar_group_agg_ds(
             read_parquet_blocks(paths, columns=cols),
             group_col, agg_col, ops, preds, engine, bucket,
             int_keys=_column_type_code(paths, group_col) not in _STR_FAMILY,
         )
     part = group_agg_part(group_col, agg_col, preds, engine, bucket, aggs)
-    partials = _tables(_run_parts(paths, need, part, stats_out))
+    partials = _tables(_run_parts(paths, need, part, stats_out, recs))
     if aggs:
         return fold_group_multi_agg(partials, group_col, aggs)
     return fold_group_agg(partials, group_col, agg_col, ops)
@@ -1756,22 +1804,21 @@ def distinct_table_store(
     unbounded-cardinality path where a driver-side set would not fit."""
     from .columnar import distinct_scan_batch, fold_distinct
 
-    paths, _ = _pruned_parts(
+    paths, _, recs = _pruned_parts(
         out_dir, "distinct_table_store", lambda rec: True, stats_out
     )
     if distributed:
-        from .columnar import _STR_FAMILY, columnar_distinct_ds
+        from .columnar import columnar_distinct_ds
         from .compress import read_parquet_blocks
 
-        cols = _encoded_field_names(
-            list(pq.read_schema(paths[0]).names), [column]
-        )
+        cols = _part_fields(pq.read_schema(paths[0]), [column], recs)[0]
         return columnar_distinct_ds(
             read_parquet_blocks(paths, columns=cols), column,
             int_keys=_column_type_code(paths, column) not in _STR_FAMILY,
         )
     out = _run_parts(
-        paths, {column}, lambda b: distinct_scan_batch(b, column), stats_out
+        paths, {column}, lambda b: distinct_scan_batch(b, column), stats_out,
+        recs,
     )
     return fold_distinct(_tables(out), column)
 
@@ -1791,12 +1838,11 @@ def sample_table_store(
     the pruned output columns. Streams — never materializes the store."""
     from .columnar import sample_scan_batch
 
-    paths, any_parts = _pruned_parts(
+    pruned = _pruned_parts(
         out_dir, "sample_table_store", lambda rec: True, stats_out
     )
     return _scan_pruned(
-        paths,
-        any_parts,
+        pruned,
         columns,
         None if columns is None else {id_col} | set(columns),
         lambda b: sample_scan_batch(b, id_col, rate, seed, columns),
@@ -1926,7 +1972,7 @@ def quantiles_table_store(
         vals, ok = extract(b, column)
         return vals[ok]
 
-    cols = _encoded_field_names(list(pq.read_schema(paths[0]).names), [column])
+    cols = _part_fields(pq.read_schema(paths[0]), [column])[0]
     enc = read_parquet_blocks(paths, columns=cols)
     return sketch_dataset(enc, column, capacity, values_fn=values)
 
@@ -1946,7 +1992,7 @@ def _store_column_enc(out_dir: str, column: str):
     paths: list[str] = []
     for rec in sorted(done.values(), key=lambda rec: rec["frag_key"]):
         paths.extend(_fragment_parts(data_dir, rec["frag_key"]))
-    cols = _encoded_field_names(list(pq.read_schema(paths[0]).names), [column])
+    cols = _part_fields(pq.read_schema(paths[0]), [column])[0]
     return read_parquet_blocks(paths, columns=cols), paths
 
 
@@ -2036,7 +2082,7 @@ def distinct_count_table_store(out_dir: str, column: str) -> int:
         hll_merge_estimate,
         regs_from_hashes,
     )
-    from .columnar import _STR_FAMILY, _group_codes, _int_values
+    from .columnar import _group_codes, _int_values
 
     enc, paths = _store_column_enc(out_dir, column)
     is_str = _column_type_code(paths, column) in _STR_FAMILY

@@ -35,12 +35,14 @@ def _assert_tables_equal(expect: pa.Table, got: pa.Table):
 
 def _scan_stats(stats: dict, scanned: int, skipped: int) -> dict:
     """Expected stats_out of a small store scan: the fragment prune
-    counters plus the driver executor over the surviving parts' bytes."""
+    counters plus the driver executor over the surviving parts' bytes
+    and its unread payload columns (tests/test_part_io.py checks those)."""
     return {
         "fragments_scanned": scanned,
         "fragments_skipped": skipped,
         "executor": "driver",
         "scan_bytes": stats["scan_bytes"],
+        "payload_skipped": stats["payload_skipped"],
     }
 
 
@@ -1406,6 +1408,7 @@ def test_store_metadata_count(ray_session, tmp_path):
     assert s1 == {
         "fragments_meta": 1, "fragments_scanned": 1, "fragments_skipped": 1,
         "executor": "driver", "scan_bytes": s1["scan_bytes"],
+        "payload_skipped": ["event_id"],
     }
     assert got == n + sum(1 for i in range(n) if i % 10)
 

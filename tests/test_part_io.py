@@ -1,7 +1,10 @@
-"""Store part I/O: the part writer's per-field parquet encodings, and the
-one read path of committed parts (tablestore._read_part) over parts of
-either writer, multi-row-group parts, and both scan executors."""
+"""Store part I/O: the part writer's per-field parquet encodings, the
+read rule of committed parts (tablestore._part_fields: which
+``__payload`` fields a scan reads) over parts of either writer,
+multi-row-group parts and both scan executors, and the refusal to decode
+payload-carrying blocks whose payload field is missing."""
 
+import json
 import os
 import shutil
 
@@ -11,6 +14,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
+from fsst_like_ray.pipelines import columnar
 from fsst_like_ray.pipelines import tablestore as ts
 from fsst_like_ray.pipelines.loader import iter_training_batches
 
@@ -29,17 +33,33 @@ def _parts(store):
 
 def _write_like_before(part):
     """Rewrite ``part`` in place as parts were written before the
-    per-field encodings: dictionary encoding on every field, parquet
-    statistics on every field but the ``__blk`` envelopes, row groups
-    kept."""
+    per-field encodings and before scalar columns dropped their payload
+    fields: an empty ``__payload`` field after every ``__blk`` that has
+    none, dictionary encoding on every field, parquet statistics on
+    every field but the ``__blk`` envelopes, row groups kept."""
     pf = pq.ParquetFile(part)
-    names = pf.schema_arrow.names
-    stats = [n for n in names if not n.endswith("__blk")]
-    with pq.ParquetWriter(
-        part + ".tmp", pf.schema_arrow, write_statistics=stats
-    ) as w:
+    schema = pf.schema_arrow
+    fields = []
+    for f in schema:
+        fields.append(f)
+        pay = f.name[: -len("__blk")] + "__payload"
+        if f.name.endswith("__blk") and pay not in schema.names:
+            fields.append(pa.field(pay, pa.large_binary()))
+    old = pa.schema(fields)
+    stats = [n for n in old.names if not n.endswith("__blk")]
+    with pq.ParquetWriter(part + ".tmp", old, write_statistics=stats) as w:
         for g in range(pf.num_row_groups):
-            w.write_table(pf.read_row_group(g))
+            t = pf.read_row_group(g)
+            w.write_table(
+                pa.Table.from_arrays(
+                    [
+                        t[n] if n in t.column_names
+                        else columnar._empty_payload(t.num_rows)
+                        for n in old.names
+                    ],
+                    schema=old,
+                )
+            )
     os.replace(part + ".tmp", part)
 
 
@@ -77,31 +97,54 @@ def _source(src):
     )
 
 
+def _ids(res):
+    return sorted(res.to_arrow()["doc_id"].to_pylist())
+
+
+def _rows(res):
+    return sorted(res.to_arrow().to_pylist(), key=lambda r: r["doc_id"])
+
+
 def _queries(store):
     """[(rows, stats without the executor's part bytes)] of a LIKE, a
-    range scan, a GROUP BY and a count_where over ``store``."""
+    range scan, a GROUP BY, a count_where and a top-k over ``store``; the
+    row scans and the top-k once with explicit output columns and once
+    with every column."""
     out = []
 
-    def run(fn, *args, **kw):
+    def run(fn, *args, rows, **kw):
         st: dict = {}
         got = fn(store, *args, stats_out=st, **kw)
         st.pop("scan_bytes")
         executor = st.pop("executor")
-        if isinstance(got, ts.ScanResult):
-            got = sorted(got.to_arrow()["doc_id"].to_pylist())
-        elif isinstance(got, pa.Table):
-            got = sorted(got.to_pylist(), key=lambda r: r["value"])
-        out.append((got, st))
+        out.append((rows(got), st))
         return executor
 
     executors = {
-        run(ts.like_table_store, "doc_id", "%0001%", columns=["doc_id"]),
-        run(ts.scan_table_store, "n_tok", 40, 90, columns=["doc_id"]),
+        run(ts.like_table_store, "doc_id", "%0001%", columns=["doc_id"],
+            rows=_ids),
+        run(ts.like_table_store, "doc_id", "%0001%", rows=_rows),
+        run(ts.scan_table_store, "n_tok", 40, 90, columns=["doc_id"],
+            rows=_ids),
+        run(ts.scan_table_store, "n_tok", 40, 90, rows=_rows),
         run(ts.group_agg_table_store, "source", "n_tok",
-            preds=[("range", "n_tok", 10, 200)]),
-        run(ts.count_where_table_store, [("range", "n_tok", 40, 90)]),
+            preds=[("range", "n_tok", 10, 200)],
+            rows=lambda t: sorted(t.to_pylist(), key=lambda r: r["value"])),
+        run(ts.count_where_table_store, [("range", "n_tok", 40, 90)],
+            rows=lambda n: n),
+        # ties at the k-th rank break arbitrarily: compare the ranks
+        run(ts.topk_table_store, "n_tok", 5, columns=["doc_id", "n_tok"],
+            rows=lambda t: t["n_tok"].to_pylist()),
+        run(ts.topk_table_store, "n_tok", 5,
+            rows=lambda t: t["n_tok"].to_pylist()),
     }
     return out, executors
+
+
+def _decoded(ds) -> pa.Table:
+    return pa.concat_tables(
+        ds.iter_batches(batch_format="pyarrow", batch_size=None)
+    ).sort_by("doc_id")
 
 
 def _epoch(store, start_step=0):
@@ -174,20 +217,28 @@ def test_part_field_encodings(ray_session, tmp_path):
                 assert "RLE_DICTIONARY" in col.encodings, name
     assert {"__rowidx", "text__payload", "toks__payload", "toks__n",
             "id__blk"} <= seen
+    assert "id__payload" not in seen  # scalar columns write no payload
 
 
-def test_mixed_writer_store_reads_identically(stores, monkeypatch):
-    """A store whose parts come from both writers answers LIKE, range
-    scan, GROUP BY and count_where with the rows and prune stats of the
-    store written by the new writer alone, through both executors; it
-    serves the same shuffled epoch and cold resumes, and verifies
-    bit-exact against its source."""
+def test_mixed_writer_store_reads_identically(
+    stores, monkeypatch, tmp_path
+):
+    """A store whose parts come from both writers (the earlier one with
+    an empty ``n_tok__payload``) answers LIKE, range scan, GROUP BY,
+    count_where and top-k, with explicit and with all columns, with the
+    rows and prune stats of the store written by the new writer alone,
+    through both executors; it serves the same shuffled epoch and cold
+    resumes, verifies bit-exact against its source, and its compact and
+    union decode to the source table."""
     src, store, mixed = stores
     rewritten = [
         p for p in _parts(mixed)
         if pq.ParquetFile(p).metadata.row_group(0).column(0).has_dictionary_page
     ]
     assert 0 < len(rewritten) < len(_parts(mixed))
+    for p in _parts(mixed):
+        names = pq.read_schema(p).names
+        assert ("n_tok__payload" in names) == (p in rewritten)
 
     want, ex = _queries(store)
     assert ex == {"driver"}
@@ -199,14 +250,20 @@ def test_mixed_writer_store_reads_identically(stores, monkeypatch):
 
     src_t = _source(src)
     ids, n_tok = src_t["doc_id"], src_t["n_tok"]
-    like, scan, group, count = (g for g, _st in want)
-    assert like == sorted(
-        ids.filter(pc.match_substring(ids, "0001")).to_pylist()
+    like, like_all, scan, scan_all, group, count, top, top_all = (
+        g for g, _st in want
     )
+    is_like = pc.match_substring(ids, "0001")
+    assert like == sorted(ids.filter(is_like).to_pylist())
+    assert like_all == _rows_of(src_t.filter(is_like))
     in_range = pc.and_(pc.greater_equal(n_tok, 40), pc.less_equal(n_tok, 90))
     assert scan == sorted(ids.filter(in_range).to_pylist())
+    assert scan_all == _rows_of(src_t.filter(in_range))
     assert count == len(scan) > 0
     assert len(group) == len(set(src_t["source"].to_pylist()))
+    assert top == top_all == sorted(n_tok.to_pylist(), reverse=True)[:5]
+    # the scalar column's payload is never read, old layout or new
+    assert all("n_tok" in st["payload_skipped"] for _g, st in want[2:4])
 
     epoch = _epoch(store)
     assert len(epoch) > 4
@@ -216,6 +273,20 @@ def test_mixed_writer_store_reads_identically(stores, monkeypatch):
         _assert_batches_equal([first], [epoch[step]])
     res = ts.verify_table_store(src, mixed)
     assert res["ok"], res
+
+    want_t = src_t.sort_by("doc_id")
+    compacted, unioned = str(tmp_path / "compact"), str(tmp_path / "union")
+    ts.compact_table_store(mixed, compacted, target_rows=2 * 128 * ROW_GROUPS)
+    ts.union_table_store([mixed], unioned)
+    for dst in (compacted, unioned):
+        assert _decoded(ts.read_table_store(dst)).equals(want_t)
+        assert _decoded(
+            ts.read_table_store(dst, columns=["n_tok", "doc_id"])
+        ).equals(want_t.select(["n_tok", "doc_id"]))
+
+
+def _rows_of(t: pa.Table):
+    return sorted(t.to_pylist(), key=lambda r: r["doc_id"])
 
 
 def test_multi_row_group_part_chunk_layout(stores):
@@ -292,3 +363,119 @@ def test_driver_scans_use_no_dataset_read(stores, monkeypatch):
     assert scans(st) == want
     assert st["executor"] == "driver"
     _assert_batches_equal(_epoch(store), epoch)
+
+
+def test_scan_stats_name_skipped_payloads(ray_session, tmp_path):
+    """``stats_out["payload_skipped"]`` lists the int and strdict columns
+    of a scan and not the fsstb one; the strdict column is read (and
+    unlisted) once one kept fragment's record no longer lists its
+    schemes. The answers stay the same either way."""
+    src = tmp_path / "src"
+    src.mkdir()
+    rng = np.random.default_rng(11)
+    words = np.array(["merge", "sort", "ray", "scan", "fsst", "block"])
+    for f in range(2):
+        n = 1500
+        pq.write_table(
+            pa.table(
+                {
+                    "id": pa.array(np.arange(f * n, (f + 1) * n),
+                                   type=pa.int64()),
+                    "cat": pa.array(rng.choice(["a", "b", "c"], n)),
+                    "text": pa.array(
+                        [f"row {i} " + " ".join(r)
+                         for i, r in enumerate(rng.choice(words, (n, 6)))]
+                    ),
+                }
+            ),
+            src / f"f{f}.parquet",
+        )
+    store = str(tmp_path / "store")
+    ts.compress_table(str(src), store)
+    mdir = os.path.join(store, "_manifest")
+    recs = sorted(os.listdir(mdir))
+    for name in recs:
+        with open(os.path.join(mdir, name)) as fh:
+            cols = json.load(fh)["columns"]
+        assert cols["cat"]["schemes"] == ["strdict"]
+        assert cols["text"]["schemes"] == ["fsstb"]
+
+    def scans():
+        out = []
+        for fn, args in (
+            (ts.scan_table_store, ("id", 100, 2900)),
+            (ts.like_table_store, ("cat", "b")),
+            (ts.group_agg_table_store, ("cat", "id")),
+        ):
+            st: dict = {}
+            got = fn(store, *args, stats_out=st)
+            got = got.to_arrow() if isinstance(got, ts.ScanResult) else got
+            out.append((got.sort_by(got.column_names[0]), st))
+        return out
+
+    first = scans()
+    for _got, st in first:
+        assert st["payload_skipped"] == ["cat", "id"]
+    path = os.path.join(mdir, recs[0])
+    with open(path) as fh:
+        rec = json.load(fh)
+    del rec["columns"]["cat"]["schemes"]
+    with open(path, "w") as fh:
+        json.dump(rec, fh)
+    second = scans()
+    for (got, st), (want, _st) in zip(second, first):
+        assert st["payload_skipped"] == ["id"]
+        assert got.equals(want)
+
+
+def test_missing_payload_field_raises(ray_session):
+    """A batch without the payload field of an fsstb or a list column is
+    refused by decode, LIKE, eq/in, GROUP BY and the list readers with a
+    ValueError naming the column; strdict and scalar columns read the
+    same without theirs."""
+    from fsst_like_ray.pipelines.rank import FSSTB_TEXT
+
+    n = 64
+    text = pa.table(
+        {
+            "text": pa.array([f"merge sort row {i}" for i in range(n)]),
+            "cat": pa.array(["x", "y"] * (n // 2)),
+            "id": pa.array(np.arange(n), type=pa.int64()),
+        }
+    )
+    enc = columnar.encode_columns_batch(
+        text, spec={**FSSTB_TEXT, "cat": {"scheme": columnar.S_STRDICT}}
+    )
+    assert "id__payload" not in enc.column_names
+    dropped = enc.drop(["text__payload"])
+    for call in (
+        lambda: columnar.decode_columns_batch(dropped),
+        lambda: columnar.like_scan_mask(dropped, "text", "%sort%"),
+        lambda: columnar.eq_scan_mask(dropped, "text", "merge sort row 1"),
+        lambda: columnar.in_scan_mask(dropped, "text", ["merge sort row 1"]),
+        lambda: columnar.group_count_batch(dropped, "text"),
+        lambda: columnar._group_codes(dropped, "text"),
+    ):
+        with pytest.raises(ValueError, match="'text'"):
+            call()
+    # strdict and scalar columns need no payload bytes
+    lean = enc.drop(["cat__payload"])
+    assert columnar.decode_columns_batch(lean).equals(text)
+    assert columnar.like_scan_mask(lean, "cat", "x").sum() == n // 2
+
+    toks = pa.table(
+        {
+            "toks": pa.array(
+                [list(range(i % 7 + 1)) for i in range(n)],
+                type=pa.list_(pa.int32()),
+            )
+        }
+    )
+    lenc = columnar.encode_columns_batch(toks).drop(["toks__payload"])
+    for call in (
+        lambda: columnar.decode_columns_batch(lenc),
+        lambda: columnar.list_segment_runs(lenc, "toks"),
+        lambda: columnar.decode_list_rows(lenc, "toks", None),
+    ):
+        with pytest.raises(ValueError, match="'toks'"):
+            call()
