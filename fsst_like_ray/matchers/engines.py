@@ -5,10 +5,19 @@ re-designs:
 
 - decoded path       ≅ StdFind engines (src/algos/StdFind.hpp) via
                        pyarrow.compute kernels;
-- first-code prefix  ≅ StartsWithEngine (src/algos/StartsWith.hpp:28-37):
-                       pattern ≥9 bytes ⇒ every matching row's first payload
-                       byte is fully determined by the pattern; one vectorized
-                       byte compare prunes, decode verifies survivors;
+- anchored unit walk ≅ StartsWithEngine (src/algos/StartsWith.hpp:28-37)
+                       carried through the whole needle: ``p%`` steps
+                       payload units (a code, or an escape pair) from the
+                       row's start and compares each expansion with the
+                       needle's head; ``%p`` steps them back from the
+                       row's end against its tail. Exact, no automaton,
+                       no decode; auto's path for both shapes, and the
+                       end-segment prefilter of anchored ``p1%…%pn``;
+- first-code prefix  ≅ StartsWithEngine proper: pattern ≥9 bytes ⇒ every
+                       matching row's first payload byte is fully
+                       determined by the pattern; one vectorized byte
+                       compare prunes, decode verifies survivors (the
+                       named ``prefix`` engine);
 - required-code skip ≅ SkippingEngine (src/algos/Skipping.hpp:348-449):
                        per-needle-position sets of alignment-consistent
                        codes (the symbol-path set cover), ANDed over the
@@ -374,6 +383,16 @@ def last_code_prefilter(
     return cand
 
 
+@_state_cached
+def _first_unit(table: fsstlib.SymbolTable, prefix: bytes) -> tuple[int, int]:
+    """(code, match length) of the greedy parse's first unit of
+    ``prefix``; length 0 means the prefix opens with an escaped literal."""
+    data = np.frombuffer(prefix, dtype=np.uint8)
+    off = np.array([0, len(prefix)], dtype=np.int64)
+    _pos, ml, code = fsstlib._parse(data, off, table)
+    return int(code[0]), int(ml[0])
+
+
 def first_code_prefilter(
     pay: np.ndarray, po: np.ndarray, table: fsstlib.SymbolTable, prefix: bytes
 ) -> np.ndarray:
@@ -381,21 +400,101 @@ def first_code_prefilter(
     match is fully determined by greedily encoding the prefix (reference
     argument: StartsWith.hpp:12 assert). Returns a candidate mask."""
     assert len(prefix) > fsstlib.MAX_SYMBOL_LEN
-    data = np.frombuffer(prefix, dtype=np.uint8)
-    off = np.array([0, len(prefix)], dtype=np.int64)
-    pos, ml, code = fsstlib._parse(data, off, table)
+    code, ml = _first_unit(table, prefix)
     n_rows = len(po) - 1
     counts = np.diff(po)
     first = np.full(n_rows, -1, dtype=np.int64)
     nz = counts > 0
     first[nz] = pay[po[:-1][nz]]
-    if ml[0] > 0:
-        return first == code[0]
+    if ml > 0:
+        return first == code
     # prefix starts with an escaped literal: payload must start 255, byte
     second = np.full(n_rows, -1, dtype=np.int64)
     nz2 = counts > 1
     second[nz2] = pay[po[:-1][nz2] + 1]
-    return (first == ESCAPE) & (second == data[0])
+    return (first == ESCAPE) & (second == prefix[0])
+
+
+def anchored_match(
+    pay: np.ndarray,
+    po: np.ndarray,
+    table: fsstlib.SymbolTable,
+    needle: bytes,
+    from_end: bool,
+) -> np.ndarray:
+    """Exact ``p%`` (``from_end=False``) or ``%p`` match on compressed
+    payloads, no automaton and no decode: walk payload units (a code byte,
+    or an escape pair ``[255, x]``) from the row's start, comparing each
+    expansion left-aligned with the needle's unmatched head, or from the
+    row's end, right-aligned with its unmatched tail (fsstkern.c
+    anchored_scan, whose docstring gives the backward escape rule). This
+    NumPy path is its bit-identical reference: rows step one unit per
+    lockstep iteration, and on an encoder's payload each unit consumes
+    ≥ 1 needle byte, so the loop runs at most ``len(needle)`` times."""
+    n_rows = len(po) - 1
+    if _native.lib is not None:
+        return _native.anchored_scan(pay, po, table, bytes(needle), from_end)
+    m = len(needle)
+    out = np.zeros(n_rows, dtype=bool)
+    if m == 0:
+        out[:] = True
+        return out
+    W = fsstlib.MAX_SYMBOL_LEN
+    nd = np.zeros(m + W, dtype=np.uint8)  # tail pad: never compared
+    nd[:m] = np.frombuffer(needle, dtype=np.uint8)
+    k = np.arange(W)[None, :]
+    starts, ends = po[:-1], po[1:]
+    idx = np.arange(n_rows)
+    pos = (ends if from_end else starts).copy()
+    # needle bytes still to match (backward) or matched so far (forward)
+    j = np.full(n_rows, m if from_end else 0, dtype=np.int64)
+    while idx.size:
+        p = pos[idx]
+        if from_end:
+            keep = p > starts[idx]
+            idx, p = idx[keep], p[keep]
+            b = pay[p - 1]
+            # length of the 255-run just before the last byte, in the row
+            run = np.zeros(idx.size, dtype=np.int64)
+            go = np.flatnonzero(p - 2 >= starts[idx])
+            go = go[pay[p[go] - 2] == ESCAPE]
+            while go.size:
+                run[go] += 1
+                q = p[go] - 2 - run[go]
+                go = go[q >= starts[idx[go]]]
+                go = go[pay[p[go] - 2 - run[go]] == ESCAPE]
+            lit = (run & 1) == 1
+        else:
+            e = ends[idx]
+            keep = p < e
+            idx, p, e = idx[keep], p[keep], e[keep]
+            b = pay[p]
+            lit = b == ESCAPE
+            keep = ~lit | (p + 1 < e)  # a trailing lone escape ends the row
+            idx, p, b, lit = idx[keep], p[keep], b[keep], lit[keep]
+            b[lit] = pay[p[lit] + 1]
+        exp = table.sym_bytes[b]
+        exp[lit, 0] = b[lit]
+        L = np.where(lit, 1, table.sym_lens[b])
+        jj = j[idx]
+        if from_end:
+            t = np.minimum(L, jj)
+            col = np.minimum((L - t)[:, None] + k, W - 1)
+            got = np.take_along_axis(exp, col, axis=1)
+            want = nd[(jj - t)[:, None] + k]
+            jj = jj - t
+            pos[idx] = p - 1 - lit
+        else:
+            t = np.minimum(L, m - jj)
+            got, want = exp, nd[jj[:, None] + k]
+            jj = jj + t
+            pos[idx] = p + 1 + lit
+        ok = ((got == want) | (k >= t[:, None])).all(axis=1)
+        j[idx] = jj
+        done = jj == (0 if from_end else m)
+        out[idx[ok & done]] = True
+        idx = idx[ok & ~done]
+    return out
 
 
 # ----------------------------------------------------------- lookup-KMP engine
@@ -418,24 +517,38 @@ def _kmp_char_delta(needle: bytes) -> np.ndarray:
     return delta
 
 
-def _kmp_code_delta(
+def _symbol_walk(
     char_delta: np.ndarray, table: fsstlib.SymbolTable
-) -> np.ndarray:
-    """(m+1, 256) code-level transitions: run char_delta over each symbol's
-    expansion, for all states at once."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the byte automaton over every code's expansion, for all states
+    and codes at once (≤ MAX_SYMBOL_LEN steps over ``table.sym_bytes``):
+    the (m+1, 256) code-level transitions, and the (m+1, 256) first
+    within-symbol byte index at which the walk reaches accept state m
+    (-1 = never; the reference's stop_pos, src/StateMachine.hpp:41-60,
+    :137-147: a segment can complete MID-symbol, and the next segment
+    resumes from the remaining bytes of the SAME symbol,
+    MetaStateMachine.hpp:67-116). Codes without a symbol keep their state
+    and never accept."""
     m1 = char_delta.shape[0]
-    out = np.tile(np.arange(m1, dtype=np.int32)[:, None], (1, 256))
-    for code, sym in enumerate(table.symbols):
-        states = np.arange(m1, dtype=np.int32)
-        for b in sym:
-            states = char_delta[states, b]
-        out[:, code] = states
-    return out
+    states = np.tile(np.arange(m1, dtype=np.int32)[:, None], (1, 256))
+    first = np.full((m1, 256), -1, dtype=np.int32)
+    for t in range(fsstlib.MAX_SYMBOL_LEN):
+        live = np.flatnonzero(table.sym_lens > t)
+        if not live.size:
+            break
+        st = char_delta[states[:, live], table.sym_bytes[live, t]]
+        states[:, live] = st
+        sub = first[:, live]
+        sub[(st == m1 - 1) & (sub < 0)] = t
+        first[:, live] = sub
+    return states, first
 
 
 @_state_cached
-def _kmp_code_delta_for(table: fsstlib.SymbolTable, needle: bytes) -> np.ndarray:
-    return _kmp_code_delta(_kmp_char_delta(needle), table)
+def _symbol_walk_for(
+    table: fsstlib.SymbolTable, needle: bytes
+) -> tuple[np.ndarray, np.ndarray]:
+    return _symbol_walk(_kmp_char_delta(bytes(needle)), table)
 
 
 def kmp_code_match(
@@ -448,7 +561,7 @@ def kmp_code_match(
         return np.ones(n_rows, dtype=bool)
     m = len(needle)
     char_delta = _kmp_char_delta(bytes(needle))
-    code_delta = _kmp_code_delta_for(table, needle)
+    code_delta = _symbol_walk_for(table, needle)[0]
     if _native.lib is not None:
         return _native.kmp_scan(pay, po, code_delta, char_delta, m)
 
@@ -478,30 +591,6 @@ def kmp_code_match(
     return state == m
 
 
-@_state_cached
-def _accept_offsets_for(table: fsstlib.SymbolTable, needle: bytes) -> np.ndarray:
-    return _accept_offsets(_kmp_char_delta(bytes(needle)), table)
-
-
-def _accept_offsets(char_delta: np.ndarray, table: fsstlib.SymbolTable) -> np.ndarray:
-    """(m+1, 256) first within-symbol byte index at which the automaton
-    reaches accept while consuming the symbol's expansion (-1 = never).
-    The reference's stop_pos (src/StateMachine.hpp:41-60, :137-147): a
-    segment can complete MID-symbol, and the next segment must resume from
-    the remaining bytes of the SAME symbol (MetaStateMachine.hpp:67-116)."""
-    m = char_delta.shape[0] - 1
-    out = np.full((m + 1, 256), -1, dtype=np.int32)
-    for code, sym in enumerate(table.symbols):
-        states = np.arange(m + 1, dtype=np.int32)
-        first = np.full(m + 1, -1, dtype=np.int32)
-        for t, b in enumerate(sym):
-            states = char_delta[states, b]
-            hit = (states == m) & (first < 0)
-            first[hit] = t
-        out[:, code] = first
-    return out
-
-
 def meta_kmp_code_match(
     pay: np.ndarray,
     po: np.ndarray,
@@ -518,8 +607,9 @@ def meta_kmp_code_match(
     if K == 0:
         return np.ones(n_rows, dtype=bool)
     char_d = [_kmp_char_delta(bytes(seg)) for seg in segments]
-    code_d = [_kmp_code_delta_for(table, seg) for seg in segments]
-    acc_off = [_accept_offsets_for(table, seg) for seg in segments]
+    walks = [_symbol_walk_for(table, seg) for seg in segments]
+    code_d = [w[0] for w in walks]
+    acc_off = [w[1] for w in walks]
     m_of = [len(seg) for seg in segments]
     if _native.lib is not None:
         return _native.meta_kmp_scan(
@@ -635,7 +725,14 @@ def match_block(
     must return the decoded text of block-local rows ``cidx`` — the
     decode-verify step for candidates a prefilter cannot settle. This is
     the engine core behind the fsstb LIKE scan
-    (pipelines/columnar.like_scan_mask / like_scan_batch)."""
+    (pipelines/columnar.like_scan_mask / like_scan_batch).
+
+    ``engine="auto"`` answers every shape without ``_`` in the compressed
+    domain first: exact → re-encoded payload compare; ``p%`` / ``%p`` →
+    the anchored unit walk (exact); ``%p%`` / ``%p1%p2%`` → the KMP /
+    meta-KMP walks with the C kernels (exact), else the sampled skipping
+    prefilter; anchored ``p1%…%pn`` → the unit walks on its anchored end
+    segments, then decode-verify. Only ``_`` patterns decode every row."""
     n_rows = len(gpo) - 1
     shape = pat.shape
     result = np.zeros(n_rows, dtype=bool)
@@ -646,6 +743,7 @@ def match_block(
     eng = engine
     if eng == "dummy":
         return dummy_walk(gpay, gpo)
+    cand = np.ones(n_rows, dtype=bool)
     if eng == "auto":
         if shape == "exact":
             # compressed-domain equality: deterministic encoder ⇒ the
@@ -654,19 +752,33 @@ def match_block(
                 gpay, gpo, table,
                 pat.segments[0] if pat.segments else b"",
             )
-        if shape == "prefix" and len(pat.segments[0]) > fsstlib.MAX_SYMBOL_LEN:
-            eng = "prefix"
-        elif shape in ("contains", "multi", "suffix"):
+        if shape in ("prefix", "suffix"):
+            # exact unit walk from the anchored end: nothing decodes
+            return anchored_match(
+                gpay, gpo, table, pat.segments[0], shape == "suffix"
+            )
+        if shape in ("contains", "multi"):
             eng = "skipping"
         else:
             eng = "decoded"
+            if not pat.has_underscore:
+                # p1%…%pn with an anchored end: the end segments' walks
+                # are a sound prefilter; the survivors decode-verify the
+                # middle segments and end overlap
+                if pat.anchor_start:
+                    cand &= anchored_match(
+                        gpay, gpo, table, pat.segments[0], False
+                    )
+                if pat.anchor_end:
+                    cand &= anchored_match(
+                        gpay, gpo, table, pat.segments[-1], True
+                    )
 
     if eng == "kmp" and shape == "contains":
         return kmp_code_match(gpay, gpo, table, pat.segments[0])
     if eng == "kmp" and shape == "multi":
         return meta_kmp_code_match(gpay, gpo, table, pat.segments)
 
-    cand = np.ones(n_rows, dtype=bool)
     if pat.has_underscore:
         # '_' sits INSIDE segments, so they are not literal needles —
         # any compressed-domain prefilter would prune wrongly; force

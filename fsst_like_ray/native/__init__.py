@@ -107,6 +107,12 @@ def _build():
                                 ctypes.c_void_p, ctypes.c_void_p,
                                 ctypes.c_int, ctypes.c_void_p,
                                 ctypes.c_void_p]
+    l.anchored_scan.restype = None
+    l.anchored_scan.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
+                                ctypes.c_int64, ctypes.c_void_p,
+                                ctypes.c_void_p, ctypes.c_void_p,
+                                ctypes.c_int32, ctypes.c_int,
+                                ctypes.c_void_p]
     l.poly_rowhash_u32.restype = None
     l.poly_rowhash_u32.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
                                    ctypes.c_int64, ctypes.c_void_p]
@@ -419,6 +425,23 @@ def meta_kmp_scan(
         _ptr(pay), _ptr(po), n_rows, _ptr(cd), _ptr(kd), _ptr(ac),
         _ptr(tab_off), _ptr(mo), K,
         _ptr(table.sym_bytes), _ptr(table.sym_lens_u8), _ptr(out),
+    )
+    return out.view(bool)
+
+
+def anchored_scan(
+    pay: np.ndarray, po: np.ndarray, table, needle: bytes, from_end: bool,
+) -> np.ndarray:
+    """Native anchored `p%` / `%p` unit walk; see fsstkern.c anchored_scan."""
+    pay = np.ascontiguousarray(pay, dtype=np.uint8)
+    po = np.ascontiguousarray(po, dtype=np.int64)
+    n_rows = len(po) - 1
+    nd = np.frombuffer(needle, dtype=np.uint8)
+    out = np.empty(n_rows, dtype=np.uint8)
+    lib.anchored_scan(
+        _ptr(pay), _ptr(po), n_rows,
+        _ptr(table.sym_bytes), _ptr(table.sym_lens_u8),
+        _ptr(nd), len(nd), int(from_end), _ptr(out),
     )
     return out.view(bool)
 

@@ -791,6 +791,78 @@ void meta_kmp_scan(
     }
 }
 
+/* Anchored LIKE (`p%`, `%p`) walked over payload UNITS, exact, no
+ * automaton (StartsWithEngine, src/algos/StartsWith.hpp:28-37, taken to
+ * the whole prefix and mirrored for suffixes). A unit is a code byte
+ * b < 255 expanding to sym_bytes[b] (sym_len[b] bytes, 256x8 matrix) or
+ * an escape pair [255, x] expanding to x. Forward (from_end == 0): units
+ * from the row start, each expansion compared left-aligned with the
+ * unmatched head of the needle. Backward: units from the row end,
+ * compared right-aligned with the unmatched tail. A mismatch, or the row
+ * running out first, is no match; the needle running out is a match, so
+ * a row costs O(m) units. Backward unit rule: every byte other than 255
+ * ends a unit, so the last byte is an escaped literal iff an odd-length
+ * run of 255 bytes precedes it inside the row. A trailing lone 255 (no
+ * encoder writes one) expands to nothing, as in fsstlib.decode.
+ * Bit-identical to matchers/engines.anchored_match's NumPy walk. */
+void anchored_scan(
+    const uint8_t *pay, const int64_t *po, int64_t n_rows,
+    const uint8_t *sym_bytes, const uint8_t *sym_len,
+    const uint8_t *needle, int32_t m, int from_end, uint8_t *out)
+{
+    for (int64_t r = 0; r < n_rows; r++) {
+        const int64_t start = po[r], end = po[r + 1];
+        int ok = 1;
+        if (!from_end) {
+            int64_t p = start;
+            int32_t j = 0; /* needle bytes matched */
+            while (ok && j < m) {
+                if (p >= end || (pay[p] == ESCAPE && p + 1 >= end)) {
+                    ok = 0;
+                    break;
+                }
+                const uint8_t b = pay[p];
+                const uint8_t *s;
+                int L;
+                if (b == ESCAPE) {
+                    s = pay + p + 1; L = 1; p += 2;
+                } else {
+                    s = sym_bytes + ((int64_t)b << 3); L = sym_len[b]; p += 1;
+                }
+                const int t = L < m - j ? L : m - j;
+                for (int k = 0; k < t; k++)
+                    if (s[k] != needle[j + k]) { ok = 0; break; }
+                j += t;
+            }
+        } else {
+            int64_t p = end;
+            int32_t j = m; /* needle bytes left to match */
+            while (ok && j > 0) {
+                if (p <= start) {
+                    ok = 0;
+                    break;
+                }
+                int64_t q = p - 2;
+                while (q >= start && pay[q] == ESCAPE)
+                    q--;
+                const uint8_t b = pay[p - 1];
+                const uint8_t *s;
+                int L;
+                if ((p - 2 - q) & 1) {
+                    s = pay + p - 1; L = 1; p -= 2;
+                } else {
+                    s = sym_bytes + ((int64_t)b << 3); L = sym_len[b]; p -= 1;
+                }
+                const int t = L < j ? L : j;
+                for (int k = 0; k < t; k++)
+                    if (s[L - t + k] != needle[j - t + k]) { ok = 0; break; }
+                j -= t;
+            }
+        }
+        out[r] = (uint8_t)ok;
+    }
+}
+
 /* Per-row polynomial hash over uint32 values (stages/verify._poly_rowhash
  * hot leg): h_row = sum_j (v_j + 1) * P^(j - row_start) mod 2^64, P the
  * FNV-ish odd multiplier. Bit-identical to the NumPy path, but touches

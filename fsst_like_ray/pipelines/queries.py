@@ -10,7 +10,10 @@ round-trips through every codec.
 
 from __future__ import annotations
 
+import functools
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pandas as pd
@@ -37,6 +40,35 @@ from .columnar import (
 
 
 # ---------------------------------------------------------------- helpers
+def _in_scratch(prefix: str):
+    """Decorator for a query that builds stores or files of its own: it
+    runs with a fresh scratch directory (``tempfile.mkdtemp(prefix=...)``)
+    as its second argument and returns its result materialized (a Dataset
+    via ``materialize()``, a store scan via ``to_arrow()``), because a lazy
+    result would read the directory that is removed, in a ``finally``,
+    when the query returns or raises."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def run(sf_dir: str):
+            from .tablestore import ScanResult
+
+            base = tempfile.mkdtemp(prefix=prefix)
+            try:
+                out = fn(sf_dir, base)
+                if isinstance(out, ray.data.Dataset):
+                    return out.materialize()
+                if isinstance(out, ScanResult):
+                    return out.to_arrow()
+                return out
+            finally:
+                shutil.rmtree(base, ignore_errors=True)
+
+        return run
+
+    return wrap
+
+
 def _docs(sf_dir: str, columns=("doc_id", "text", "source")):
     return ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=list(columns)
@@ -583,32 +615,28 @@ def q_columnar_range_scan(sf_dir: str):
     )
 
 
-def q_columnar_pruned_read(sf_dir: str):
+@_in_scratch("columnar_pruned_")
+def q_columnar_pruned_read(sf_dir: str, out: str):
     """Column-pruned read of a parquet-persisted encoded table: only the
     requested columns' blk/payload fields leave storage (read_parquet
     columns=), then only those decode. North-star 'prune at the read' on
     the encoded layout."""
-    import tempfile
-
     from .columnar import encode_columns_dataset, read_decoded_columns
 
-    out = tempfile.mkdtemp(prefix="columnar_pruned_")
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet")
     encode_columns_dataset(ds).write_parquet(out)
     return read_decoded_columns(out, ["doc_id", "lang"])
 
 
-def q_columnar_store_roundtrip(sf_dir: str):
+@_in_scratch("columnar_store_")
+def q_columnar_store_roundtrip(sf_dir: str, out: str):
     """The resumable whole-table store end to end: compress documents into
     a manifest-backed store (pipelines/tablestore.py), run the distributed
     per-fragment bit-exact verify (raises on mismatch), then stream the
     decoded table back — the north rule's lineage/resume contract applied
     to the per-column engine."""
-    import tempfile
-
     from .tablestore import compress_table, read_table_store, verify_table_store
 
-    out = tempfile.mkdtemp(prefix="columnar_store_")
     compress_table(f"{sf_dir}/documents.parquet", out)
     v = verify_table_store(f"{sf_dir}/documents.parquet", out)
     if not v["ok"]:
@@ -616,7 +644,8 @@ def q_columnar_store_roundtrip(sf_dir: str):
     return read_table_store(out)
 
 
-def q_columnar_store_range_scan(sf_dir: str):
+@_in_scratch("columnar_store_range_")
+def q_columnar_store_range_scan(sf_dir: str, base: str):
     """Fragment-level zone pruning on the whole-table store: events split
     into four event_id-ordered source fragments → compress_table records
     per-fragment (vmin, vmax) zone envelopes in the lineage manifest →
@@ -625,11 +654,8 @@ def q_columnar_store_range_scan(sf_dir: str):
     maps and column pruning take over inside the survivors. The 100-TB
     path: a selective range over time-ordered data touches a handful of
     fragments."""
-    import tempfile
-
     from .tablestore import compress_table, scan_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_range_")
     src = pq.read_table(f"{sf_dir}/events.parquet").sort_by("event_id")
     frag_dir = os.path.join(base, "src")
     os.makedirs(frag_dir)
@@ -658,20 +684,18 @@ def q_columnar_store_range_scan(sf_dir: str):
     return out.to_arrow()
 
 
-def q_columnar_store_cluster_scan(sf_dir: str):
+@_in_scratch("columnar_store_cluster_")
+def q_columnar_store_cluster_scan(sf_dir: str, base: str):
     """Cluster-while-encoding on UNSORTED input: events shuffled by a
     seeded permutation, range-sorted into the store by ONE distributed
     sort (tablestore.cluster_table_store), then the same zone-pruned
     range scan as columnar_store_range_scan — fragment envelopes come
     out disjoint, so pruning engages on data that arrived unordered
     (asserted: more fragments skipped than scanned)."""
-    import tempfile
-
     import pyarrow.compute as pc
 
     from .tablestore import cluster_table_store, scan_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_cluster_")
     src = pq.read_table(f"{sf_dir}/events.parquet")
     rng = np.random.default_rng(41)
     src = src.take(pa.array(rng.permutation(src.num_rows)))
@@ -699,18 +723,16 @@ def q_columnar_store_cluster_scan(sf_dir: str):
     return out.to_arrow()
 
 
-def q_columnar_store_count(sf_dir: str):
+@_in_scratch("columnar_store_count_")
+def q_columnar_store_count(sf_dir: str, base: str):
     """Metadata-only COUNT on the store: fragments fully covered by the
     range (zone inside bounds, zero recorded nulls) contribute their
     manifest row counts without opening a file; boundary fragments count
     zone-mask bits over ONE column's encoded fields; disjoint fragments
     skip (tablestore.count_table_store; asserted: ≥1 metadata-only and
     ≥1 skipped)."""
-    import tempfile
-
     from .tablestore import compress_table, count_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_count_")
     src = pq.read_table(f"{sf_dir}/events.parquet").sort_by("event_id")
     frag_dir = os.path.join(base, "src")
     os.makedirs(frag_dir)
@@ -736,17 +758,15 @@ def q_columnar_store_count(sf_dir: str):
     return pa.table({"n": pa.array([total], type=pa.int64())})
 
 
-def q_columnar_store_histogram(sf_dir: str):
+@_in_scratch("columnar_store_hist_")
+def q_columnar_store_histogram(sf_dir: str, base: str):
     """Equi-width histogram off the store's encoded int streams
     (tablestore.histogram_table_store): one pruned-column pass, ≤ bins+2
     partial rows per batch, bounds free from the manifest zone envelope.
     The bin rule is pure integer floor division, so the SQL oracle
     reproduces every count exactly."""
-    import tempfile
-
     from .tablestore import compress_table, histogram_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_hist_")
     src = pq.read_table(f"{sf_dir}/events.parquet").sort_by("event_id")
     frag_dir = os.path.join(base, "src")
     os.makedirs(frag_dir)
@@ -761,16 +781,14 @@ def q_columnar_store_histogram(sf_dir: str):
     return histogram_table_store(store, "user_id", n_bins=16)
 
 
-def q_columnar_store_topk(sf_dir: str):
+@_in_scratch("columnar_store_topk_")
+def q_columnar_store_topk(sf_dir: str, base: str):
     """Zone-pruned top-k on the store: fragments process in zone-bound
     order and the scan STOPS once the k-th best beats every remaining
     fragment's envelope — only the winning rows ever decode
     (tablestore.topk_table_store; asserted: ≥2 of 4 fragments skip)."""
-    import tempfile
-
     from .tablestore import compress_table, topk_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_topk_")
     src = pq.read_table(f"{sf_dir}/events.parquet").sort_by("event_id")
     frag_dir = os.path.join(base, "src")
     os.makedirs(frag_dir)
@@ -792,17 +810,15 @@ def q_columnar_store_topk(sf_dir: str):
     return top
 
 
-def q_columnar_store_group_topk(sf_dir: str):
+@_in_scratch("columnar_store_group_topk_")
+def q_columnar_store_group_topk(sf_dir: str, out: str):
     """Top-N-per-key over the store: the 3 highest event_ids per
     event_type — group keys from block dictionaries, ranks from cached
     int streams, only ≤k-per-group candidates decode per batch, the
     driver re-ranks a cardinality-bounded candidate set
     (tablestore.group_topk_table_store)."""
-    import tempfile
-
     from .tablestore import compress_table, group_topk_table_store
 
-    out = tempfile.mkdtemp(prefix="columnar_store_group_topk_")
     compress_table(f"{sf_dir}/events.parquet", out)
     return group_topk_table_store(
         out, "event_type", "event_id", 3,
@@ -810,16 +826,14 @@ def q_columnar_store_group_topk(sf_dir: str):
     )
 
 
-def q_columnar_store_count_where(sf_dir: str):
+@_in_scratch("columnar_store_count_where_")
+def q_columnar_store_count_where(sf_dir: str, base: str):
     """COUNT(*) under a compound predicate, no row decode: events in the
     first quarter of the id span AND of type 'click' — disjoint
     fragments prune on zones (asserted), survivors count predicate-mask
     bits per batch (tablestore.count_where_table_store)."""
-    import tempfile
-
     from .tablestore import compress_table, count_where_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_count_where_")
     src = pq.read_table(f"{sf_dir}/events.parquet").sort_by("event_id")
     frag_dir = os.path.join(base, "src")
     os.makedirs(frag_dir)
@@ -848,18 +862,16 @@ def q_columnar_store_count_where(sf_dir: str):
     return pa.table({"n": pa.array([total], type=pa.int64())})
 
 
-def q_columnar_store_eq_bloom(sf_dir: str):
+@_in_scratch("columnar_store_eqbloom_")
+def q_columnar_store_eq_bloom(sf_dir: str, base: str):
     """Point lookup pruned by per-fragment int-key value blooms: events
     laid out by user_id % 4 make every fragment's zone envelope span the
     whole key range (zones alone prune nothing), yet an equality on one
     user_id must touch only the fragment of its residue class — the
     lineage value bloom proves the other three lack the key. Pruning is
     asserted; the rows themselves oracle against plain SQL."""
-    import tempfile
-
     from .tablestore import compress_table, predicate_scan_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_eqbloom_")
     src = pq.read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "event_type"],
@@ -898,21 +910,19 @@ def _derive_event_cents(t: pa.Table) -> pa.Table:
     return t.append_column("etype_upper", pc.utf8_upper(t["event_type"]))
 
 
-def q_columnar_store_derive(sf_dir: str):
+@_in_scratch("columnar_store_derive_")
+def q_columnar_store_derive(sf_dir: str, base: str):
     """Column backfill over a committed store WITHOUT its source
     (derive_table_store): decode → append derived columns (integer cents,
     uppercased type) → re-encode, source columns verified bit-exact
     per fragment before commit, derived columns earning zones/blooms/NDV
     lineage. The derived store's rows oracle against plain SQL."""
-    import tempfile
-
     from .tablestore import (
         compress_table,
         derive_table_store,
         read_table_store,
     )
 
-    base = tempfile.mkdtemp(prefix="columnar_store_derive_")
     store = os.path.join(base, "store")
     compress_table(f"{sf_dir}/events.parquet", store)
     derived = os.path.join(base, "derived")
@@ -925,21 +935,19 @@ def q_columnar_store_derive(sf_dir: str):
     return ds.map_batches(fmt, batch_format="pyarrow")
 
 
-def q_columnar_store_drop_column(sf_dir: str):
+@_in_scratch("columnar_store_dropcol_")
+def q_columnar_store_drop_column(sf_dir: str, base: str):
     """Column erasure over a committed store (drop_columns_table_store —
     the GDPR whole-column complement to the row-level key delete): the
     events store rewritten WITHOUT user_id; kept columns verified
     bit-exact per fragment during the rewrite, and the result oracles
     against SELECT * EXCLUDE (user_id)."""
-    import tempfile
-
     from .tablestore import (
         compress_table,
         drop_columns_table_store,
         read_table_store,
     )
 
-    base = tempfile.mkdtemp(prefix="columnar_store_dropcol_")
     store = os.path.join(base, "store")
     compress_table(f"{sf_dir}/events.parquet", store)
     dst = os.path.join(base, "erased")
@@ -947,17 +955,15 @@ def q_columnar_store_drop_column(sf_dir: str):
     return read_table_store(dst)
 
 
-def q_columnar_store_tokens_roundtrip(sf_dir: str):
+@_in_scratch("columnar_store_tokens_")
+def q_columnar_store_tokens_roundtrip(sf_dir: str, base: str):
     """The whole-table store holding the NORTH-RULE tokens table itself
     (doc_id, tokens list<int32>, n_tok, source) — list columns ride the
     per-column auto codecs through the full compress_table lifecycle
     (manifest, parts, resume) and decode bit-exact; oracled against the
     same codepoint reconstruction every encode round-trip uses."""
-    import tempfile
-
     from .tablestore import compress_table, read_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_tokens_")
     src = os.path.join(base, "tokens.parquet")
     tbl = pa.concat_tables(
         b
@@ -974,7 +980,8 @@ def q_columnar_store_tokens_roundtrip(sf_dir: str):
     )
 
 
-def q_columnar_store_ndv_gate(sf_dir: str):
+@_in_scratch("columnar_store_ndv_")
+def q_columnar_store_ndv_gate(sf_dir: str, base: str):
     """Gate: planner statistics from lineage alone. Encode-time HLL
     registers per int/string column ride the manifest; ndv_table_store
     merges them (elementwise max) and estimates COUNT(DISTINCT) with no
@@ -982,11 +989,8 @@ def q_columnar_store_ndv_gate(sf_dir: str):
     the exact distinct count (HLL P=12 sigma ≈ 1.6 %, so 5 % ≈ 3σ) —
     exact counts computed with Arrow from the source, the
     approx_distinct_text gate pattern."""
-    import tempfile
-
     from .tablestore import compress_table, ndv_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_ndv_")
     src_path = f"{sf_dir}/events.parquet"
     store = os.path.join(base, "store")
     compress_table(src_path, store)
@@ -1005,17 +1009,15 @@ def q_columnar_store_ndv_gate(sf_dir: str):
     )
 
 
-def q_columnar_store_topk_where(sf_dir: str):
+@_in_scratch("columnar_store_topk_where_")
+def q_columnar_store_topk_where(sf_dir: str, base: str):
     """Top-k WHERE on the store: the 20 highest event_ids among 'click'
     events — fragments process best-zone-first and the scan still stops
     early, the equality predicate masks rows in the compressed domain
     (dictionary probe) before ranking, only winners decode
     (tablestore.topk_table_store(preds=...))."""
-    import tempfile
-
     from .tablestore import compress_table, topk_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_topk_where_")
     src = pq.read_table(f"{sf_dir}/events.parquet").sort_by("event_id")
     frag_dir = os.path.join(base, "src")
     os.makedirs(frag_dir)
@@ -1038,17 +1040,15 @@ def q_columnar_store_topk_where(sf_dir: str):
     return top
 
 
-def q_columnar_store_like_prune(sf_dir: str):
+@_in_scratch("columnar_store_likeprune_")
+def q_columnar_store_like_prune(sf_dir: str, base: str):
     """Gate: fragment-level trigram pruning for LIKE on the store. The
     documents table splits into four fragments with a marker literal
     planted ONLY in the last; the manifest blooms must prune the other
     three before any part file opens, and the matched doc_ids must equal
     the planted set exactly. All-true booleans, SQL-gated."""
-    import tempfile
-
     from .tablestore import compress_table, like_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_likeprune_")
     src = pq.read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     ).sort_by("doc_id")
@@ -1086,7 +1086,8 @@ def q_columnar_store_like_prune(sf_dir: str):
     )
 
 
-def q_columnar_store_groupby(sf_dir: str):
+@_in_scratch("columnar_store_groupby_")
+def q_columnar_store_groupby(sf_dir: str, out: str):
     """Compressed-domain GROUP BY on the whole-table store: documents
     compress into a manifest-backed store, then group keys stream through
     the per-block string dictionaries and COUNT/SUM/MIN/MAX(n_chars)
@@ -1094,16 +1095,14 @@ def q_columnar_store_groupby(sf_dir: str):
     rows, only the two columns' encoded fields leave storage, and one
     cardinality-bounded partial row per group per batch crosses the
     cluster (tablestore.group_agg_table_store)."""
-    import tempfile
-
     from .tablestore import compress_table, group_agg_table_store
 
-    out = tempfile.mkdtemp(prefix="columnar_store_groupby_")
     compress_table(f"{sf_dir}/documents.parquet", out)
     return group_agg_table_store(out, "source", "n_chars")
 
 
-def q_columnar_store_groupby_where(sf_dir: str):
+@_in_scratch("columnar_store_groupby_where_")
+def q_columnar_store_groupby_where(sf_dir: str, base: str):
     """GROUP BY ... WHERE entirely in the compressed domain: over a
     4-fragment doc_id-ordered documents store, a compound predicate
     (doc_id range + LIKE on text) prunes whole fragments via manifest
@@ -1111,11 +1110,8 @@ def q_columnar_store_groupby_where(sf_dir: str):
     batch through the predicate masks, and only then do the dictionary
     group keys and cached n_chars streams aggregate — no row ever
     decodes (tablestore.group_agg_table_store(preds=...))."""
-    import tempfile
-
     from .tablestore import compress_table, group_agg_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_groupby_where_")
     src = pq.read_table(f"{sf_dir}/documents.parquet").sort_by("doc_id")
     frag_dir = os.path.join(base, "src")
     os.makedirs(frag_dir)
@@ -1146,17 +1142,15 @@ def q_columnar_store_groupby_where(sf_dir: str):
     return out
 
 
-def q_columnar_store_groupby_time(sf_dir: str):
+@_in_scratch("columnar_store_groupby_time_")
+def q_columnar_store_groupby_time(sf_dir: str, out: str):
     """Time-windowed rollup in the compressed domain: events grouped by
     DAY — the microsecond timestamp column floor-bucketed by
     86_400_000_000 straight off its cached int streams (no timestamp
     object ever materializes) — with COUNT/MIN/MAX(event_id) per day
     (tablestore.group_agg_table_store(bucket=...), int-keyed output)."""
-    import tempfile
-
     from .tablestore import compress_table, group_agg_table_store
 
-    out = tempfile.mkdtemp(prefix="columnar_store_groupby_time_")
     compress_table(f"{sf_dir}/events.parquet", out)
     return group_agg_table_store(
         out, "ts", "event_id", ops=("count", "min", "max"),
@@ -1164,33 +1158,29 @@ def q_columnar_store_groupby_time(sf_dir: str):
     )
 
 
-def q_columnar_store_groupby_dist(sf_dir: str):
+@_in_scratch("columnar_store_groupby_dist_")
+def q_columnar_store_groupby_dist(sf_dir: str, out: str):
     """The unbounded-cardinality GROUP BY path: documents grouped by
     doc_id (every key distinct — the shape where a driver-side fold
     cannot hold the key space) with COUNT/SUM/MIN/MAX(n_chars); partials
     stream through ONE groupby shuffle and merge inside map_groups,
     returning a Dataset (tablestore.group_agg_table_store(
     distributed=True) → columnar.columnar_group_agg_ds)."""
-    import tempfile
-
     from .tablestore import compress_table, group_agg_table_store
 
-    out = tempfile.mkdtemp(prefix="columnar_store_groupby_dist_")
     compress_table(f"{sf_dir}/documents.parquet", out)
     return group_agg_table_store(out, "doc_id", "n_chars", distributed=True)
 
 
-def q_columnar_store_agg_meta(sf_dir: str):
+@_in_scratch("columnar_store_aggmeta_")
+def q_columnar_store_agg_meta(sf_dir: str, base: str):
     """Metadata-only scalar aggregates on the store: over a 4-fragment
     events store, MIN/MAX/COUNT(event_id) answer purely from the lineage
     manifest's zone envelopes and null counts — asserted ZERO part files
     open — while SUM(user_id) scans just that one column's encoded
     fields (tablestore.agg_table_store)."""
-    import tempfile
-
     from .tablestore import agg_table_store, compress_table
 
-    base = tempfile.mkdtemp(prefix="columnar_store_aggmeta_")
     src = pq.read_table(f"{sf_dir}/events.parquet").sort_by("event_id")
     frag_dir = os.path.join(base, "src")
     os.makedirs(frag_dir)
@@ -1219,7 +1209,8 @@ def q_columnar_store_agg_meta(sf_dir: str):
     )
 
 
-def q_columnar_store_semijoin(sf_dir: str):
+@_in_scratch("columnar_store_semijoin_")
+def q_columnar_store_semijoin(sf_dir: str, base: str):
     """Store-to-store semi-join from committed-store operators alone: the
     two lexicographically-first event types become a dimension STORE;
     its key set folds back out of the per-block dictionaries
@@ -1227,15 +1218,12 @@ def q_columnar_store_semijoin(sf_dir: str):
     scans with an IN predicate (dictionary probes per block, trigram
     bloom pruning at the fragment tier). The broadcast-small-side
     semi-join pattern, expressed entirely in the compressed domain."""
-    import tempfile
-
     from .tablestore import (
         compress_table,
         distinct_table_store,
         predicate_scan_table_store,
     )
 
-    base = tempfile.mkdtemp(prefix="columnar_store_semijoin_")
     fact = os.path.join(base, "fact")
     compress_table(f"{sf_dir}/events.parquet", fact)
     keys = distinct_table_store(fact, "event_type")["value"].to_pylist()[:2]
@@ -1253,17 +1241,15 @@ def q_columnar_store_semijoin(sf_dir: str):
     ).to_arrow()
 
 
-def q_columnar_store_groupby_multi(sf_dir: str):
+@_in_scratch("columnar_store_groupby_multi_")
+def q_columnar_store_groupby_multi(sf_dir: str, out: str):
     """Multi-aggregate GROUP BY in one compressed-domain pass: events by
     event_type with SUM/MIN/MAX(user_id) AND MIN/MAX(event_id) — each
     aggregate column's cached streams decode once for all its ops,
     output columns named {op}_{col}
     (tablestore.group_agg_table_store(aggs=...))."""
-    import tempfile
-
     from .tablestore import compress_table, group_agg_table_store
 
-    out = tempfile.mkdtemp(prefix="columnar_store_groupby_multi_")
     compress_table(f"{sf_dir}/events.parquet", out)
     return group_agg_table_store(
         out,
@@ -1275,7 +1261,8 @@ def q_columnar_store_groupby_multi(sf_dir: str):
     )
 
 
-def q_columnar_store_group_multikey(sf_dir: str):
+@_in_scratch("columnar_store_group_multikey_")
+def q_columnar_store_group_multikey(sf_dir: str, out: str):
     """Composite-key GROUP BY in the compressed domain: events by
     (event_type, day-bucketed ts) with COUNT(*)/SUM(user_id) — string
     keys from block dictionaries, time keys floor-bucketed off the
@@ -1283,11 +1270,8 @@ def q_columnar_store_group_multikey(sf_dir: str):
     tuples that ride the same binary-value partial fold as single keys
     (columnar._group_head_multi; output one column per key, named after
     the source columns)."""
-    import tempfile
-
     from .tablestore import compress_table, group_agg_table_store
 
-    out = tempfile.mkdtemp(prefix="columnar_store_group_multikey_")
     compress_table(f"{sf_dir}/events.parquet", out)
     return group_agg_table_store(
         out, ["event_type", "ts"], "user_id",
@@ -1295,7 +1279,8 @@ def q_columnar_store_group_multikey(sf_dir: str):
     )
 
 
-def q_columnar_store_filter(sf_dir: str):
+@_in_scratch("columnar_store_filter_")
+def q_columnar_store_filter(sf_dir: str, base: str):
     """Predicate-filtered store rewrite (retention / targeted delete):
     over a 4-fragment event_id-ordered store, a range keeping the first
     ~3/8 of the id span DROPS the two disjoint fragments via zero-row
@@ -1304,15 +1289,12 @@ def q_columnar_store_filter(sf_dir: str):
     fragment (survivors picked by the compressed-domain mask,
     self-verified). The filtered store streams back for the oracle
     (tablestore.filter_table_store)."""
-    import tempfile
-
     from .tablestore import (
         compress_table,
         filter_table_store,
         read_table_store,
     )
 
-    base = tempfile.mkdtemp(prefix="columnar_store_filter_")
     src_tbl = pq.read_table(f"{sf_dir}/events.parquet").sort_by("event_id")
     frag_dir = os.path.join(base, "src")
     os.makedirs(frag_dir)
@@ -1338,15 +1320,14 @@ def q_columnar_store_filter(sf_dir: str):
     return read_table_store(dst)
 
 
-def q_columnar_store_compact(sf_dir: str):
+@_in_scratch("columnar_store_compact_")
+def q_columnar_store_compact(sf_dir: str, base: str):
     """Fragment compaction without re-encoding: an 8-fragment
     event_id-ordered store packs into ≤3 fragments by zone order —
     part files copy byte-identical (encoded bytes asserted unchanged),
     lineage merges exactly, and a range scan still prunes on the merged
     envelopes (tablestore.compact_table_store). The compacted store
     streams back for the oracle."""
-    import tempfile
-
     from .tablestore import (
         compact_table_store,
         compress_table,
@@ -1355,7 +1336,6 @@ def q_columnar_store_compact(sf_dir: str):
         store_lineage_rollup,
     )
 
-    base = tempfile.mkdtemp(prefix="columnar_store_compact_")
     src_tbl = pq.read_table(f"{sf_dir}/events.parquet").sort_by("event_id")
     frag_dir = os.path.join(base, "src")
     os.makedirs(frag_dir)
@@ -1385,17 +1365,15 @@ def q_columnar_store_compact(sf_dir: str):
     return read_table_store(dst)
 
 
-def q_columnar_store_sample(sf_dir: str):
+@_in_scratch("columnar_store_sample_")
+def q_columnar_store_sample(sf_dir: str, out: str):
     """Deterministic hash sample over the store: the keep decision is a
     multiplicative hash of the id read from the cached int streams —
     SQL-mirrorable bit for bit, stable under read parallelism and
     resume, and only sampled rows decode
     (tablestore.sample_table_store)."""
-    import tempfile
-
     from .tablestore import compress_table, sample_table_store
 
-    out = tempfile.mkdtemp(prefix="columnar_store_sample_")
     compress_table(f"{sf_dir}/events.parquet", out)
     return sample_table_store(
         out, "event_id", rate=0.25, seed=7,
@@ -1403,22 +1381,20 @@ def q_columnar_store_sample(sf_dir: str):
     ).to_arrow()
 
 
-def q_columnar_store_semijoin_int(sf_dir: str):
+@_in_scratch("columnar_store_semijoin_int_")
+def q_columnar_store_semijoin_int(sf_dir: str, out: str):
     """Semi-join on INT keys, compressed-domain end to end: the three
     smallest distinct user_ids fold from the store's cached int streams
     (distinct_table_store), then the fact store scans with an int IN
     predicate — sorted-searchsorted membership over the block streams,
     zone pruning at the fragment tier (columnar.in_scan_mask int
     branch)."""
-    import tempfile
-
     from .tablestore import (
         compress_table,
         distinct_table_store,
         predicate_scan_table_store,
     )
 
-    out = tempfile.mkdtemp(prefix="columnar_store_semijoin_int_")
     compress_table(f"{sf_dir}/events.parquet", out)
     keys = distinct_table_store(out, "user_id")["value"].to_pylist()[:3]
     return predicate_scan_table_store(
@@ -1428,21 +1404,19 @@ def q_columnar_store_semijoin_int(sf_dir: str):
     ).to_arrow()
 
 
-def _store_join_sides(sf_dir: str):
+def _store_join_sides(sf_dir: str, base: str):
     """Shared fixture for the store-join queries: orders (fact) and
-    customer (dim) each encoded into a committed store."""
-    import tempfile
-
+    customer (dim) each encoded into a committed store under ``base``."""
     from .tablestore import compress_table
 
-    lo = tempfile.mkdtemp(prefix="columnar_store_join_l_")
-    ro = tempfile.mkdtemp(prefix="columnar_store_join_r_")
+    lo, ro = os.path.join(base, "l"), os.path.join(base, "r")
     compress_table(f"{sf_dir}/orders.parquet", lo)
     compress_table(f"{sf_dir}/customer.parquet", ro)
     return lo, ro
 
 
-def q_columnar_store_join(sf_dir: str):
+@_in_scratch("columnar_store_join_")
+def q_columnar_store_join(sf_dir: str, base: str):
     """Store ⋈ store equi-join, broadcast path: orders and customer each
     compress into a committed store; lineage key envelopes become range
     predicates on the opposite side (fragment + block pruning before any
@@ -1451,7 +1425,7 @@ def q_columnar_store_join(sf_dir: str):
     predicate (tablestore.join_table_store)."""
     from .tablestore import join_table_store
 
-    lo, ro = _store_join_sides(sf_dir)
+    lo, ro = _store_join_sides(sf_dir, base)
     return join_table_store(
         lo,
         ro,
@@ -1463,14 +1437,15 @@ def q_columnar_store_join(sf_dir: str):
     )
 
 
-def q_columnar_store_join_dist(sf_dir: str):
+@_in_scratch("columnar_store_join_")
+def q_columnar_store_join_dist(sf_dir: str, base: str):
     """Same join forced down the big⋈big path: both stores stream into
     functions/join.shuffle_hash_join (ONE co-partitioning shuffle, int
     keys) — the route a fact⋈fact join takes at 100 TB where neither
     side fits a broadcast."""
     from .tablestore import join_table_store
 
-    lo, ro = _store_join_sides(sf_dir)
+    lo, ro = _store_join_sides(sf_dir, base)
     return join_table_store(
         lo,
         ro,
@@ -1483,13 +1458,12 @@ def q_columnar_store_join_dist(sf_dir: str):
     )
 
 
-def q_columnar_store_append(sf_dir: str):
+@_in_scratch("columnar_store_append_")
+def q_columnar_store_append(sf_dir: str, base: str):
     """Incremental ingest: the events table arrives as two parquet
     deliveries; the store commits the first, then append_table_store
     encodes ONLY the second (manifest resume contract as append ledger,
     schema-gated). The full-store read must equal the whole table."""
-    import tempfile
-
     from .tablestore import (
         append_table_store,
         compress_table,
@@ -1497,11 +1471,12 @@ def q_columnar_store_append(sf_dir: str):
     )
 
     src = pq.read_table(f"{sf_dir}/events.parquet")
-    d = tempfile.mkdtemp(prefix="columnar_store_append_src_")
+    d = os.path.join(base, "src")
+    os.makedirs(d)
     half = src.num_rows // 2
     pq.write_table(src.slice(0, half), f"{d}/part-0.parquet")
     pq.write_table(src.slice(half), f"{d}/part-1.parquet")
-    out = tempfile.mkdtemp(prefix="columnar_store_append_")
+    out = os.path.join(base, "store")
     compress_table(f"{d}/part-0.parquet", out)
     st = append_table_store(
         [f"{d}/part-0.parquet", f"{d}/part-1.parquet"], out
@@ -1511,18 +1486,16 @@ def q_columnar_store_append(sf_dir: str):
     return read_table_store(out)
 
 
-def q_columnar_store_sort(sf_dir: str):
+@_in_scratch("columnar_store_sort_")
+def q_columnar_store_sort(sf_dir: str, base: str):
     """Total-order export from the store, general path: ORDER BY a
     float column whose fragment zones overlap (value), ties broken by
     event_id so the order is total, with a GLOBAL 0-based rownum column
     stamped from per-block row-count prefix sums — the sorted blocks
     never land on the driver (tablestore.sort_table_store; asserted:
     the shuffle path ran, not zonemerge)."""
-    import tempfile
-
     from .tablestore import compress_table, sort_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_sort_")
     src = pq.read_table(f"{sf_dir}/events.parquet")
     frag_dir = os.path.join(base, "src")
     os.makedirs(frag_dir)
@@ -1546,18 +1519,16 @@ def q_columnar_store_sort(sf_dir: str):
     return ds
 
 
-def q_columnar_store_sort_merge(sf_dir: str):
+@_in_scratch("columnar_store_sortm_")
+def q_columnar_store_sort_merge(sf_dir: str, base: str):
     """Total-order export from the store, zonemerge path: after
     cluster_table_store the fragment envelopes on event_id are pairwise
     disjoint, so the global ORDER BY decomposes into per-fragment local
     sorts with rownum stamped from lineage row-count prefix sums — ZERO
     rows cross tasks, no shuffle (tablestore.sort_table_store;
     asserted: the zonemerge path ran over >1 fragment)."""
-    import tempfile
-
     from .tablestore import cluster_table_store, sort_table_store
 
-    base = tempfile.mkdtemp(prefix="columnar_store_sortm_")
     store = os.path.join(base, "store")
     n = pq.read_metadata(f"{sf_dir}/events.parquet").num_rows
     cluster_table_store(
@@ -1574,7 +1545,8 @@ def q_columnar_store_sort_merge(sf_dir: str):
     return ds
 
 
-def q_columnar_store_upsert(sf_dir: str):
+@_in_scratch("columnar_store_upsert_")
+def q_columnar_store_upsert(sf_dir: str, base: str):
     """CDC MERGE into the store: a delta of updates (value+1000 on
     event_id % 7 = 3 within the lowest third of the id range) and
     inserts (ids shifted past max for event_id % 13 = 5) upserts into a
@@ -1583,8 +1555,6 @@ def q_columnar_store_upsert(sf_dir: str):
     negated compressed-domain IN mask, the delta appends with full
     lineage (tablestore.upsert_table_store; asserted: ≥1 copied AND ≥1
     rewritten, replaced == update count)."""
-    import tempfile
-
     import pyarrow.compute as pc
 
     from .tablestore import (
@@ -1593,7 +1563,6 @@ def q_columnar_store_upsert(sf_dir: str):
         upsert_table_store,
     )
 
-    base = tempfile.mkdtemp(prefix="columnar_store_upsert_")
     src_tbl = pq.read_table(f"{sf_dir}/events.parquet")
     ids = src_tbl["event_id"]
     lo = pc.min(ids).as_py()
@@ -1650,15 +1619,14 @@ def q_columnar_store_upsert(sf_dir: str):
     return read_table_store(dst)
 
 
-def q_columnar_store_delete(sf_dir: str):
+@_in_scratch("columnar_store_delete_")
+def q_columnar_store_delete(sf_dir: str, base: str):
     """Key-list delete (the GDPR shape) from a clustered store: ids
     with event_id % 11 = 0 inside the lowest half of the id range
     delete by identity; fragments above the cut COPY verbatim — no
     decode (tablestore.delete_keys_table_store; asserted: ≥1 copied,
     ≥1 rewritten, deleted == key count). Then a vacuum over a planted
     orphan fragment dir proves GC never touches committed data."""
-    import tempfile
-
     import pyarrow.compute as pc
 
     from .tablestore import (
@@ -1668,7 +1636,6 @@ def q_columnar_store_delete(sf_dir: str):
         vacuum_table_store,
     )
 
-    base = tempfile.mkdtemp(prefix="columnar_store_delete_")
     src_tbl = pq.read_table(f"{sf_dir}/events.parquet")
     ids = src_tbl["event_id"]
     lo = pc.min(ids).as_py()
@@ -1704,21 +1671,19 @@ def q_columnar_store_delete(sf_dir: str):
     return read_table_store(dst)
 
 
-def q_columnar_store_union(sf_dir: str):
+@_in_scratch("columnar_store_union_")
+def q_columnar_store_union(sf_dir: str, base: str):
     """Shard consolidation: the events table arrives as TWO separately
     encoded stores (parallel ingest jobs); union_table_store merges
     them by byte-identical part copy under source-qualified fragment
     ids, lineage verbatim — the merged read equals the whole table
     (UNION ALL semantics, asserted fragment count)."""
-    import tempfile
-
     from .tablestore import (
         compress_table,
         read_table_store,
         union_table_store,
     )
 
-    base = tempfile.mkdtemp(prefix="columnar_store_union_")
     src = pq.read_table(f"{sf_dir}/events.parquet")
     half = src.num_rows // 2
     a = os.path.join(base, "a.parquet")
@@ -1737,14 +1702,13 @@ def q_columnar_store_union(sf_dir: str):
     return read_table_store(dst)
 
 
-def q_columnar_store_explain(sf_dir: str):
+@_in_scratch("columnar_store_explain_")
+def q_columnar_store_explain(sf_dir: str, base: str):
     """EXPLAIN gate: over a clustered events store, the manifest-only
     fragment plan for a compound predicate must agree EXACTLY with the
     executed scan's prune stats, skip ≥1 fragment by zone, and return
     the same row count the survivors produce
     (tablestore.explain_table_store)."""
-    import tempfile
-
     import pyarrow.compute as pc
 
     from .tablestore import (
@@ -1753,7 +1717,6 @@ def q_columnar_store_explain(sf_dir: str):
         predicate_scan_table_store,
     )
 
-    base = tempfile.mkdtemp(prefix="columnar_store_explain_")
     store = os.path.join(base, "store")
     n = pq.read_metadata(f"{sf_dir}/events.parquet").num_rows
     cluster_table_store(
@@ -1794,7 +1757,8 @@ def q_columnar_store_explain(sf_dir: str):
     )
 
 
-def q_columnar_store_ann(sf_dir: str):
+@_in_scratch("columnar_store_ann_")
+def q_columnar_store_ann(sf_dir: str, out: str):
     """Similarity search served FROM the compressed store: embeddings
     (list<float> column) compress into the manifest-backed store, then
     brute-force cosine top-k streams off the store read — only the two
@@ -1802,11 +1766,8 @@ def q_columnar_store_ann(sf_dir: str):
     batch, per-batch top-k partials merge on the driver
     (functions/similarity.brute_force_topk over
     tablestore.read_table_store)."""
-    import tempfile
-
     from .tablestore import compress_table, read_table_store
 
-    out = tempfile.mkdtemp(prefix="columnar_store_ann_")
     compress_table(f"{sf_dir}/embeddings.parquet", out)
     q0 = (
         pq.read_table(f"{sf_dir}/embeddings.parquet")
@@ -1820,34 +1781,30 @@ def q_columnar_store_ann(sf_dir: str):
     return pd.DataFrame({"vec_id": res["vec_id"].astype("int64")})
 
 
-def q_columnar_store_heavy_hitters(sf_dir: str):
+@_in_scratch("columnar_store_hh_")
+def q_columnar_store_heavy_hitters(sf_dir: str, out: str):
     """EXACT heavy hitters over the store without materializing a row:
     event_type values with frequency ≥ 15% — per-batch (value, count)
     multisets from the dictionary bincounts, Misra-Gries partial
     compression, exact candidate recount through the same dictionary
     probes (tablestore.heavy_hitters_table_store). SQL-exact oracle
     (GROUP BY ... HAVING count ≥ ceil(0.15 · total))."""
-    import tempfile
-
     from .tablestore import compress_table, heavy_hitters_table_store
 
-    out = tempfile.mkdtemp(prefix="columnar_store_hh_")
     compress_table(f"{sf_dir}/events.parquet", out)
     t = heavy_hitters_table_store(out, "event_type", support=0.15)
     return t.sort_by("item")
 
 
-def q_columnar_store_approx_distinct(sf_dir: str):
+@_in_scratch("columnar_store_ad_ev_")
+def q_columnar_store_approx_distinct(sf_dir: str, ev: str):
     """Gate: HLL distinct count over the store — string blocks hash only
     their dictionary entries, int blocks their cached streams
     (tablestore.distinct_count_table_store). Estimates must land within
     10% of the exact distinct counts (HLL at 2^12 registers carries
     ~1.6% standard error). All-true booleans, SQL-gated."""
-    import tempfile
-
     from .tablestore import compress_table, distinct_count_table_store
 
-    ev = tempfile.mkdtemp(prefix="columnar_store_ad_ev_")
     compress_table(f"{sf_dir}/events.parquet", ev)
     est_u = distinct_count_table_store(ev, "user_id")
     est_t = distinct_count_table_store(ev, "event_type")
@@ -1868,7 +1825,8 @@ def q_columnar_store_approx_distinct(sf_dir: str):
     )
 
 
-def q_columnar_store_quantiles(sf_dir: str):
+@_in_scratch("columnar_store_quantiles_")
+def q_columnar_store_quantiles(sf_dir: str, out: str):
     """Gate: quantiles over the store without decoding a row. p50/p90/p99
     of events.user_id sketch from the cached encoded streams
     (tablestore.quantiles_table_store — few-KB compactor partials,
@@ -1876,8 +1834,6 @@ def q_columnar_store_quantiles(sf_dir: str):
     exact </<= counts computed from the SAME encoded streams, within
     the sketch's self-reported worst-case tolerance (the
     quantile_sketch_gate pattern, lifted whole onto the store)."""
-    import tempfile
-
     from .columnar import _int_values
     from .compress import read_parquet_blocks as _rpb
     from .tablestore import (
@@ -1888,7 +1844,6 @@ def q_columnar_store_quantiles(sf_dir: str):
         quantiles_table_store,
     )
 
-    out = tempfile.mkdtemp(prefix="columnar_store_quantiles_")
     compress_table(f"{sf_dir}/events.parquet", out)
     QS = (0.5, 0.9, 0.99)
     sk = quantiles_table_store(out, "user_id", capacity=1024)
@@ -1941,7 +1896,8 @@ def q_columnar_store_quantiles(sf_dir: str):
     )
 
 
-def q_columnar_store_agg_float(sf_dir: str):
+@_in_scratch("columnar_store_aggfloat_")
+def q_columnar_store_agg_float(sf_dir: str, out: str):
     """Gate: float aggregates over the store. MIN/MAX/COUNT(value) of the
     events double column computed in the compressed domain (bit-pattern
     streams view back to float64 bit-exactly) must equal the plain-Arrow
@@ -1949,11 +1905,8 @@ def q_columnar_store_agg_float(sf_dir: str):
     summation is rounding-order-dependent, so a hash compare would be
     wrong by construction — the KLL gate pattern). All-true booleans,
     SQL-gated."""
-    import tempfile
-
     from .tablestore import agg_table_store, compress_table
 
-    out = tempfile.mkdtemp(prefix="columnar_store_aggfloat_")
     compress_table(f"{sf_dir}/events.parquet", out)
     a = agg_table_store(out, "value")
     src = pq.read_table(f"{sf_dir}/events.parquet", columns=["value"])[
@@ -1979,17 +1932,15 @@ def q_columnar_store_agg_float(sf_dir: str):
     )
 
 
-def q_columnar_store_distinct(sf_dir: str):
+@_in_scratch("columnar_store_distinct_")
+def q_columnar_store_distinct(sf_dir: str, out: str):
     """DISTINCT from the dictionaries: over the documents store, the
     distinct lang values fold from per-block dictionary entries (only
     referenced, non-null entries emit; the index stream never
     materializes a row) reading one column's encoded fields
     (tablestore.distinct_table_store)."""
-    import tempfile
-
     from .tablestore import compress_table, distinct_table_store
 
-    out = tempfile.mkdtemp(prefix="columnar_store_distinct_")
     compress_table(f"{sf_dir}/documents.parquet", out)
     return distinct_table_store(out, "lang")
 
@@ -2565,12 +2516,10 @@ def q_ann_ivf_recall(sf_dir: str):
     return pa.table({"recall_ge_080": pa.array([bool(recall >= 0.8)])})
 
 
-def q_ann_ivf_index_recall(sf_dir: str):
+@_in_scratch("ivf_index_")
+def q_ann_ivf_index_recall(sf_dir: str, idx: str):
     """Persisted-IVF-index path: build (assign ONCE, hive-partitioned cells),
     then query reading only probed cells; gate recall vs the exact scan."""
-    import shutil
-    import tempfile
-
     import pyarrow.parquet as pq
 
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
@@ -2581,16 +2530,10 @@ def q_ann_ivf_index_recall(sf_dir: str):
         dtype=np.float64,
     )
     brute = set(F_sim.brute_force_topk(ds, q0, k=10)["vec_id"].astype("int64"))
-    idx = tempfile.mkdtemp(prefix="ivf_index_", dir="/tmp")
-    try:
-        F_sim.build_ivf_index(ds, idx, n_centroids=8)
-        got = set(
-            F_sim.ivf_index_topk(idx, q0, k=10, nprobe=6)["vec_id"].astype(
-                "int64"
-            )
-        )
-    finally:
-        shutil.rmtree(idx, ignore_errors=True)
+    F_sim.build_ivf_index(ds, idx, n_centroids=8)
+    got = set(
+        F_sim.ivf_index_topk(idx, q0, k=10, nprobe=6)["vec_id"].astype("int64")
+    )
     recall = len(brute & got) / max(len(brute), 1)
     return pa.table({"recall_ge_080": pa.array([bool(recall >= 0.8)])})
 
@@ -3470,7 +3413,8 @@ EPOCH_SHUF_SEED, EPOCH_SHUF_EPOCH, EPOCH_SHUF_K = 7, 3, 256
 LOADER_BUDGET = 8192
 
 
-def q_training_loader_gate(sf_dir: str):
+@_in_scratch("training_loader_")
+def q_training_loader_gate(sf_dir: str, base: str):
     """Training-batch loader over a committed store (pipelines/loader.py):
     the tokens table splits into 3 source files → a 3-fragment store →
     token-budgeted batches of whole sequences. Value-bound to SQL
@@ -3478,12 +3422,9 @@ def q_training_loader_gate(sf_dir: str):
     gate booleans for the non-SQL semantics: budget respected per batch,
     batch stream == store row order, resume-from-mid-step yields the exact
     suffix, and rank shards partition the store."""
-    import tempfile
-
     from .loader import iter_training_batches, plan_training_batches
     from .tablestore import compress_table
 
-    base = tempfile.mkdtemp(prefix="training_loader_")
     src = os.path.join(base, "src")
     os.makedirs(src)
     tbl = pa.concat_tables(
@@ -3548,7 +3489,8 @@ def q_training_loader_gate(sf_dir: str):
     )
 
 
-def q_training_loader_source_filter(sf_dir: str):
+@_in_scratch("loader_srcfilter_")
+def q_training_loader_source_filter(sf_dir: str, base: str):
     """Domain-filtered serving (loader keep_sources): the same 3-fragment
     store as ``training_loader_gate``, served with only source='src1' —
     row/token/value totals are SQL-verifiable against documents WHERE
@@ -3557,12 +3499,9 @@ def q_training_loader_source_filter(sf_dir: str):
     row ever surfaces. The filter lives in the PLAN (payloads of dropped
     rows never decode) — the ablate-one-domain shape without rewriting
     the store."""
-    import tempfile
-
     from .loader import iter_training_batches
     from .tablestore import compress_table
 
-    base = tempfile.mkdtemp(prefix="loader_srcfilter_")
     src = os.path.join(base, "src")
     os.makedirs(src)
     tbl = pa.concat_tables(
@@ -3642,7 +3581,8 @@ def q_docs_epoch_shuffle(sf_dir: str):
     )
 
 
-def q_store_time_travel(sf_dir: str):
+@_in_scratch("store_time_travel_")
+def q_store_time_travel(sf_dir: str, base: str):
     """Versioned catalog over the store (state/catalog.py): the tokens
     table loads as version 1, a GDPR key-list delete of the even doc_ids
     ships version 2; the catalog then serves BOTH — HEAD reads the
@@ -3650,8 +3590,6 @@ def q_store_time_travel(sf_dir: str):
     version's (rows, token count, token value sum) is recomputed by the
     oracle from documents with/without the delete predicate, so time
     travel is value-bound, not just row-counted."""
-    import tempfile
-
     from ..state.catalog import (
         commit_version,
         managed_store_path,
@@ -3659,7 +3597,6 @@ def q_store_time_travel(sf_dir: str):
     )
     from .tablestore import compress_table, delete_keys_table_store
 
-    base = tempfile.mkdtemp(prefix="store_time_travel_")
     src = os.path.join(base, "tokens.parquet")
     tbl = pa.concat_tables(
         b
@@ -3709,8 +3646,6 @@ def q_ingest_jsonl(sf_dir: str):
     scratch, re-ingested with ray.data.read_json, and reduced — result
     must equal SQL over the original parquet (schema survives the
     format round-trip; the read streams per file like any source)."""
-    import shutil
-
     scratch = os.path.join(
         "/tmp", f"fsst_jsonl_{os.path.basename(os.path.normpath(sf_dir))}"
     )
@@ -3752,8 +3687,6 @@ def _ingest_jsonl_compressed(sf_dir: str, codec: str, ext: str):
     ``arrow_open_stream_args={"compression": codec}`` — decompression
     happens inside each read task, streaming per shard, so the pattern
     holds at 100 TB exactly like the plain-JSONL read."""
-    import shutil
-
     if not pa.Codec.is_available(codec):  # honest gate, Pillow pattern
         raise NotImplementedError(
             f"pyarrow built without the {codec!r} codec"
@@ -3810,8 +3743,6 @@ def q_ingest_csv(sf_dir: str):
     exported to 4 CSV shards, re-ingested with ray.data.read_csv, and
     reduced per row — text content must survive the quoting round-trip
     (char counts recomputed FROM the text, not carried through)."""
-    import shutil
-
     scratch = os.path.join(
         "/tmp", f"fsst_csv_{os.path.basename(os.path.normpath(sf_dir))}"
     )
@@ -4370,8 +4301,6 @@ def q_like_trigram_indexed(sf_dir: str):
     absent-literal pattern must prune to ZERO fragments (no
     part file read), then the ``%merge sort%`` rows are returned — equal
     to the unpruned scan, so the oracle is the plain SQL LIKE."""
-    import shutil
-
     from .tablestore import compress_table, like_table_store
 
     scratch = os.path.join(
@@ -4405,8 +4334,6 @@ def q_compaction_roundtrip(sf_dir: str):
     copies, exact lineage merge) — the fragment count must drop while
     the compacted store decodes to exactly the verified rows (the
     100 TB fan-in shape)."""
-    import shutil
-
     from .tablestore import (
         compact_table_store,
         compress_table,
@@ -5420,8 +5347,6 @@ def q_docs_word_search_indexed(sf_dir: str):
     ONLY the query terms' buckets (asserted ≤ #terms; an unknown term
     also proves absent without touching other buckets). Shares the scan
     query's oracle — index and scan must agree exactly."""
-    import shutil
-
     from .postings import build_word_index, word_index_lookup
 
     scratch = os.path.join(
@@ -7296,8 +7221,6 @@ def q_ingest_text(sf_dir: str):
     back vectorized (split_pattern max_splits=2 — document text may
     itself contain tabs). Docs whose text embeds a newline can't live in
     a line-oriented format and are excluded on BOTH sides."""
-    import shutil
-
     import pyarrow.compute as pc
 
     scratch = os.path.join(

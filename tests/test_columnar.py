@@ -3027,17 +3027,15 @@ def test_store_like_reads_stored_bitmap(docs_store, monkeypatch):
     assert calls == []
 
 
-def test_store_like_old_fsstb_envelopes(docs_store, tmp_path, monkeypatch):
-    """A store whose fsstb envelopes end after the symbol table (written
-    before the envelope carried the bitmap) answers every pool LIKE as
-    the current format does, computing the bitmap from the payloads."""
+def _strip_stored_bitmaps(store: str, old: str) -> None:
+    """Copy ``store`` to ``old`` with every fsstb envelope cut after its
+    symbol table: the format written before the envelope carried the
+    escaped-literal bitmap."""
     import glob
     import shutil
 
     from fsst_like_ray.pipelines.columnar import S_FSSTB, _parse_head, _Reader
 
-    store, _texts = docs_store
-    old = str(tmp_path / "old")
     shutil.copytree(store, old)
     stripped = 0
     for part in glob.glob(f"{old}/data/*/part-*.parquet"):
@@ -3059,10 +3057,37 @@ def test_store_like_old_fsstb_envelopes(docs_store, tmp_path, monkeypatch):
         t = t.set_column(i, t.schema.field(i), pa.chunked_array(chunks))
         pq.write_table(t, part)
     assert stripped
+
+
+def test_store_like_old_fsstb_envelopes(docs_store, tmp_path, monkeypatch):
+    """A store whose fsstb envelopes end after the symbol table (written
+    before the envelope carried the bitmap) answers every pool LIKE as
+    the current format does, computing the bitmap from the payloads."""
+    store, _texts = docs_store
+    old = str(tmp_path / "old")
+    _strip_stored_bitmaps(store, old)
     calls = _count_bitmap_passes(monkeypatch)
     for pat in LIKE_POOL:
         assert _like_ids(old, pat) == _like_ids(store, pat), pat
     assert calls  # the old envelopes took the payload pass
+
+
+def test_store_anchored_like_old_envelopes_skip_bitmap(
+    docs_store, tmp_path, monkeypatch
+):
+    """On envelopes without the stored bitmap, prefix, suffix and anchored
+    multi-segment LIKEs answer as on the current format, and none of them
+    resolves the lazy bitmap: the unit walks never read it."""
+    store, texts = docs_store
+    old = str(tmp_path / "old")
+    _strip_stored_bitmaps(store, old)
+    calls = _count_bitmap_passes(monkeypatch)
+    for pat in ("the %", "spark window%", "% agg", "% sort dup", "%dup",
+                "group part slow big%", "the%dup", "%the%dup"):
+        rx = re.compile("^" + re.escape(pat).replace("%", ".*") + "$", re.S)
+        want = [i for i, v in enumerate(texts) if rx.match(v)]
+        assert _like_ids(old, pat) == want, pat
+    assert calls == []
 
 
 def test_alp_decimal_floats():

@@ -315,3 +315,199 @@ def test_mixed_table_batch_every_engine(docs):
                 assert set(ids[mask].tolist()) == expect, (lo, pattern, engine)
             # the cost floor walks the payloads and reports no matches
             assert not like_scan_mask(batch, "text", pattern, "dummy").any()
+
+
+# ----------------------------------------------------- anchored unit walks
+def _byte_rows(rng, n):
+    """Random byte rows over a small alphabet plus 0xFF, with the edge
+    cases the backward escape rule must get right spliced in: empty rows,
+    0xFF-only rows, 0xFF runs of every parity just before the last unit."""
+    alpha = np.frombuffer(b"ab \xff\xfeq", np.uint8)
+    rows = [bytes(rng.choice(alpha, int(rng.integers(0, 24)))) for _ in range(n)]
+    rows += [b"", b"\xff", b"\xff" * 2, b"\xff" * 3, b"a", b"ab" * 9]
+    for k in range(1, 6):
+        rows += [b"ab" + b"\xff" * k + b"a", b"q" + b"\xff" * k + b"ab",
+                 b"\xff" * k + b"q", b"ab " + b"\xff" * k]
+    return rows
+
+
+def _walk_tables(rows):
+    """Symbol tables to walk under: hand-made (symbols holding 0xFF and
+    overlapping prefixes), trained on the rows, and empty (every byte an
+    escaped literal)."""
+    data = np.frombuffer(b"".join(rows), np.uint8).copy()
+    off = np.zeros(len(rows) + 1, dtype=np.int64)
+    off[1:] = np.cumsum([len(r) for r in rows])
+    return data, off, [
+        fsstlib.SymbolTable(
+            [b"ab", b"a", b"b ", b"abab", b"\xff\xffa", b" ab", b"\xfe\xfe",
+             b"ababab a"]
+        ),
+        fsstlib.train(data, off),
+        fsstlib.SymbolTable([]),
+    ]
+
+
+WALK_NEEDLES = [
+    b"a", b"\xff", b"q", b"ab", b"\xff\xff", b"b \xff", b"\xffa", b"ab ab",
+    b"abababab", b"ababab ab", b"ab" * 9, b"\xff" * 3 + b"a", b"q\xff",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_anchored_walks_agree_with_bytes(seed, monkeypatch):
+    """``p%`` / ``%p`` unit walks on random byte rows: the C walk, the
+    NumPy walk and bytes.startswith / endswith agree for needles of 1,
+    ≤ 8 and > 8 bytes, longer than many rows, over escapes, literal 0xFF
+    and 0xFF runs of both parities before a row's last unit."""
+    from fsst_like_ray import native
+    from fsst_like_ray.matchers.engines import anchored_match
+
+    rng = np.random.default_rng(seed)
+    rows = _byte_rows(rng, 1500)
+    data, off, tables = _walk_tables(rows)
+    lib = native.lib
+    for t, table in enumerate(tables):
+        pay, po, _used = fsstlib.encode(data, off, table)
+        # the trained table covers the whole alphabet; the others escape
+        assert (pay == 255).any() == (t != 1)
+        for needle in WALK_NEEDLES:
+            for from_end in (False, True):
+                want = np.array(
+                    [r.endswith(needle) if from_end else r.startswith(needle)
+                     for r in rows]
+                )
+                monkeypatch.setattr(native, "lib", None)
+                got_np = anchored_match(pay, po, table, needle, from_end)
+                monkeypatch.setattr(native, "lib", lib)
+                assert np.array_equal(got_np, want), (needle, from_end)
+                if lib is not None:
+                    got_c = anchored_match(pay, po, table, needle, from_end)
+                    assert np.array_equal(got_c, want), (needle, from_end)
+
+
+def _forbid_decode(monkeypatch):
+    """Make any payload decode in the LIKE path fail the test."""
+
+    def no_decode(*a, **kw):
+        raise AssertionError("decode-verify ran")
+
+    monkeypatch.setattr(fsstlib, "decode", no_decode)
+
+
+@pytest.mark.parametrize("c_path", [True, False])
+def test_anchored_auto_never_decodes(docs, encoded_docs, c_path, monkeypatch):
+    """Under auto, ``p%`` and ``%p`` are answered by the unit walks alone:
+    equal to match_decoded, and no row of the fsstb block decodes (C and
+    NumPy paths)."""
+    from fsst_like_ray import native
+
+    if c_path and native.lib is None:
+        pytest.skip("no C compiler")
+    if not c_path:
+        monkeypatch.setattr(native, "lib", None)
+    texts = docs["text"].to_pylist()
+    long_prefix = texts[0][:12]
+    patterns = [
+        "the %", "%join", "%a", "a%", "%zzz", "zzz%", long_prefix + "%",
+        "%" + texts[1][-11:], "%" + texts[2], texts[2] + "%",
+    ]
+    want = {p: match_decoded(docs["text"], parse_like(p)) for p in patterns}
+    _forbid_decode(monkeypatch)
+    for p in patterns:
+        got = like_scan_mask(encoded_docs, "text", p, "auto")
+        assert np.array_equal(got, want[p]), p
+    assert want["the %"].any() and want["%join"].any()
+
+
+def test_underscore_still_decode_verifies(docs, encoded_docs, monkeypatch):
+    """A ``_`` pattern has no literal needles, so auto decodes its rows."""
+    calls = []
+    real = fsstlib.decode
+
+    def spy(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(fsstlib, "decode", spy)
+    ids = np.array(docs["doc_id"].to_pylist())
+    for pattern in ("the _%", "%jo_n"):
+        mask = like_scan_mask(encoded_docs, "text", pattern, "auto")
+        assert set(ids[mask].tolist()) == oracle_ids(pattern, docs), pattern
+    assert calls
+
+
+@pytest.mark.parametrize("pattern", ["the%dup", "%the%dup", "spark%line%"])
+def test_general_anchored_shapes_match_duckdb(docs, encoded_docs, pattern):
+    """Anchored ``p1%…%pn``: the end walks prefilter, decode verifies."""
+    ids = np.array(docs["doc_id"].to_pylist())
+    expect = oracle_ids(pattern, docs)
+    assert expect
+    for engine in ("auto", "decoded", "skipping"):
+        mask = like_scan_mask(encoded_docs, "text", pattern, engine)
+        assert set(ids[mask].tolist()) == expect, engine
+
+
+def _loop_code_delta(char_delta, table):
+    """Per-symbol loop reference for the code-level KMP transitions."""
+    m1 = char_delta.shape[0]
+    out = np.tile(np.arange(m1, dtype=np.int32)[:, None], (1, 256))
+    for code, sym in enumerate(table.symbols):
+        states = np.arange(m1, dtype=np.int32)
+        for b in sym:
+            states = char_delta[states, b]
+        out[:, code] = states
+    return out
+
+
+def _loop_accept_offsets(char_delta, table):
+    """Per-symbol loop reference for the first mid-symbol accept index."""
+    m = char_delta.shape[0] - 1
+    out = np.full((m + 1, 256), -1, dtype=np.int32)
+    for code, sym in enumerate(table.symbols):
+        states = np.arange(m + 1, dtype=np.int32)
+        first = np.full(m + 1, -1, dtype=np.int32)
+        for t, b in enumerate(sym):
+            states = char_delta[states, b]
+            first[(states == m) & (first < 0)] = t
+        out[:, code] = first
+    return out
+
+
+def test_symbol_walk_matches_per_symbol_loops(encoded_docs):
+    """The all-codes symbol walk is bit-identical to the per-symbol loops
+    it replaced, over several tables (255 symbols included) and needles."""
+    from fsst_like_ray.matchers.engines import _kmp_char_delta, _symbol_walk
+
+    rows = _byte_rows(np.random.default_rng(5), 400)
+    _data, _off, tables = _walk_tables(rows)
+    tables.append(fsstb_block(encoded_docs)[2])
+    assert len(tables[-1].symbols) == 255
+    for table in tables:
+        for needle in [b"a", b"the ", b"ab ab", b"sort dup", b"\xff\xffa",
+                       b"merge sort scan join"]:
+            cd = _kmp_char_delta(needle)
+            delta, first = _symbol_walk(cd, table)
+            assert delta.dtype == first.dtype == np.int32
+            assert np.array_equal(delta, _loop_code_delta(cd, table))
+            assert np.array_equal(first, _loop_accept_offsets(cd, table))
+
+
+def test_first_code_prefilter_parses_prefix_once(encoded_docs, monkeypatch):
+    """first_code_prefilter parses its prefix once per (table, prefix)."""
+    from fsst_like_ray.matchers import engines
+
+    pay, po, table, _used = fsstb_block(encoded_docs)
+    calls = []
+    real = fsstlib._parse
+
+    def spy(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(fsstlib, "_parse", spy)
+    prefix = b"prefix parsed once"
+    first = engines.first_code_prefilter(pay, po, table, prefix)
+    again = engines.first_code_prefilter(pay, po, table, prefix)
+    assert np.array_equal(first, again)
+    assert len(calls) <= 1
