@@ -43,23 +43,19 @@ from .columnar import (
 def _in_scratch(prefix: str):
     """Decorator for a query that builds stores or files of its own: it
     runs with a fresh scratch directory (``tempfile.mkdtemp(prefix=...)``)
-    as its second argument and returns its result materialized (a Dataset
-    via ``materialize()``, a store scan via ``to_arrow()``), because a lazy
-    result would read the directory that is removed, in a ``finally``,
-    when the query returns or raises."""
+    as its second argument and returns a Dataset result materialized,
+    because a lazy one would read the directory that is removed, in a
+    ``finally``, when the query returns or raises (store scans return
+    ``to_arrow()`` themselves)."""
 
     def wrap(fn):
         @functools.wraps(fn)
         def run(sf_dir: str):
-            from .tablestore import ScanResult
-
             base = tempfile.mkdtemp(prefix=prefix)
             try:
                 out = fn(sf_dir, base)
                 if isinstance(out, ray.data.Dataset):
                     return out.materialize()
-                if isinstance(out, ScanResult):
-                    return out.to_arrow()
                 return out
             finally:
                 shutil.rmtree(base, ignore_errors=True)

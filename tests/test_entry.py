@@ -86,3 +86,36 @@ def test_rows_only_queries_run(registry):
     for name in set(queries) - set(oracles):
         out = _to_pandas(queries[name](SF))
         assert out is not None, name
+
+
+def test_scratch_queries_remove_their_stores(ray_session, monkeypatch):
+    """A query that builds a store in a scratch directory removes it when
+    it returns, or raises, and hands back a materialized result that
+    still reads after the store is gone."""
+    import os
+    import tempfile
+
+    import pyarrow.parquet as pq
+
+    from fsst_like_ray.pipelines import queries as Q
+
+    made = []
+    real = tempfile.mkdtemp
+
+    def spy(*a, **kw):
+        made.append(real(*a, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", spy)
+    out = Q.q_columnar_store_roundtrip(SF)
+    assert made and not any(os.path.exists(d) for d in made)
+    assert out.count() == pq.read_metadata(f"{SF}/documents.parquet").num_rows
+
+    @Q._in_scratch("scratch_raises_")
+    def boom(sf_dir, base):
+        open(os.path.join(base, "x"), "w").close()
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        boom(SF)
+    assert not os.path.exists(made[-1])
