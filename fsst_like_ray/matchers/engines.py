@@ -383,16 +383,6 @@ def last_code_prefilter(
     return cand
 
 
-@_state_cached
-def _first_unit(table: fsstlib.SymbolTable, prefix: bytes) -> tuple[int, int]:
-    """(code, match length) of the greedy parse's first unit of
-    ``prefix``; length 0 means the prefix opens with an escaped literal."""
-    data = np.frombuffer(prefix, dtype=np.uint8)
-    off = np.array([0, len(prefix)], dtype=np.int64)
-    _pos, ml, code = fsstlib._parse(data, off, table)
-    return int(code[0]), int(ml[0])
-
-
 def first_code_prefilter(
     pay: np.ndarray, po: np.ndarray, table: fsstlib.SymbolTable, prefix: bytes
 ) -> np.ndarray:
@@ -400,19 +390,21 @@ def first_code_prefilter(
     match is fully determined by greedily encoding the prefix (reference
     argument: StartsWith.hpp:12 assert). Returns a candidate mask."""
     assert len(prefix) > fsstlib.MAX_SYMBOL_LEN
-    code, ml = _first_unit(table, prefix)
+    data = np.frombuffer(prefix, dtype=np.uint8)
+    off = np.array([0, len(prefix)], dtype=np.int64)
+    pos, ml, code = fsstlib._parse(data, off, table)
     n_rows = len(po) - 1
     counts = np.diff(po)
     first = np.full(n_rows, -1, dtype=np.int64)
     nz = counts > 0
     first[nz] = pay[po[:-1][nz]]
-    if ml > 0:
-        return first == code
+    if ml[0] > 0:
+        return first == code[0]
     # prefix starts with an escaped literal: payload must start 255, byte
     second = np.full(n_rows, -1, dtype=np.int64)
     nz2 = counts > 1
     second[nz2] = pay[po[:-1][nz2] + 1]
-    return (first == ESCAPE) & (second == prefix[0])
+    return (first == ESCAPE) & (second == data[0])
 
 
 def anchored_match(
@@ -732,7 +724,9 @@ def match_block(
     the anchored unit walk (exact); ``%p%`` / ``%p1%p2%`` → the KMP /
     meta-KMP walks with the C kernels (exact), else the sampled skipping
     prefilter; anchored ``p1%…%pn`` → the unit walks on its anchored end
-    segments, then decode-verify. Only ``_`` patterns decode every row."""
+    segments, then decode-verify. With the C kernels only ``_`` patterns
+    decode every row; on the NumPy path ``%p%`` / ``%p1%p2%`` do too when
+    the sampled skipping prefilter declines a dense block."""
     n_rows = len(gpo) - 1
     shape = pat.shape
     result = np.zeros(n_rows, dtype=bool)

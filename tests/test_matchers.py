@@ -491,23 +491,3 @@ def test_symbol_walk_matches_per_symbol_loops(encoded_docs):
             assert delta.dtype == first.dtype == np.int32
             assert np.array_equal(delta, _loop_code_delta(cd, table))
             assert np.array_equal(first, _loop_accept_offsets(cd, table))
-
-
-def test_first_code_prefilter_parses_prefix_once(encoded_docs, monkeypatch):
-    """first_code_prefilter parses its prefix once per (table, prefix)."""
-    from fsst_like_ray.matchers import engines
-
-    pay, po, table, _used = fsstb_block(encoded_docs)
-    calls = []
-    real = fsstlib._parse
-
-    def spy(*a, **kw):
-        calls.append(1)
-        return real(*a, **kw)
-
-    monkeypatch.setattr(fsstlib, "_parse", spy)
-    prefix = b"prefix parsed once"
-    first = engines.first_code_prefilter(pay, po, table, prefix)
-    again = engines.first_code_prefilter(pay, po, table, prefix)
-    assert np.array_equal(first, again)
-    assert len(calls) <= 1
