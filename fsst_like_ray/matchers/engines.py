@@ -115,25 +115,22 @@ def _position_code_sets(
     construction of SkippingEngine (src/algos/Skipping.hpp:348-449), which
     enumerates symbols spelling the pattern including suffix-offset symbols;
     re-expressed here as per-position alignment-consistent code sets."""
+    K = fsstlib.MAX_SYMBOL_LEN
     m = len(needle)
-    sets: list[set[int]] = [set() for _ in range(m)]
-    for code, s in enumerate(table.symbols):
-        L = len(s)
-        if L == 0:
-            continue
-        for a in range(-(L - 1), m):  # alignment: s[0] sits at needle index a
-            lo, hi = max(a, 0), min(a + L, m)
-            if lo >= hi:
-                continue
-            ok = True
-            for i in range(lo, hi):
-                if s[i - a] != needle[i]:
-                    ok = False
-                    break
-            if ok:
-                for i in range(lo, hi):
-                    sets[i].add(code)
-    return sets
+    pad = np.full(m + 2 * (K - 1), -1, dtype=np.int16)
+    pad[K - 1 : K - 1 + m] = np.frombuffer(needle, dtype=np.uint8)
+    # window r holds needle bytes r-(K-1) .. r (-1 outside): byte j of a
+    # symbol with s[0] at needle index r-(K-1) lands in column j; all
+    # codes × alignments × symbol bytes compare at once
+    win = np.lib.stride_tricks.sliding_window_view(pad, K)
+    cover = (win >= 0)[None] & (np.arange(K) < table.sym_lens[:, None, None])
+    ok = ((table.sym_bytes[:, None] == win[None]) | ~cover).all(axis=2)
+    code, r, j = np.nonzero(cover & ok[..., None])
+    pos = r + j - (K - 1)
+    order = np.argsort(pos, kind="stable")
+    cuts = np.searchsorted(pos[order], np.arange(m + 1)).tolist()
+    codes = code[order].tolist()
+    return [set(codes[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _choose_requirements(

@@ -18,7 +18,9 @@ offsets: a position is metadata, never a scan). Guarantees:
   ``start_step`` are never opened, and the plan pass reads only the
   manifest plus the per-row lengths (the seek sidecars; the encoded
   parquet ``n_tok`` column of stores written before sidecars existed),
-  never the payloads.
+  never the payloads. Fragments after the resume fragment are planned
+  only once the consumer asks for a second batch, and the resume fragment
+  decodes from its first served row.
 - **Data-parallel**: ``rank``/``world_size`` shard whole fragments
   round-robin (deterministic by the same fragment order); each rank owns a
   disjoint fragment subset and numbers its own steps 0..N_r. Shard balance
@@ -34,7 +36,8 @@ offsets: a position is metadata, never a scan). Guarantees:
   per (seed, epoch).
 - **Bounded memory**: one fragment's selected columns decode at a time
   (a fragment is one ingest file — ~1 GB at production sizing), then slice
-  into batches; nothing global materializes.
+  into batches; nothing global materializes. The next fragment is read
+  ahead only once the consumer asks for a fragment's second batch.
 
 A batch whose single row exceeds ``batch_tokens`` is emitted alone (the
 caller chose the budget; dropping data silently would be worse) — the
@@ -147,7 +150,10 @@ def _read_sidecar(path: str, opts) -> pa.Table:
 def _read_seek(store_dir: str, rec: dict, with_source: bool) -> pa.Table:
     """A seek fragment's plan columns from its part sidecars alone. The
     sidecars must account for exactly the committed rows: a damaged index
-    raises rather than silently becoming a different plan."""
+    raises rather than silently becoming a different plan. An iterator
+    planning on its own raises before it serves any batch of that fragment
+    or a later one (after the resume fragment: when the consumer asks for
+    a second batch), and never serves a batch from a wrong plan."""
     parts = _fragment_parts(os.path.join(store_dir, "data"), rec["frag_key"])
     opts = _SEEK_READ[with_source]
     t = pa.concat_tables(_read_sidecar(seek_path(p), opts) for p in parts)
@@ -164,46 +170,30 @@ def _read_seek(store_dir: str, rec: dict, with_source: bool) -> pa.Table:
 _PARQUET_PLAN_WARNED: set[str] = set()
 
 
-def plan_training_batches(
-    store_dir: str,
-    batch_tokens: int,
-    rank: int = 0,
-    world_size: int = 1,
-    epoch: tuple[int, int] | None = None,
-    batch_rows: int | None = None,
-    order: str = "store",
-    keep_sources: "list[str] | None" = None,
-) -> list[dict]:
-    """The seek index: per owned fragment (in order), the greedy batch
-    boundaries — computed from the per-row ``n_tok`` lengths ALONE (plus
-    ``source`` when ``keep_sources`` filters). Returns [{"frag_key",
-    "fragment", "first_step", "boundaries", "params"}, ...].
+def _plan_params(
+    batch_tokens, rank, world_size, epoch, batch_rows, order, keep_sources
+) -> dict:
+    """The parameters a plan is a pure function of (besides the store)."""
+    return {
+        "batch_tokens": batch_tokens,
+        "rank": rank,
+        "world_size": world_size,
+        "epoch": tuple(epoch) if epoch is not None else None,
+        "batch_rows": batch_rows,
+        "order": order,
+        "keep_sources": (
+            tuple(sorted(keep_sources)) if keep_sources is not None else None
+        ),
+    }
 
-    One manifest read per call. A table-store fragment committed with
-    ``"seek"`` plans from its parts' seek sidecars (a few bytes per row,
-    no parquet open); other table-store fragments (stores written before
-    sidecars existed) decode ``n_tok`` from the parquet parts, and a
-    RuntimeWarning says so once per store. Plans are identical either
-    way.
 
-    ``keep_sources``: serve only rows whose ``source`` is in the list —
-    the domain-ablation shape (train without one source) WITHOUT
-    rewriting the store: filtering happens in the plan (a row-index
-    subset per fragment), payloads of dropped rows never decode, and it
-    composes with every ``order`` mode (length/shuffle act on the kept
-    subset).
-
-    ``order``: "store" (default) packs rows in store order; "length"
-    stably sorts each fragment's rows by n_tok first, so batches hold
-    similar-length sequences — for fixed-shape trainers that pad to the
-    batch max, this cuts padding waste while staying deterministic and
-    fragment-local (no shuffle; document locality within a batch is
-    traded away); "shuffle" permutes each fragment's rows with a
-    deterministic per-(seed, epoch, fragment) key — combined with the
-    ``epoch`` fragment-order shuffle this is the standard approximate
-    GLOBAL shuffle a pretraining run wants (local randomness inside each
-    fragment, global randomness across fragments) with zero data
-    movement: the permutation exists only in the plan."""
+def _plan_entries(
+    store_dir, batch_tokens, rank, world_size, epoch, batch_rows, order,
+    keep_sources,
+):
+    """:func:`plan_training_batches`' entries as a generator. The checks,
+    the one manifest read and the fragment order run before the first
+    entry; each fragment's lengths are read when its entry is asked for."""
     if order not in ("store", "length", "shuffle"):
         raise ValueError(
             f"order must be 'store', 'length' or 'shuffle', got {order!r}"
@@ -215,17 +205,9 @@ def plan_training_batches(
         raise FileNotFoundError(
             f"loader: no committed fragments under {store_dir!r}"
         )
-    params = {
-        "batch_tokens": batch_tokens,
-        "rank": rank,
-        "world_size": world_size,
-        "epoch": tuple(epoch) if epoch is not None else None,
-        "batch_rows": batch_rows,
-        "order": order,
-        "keep_sources": (
-            tuple(sorted(keep_sources)) if keep_sources is not None else None
-        ),
-    }
+    params = _plan_params(
+        batch_tokens, rank, world_size, epoch, batch_rows, order, keep_sources
+    )
     recs = _ordered_fragments(all_recs, rank, world_size, epoch)
     cols = [N_TOK_COL] + ([SOURCE_COL] if keep_sources is not None else [])
 
@@ -272,9 +254,8 @@ def plan_training_batches(
                 "sidecars; planning them from the parquet parts (slower). "
                 "Compact or transcode the store to add sidecars.",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-    plan = []
     step = 0
     for rec in recs:
         bounds, row_order = frag_bounds(rec)
@@ -287,31 +268,83 @@ def plan_training_batches(
         }
         if row_order is not None:
             ent["row_order"] = row_order
-        plan.append(ent)
+        yield ent
         step += len(bounds) - 1
-    return plan
 
 
-def _materialize_fragment(store_dir, ent, cols, tokens_col):
-    """Read one plan fragment's parts once and decode them into the
-    serving arrays: flat int32 token values and int64 row offsets, then
-    the id-column arrays. Tokens decode straight into the plan's row
-    order (``row_order``: the length/shuffle permutation or the
-    ``keep_sources`` subset), so no ``take`` is paid on them; the id
-    columns decode in store order and keep their cheap ``take``. Pure
-    function of its arguments — safe to run ahead on a prefetch thread."""
-    parts = _read_parts(store_dir, ent["frag_key"], cols)
-    row_order = ent.get("row_order")
-    flat, offs = decode_list_rows(
-        pa.concat_tables(parts), tokens_col, row_order
+def plan_training_batches(
+    store_dir: str,
+    batch_tokens: int,
+    rank: int = 0,
+    world_size: int = 1,
+    epoch: tuple[int, int] | None = None,
+    batch_rows: int | None = None,
+    order: str = "store",
+    keep_sources: "list[str] | None" = None,
+) -> list[dict]:
+    """The seek index: per owned fragment (in order), the greedy batch
+    boundaries — computed from the per-row ``n_tok`` lengths ALONE (plus
+    ``source`` when ``keep_sources`` filters). Returns [{"frag_key",
+    "fragment", "first_step", "boundaries", "params"}, ...].
+
+    One manifest read per call; :func:`iter_training_batches` walks the
+    same entries lazily: fragments after the resume fragment are planned
+    only once its consumer asks for a second batch. A table-store fragment
+    committed with ``"seek"`` plans from its parts' seek sidecars (a few
+    bytes per row, no parquet open); other table-store fragments (stores
+    written before sidecars existed) decode ``n_tok`` from the parquet
+    parts, and a RuntimeWarning says so once per store. Plans are
+    identical either way.
+
+    ``keep_sources``: serve only rows whose ``source`` is in the list —
+    the domain-ablation shape (train without one source) WITHOUT
+    rewriting the store: filtering happens in the plan (a row-index
+    subset per fragment), payloads of dropped rows never decode, and it
+    composes with every ``order`` mode (length/shuffle act on the kept
+    subset).
+
+    ``order``: "store" (default) packs rows in store order; "length"
+    stably sorts each fragment's rows by n_tok first, so batches hold
+    similar-length sequences — for fixed-shape trainers that pad to the
+    batch max, this cuts padding waste while staying deterministic and
+    fragment-local (no shuffle; document locality within a batch is
+    traded away); "shuffle" permutes each fragment's rows with a
+    deterministic per-(seed, epoch, fragment) key — combined with the
+    ``epoch`` fragment-order shuffle this is the standard approximate
+    GLOBAL shuffle a pretraining run wants (local randomness inside each
+    fragment, global randomness across fragments) with zero data
+    movement: the permutation exists only in the plan."""
+    return list(
+        _plan_entries(
+            store_dir, batch_tokens, rank, world_size, epoch, batch_rows,
+            order, keep_sources,
+        )
     )
+
+
+def _materialize_fragment(store_dir, ent, cols, tokens_col, r0):
+    """Read one plan fragment's parts once and decode the rows it serves
+    from ``r0`` (the resume boundary, else 0) on into the serving arrays:
+    flat int32 token values and int64 row offsets, then the id-column
+    arrays. Tokens decode straight into the plan's row order
+    (``row_order``: the length/shuffle permutation or the ``keep_sources``
+    subset), so no ``take`` is paid on them; the id columns decode in
+    store order and keep their cheap ``take``. Pure function of its
+    arguments — safe to run ahead on a prefetch thread."""
+    parts = _read_parts(store_dir, ent["frag_key"], cols)
+    rows = ent.get("row_order")
+    if rows is not None:
+        rows = rows[r0:]
+    elif r0:
+        rows = np.arange(r0, sum(t.num_rows for t in parts), dtype=np.int64)
+    flat, offs = decode_list_rows(pa.concat_tables(parts), tokens_col, rows)
     ids = [c for c in cols if c != tokens_col]
     if not ids:
         return flat, offs, {}
     keep = _encoded_field_names(parts[0], ids)
     tbl = pa.concat_tables(decode_columns_batch(t.select(keep)) for t in parts)
-    if row_order is not None:
-        tbl = tbl.take(pa.array(row_order))
+    if rows is not None:
+        tbl = tbl.take(pa.array(rows))
     return flat, offs, {c: tbl[c].to_numpy(zero_copy_only=False) for c in ids}
 
 
@@ -336,39 +369,36 @@ def iter_training_batches(
     "tokens" (flat int32), "row_offsets" (int64, len n_rows+1),
     <id column arrays>}``. ``start_step`` resumes mid-stream: fragments
     whose batches all precede it are skipped via the plan (their payloads
-    never decode). The store's manifest is read once, by the plan; pass a
-    precomputed ``plan`` to skip even that on restart.
+    never decode), and the resume fragment decodes only the rows from its
+    first served batch on. The store's manifest is read once; without a
+    ``plan`` the fragments after the resume fragment are planned only once
+    the consumer asks for a second batch (a damaged seek sidecar raises
+    then, before any batch of that fragment is served). Pass a precomputed
+    ``plan`` to skip the planning on restart.
 
     Each fragment's parts are read once; its tokens decode straight into
     the plan's row order (no ``take`` on tokens, no Arrow list built).
 
-    ``prefetch`` (default on): fragment k+1's read+decode runs on ONE
-    background thread while k's batches serve, bounded at one in-flight
-    fragment — the decode-next stall overlaps the consumer's step time
-    (parquet reads and the C decode kernels release the GIL). Results
-    are bit-identical with it off."""
+    ``prefetch`` (default on): once the consumer asks for a fragment's
+    second batch, the next fragment's read+decode runs on ONE background
+    thread while the rest serve, bounded at one in-flight fragment — the
+    decode-next stall overlaps the consumer's step time (parquet reads
+    and the C decode kernels release the GIL). An iterator closed after
+    its first batch starts no thread. Results are bit-identical with it
+    off."""
     if plan is None:
-        plan = plan_training_batches(
+        plan = _plan_entries(
             store_dir, batch_tokens, rank, world_size, epoch, batch_rows,
-            order=order, keep_sources=keep_sources,
+            order, keep_sources,
         )
     elif plan:
         # a plan is a pure function of (store, these params): a reused plan
         # built for a DIFFERENT epoch/rank/budget would silently serve the
         # wrong order or the wrong shard — refuse instead
-        want = {
-            "batch_tokens": batch_tokens,
-            "rank": rank,
-            "world_size": world_size,
-            "epoch": tuple(epoch) if epoch is not None else None,
-            "batch_rows": batch_rows,
-            "order": order,
-            "keep_sources": (
-                tuple(sorted(keep_sources))
-                if keep_sources is not None
-                else None
-            ),
-        }
+        want = _plan_params(
+            batch_tokens, rank, world_size, epoch, batch_rows, order,
+            keep_sources,
+        )
         have = plan[0].get("params")
         have = dict(
             have,
@@ -387,54 +417,59 @@ def iter_training_batches(
     cols = list(columns)
     if tokens_col not in cols:
         cols.append(tokens_col)
-    ents = [
+    # fragments with no batch at or after start_step are passed unread
+    ents = (
         ent
         for ent in plan
-        if ent["first_step"] + len(ent["boundaries"]) - 1 > start_step
-    ]
+        if len(ent["boundaries"]) > 1
+        and ent["first_step"] + len(ent["boundaries"]) - 1 > start_step
+    )
+
+    def first_served(ent):
+        """(batch index, row) of the fragment's first served batch."""
+        b0 = max(start_step - ent["first_step"], 0)
+        return b0, int(ent["boundaries"][b0])
 
     def serve(ent, flat, offs, id_arrays):
-        bounds = ent["boundaries"]
-        for b in range(len(bounds) - 1):
-            step = ent["first_step"] + b
-            if step < start_step:
-                continue
-            r0, r1 = int(bounds[b]), int(bounds[b + 1])
-            t0, t1 = int(offs[r0]), int(offs[r1])
+        (b0, r0), bounds = first_served(ent), ent["boundaries"]
+        for b in range(b0, len(bounds) - 1):
+            lo, hi = int(bounds[b]) - r0, int(bounds[b + 1]) - r0
+            t0, t1 = int(offs[lo]), int(offs[hi])
             yield {
-                "step": step,
-                "n_rows": r1 - r0,
+                "step": ent["first_step"] + b,
+                "n_rows": hi - lo,
                 "n_tokens": t1 - t0,
-                "oversized": bool(
-                    r1 - r0 == 1 and t1 - t0 > batch_tokens
-                ),
+                "oversized": bool(hi - lo == 1 and t1 - t0 > batch_tokens),
                 "tokens": flat[t0:t1],
-                "row_offsets": offs[r0 : r1 + 1] - t0,
-                **{c: a[r0:r1] for c, a in id_arrays.items()},
+                "row_offsets": offs[lo : hi + 1] - t0,
+                **{c: a[lo:hi] for c, a in id_arrays.items()},
             }
 
-    if prefetch and len(ents) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    def materialize(ent):
+        return _materialize_fragment(
+            store_dir, ent, cols, tokens_col, first_served(ent)[1]
+        )
 
-        pool = ThreadPoolExecutor(max_workers=1)
-        try:
-            fut = pool.submit(
-                _materialize_fragment,
-                store_dir, ents[0], cols, tokens_col,
+    pool = fut = None
+    try:
+        ent, rest = next(ents, None), None
+        while ent is not None:
+            batches = serve(
+                ent, *(materialize(ent) if fut is None else fut.result())
             )
-            for i, ent in enumerate(ents):
-                flat, offs, id_arrays = fut.result()
-                if i + 1 < len(ents):
-                    fut = pool.submit(
-                        _materialize_fragment,
-                        store_dir, ents[i + 1], cols, tokens_col,
-                    )
-                yield from serve(ent, flat, offs, id_arrays)
-        finally:
+            yield next(batches)
+            # the consumer came back, so it reads on: plan the remaining
+            # fragments in one pass (planning each between two fragment
+            # decodes made an epoch ~5% slower), read the next one ahead
+            rest = rest or iter(list(ents))
+            ent, fut = next(rest, None), None
+            if prefetch and ent is not None:
+                if pool is None:
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    pool = ThreadPoolExecutor(max_workers=1)
+                fut = pool.submit(materialize, ent)
+            yield from batches
+    finally:
+        if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-    else:
-        for ent in ents:
-            flat, offs, id_arrays = _materialize_fragment(
-                store_dir, ent, cols, tokens_col
-            )
-            yield from serve(ent, flat, offs, id_arrays)

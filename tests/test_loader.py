@@ -377,6 +377,40 @@ def test_keep_sources_filters_without_rewrite(store):
         )
 
 
+def test_keep_sources_passes_fragment_with_no_kept_rows(tmp_path, ray_session):
+    """A fragment whose rows are all filtered out plans zero batches; the
+    iterator passes it and serves the next fragment, resumed or not."""
+    src = tmp_path / "src"
+    src.mkdir()
+    n = 40
+    for i, source in enumerate(["a", "b", "a"]):
+        lens = [1 + j % 7 for j in range(n)]
+        pq.write_table(
+            pa.table(
+                {
+                    "doc_id": pa.array(range(i * n, (i + 1) * n), pa.int64()),
+                    "tokens": pa.array(
+                        [[j] * k for j, k in enumerate(lens)],
+                        pa.list_(pa.int32()),
+                    ),
+                    "n_tok": pa.array(lens, pa.int32()),
+                    "source": pa.array([source] * n),
+                }
+            ),
+            src / f"part-{i}.parquet",
+        )
+    out = str(tmp_path / "store")
+    compress_table(str(src), out)
+    kw = dict(keep_sources=["a"], prefetch=True)
+    plan = plan_training_batches(out, 16, keep_sources=["a"])
+    assert [len(e["boundaries"]) - 1 > 0 for e in plan] == [True, False, True]
+    full = list(iter_training_batches(out, 16, **kw))
+    ids = [d for b in full for d in b["doc_id"].tolist()]
+    assert ids == list(range(n)) + list(range(2 * n, 3 * n))
+    resumed = list(iter_training_batches(out, 16, start_step=1, **kw))
+    _assert_streams_equal(resumed, full[1:])
+
+
 def _strip_seek(store, dst):
     """A copy of ``store`` whose manifest records lack ``"seek"``: the
     loader plans it from the parquet parts (a pre-sidecar store)."""
@@ -467,6 +501,21 @@ def test_sidecar_row_count_mismatch_raises(store, tmp_path):
         w.write_table(t.slice(1))
     with pytest.raises(ValueError, match=key):
         plan_training_batches(bad, BUDGET)
+    # an iterator planning on its own raises before it serves a batch of
+    # the damaged fragment or of a later one: at the first batch when the
+    # damage is at or before the resume fragment, else at the second
+    for prefetch in (True, False):
+        served = []
+        with pytest.raises(ValueError, match=key):
+            for b in iter_training_batches(bad, BUDGET, prefetch=prefetch):
+                served.append(b["step"])
+        assert served and max(served) < plan[1]["first_step"]
+    with pytest.raises(ValueError, match=key):
+        next(
+            iter_training_batches(
+                bad, BUDGET, start_step=plan[2]["first_step"]
+            )
+        )
     os.remove(side)
     with pytest.raises(FileNotFoundError):
         plan_training_batches(bad, BUDGET)
@@ -716,3 +765,133 @@ def test_multiblock_tokens_only_and_numpy_path(multiblock_store, monkeypatch):
     monkeypatch.setattr(native, "lib", None)
     got = list(iter_training_batches(multiblock_store, BUDGET, plan=plan, **kw))
     _assert_batches_equal(got, ref_ids)
+
+
+RESUME_COLS = ("doc_id", "source", "tokens")
+
+
+def _assert_streams_equal(got, ref):
+    """Served batches equal field by field, every id column included."""
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.keys() == r.keys()
+        for k in ("step", "n_rows", "n_tokens", "oversized"):
+            assert g[k] == r[k], k
+        for k in g.keys() - {"step", "n_rows", "n_tokens", "oversized"}:
+            assert g[k].dtype == r[k].dtype, k
+            np.testing.assert_array_equal(g[k], r[k], err_msg=k)
+
+
+@pytest.mark.parametrize("prefetch", [True, False])
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("order", ["store", "length", "shuffle"])
+def test_multiblock_every_resume_equals_full_stream(
+    multiblock_store, order, keep, prefetch
+):
+    """A resume at any step serves exactly the full stream's suffix, from
+    a plan passed in and from the iterator's own lazy plan."""
+    kw = dict(
+        order=order, epoch=(2, 1),
+        keep_sources=["web", "wiki"] if keep else None,
+    )
+    plan = plan_training_batches(multiblock_store, BUDGET, **kw)
+    kw.update(columns=RESUME_COLS, prefetch=prefetch)
+    full = list(iter_training_batches(multiblock_store, BUDGET, plan=plan, **kw))
+    assert len(full) > 2 * len(plan)
+    for step in range(len(full) + 1):
+        for p in (plan, None):
+            got = list(
+                iter_training_batches(
+                    multiblock_store, BUDGET, start_step=step, plan=p, **kw
+                )
+            )
+            _assert_streams_equal(got, full[step:])
+
+
+def test_multiblock_resume_at_oversized_row(multiblock_store):
+    """A resume whose first served row is a single oversized batch."""
+    lens = pa.compute.list_value_length(_store_rows(multiblock_store)["tokens"])
+    budget = pa.compute.max(lens).as_py() - 1
+    kw = dict(order="shuffle", epoch=(5, 0))
+    plan = plan_training_batches(multiblock_store, budget, **kw)
+    kw.update(columns=RESUME_COLS)
+    full = list(iter_training_batches(multiblock_store, budget, plan=plan, **kw))
+    big = [b["step"] for b in full if b["oversized"]]
+    assert big
+    step = big[len(big) // 2]
+    assert step not in [e["first_step"] for e in plan]
+    for p in (plan, None):
+        got = list(
+            iter_training_batches(
+                multiblock_store, budget, start_step=step, plan=p, **kw
+            )
+        )
+        assert got[0]["oversized"] and got[0]["n_rows"] == 1
+        _assert_streams_equal(got, full[step:])
+
+
+def test_cold_resume_reads_ahead_only_when_consumer_returns(
+    multiblock_store, monkeypatch
+):
+    """One batch from a cold resume plans no later fragment, decodes the
+    resume fragment from its resume row and starts no thread; a second
+    batch submits the read-ahead of the next fragment, which decodes
+    whole."""
+    import concurrent.futures
+    import threading
+
+    from fsst_like_ray.pipelines import loader
+
+    calls, pools = [], []
+    orig = loader._materialize_fragment
+
+    def counting(store_dir, ent, cols, tokens_col, r0):
+        out = orig(store_dir, ent, cols, tokens_col, r0)
+        calls.append((ent["frag_key"], r0, len(out[1]) - 1))
+        return out
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *a, **k):
+            pools.append(self)
+            super().__init__(*a, **k)
+
+    seeks = []
+    orig_seek = loader._read_seek
+
+    def seeking(store_dir, rec, with_source):
+        seeks.append(rec["frag_key"])
+        return orig_seek(store_dir, rec, with_source)
+
+    monkeypatch.setattr(loader, "_materialize_fragment", counting)
+    monkeypatch.setattr(loader, "_read_seek", seeking)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    kw = dict(order="shuffle", epoch=(3, 0))
+    plan = plan_training_batches(multiblock_store, BUDGET, **kw)
+    first, second = plan
+    b = (len(first["boundaries"]) - 1) // 2
+    step, r0 = first["first_step"] + b, int(first["boundaries"][b])
+    assert r0 > 0
+    n0, n1 = len(first["row_order"]), len(second["row_order"])
+
+    seeks.clear()
+    threads = threading.active_count()
+    it = iter_training_batches(multiblock_store, BUDGET, start_step=step, **kw)
+    assert next(it)["step"] == step
+    it.close()
+    assert calls == [(first["frag_key"], r0, n0 - r0)]
+    assert not pools and threading.active_count() == threads
+    assert seeks == [first["frag_key"]]  # no later fragment was planned
+
+    calls.clear()
+    seeks.clear()
+    it = iter_training_batches(multiblock_store, BUDGET, start_step=step, **kw)
+    next(it)
+    assert not pools
+    next(it)
+    assert len(pools) == 1
+    rest = list(it)
+    assert rest[-1]["step"] == second["first_step"] + len(second["boundaries"]) - 2
+    assert calls == [
+        (first["frag_key"], r0, n0 - r0), (second["frag_key"], 0, n1)
+    ]
+    assert seeks == [first["frag_key"], second["frag_key"]]

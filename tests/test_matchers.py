@@ -155,6 +155,42 @@ def test_prefilter_is_sound(docs, encoded_docs):
         assert not (truth & ~cand).any(), needle
 
 
+def _position_code_sets_loop(table, needle):
+    """Per-symbol, per-alignment reference for engines._position_code_sets."""
+    m = len(needle)
+    sets = [set() for _ in range(m)]
+    for code, s in enumerate(table.symbols):
+        for a in range(-(len(s) - 1), m):  # s[0] sits at needle index a
+            lo, hi = max(a, 0), min(a + len(s), m)
+            if lo < hi and all(s[i - a] == needle[i] for i in range(lo, hi)):
+                for i in range(lo, hi):
+                    sets[i].add(code)
+    return sets
+
+
+def test_position_code_sets_match_loop():
+    """The all-codes-at-once sets equal the per-symbol loop on random
+    tables (1- to 8-byte symbols, empty symbols) and on needles with
+    repeated bytes, short and long."""
+    from fsst_like_ray.matchers.engines import _position_code_sets
+
+    rng = np.random.default_rng(24)
+    for trial in range(40):
+        alpha = rng.integers(97, 97 + int(rng.integers(2, 6)), size=8)
+        n = int(rng.integers(0, 256))
+        lens = rng.integers(0, 9, size=n)
+        syms = [bytes(rng.choice(alpha, size=int(k)).astype(np.uint8))
+                for k in lens]
+        table = fsstlib.SymbolTable(syms)
+        needles = [b"", b"a", b"aaaa", b"abab" * 5,
+                   bytes(rng.choice(alpha, size=int(rng.integers(1, 30)))
+                         .astype(np.uint8))]
+        for needle in needles:
+            got = _position_code_sets(table, needle)
+            want = _position_code_sets_loop(table, needle)
+            assert got == want, (trial, needle)
+
+
 def test_position_code_sets_consistency(docs, encoded_docs):
     """The set-cover prefilter must stay sound for needles only spellable
     ACROSS symbol boundaries, and prune strictly tighter than plain
